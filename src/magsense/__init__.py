@@ -65,7 +65,7 @@ from .lifetimes import (
     lifetime_from_phase,
     parametric_qubit_decay,
 )
-from .lindblad import CollapseTerm, DriveTerm, Trajectory, evolve_lindblad
+from .lindblad import CollapseTerm, Trajectory, evolve_lindblad
 from .params import PumpSpec, SystemParams, gamma2_from_coherence
 from .protocols import (
     ProtocolConfig,

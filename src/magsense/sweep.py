@@ -172,8 +172,9 @@ def write_dataset(dataset: SweepDataset, path) -> None:
 def read_dataset(path) -> SweepDataset:
     """Read a dataset table written by write_dataset (or hand-built to match).
 
-    Raises SchemaError on malformed headers, missing unit tags, or a
-    non-cartesian coordinate block.
+    Raises SchemaError on malformed headers, missing unit tags, a
+    non-cartesian coordinate block, or a shots sidecar named in the header
+    but absent from disk.
     """
     path = Path(path)
     header: dict[str, str] = {}
@@ -241,9 +242,10 @@ def read_dataset(path) -> SweepDataset:
     shots = None
     if "shots_file" in header:
         sidecar = path.parent / header["shots_file"]
-        if sidecar.exists():
-            with np.load(sidecar) as payload:
-                shots = payload["shots"]
+        if not sidecar.exists():
+            raise SchemaError(f"{path.name} names shots sidecar {sidecar.name}, which is missing")
+        with np.load(sidecar) as payload:
+            shots = payload["shots"]
     meta = {}
     for key, value in header.items():
         if key.startswith("meta_"):

@@ -233,6 +233,15 @@ class TestReport:
         assert main(["report", str(twin)]) == 2
         assert "hash does not match" in capsys.readouterr().err
 
+    def test_missing_shots_sidecar_exits_2(self, work, decay_artifact, capsys):
+        twin = work / "no-sidecar"
+        shutil.copytree(decay_artifact, twin)
+        (twin / "decay-phase_shots.npz").unlink()
+        assert main(["report", str(twin)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "decay-phase_shots.npz" in err
+        assert "Traceback" not in err
+
     def test_subsample_flags(self, decay_artifact):
         argv = [
             "report",

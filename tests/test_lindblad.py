@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from magsense.errors import IntegrationError, TruncationError
-from magsense.lindblad import CollapseTerm, DriveTerm, evolve_lindblad
+from magsense.lindblad import MAX_TOTAL_DIM, CollapseTerm, evolve_lindblad
 from magsense.spaces import (
     DensityMatrix,
     ModeSpace,
@@ -20,6 +20,67 @@ from magsense.spaces import (
 )
 
 T1 = 2.78e-6  # s, reference relaxation time
+
+
+def _reference_rk4(rho0, h, collapses, dt, n_steps):
+    """Static-H RK4 step loop, the oracle for the step propagator: rho at each step."""
+    ops = []
+    for c in collapses:
+        L = c.operator.matrix
+        ops.append((L, L.conj().T, L.conj().T @ L, c.rate))
+
+    def rhs(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for L, Ld, LdL, rate in ops:
+            out += rate * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
+        return out
+
+    rho = rho0.matrix.copy()
+    states = [rho]
+    for _ in range(n_steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(rho)
+    return states
+
+
+@pytest.mark.parametrize(
+    "record_steps",
+    [None, [0, 3, 4, 17, 60, 61, 150, 240], [5, 90]],
+    ids=["every-step", "non-uniform", "last-record-before-t1"],
+)
+def test_propagator_matches_reference_rk4_loop(record_steps):
+    space = ModeSpace(("q", "m"), (2, 3))
+    q, n_q = build_mode_operators(space, "q")
+    m, _ = build_mode_operators(space, "m")
+    omega = 2 * math.pi * 1e6
+    h = compose_operator(
+        [
+            (0.5 * omega, [q.dag(), m]),
+            (0.5 * omega, [q, m.dag()]),
+            (2 * math.pi * 0.3e6, [m.dag(), m]),
+        ],
+        hermitian=True,
+    )
+    cols = [CollapseTerm(m, 2 * math.pi * 0.5e6), CollapseTerm(q, 1.0 / T1)]
+    rho0 = ket_state(space, {space.basis_index({"q": 1}): 1.0, 0: 1.0})
+    dt, n_steps = 4e-9, 240
+    record_times = None if record_steps is None else dt * np.array(record_steps)
+    traj = evolve_lindblad(
+        rho0, h, cols, (0.0, n_steps * dt), dt, observables=[n_q, q],
+        record_times=record_times, record_states=True,
+    )
+    reference = _reference_rk4(rho0, h.matrix, cols, dt, n_steps)
+    steps = range(n_steps + 1) if record_steps is None else record_steps
+    assert len(traj.states) == len(steps)
+    for pos, step in enumerate(steps):
+        assert np.abs(traj.states[pos].matrix - reference[step]).max() <= 1e-12
+        for k, op in enumerate((n_q, q)):
+            assert abs(traj.expect(k)[pos] - np.trace(op.matrix @ reference[step])) <= 1e-12
+    assert np.abs(traj.final_state.matrix - reference[n_steps]).max() <= 1e-12
 
 
 def test_t1_decay_matches_exponential():
@@ -127,22 +188,6 @@ def test_dephasing_collapse_convention():
     assert np.max(np.abs(traj.expect(0).real - expected)) < 1e-8
 
 
-def test_piecewise_drive_populates_qubit():
-    # half-period resonant pulse then idle: population stays at 1 afterwards
-    space = ModeSpace(("q",), (2,))
-    a, n = build_mode_operators(space, "q")
-    x = compose_operator([(1.0, [a]), (1.0, [a.dag()])], hermitian=True)
-    omega_r = 2 * math.pi * 1e6
-    t_pi = math.pi / omega_r
-    drive = DriveTerm(x, (np.array([0.0, t_pi]), np.array([0.5 * omega_r, 0.0])))
-    rho0 = fock_state(space, {"q": 0})
-    steps_total = 800
-    dt = 2 * t_pi / steps_total
-    traj = evolve_lindblad(rho0, None, [], (0.0, 2 * t_pi), dt, observables=[n], drives=[drive])
-    assert traj.expect(0)[steps_total // 2].real == pytest.approx(1.0, abs=1e-6)
-    assert traj.expect(0)[-1].real == pytest.approx(1.0, abs=1e-6)
-
-
 def test_step_size_guard():
     space = ModeSpace(("q",), (2,))
     a, _ = build_mode_operators(space, "q")
@@ -173,6 +218,8 @@ def test_record_times_subset():
     )
     assert np.allclose(traj.times, wanted)
     assert traj.expectations.shape == (1, 3)
+    assert traj.n_steps == 100
+    assert traj.stiffness_margin == pytest.approx(dt / T1)
     with pytest.raises(ValueError, match="step grid"):
         evolve_lindblad(
             rho0, None, [CollapseTerm(a, 1.0 / T1)], (0.0, 1e-6), dt,
@@ -181,14 +228,20 @@ def test_record_times_subset():
 
 
 def test_truncation_guard_fires_during_evolution():
-    # resonant drive walks population up the 3-level ladder
+    # resonant static drive eps*(a + a^dag) walks population up the 3-level ladder
     space = ModeSpace(("m",), (3,))
-    a, n = build_mode_operators(space, "m")
-    x = compose_operator([(1.0, [a]), (1.0, [a.dag()])], hermitian=True)
-    drive = DriveTerm(x, 2 * math.pi * 1e6)
+    a, _ = build_mode_operators(space, "m")
+    eps = 2 * math.pi * 1e6
+    h = compose_operator([(eps, [a]), (eps, [a.dag()])], hermitian=True)
     rho0 = fock_state(space, {"m": 0})
     with pytest.raises(TruncationError):
         evolve_lindblad(
-            rho0, None, [], (0.0, 2e-6), 1e-9,
-            drives=[drive], truncation_checks=[("m", 1e-6)],
+            rho0, h, [], (0.0, 2e-6), 1e-9, truncation_checks=[("m", 1e-6)]
         )
+
+
+def test_dimension_cap_rejects_before_building_the_generator():
+    space = ModeSpace(("m",), (MAX_TOTAL_DIM + 1,))
+    rho0 = fock_state(space, {"m": 0})
+    with pytest.raises(ValueError, match="total dimension"):
+        evolve_lindblad(rho0, None, [], (0.0, 1e-6), 1e-9)

@@ -102,6 +102,14 @@ def test_round_trip_with_shots(tmp_path):
     np.testing.assert_array_equal(loaded.shots, ds.shots)
 
 
+def test_missing_shots_sidecar_rejected(tmp_path):
+    path = tmp_path / "scan.csv"
+    write_dataset(make_dataset(with_shots=True), path)
+    (tmp_path / "scan_shots.npz").unlink()
+    with pytest.raises(SchemaError, match="scan_shots.npz"):
+        read_dataset(path)
+
+
 def test_missing_unit_tag_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
