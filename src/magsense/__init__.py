@@ -48,6 +48,7 @@ from .fitting import (
     FitResult,
     PolyInterpolant,
     fit_curve,
+    fit_rows,
     interpolate_poly,
     unwrap_phases,
 )

@@ -8,6 +8,7 @@ on valid inputs).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -80,12 +81,26 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _subsample_request(args) -> tuple | None:
+    """The validated (budget, count) of --subsample-budget, or None without it."""
+    if args.subsample_budget is None:
+        return None
+    if not 0 < args.subsample_budget < math.inf:
+        raise ConfigError(
+            f"--subsample-budget must be finite and > 0 seconds, got {args.subsample_budget}"
+        )
+    if args.subsample_count < 2:
+        raise ConfigError(
+            "--subsample-count must be >= 2 to give a lifetime spread, "
+            f"got {args.subsample_count}"
+        )
+    return args.subsample_budget, args.subsample_count
+
+
 def _cmd_report(args) -> int:
-    subsample = None
-    if args.subsample_budget is not None:
-        subsample = (args.subsample_budget, args.subsample_count)
+    subsample = _subsample_request(args)
     if args.import_file is not None:
-        return _report_imported(args)
+        return _report_imported(args, subsample)
     if args.artifact is None:
         raise ConfigError("report needs an artifact directory or --import FILE")
     manifest, config, datasets = load_artifact(args.artifact)
@@ -109,7 +124,7 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _report_imported(args) -> int:
+def _report_imported(args, subsample: tuple | None) -> int:
     """Run a single analysis on an external dataset table."""
     from .config import AnalysisNode
 
@@ -127,9 +142,6 @@ def _report_imported(args) -> int:
     node = AnalysisNode(kind=args.analysis, inputs={"dataset": source.stem})
     datasets = {source.stem: dataset}
     config = _ImportShim(analyses=(node,))
-    subsample = None
-    if args.subsample_budget is not None:
-        subsample = (args.subsample_budget, args.subsample_count)
     reports = run_analyses(
         config, datasets, out_dir, dataset.manifest_hash, subsample=subsample
     )

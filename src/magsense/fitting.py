@@ -8,6 +8,11 @@ width, rate, or frequency parameter fit its logarithm internally so those
 parameters stay positive; reported parameters and covariances are in the
 natural parameterization.
 
+``fit_rows`` fits many data rows on one abscissa in lockstep: each row keeps
+its own damping factor and stopping state, and the Jacobian probes and
+trial steps of all rows still iterating go through one broadcast model
+evaluation. ``fit_curve`` is its one-row case.
+
 Initial guesses are automatic and deterministic: peaked models start from
 max/centroid/second-moment estimates, exponentials from log-linear regression,
 sinusoids from the discrete Fourier peak. Fitted sinusoid phases are
@@ -30,6 +35,9 @@ LAMBDA_INIT = 1e-3
 LAMBDA_UP = 4.0
 LAMBDA_DOWN = 3.0
 LAMBDA_MAX = 1e12
+# damping factors a rejected row tries per batched solve; any value gives
+# the same fits, this one suits the stall that ends most fits
+LADDER_RUNGS = 8
 
 _FAMILIES = (
     "gaussian",
@@ -115,7 +123,13 @@ class FitModel:
         }[self.family]
 
     def evaluate(self, x: np.ndarray, parameters: np.ndarray) -> np.ndarray:
-        """Model prediction at ``x`` for natural-space parameters."""
+        """Model prediction at ``x`` for natural-space parameters.
+
+        Each ``parameters[k]`` may be an array broadcasting against ``x``
+        (shape ``(rows, 1)`` for one-dimensional ``x``), which evaluates a
+        batch of parameter vectors at once; the polynomial family takes one
+        coefficient vector.
+        """
         x = np.asarray(x, dtype=float)
         p = np.asarray(parameters, dtype=float)
         fam = self.family
@@ -185,31 +199,45 @@ def _to_internal(model: FitModel, p: np.ndarray) -> np.ndarray:
 
 
 def _from_internal(model: FitModel, theta: np.ndarray) -> np.ndarray:
+    """Natural-space parameters of internal parameter vectors ``theta[..., k]``."""
     p = np.array(theta, dtype=float)
     for k in model._positive_indices():
-        p[k] = math.exp(min(p[k], 700.0))
+        p[..., k] = np.exp(np.minimum(p[..., k], 700.0))
     return p
 
 
-def _residuals(model: FitModel, theta, x, y, weights) -> np.ndarray:
-    r = y - model.evaluate(x, _from_internal(model, theta))
-    return r * np.sqrt(weights)
+def _residuals(model: FitModel, theta, x, y, sw) -> np.ndarray:
+    """Weighted residuals of parameter vectors ``theta[..., k]`` against ``y``."""
+    p = _from_internal(model, theta)
+    return (y - model.evaluate(x, np.moveaxis(p, -1, 0)[..., None])) * sw
 
 
-def _jacobian(model: FitModel, theta, x, y, weights) -> np.ndarray:
-    n = len(theta)
-    jac = np.empty((len(x), n))
-    for k in range(n):
-        h = 1e-6 * max(1.0, abs(theta[k]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[k] += h
-        dn[k] -= h
-        jac[:, k] = (
-            _residuals(model, up, x, y, weights)
-            - _residuals(model, dn, x, y, weights)
-        ) / (2.0 * h)
-    return jac
+def _jacobian(model: FitModel, theta, x, y, sw) -> np.ndarray:
+    """Central-difference Jacobians of the rows' residuals, shape (rows, n, k).
+
+    The 2k probes of every row go through one broadcast model evaluation.
+    """
+    n_par = theta.shape[1]
+    h = 1e-6 * np.maximum(1.0, np.abs(theta))
+    shifts = h[:, :, None] * np.eye(n_par)
+    probes = np.concatenate(
+        (theta[:, None, :] + shifts, theta[:, None, :] - shifts), axis=1
+    )
+    r = _residuals(model, probes, x, y[:, None, :], sw[:, None, :])
+    # C order (rows, n, k): each row's J^T J and J^T r then go through the
+    # same BLAS calls, with the same rounding, whatever batch it is in
+    jac = (r[:, :n_par] - r[:, n_par:]) / (2.0 * h[:, :, None])
+    return np.ascontiguousarray(np.swapaxes(jac, 1, 2))
+
+
+def _normal_equations(jac: np.ndarray, r: np.ndarray):
+    """Per-row J^T J and J^T r."""
+    jac_t = np.swapaxes(jac, 1, 2)
+    return jac_t @ jac, (jac_t @ r[:, :, None])[:, :, 0]
+
+
+def _sum_squares(r: np.ndarray) -> np.ndarray:
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def _check_data(model: FitModel, x: np.ndarray, y: np.ndarray) -> None:
@@ -278,6 +306,8 @@ def fit_curve(
 ) -> FitResult:
     """Fit ``model`` to data with damped (Levenberg-Marquardt) least squares.
 
+    This is the one-row case of :func:`fit_rows`.
+
     Parameters
     ----------
     model : FitModel
@@ -300,106 +330,237 @@ def fit_curve(
         the residual sum of squares over accepted iterations is
         non-increasing.
     """
+    return fit_rows(model, x, [y], [y_err], [init])[0]
+
+
+def fit_rows(
+    model: FitModel,
+    x: np.ndarray,
+    y_rows,
+    y_err_rows=None,
+    inits=None,
+) -> list[FitResult]:
+    """Fit ``model`` to each row of data sharing the abscissa ``x``.
+
+    Every row runs its own Levenberg-Marquardt iteration (damping factor,
+    acceptance, convergence test and messages exactly as :func:`fit_curve`
+    documents), but all rows still iterating advance in lockstep, so each
+    iteration costs a handful of array operations for the whole batch.
+
+    Parameters
+    ----------
+    model : FitModel
+        Family selector.
+    x : ndarray
+        Sample locations shared by every row.
+    y_rows : sequence of ndarray
+        One data row per fit, each matching ``x``.
+    y_err_rows : sequence, optional
+        Per-row standard errors; an entry of None fits that row unweighted.
+    inits : sequence, optional
+        Per-row starting parameters; an entry of None uses the automatic
+        initializer.
+
+    Returns
+    -------
+    list of FitResult
+        One result per row, in row order. Checks run row by row before any
+        iteration, so the first invalid row raises.
+    """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_data(model, x, y)
-    if y_err is not None:
-        y_err = np.asarray(y_err, dtype=float)
-        if np.any(~np.isfinite(y_err)) or np.any(y_err <= 0):
-            raise ValueError("y_err must be finite and > 0")
-        weights = 1.0 / y_err**2
-        absolute_errors = True
-    else:
-        weights = np.ones_like(y)
-        absolute_errors = False
-
+    n_rows = len(y_rows)
+    y_err_rows = [None] * n_rows if y_err_rows is None else list(y_err_rows)
+    inits = [None] * n_rows if inits is None else list(inits)
+    if not len(y_err_rows) == len(inits) == n_rows:
+        raise ValueError("y_err_rows and inits need one entry per data row")
+    rows, weights, absolute, starts = [], [], [], []
+    for y, y_err, init in zip(y_rows, y_err_rows, inits):
+        y = np.asarray(y, dtype=float)
+        _check_data(model, x, y)
+        if y_err is not None:
+            y_err = np.asarray(y_err, dtype=float)
+            if np.any(~np.isfinite(y_err)) or np.any(y_err <= 0):
+                raise ValueError("y_err must be finite and > 0")
+            weights.append(1.0 / y_err**2)
+        else:
+            weights.append(np.ones_like(y))
+        rows.append(y)
+        absolute.append(y_err is not None)
+        if model.family == "polynomial":
+            continue
+        p0 = np.asarray(init, dtype=float) if init is not None else _auto_init(model, x, y)
+        if len(p0) != model.n_parameters():
+            raise ValueError(
+                f"{model.family} expects {model.n_parameters()} parameters, got {len(p0)}"
+            )
+        starts.append(_to_internal(model, p0))
     if model.family == "polynomial":
-        return _fit_polynomial(model, x, y, weights)
+        return [_fit_polynomial(model, x, y, w) for y, w in zip(rows, weights)]
+    if not rows:
+        return []
+    return _levenberg_marquardt(
+        model, x, np.array(rows), np.sqrt(np.array(weights)), absolute, np.array(starts)
+    )
 
-    p0 = np.asarray(init, dtype=float) if init is not None else _auto_init(model, x, y)
-    if len(p0) != model.n_parameters():
-        raise ValueError(
-            f"{model.family} expects {model.n_parameters()} parameters, got {len(p0)}"
-        )
-    theta = _to_internal(model, p0)
 
-    r = _residuals(model, theta, x, y, weights)
-    rss = float(r @ r)
-    lam = LAMBDA_INIT
-    trace = [rss]
-    converged = False
-    message = ""
-    n_iter = 0
-    for n_iter in range(1, MAX_ITERATIONS + 1):
-        jac = _jacobian(model, theta, x, y, weights)
-        hess = jac.T @ jac
-        grad = jac.T @ r
-        if not np.all(np.isfinite(hess)) or not np.all(np.isfinite(grad)):
-            message = "non-finite model derivatives"
+def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
+    """Lockstep damped least squares over rows ``y`` from internal starts ``theta``.
+
+    Each row keeps its own damping factor and leaves the batch when it
+    converges, stalls, or meets non-finite derivatives.
+    """
+    n_rows = len(theta)
+    r = _residuals(model, theta, x, y, sw)
+    rss = _sum_squares(r)
+    lam = np.full(n_rows, LAMBDA_INIT)
+    traces = [[value] for value in rss.tolist()]
+    converged = np.zeros(n_rows, dtype=bool)
+    messages = [""] * n_rows
+    n_iter = np.full(n_rows, MAX_ITERATIONS)
+    active = np.arange(n_rows)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        if not len(active):
             break
-        accepted = False
-        while lam <= LAMBDA_MAX:
-            damping = np.diag(np.maximum(np.diag(hess), 1e-12 * np.max(np.abs(hess)) + 1e-300))
-            try:
-                step = -np.linalg.solve(hess + lam * damping, grad)
-            except np.linalg.LinAlgError:
-                lam *= LAMBDA_UP
-                continue
-            trial = theta + step
-            r_trial = _residuals(model, trial, x, y, weights)
-            rss_trial = float(r_trial @ r_trial)
-            if np.isfinite(rss_trial) and rss_trial < rss:
-                accepted = True
-                break
-            lam *= LAMBDA_UP
-        if not accepted:
-            # no damped step lowers the residual: stationary to machine
-            # precision (exact for zero residual or zero gradient)
-            converged = True
-            if rss > 0.0 and float(np.max(np.abs(grad))) > 0.0:
-                message = "stalled: no damped step reduces the residual"
-            break
-        rel = float(
-            np.max(np.abs(step) / np.maximum(np.abs(trial), 1e-12))
+        jac = _jacobian(model, theta[active], x, y[active], sw[active])
+        hess, grad = _normal_equations(jac, r[active])
+        finite = np.all(np.isfinite(hess), axis=(1, 2)) & np.all(np.isfinite(grad), axis=1)
+        for i in active[~finite]:
+            messages[i] = "non-finite model derivatives"
+        n_iter[active[~finite]] = iteration
+        active, hess, grad = active[finite], hess[finite], grad[finite]
+        row_lam = lam[active]
+        accepted, step, r_trial, rss_trial = _damped_steps(
+            model, x, y[active], sw[active], theta[active], rss[active], row_lam, hess, grad
         )
-        theta = trial
-        r = r_trial
-        rss = rss_trial
-        trace.append(rss)
-        lam = max(lam / LAMBDA_DOWN, 1e-14)
-        if rel < RELATIVE_STEP_TOL:
-            converged = True
-            break
-    else:
-        message = f"no convergence within {MAX_ITERATIONS} iterations"
+        lam[active] = row_lam
+        # no damped step lowers the residual: stationary to machine
+        # precision (exact for zero residual or zero gradient)
+        stalled = active[~accepted]
+        converged[stalled] = True
+        n_iter[stalled] = iteration
+        for i, g in zip(stalled, grad[~accepted]):
+            if rss[i] > 0.0 and float(np.max(np.abs(g))) > 0.0:
+                messages[i] = "stalled: no damped step reduces the residual"
+        moved = active[accepted]
+        step = step[accepted]
+        trial = theta[moved] + step
+        rel = np.max(np.abs(step) / np.maximum(np.abs(trial), 1e-12), axis=1)
+        theta[moved] = trial
+        r[moved] = r_trial[accepted]
+        rss[moved] = rss_trial[accepted]
+        for i, value in zip(moved, rss_trial[accepted].tolist()):
+            traces[i].append(value)
+        lam[moved] = np.maximum(lam[moved] / LAMBDA_DOWN, 1e-14)
+        done = rel < RELATIVE_STEP_TOL
+        converged[moved[done]] = True
+        n_iter[moved[done]] = iteration
+        active = moved[~done]
+    for i in active:
+        messages[i] = f"no convergence within {MAX_ITERATIONS} iterations"
 
     params = _from_internal(model, theta)
-    jac = _jacobian(model, theta, x, y, weights)
-    dof = max(len(x) - len(params), 1)
-    scale = 1.0 if absolute_errors else rss / dof
+    jac = _jacobian(model, theta, x, y, sw)
+    normal = np.swapaxes(jac, 1, 2) @ jac
+    dof = max(len(x) - theta.shape[1], 1)
+    results = []
+    for i in range(n_rows):
+        scale = 1.0 if absolute[i] else rss[i] / dof
+        try:
+            cov_theta = scale * np.linalg.inv(normal[i])
+        except np.linalg.LinAlgError:
+            cov_theta = scale * np.linalg.pinv(normal[i])
+        # delta method back to natural space: d p / d theta = p for log parameters
+        p = params[i].copy()
+        deriv = np.ones(len(p))
+        for k in model._positive_indices():
+            deriv[k] = p[k]
+        cov = cov_theta * np.outer(deriv, deriv)
+        cov = 0.5 * (cov + cov.T)
+        if model.family in ("sinusoid", "damped-sinusoid"):
+            p, cov = _canonicalize_sinusoid(model, p, cov)
+        results.append(
+            FitResult(
+                model=model,
+                parameter_names=model.parameter_names(),
+                parameters=p,
+                covariance=cov,
+                rss=float(rss[i]),
+                n_iter=int(n_iter[i]),
+                converged=bool(converged[i]),
+                message=messages[i],
+                rss_trace=traces[i],
+            )
+        )
+    return results
+
+
+def _damped_steps(model, x, y, sw, theta, rss, lam, hess, grad):
+    """Raise each row's damping factor until its step lowers the residual.
+
+    All arguments are the iterating rows; ``lam`` is updated in place, and
+    a row whose factor passes LAMBDA_MAX gives up. Every row first tries
+    its current factor; a rejected row then tries its next LADDER_RUNGS
+    factors of the schedule together and takes the first accepted one, as
+    trying them one at a time would. Returns the accepted mask and, for
+    accepted rows, the step, trial residuals and trial rss.
+    """
+    n_par = theta.shape[1]
+    diag = np.arange(n_par)
+    floor = 1e-12 * np.max(np.abs(hess), axis=(1, 2)) + 1e-300
+    damping = np.maximum(hess[:, diag, diag], floor[:, None])
+    system = hess.copy()
+    system[:, diag, diag] += lam[:, None] * damping
+    solved, step = _solve_rows(system, grad)
+    r_trial = _residuals(model, theta + step, x, y, sw)
+    rss_trial = _sum_squares(r_trial)
+    accepted = solved & np.isfinite(rss_trial) & (rss_trial < rss) & (lam <= LAMBDA_MAX)
+    lam[~accepted] *= LAMBDA_UP
+    search = np.flatnonzero(~accepted & (lam <= LAMBDA_MAX))
+    while len(search):
+        # the schedule's next factors by repeated multiplication, one row each
+        factors = np.full((len(search), LADDER_RUNGS + 1), LAMBDA_UP)
+        factors[:, 0] = lam[search]
+        ladder = np.multiply.accumulate(factors, axis=1)
+        tried = ladder[:, :-1] <= LAMBDA_MAX
+        row, rung = np.nonzero(tried)
+        owner = search[row]
+        system = hess[owner]
+        system[:, diag, diag] += ladder[row, rung][:, None] * damping[owner]
+        solved, steps = _solve_rows(system, grad[owner])
+        r_new = _residuals(model, theta[owner] + steps, x, y[owner], sw[owner])
+        rss_new = _sum_squares(r_new)
+        good = np.zeros(tried.shape, dtype=bool)
+        good[row, rung] = solved & np.isfinite(rss_new) & (rss_new < rss[owner])
+        first = np.argmax(good, axis=1)
+        won = good.any(axis=1)
+        n_tried = np.count_nonzero(tried, axis=1)
+        pair = (np.cumsum(n_tried) - n_tried + first)[won]
+        winners = search[won]
+        accepted[winners] = True
+        step[winners] = steps[pair]
+        r_trial[winners] = r_new[pair]
+        rss_trial[winners] = rss_new[pair]
+        lam[search] = ladder[np.arange(len(search)), np.where(won, first, n_tried)]
+        search = search[~won]
+        search = search[lam[search] <= LAMBDA_MAX]
+    return accepted, step, r_trial, rss_trial
+
+
+def _solve_rows(system: np.ndarray, grad: np.ndarray):
+    """Steps ``-system^-1 grad`` per row, and which rows' systems were solvable."""
     try:
-        cov_theta = scale * np.linalg.inv(jac.T @ jac)
+        steps = -np.linalg.solve(system, grad[:, :, None])[:, :, 0]
+        return np.ones(len(system), dtype=bool), steps
     except np.linalg.LinAlgError:
-        cov_theta = scale * np.linalg.pinv(jac.T @ jac)
-    # delta method back to natural space: d p / d theta = p for log parameters
-    deriv = np.ones(len(params))
-    for k in model._positive_indices():
-        deriv[k] = params[k]
-    cov = cov_theta * np.outer(deriv, deriv)
-    cov = 0.5 * (cov + cov.T)
-    if model.family in ("sinusoid", "damped-sinusoid"):
-        params, cov = _canonicalize_sinusoid(model, params, cov)
-    return FitResult(
-        model=model,
-        parameter_names=model.parameter_names(),
-        parameters=params,
-        covariance=cov,
-        rss=rss,
-        n_iter=n_iter,
-        converged=converged,
-        message=message,
-        rss_trace=trace,
-    )
+        pass
+    solved = np.ones(len(system), dtype=bool)
+    steps = np.zeros_like(grad)
+    for i in range(len(system)):
+        try:
+            steps[i] = -np.linalg.solve(system[i], grad[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return solved, steps
 
 
 def _grid_step(x: np.ndarray) -> float:

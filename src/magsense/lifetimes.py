@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError
-from .fitting import FitModel, FitResult, fit_curve, unwrap_phases
+from .fitting import FitModel, FitResult, fit_curve, fit_rows, unwrap_phases
 from .sweep import SweepDataset
 
 # lack-of-fit beyond this many radians marks a branch-assignment failure
@@ -90,27 +90,29 @@ def parametric_qubit_decay(delta: float, omega_qm: float, kappa_m: float):
     return rate, evaluator
 
 
-def _fringe_phase(phases: np.ndarray, row: np.ndarray, row_err) -> tuple[float, float]:
-    """Phase of one fringe row via a sinusoid fit seeded by quadrature sums.
+def _fringe_fits(phases: np.ndarray, rows: np.ndarray, row_errs) -> list[FitResult]:
+    """Sinusoid fits of fringe rows, each seeded by quadrature sums.
 
-    The row follows 0.5 + 0.5 C cos(phi - theta), so the fitted sinusoid
+    A row follows 0.5 + 0.5 C cos(phi - theta), so the fitted sinusoid
     a sin(theta/(2 pi) ... ) carries phi as pi/2 minus its phase parameter.
     """
-    in_phase = float(np.sum((row - np.mean(row)) * np.cos(phases)))
-    quadrature = float(np.sum((row - np.mean(row)) * np.sin(phases)))
-    phi_seed = math.atan2(quadrature, in_phase)
-    amp_seed = 2.0 * math.hypot(in_phase, quadrature) / len(phases)
-    init = np.array(
-        [
-            max(amp_seed, 1e-6),
-            1.0 / (2.0 * math.pi),
-            (math.pi / 2.0 - phi_seed) % (2.0 * math.pi),
-            float(np.mean(row)),
-        ]
-    )
-    fit = fit_curve(FitModel("sinusoid"), phases, row, y_err=row_err, init=init)
-    phi = (math.pi / 2.0 - fit.parameter("phase")) % (2.0 * math.pi)
-    return phi, fit.stderr("phase")
+    inits = []
+    for row in rows:
+        in_phase = float(np.sum((row - np.mean(row)) * np.cos(phases)))
+        quadrature = float(np.sum((row - np.mean(row)) * np.sin(phases)))
+        phi_seed = math.atan2(quadrature, in_phase)
+        amp_seed = 2.0 * math.hypot(in_phase, quadrature) / len(phases)
+        inits.append(
+            np.array(
+                [
+                    max(amp_seed, 1e-6),
+                    1.0 / (2.0 * math.pi),
+                    (math.pi / 2.0 - phi_seed) % (2.0 * math.pi),
+                    float(np.mean(row)),
+                ]
+            )
+        )
+    return fit_rows(FitModel("sinusoid"), phases, rows, row_errs, inits)
 
 
 def _peak_row_init(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -136,6 +138,11 @@ def _usable_errors(stderr: np.ndarray):
     return None
 
 
+def _convergence_flags(fits: list[FitResult]) -> list[str]:
+    """The fit-not-converged flag when any of ``fits`` stopped unconverged."""
+    return [] if all(fit.converged for fit in fits) else ["fit-not-converged"]
+
+
 def _require_protocol(dataset: SweepDataset, protocol: str, axes: tuple) -> None:
     if dataset.protocol != protocol:
         raise EstimationError(
@@ -155,18 +162,21 @@ def lifetime_from_phase(dataset: SweepDataset) -> LifetimeEstimate:
     assigned its principal branch. True phase steps beyond pi alias through
     the unwrap and cannot be undone, but they leave the series visibly
     non-exponential, so radian-scale lack of fit raises the
-    unwrap-ambiguity flag.
+    unwrap-ambiguity flag. A row or final fit that stopped without
+    converging raises the fit-not-converged flag.
     """
     _require_protocol(dataset, "decay-phase", ("sense_time", "second_pulse_phase"))
     times = dataset.axis("sense_time").values
     thetas = dataset.axis("second_pulse_phase").values
     if len(times) < 6:
         raise EstimationError("phase extraction needs >= 6 sense times")
-    wrapped = np.empty(len(times))
-    phase_err = np.empty(len(times))
-    for i in range(len(times)):
-        row_err = _usable_errors(dataset.stderr[i])
-        wrapped[i], phase_err[i] = _fringe_phase(thetas, dataset.p_e[i], row_err)
+    row_fits = _fringe_fits(
+        thetas, dataset.p_e, [_usable_errors(err) for err in dataset.stderr]
+    )
+    wrapped = np.array(
+        [(math.pi / 2.0 - fit.parameter("phase")) % (2.0 * math.pi) for fit in row_fits]
+    )
+    phase_err = np.array([fit.stderr("phase") for fit in row_fits])
     wrapped[0] = ((wrapped[0] + math.pi) % (2.0 * math.pi)) - math.pi
     phi = unwrap_phases(wrapped)
     y_err = phase_err if np.all(phase_err > 0) else None
@@ -175,6 +185,7 @@ def lifetime_from_phase(dataset: SweepDataset) -> LifetimeEstimate:
     misfit = float(np.max(np.abs(phi - fit.predict(times))))
     if misfit > max(UNWRAP_RESIDUAL_FLOOR, 5.0 * float(np.median(phase_err))):
         flags.append("unwrap-ambiguity")
+    flags += _convergence_flags(row_fits + [fit])
     return LifetimeEstimate(
         method=PHASE_METHOD,
         lifetime=fit.parameter("tau"),
@@ -191,7 +202,8 @@ def lifetime_from_frequency(dataset: SweepDataset) -> LifetimeEstimate:
     Each sense-time row is fit with a Gaussian; the centers relax
     exponentially toward the bare line, so an exponential-plus-offset fit of
     center(t) yields tau = 1/kappa_m. Constant centers (no initial magnons)
-    raise the flat-data error from the fitting layer.
+    raise the flat-data error from the fitting layer; a row or final fit
+    that stopped without converging raises the fit-not-converged flag.
     """
     _require_protocol(
         dataset, "decay-spectroscopy", ("sense_time", "probe_frequency")
@@ -200,19 +212,15 @@ def lifetime_from_frequency(dataset: SweepDataset) -> LifetimeEstimate:
     freqs = dataset.axis("probe_frequency").values
     if len(times) < 6:
         raise EstimationError("frequency extraction needs >= 6 sense times")
-    centers = np.empty(len(times))
-    center_err = np.empty(len(times))
-    for i in range(len(times)):
-        row_err = _usable_errors(dataset.stderr[i])
-        fit = fit_curve(
-            FitModel("gaussian"),
-            freqs,
-            dataset.p_e[i],
-            y_err=row_err,
-            init=_peak_row_init(freqs, dataset.p_e[i]),
-        )
-        centers[i] = fit.parameter("center")
-        center_err[i] = fit.stderr("center")
+    row_fits = fit_rows(
+        FitModel("gaussian"),
+        freqs,
+        dataset.p_e,
+        [_usable_errors(err) for err in dataset.stderr],
+        [_peak_row_init(freqs, row) for row in dataset.p_e],
+    )
+    centers = np.array([fit.parameter("center") for fit in row_fits])
+    center_err = np.array([fit.stderr("center") for fit in row_fits])
     # shift to a small dynamic range; the offset absorbs the translation
     reference = centers[-1]
     y_err = center_err if np.all(center_err > 0) else None
@@ -224,6 +232,7 @@ def lifetime_from_frequency(dataset: SweepDataset) -> LifetimeEstimate:
         lifetime=fit.parameter("tau"),
         uncertainty=fit.stderr("tau"),
         fit=fit,
+        flags=tuple(_convergence_flags(row_fits + [fit])),
         series={"times": times, "centers": centers, "center_stderr": center_err},
     )
 
@@ -253,7 +262,8 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
     hybridization transient leaves it below the slow-pole envelope. The
     rates follow a Lorentzian of FWHM kappa_m on top of the intrinsic rate,
     with peak height omega_qm^2/kappa_m; the amplitude is solved for
-    omega_qm with the fit covariance propagated through.
+    omega_qm with the fit covariance propagated through. A rate or profile
+    fit that stopped without converging raises the fit-not-converged flag.
     """
     _require_protocol(dataset, "parametric-scan", ("pump_detuning", "pump_duration"))
     deltas = dataset.axis("pump_detuning").values
@@ -261,19 +271,15 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
     if len(deltas) < 7:
         raise EstimationError("rate profile needs >= 7 detuning points")
     start = 1 if len(durations) > 4 else 0
-    rates = np.empty(len(deltas))
-    rate_stderr = np.empty(len(deltas))
-    for i in range(len(deltas)):
-        row_err = _usable_errors(dataset.stderr[i, start:])
-        fit = fit_curve(
-            FitModel("exponential-decay"),
-            durations[start:],
-            dataset.p_e[i, start:],
-            y_err=row_err,
-        )
-        tau = fit.parameter("tau")
-        rates[i] = 1.0 / tau
-        rate_stderr[i] = fit.stderr("tau") / tau**2
+    row_fits = fit_rows(
+        FitModel("exponential-decay"),
+        durations[start:],
+        dataset.p_e[:, start:],
+        [_usable_errors(err) for err in dataset.stderr[:, start:]],
+    )
+    taus = np.array([fit.parameter("tau") for fit in row_fits])
+    rates = 1.0 / taus
+    rate_stderr = np.array([fit.stderr("tau") for fit in row_fits]) / taus**2
     y_err = rate_stderr if np.all(rate_stderr > 0) else None
     profile = fit_curve(FitModel("lorentzian"), deltas, rates, y_err=y_err)
     names = profile.parameter_names
@@ -292,6 +298,7 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
         flags.append("scan-narrower-than-fwhm")
     if amp <= 2.0 * profile.stderr("amplitude"):
         flags.append("amplitude-consistent-with-zero")
+    flags += _convergence_flags(row_fits + [profile])
     return ParametricScanEstimate(
         kappa_m=fwhm,
         kappa_m_stderr=profile.stderr("fwhm"),

@@ -95,6 +95,16 @@ class ReadoutModel:
         return replace(self, decay_weight=1.0)
 
 
+def laplace_stderr(clicks, n_shots):
+    """Laplace-smoothed binomial standard error of ``clicks / n_shots``.
+
+    Elementwise over arrays of click counts; the smoothing keeps the error
+    positive when no shot or every shot clicks.
+    """
+    p_smooth = (clicks + 1.0) / (n_shots + 2.0)
+    return np.sqrt(p_smooth * (1.0 - p_smooth) / n_shots)
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """Analog shots drawn at one sweep point."""
@@ -116,10 +126,8 @@ class ShotRecord:
 
     def excited_stderr(self) -> float:
         """Laplace-smoothed binomial standard error of the fraction."""
-        n = self.n_shots
         k = int(np.sum(self.values > self.threshold))
-        p_smooth = (k + 1.0) / (n + 2.0)
-        return math.sqrt(p_smooth * (1.0 - p_smooth) / n)
+        return float(laplace_stderr(k, self.n_shots))
 
     def subset(self, indices: np.ndarray) -> "ShotRecord":
         return ShotRecord(

@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import calibrate_magnon_number, linear_slope
 from .config import ExperimentConfig, ProtocolNode, from_resolved, resolved_hash
 from .errors import ConfigError, SchemaError
-from .fitting import FitModel, fit_curve
+from .fitting import FitModel, fit_curve, fit_rows
 from .lifetimes import (
     extract_kappa_m_from_scan,
     lifetime_from_frequency,
@@ -174,19 +174,14 @@ def _coherence_report(config: ExperimentConfig, datasets: dict, inputs: dict) ->
 
 def _fit_series_rates(series: SweepDataset) -> tuple[np.ndarray, np.ndarray]:
     delays = series.axis("delay").values
-    rates = np.zeros(series.p_e.shape[0])
-    rate_err = np.zeros_like(rates)
-    for k in range(series.p_e.shape[0]):
-        fit = fit_curve(
-            FitModel("damped-sinusoid"),
-            delays,
-            series.p_e[k],
-            y_err=_row_errors(series, k),
-        )
-        tau = fit.parameter("tau")
-        rates[k] = 1.0 / tau
-        rate_err[k] = fit.stderr("tau") / tau**2
-    return rates, rate_err
+    fits = fit_rows(
+        FitModel("damped-sinusoid"),
+        delays,
+        series.p_e,
+        [_row_errors(series, k) for k in range(series.p_e.shape[0])],
+    )
+    taus = np.array([fit.parameter("tau") for fit in fits])
+    return 1.0 / taus, np.array([fit.stderr("tau") for fit in fits]) / taus**2
 
 
 def _calibrate(config: ExperimentConfig, datasets: dict, inputs: dict):

@@ -19,7 +19,16 @@ import numpy as np
 
 from .analysis import CalibrationResult, linear_slope, snr
 from .errors import EstimationError
-from .fitting import FitModel, FitResult, PolyInterpolant, fit_curve, interpolate_poly
+# fit_curve is not called here; the benchmark's tracer (perfbench/layers.py)
+# wraps it in every analysis module, so the name stays bound
+from .fitting import (  # noqa: F401
+    FitModel,
+    FitResult,
+    PolyInterpolant,
+    fit_curve,
+    fit_rows,
+    interpolate_poly,
+)
 from .sweep import SweepDataset
 
 SOLVE_RESOLUTION = 1e-3  # magnons, bisection stop
@@ -125,18 +134,14 @@ def fit_power_spectra(dataset: SweepDataset) -> list[tuple[float, FitResult]]:
     _require_spectroscopy(dataset)
     powers = dataset.axis("pump_power").values
     freqs = dataset.axis("probe_frequency").values
-    out = []
-    for i, power in enumerate(powers):
-        row_err = dataset.stderr[i] if np.all(dataset.stderr[i] > 0) else None
-        fit = fit_curve(
-            FitModel("gaussian"),
-            freqs,
-            dataset.p_e[i],
-            y_err=row_err,
-            init=_gaussian_row_init(freqs, dataset.p_e[i]),
-        )
-        out.append((float(power), fit))
-    return out
+    fits = fit_rows(
+        FitModel("gaussian"),
+        freqs,
+        dataset.p_e,
+        [err if np.all(err > 0) else None for err in dataset.stderr],
+        [_gaussian_row_init(freqs, row) for row in dataset.p_e],
+    )
+    return [(float(power), fit) for power, fit in zip(powers, fits)]
 
 
 def _require_spectroscopy(dataset: SweepDataset) -> None:
@@ -165,16 +170,15 @@ def fit_noise_profile(
         )
     powers = dataset.axis("pump_power").values
     freqs = dataset.axis("probe_frequency").values
-    amplitudes, floors, widths, fits = [], [], [], []
-    for i in range(len(powers)):
-        row = dataset.stderr[i]
-        fit = fit_curve(
-            FitModel("gaussian"), freqs, row, init=_gaussian_row_init(freqs, row)
-        )
-        amplitudes.append(fit.parameter("amplitude"))
-        floors.append(fit.parameter("offset"))
-        widths.append(fit.parameter("sigma") / calibration.chi_qm)
-        fits.append(fit)
+    fits = fit_rows(
+        FitModel("gaussian"),
+        freqs,
+        dataset.stderr,
+        inits=[_gaussian_row_init(freqs, row) for row in dataset.stderr],
+    )
+    amplitudes = [fit.parameter("amplitude") for fit in fits]
+    floors = [fit.parameter("offset") for fit in fits]
+    widths = [fit.parameter("sigma") / calibration.chi_qm for fit in fits]
     n_grid = calibration.c_pump * np.asarray(powers, dtype=float)
     width_poly = interpolate_poly(n_grid, np.asarray(widths), order=1)
     n_shots = int(np.max(dataset.n_shots))

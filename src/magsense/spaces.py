@@ -7,6 +7,7 @@ state ``|n_0, n_1, ...>`` sits at flat index ``n_0*d_1*d_2*... + n_1*d_2*... + .
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ class ModeSpace:
         if any(d < 1 for d in self.dims):
             raise ValueError("mode dimensions must be >= 1")
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return int(np.prod(self.dims))
 

@@ -6,6 +6,12 @@ the statistics of an experiment that spent m * shot_duration per point.
 Repeating the draw with different seeds turns one long run into an ensemble
 of budget-limited runs, which is how per-root-hertz spreads of fitted
 quantities are estimated here.
+
+Each call draws from one generator with block-wise keys: a point keeps the
+shots with its m smallest uniform keys, a uniform m-subset without
+replacement and independent across points, so the statistics are those of
+per-point draws. Keys follow flat point order in one stream, so the size
+of the key blocks cannot change the result.
 """
 
 from __future__ import annotations
@@ -16,16 +22,17 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import BudgetError, EstimationError
-from .readout import ShotRecord
-from .sweep import SweepDataset, point_seed
+from .readout import laplace_stderr
+from .sweep import SweepDataset, stream_seed
 
 SUBSAMPLE_TAG = "subsample"
+BLOCK_POINTS = 32  # points per key block: bounds a draw's temporaries
 
 
 def shots_per_point(dataset: SweepDataset, budget: float) -> int:
     """Shots per grid point affordable within ``budget`` seconds."""
-    if budget <= 0:
-        raise BudgetError("time budget must be > 0")
+    if not 0 < budget < math.inf:
+        raise BudgetError("time budget must be finite and > 0")
     n_points = int(np.prod(dataset.grid_shape))
     exact = budget / (n_points * dataset.shot_duration)
     # guard against x.9999... from the division when the budget is an
@@ -41,8 +48,8 @@ def subsample_time_budget(
     The budget is split evenly over the sweep grid; each point keeps a
     uniform without-replacement draw of its recorded shots and the excited
     fraction and its smoothed binomial error are recomputed from the draw.
-    Draws use per-point seed streams, so the result does not depend on
-    evaluation order.
+    Draws take block-wise keys from one generator per call, seeded from
+    ``(seed, SUBSAMPLE_TAG)``.
 
     Parameters
     ----------
@@ -65,7 +72,7 @@ def subsample_time_budget(
     EstimationError
         If the dataset has no raw shots or no recorded threshold.
     BudgetError
-        If the budget affords less than one shot per point.
+        If the budget is not finite and > 0 or affords no shot per point.
     """
     if dataset.shots is None:
         raise EstimationError("time-budget subsampling needs retained raw shots")
@@ -75,33 +82,25 @@ def subsample_time_budget(
             "dataset meta lacks 'readout_threshold'; cannot re-threshold shots"
         )
     n_keep = shots_per_point(dataset, budget)
+    flat_shots = dataset.shots.reshape(-1, dataset.shots.shape[-1])
     if n_keep < 1:
-        raise BudgetError(
-            f"budget {budget:g} s affords no shots on a "
-            f"{int(np.prod(dataset.grid_shape))}-point grid"
-        )
-    n_recorded = dataset.shots.shape[-1]
-    if n_keep >= n_recorded:
+        raise BudgetError(f"budget {budget:g} s affords no shots on a {len(flat_shots)}-point grid")
+    if n_keep >= flat_shots.shape[1]:
         return dataset
-    flat_shots = dataset.shots.reshape(-1, n_recorded)
-    n_points = flat_shots.shape[0]
-    p_e = np.zeros(n_points)
-    stderr = np.zeros(n_points)
-    kept = np.zeros((n_points, n_keep))
-    for idx in range(n_points):
-        rng = np.random.default_rng(point_seed(seed, SUBSAMPLE_TAG, idx))
-        pick = rng.choice(n_recorded, size=n_keep, replace=False)
-        record = ShotRecord(
-            coordinates={}, values=flat_shots[idx][pick], threshold=float(threshold)
-        )
-        p_e[idx] = record.excited_fraction()
-        stderr[idx] = record.excited_stderr()
-        kept[idx] = record.values
+    rng = np.random.default_rng(stream_seed(seed, SUBSAMPLE_TAG))
+    kept = np.zeros((len(flat_shots), n_keep))
+    # one key buffer per call: one per block measured ~1 MB more peak RSS
+    keys = np.empty((BLOCK_POINTS, flat_shots.shape[1]))
+    for start in range(0, len(flat_shots), BLOCK_POINTS):
+        block = flat_shots[start : start + BLOCK_POINTS]
+        pick = np.argpartition(rng.random(out=keys[: len(block)]), n_keep - 1, axis=1)
+        kept[start : start + len(block)] = np.take_along_axis(block, pick[:, :n_keep], axis=1)
+    clicks = np.count_nonzero(kept > float(threshold), axis=1)
     shape = dataset.grid_shape
     return replace(
         dataset,
-        p_e=p_e.reshape(shape),
-        stderr=stderr.reshape(shape),
+        p_e=(clicks / n_keep).reshape(shape),
+        stderr=laplace_stderr(clicks, n_keep).reshape(shape),
         n_shots=np.full(shape, n_keep, dtype=int),
         shots=kept.reshape(shape + (n_keep,)),
     )

@@ -96,9 +96,14 @@ class SweepDataset:
         return replace(self, manifest_hash=manifest_hash)
 
 
-def point_seed(master_seed: int, protocol: str, index: int):
+def stream_seed(master_seed: int, tag: str) -> tuple:
+    """Seed material for the random stream a run keeps under ``tag``."""
+    return (int(master_seed), zlib.crc32(tag.encode("utf-8")))
+
+
+def point_seed(master_seed: int, protocol: str, index: int) -> tuple:
     """Seed material for one grid point, stable across execution order."""
-    return (int(master_seed), zlib.crc32(protocol.encode("utf-8")), int(index))
+    return stream_seed(master_seed, protocol) + (int(index),)
 
 
 def map_points(n_points: int, fn, workers: int | None = None) -> list:

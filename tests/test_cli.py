@@ -260,6 +260,23 @@ class TestReport:
         assert float(report["subsample_lifetime_std_s"]) >= 0
         assert (decay_artifact / "lifetime-phase-subsample.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--subsample-budget", "inf"],
+            ["--subsample-budget", "nan"],
+            ["--subsample-budget", "0.1", "--subsample-count", "0"],
+            ["--subsample-budget", "0.1", "--subsample-count", "1"],
+            ["--subsample-budget", "0.1", "--subsample-count", "-2"],
+        ],
+        ids=["budget-inf", "budget-nan", "count-0", "count-1", "count-negative"],
+    )
+    def test_bad_subsample_arguments_exit_2(self, decay_artifact, flags, capsys):
+        assert main(["report", str(decay_artifact), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--subsample-" in err
+        assert "Traceback" not in err
+
 
 class TestImport:
     def test_import_runs_single_analysis(self, work, decay_artifact, capsys):
@@ -311,3 +328,20 @@ class TestImport:
         ]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_import_rejects_bad_subsample_budget(self, work, decay_artifact, capsys):
+        argv = [
+            "report",
+            "--import",
+            str(decay_artifact / "decay-phase.csv"),
+            "--analysis",
+            "lifetime-phase",
+            "--output",
+            str(work / "imported-bad-budget"),
+            "--subsample-budget",
+            "inf",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--subsample-budget" in err
+        assert "Traceback" not in err

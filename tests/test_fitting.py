@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from magsense import fitting
 from magsense.errors import DegenerateDataError, FitRankError
 from magsense.fitting import (
     FitModel,
@@ -243,3 +244,218 @@ def test_result_accessors():
     assert result.parameter("center") == pytest.approx(3.0, rel=1e-8)
     assert result.stderr("center") >= 0.0
     assert len(result.predict(x)) == len(x)
+
+
+# -- lockstep engine against the scalar Levenberg-Marquardt loop ------------
+
+
+def _reference_fit(model, x, y, y_err=None, init=None, exp=np.exp):
+    """The scalar one-row Levenberg-Marquardt loop the lockstep engine replaced.
+
+    Kept verbatim as an oracle, except that ``exp`` maps log parameters back
+    to natural ones: the engine uses np.exp, while the scalar loop used
+    math.exp, which differs in the last bit for some arguments.
+    """
+    positive = model._positive_indices()
+
+    def natural(theta):
+        p = np.array(theta, dtype=float)
+        for k in positive:
+            p[k] = exp(min(p[k], 700.0))
+        return p
+
+    def residuals(theta):
+        return (y - model.evaluate(x, natural(theta))) * np.sqrt(weights)
+
+    def jacobian(theta):
+        jac = np.empty((len(x), len(theta)))
+        for k in range(len(theta)):
+            h = 1e-6 * max(1.0, abs(theta[k]))
+            up = theta.copy()
+            dn = theta.copy()
+            up[k] += h
+            dn[k] -= h
+            jac[:, k] = (residuals(up) - residuals(dn)) / (2.0 * h)
+        return jac
+
+    weights = np.ones_like(y) if y_err is None else 1.0 / y_err**2
+    p0 = fitting._auto_init(model, x, y) if init is None else np.asarray(init, dtype=float)
+    theta = fitting._to_internal(model, p0)
+    r = residuals(theta)
+    rss = float(r @ r)
+    lam = fitting.LAMBDA_INIT
+    trace = [rss]
+    converged = False
+    message = ""
+    n_iter = 0
+    for n_iter in range(1, fitting.MAX_ITERATIONS + 1):
+        jac = jacobian(theta)
+        hess = jac.T @ jac
+        grad = jac.T @ r
+        if not np.all(np.isfinite(hess)) or not np.all(np.isfinite(grad)):
+            message = "non-finite model derivatives"
+            break
+        accepted = False
+        while lam <= fitting.LAMBDA_MAX:
+            damping = np.diag(np.maximum(np.diag(hess), 1e-12 * np.max(np.abs(hess)) + 1e-300))
+            try:
+                step = -np.linalg.solve(hess + lam * damping, grad)
+            except np.linalg.LinAlgError:
+                lam *= fitting.LAMBDA_UP
+                continue
+            trial = theta + step
+            r_trial = residuals(trial)
+            rss_trial = float(r_trial @ r_trial)
+            if np.isfinite(rss_trial) and rss_trial < rss:
+                accepted = True
+                break
+            lam *= fitting.LAMBDA_UP
+        if not accepted:
+            converged = True
+            if rss > 0.0 and float(np.max(np.abs(grad))) > 0.0:
+                message = "stalled: no damped step reduces the residual"
+            break
+        rel = float(np.max(np.abs(step) / np.maximum(np.abs(trial), 1e-12)))
+        theta = trial
+        r = r_trial
+        rss = rss_trial
+        trace.append(rss)
+        lam = max(lam / fitting.LAMBDA_DOWN, 1e-14)
+        if rel < fitting.RELATIVE_STEP_TOL:
+            converged = True
+            break
+    else:
+        message = f"no convergence within {fitting.MAX_ITERATIONS} iterations"
+
+    params = natural(theta)
+    jac = jacobian(theta)
+    dof = max(len(x) - len(params), 1)
+    scale = 1.0 if y_err is not None else rss / dof
+    try:
+        cov_theta = scale * np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        cov_theta = scale * np.linalg.pinv(jac.T @ jac)
+    deriv = np.ones(len(params))
+    for k in positive:
+        deriv[k] = params[k]
+    cov = cov_theta * np.outer(deriv, deriv)
+    cov = 0.5 * (cov + cov.T)
+    if model.family in ("sinusoid", "damped-sinusoid"):
+        params, cov = fitting._canonicalize_sinusoid(model, params, cov)
+    return fitting.FitResult(
+        model=model,
+        parameter_names=model.parameter_names(),
+        parameters=params,
+        covariance=cov,
+        rss=rss,
+        n_iter=n_iter,
+        converged=converged,
+        message=message,
+        rss_trace=trace,
+    )
+
+
+def _noisy_rows(model, x, truth, weighted, seed, n_rows=4):
+    rng = np.random.default_rng(seed)
+    clean = model.evaluate(x, np.asarray(truth, dtype=float))
+    sigma = 0.03 * float(np.max(np.abs(clean)))
+    rows = [clean + sigma * rng.standard_normal(len(x)) for _ in range(n_rows)]
+    errs = [np.full(len(x), sigma) if weighted else None for _ in range(n_rows)]
+    return rows, errs
+
+
+def _assert_matches_reference(result, reference):
+    np.testing.assert_allclose(result.parameters, reference.parameters, rtol=1e-6)
+    np.testing.assert_allclose(
+        np.sqrt(np.diag(result.covariance)),
+        np.sqrt(np.diag(reference.covariance)),
+        rtol=1e-6,
+    )
+    assert result.converged == reference.converged
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize(
+    "model,x,truth", ZERO_NOISE_CASES, ids=[c[0].family for c in ZERO_NOISE_CASES]
+)
+def test_lockstep_rows_match_the_scalar_loop(model, x, truth, weighted):
+    rows, errs = _noisy_rows(model, x, truth, weighted, seed=len(x) + weighted)
+    results = fitting.fit_rows(model, x, rows, errs)
+    assert len(results) == len(rows)
+    for result, y, y_err in zip(results, rows, errs):
+        reference = _reference_fit(model, x, y, y_err)
+        _assert_matches_reference(result, reference)
+        assert (result.n_iter, result.message) == (reference.n_iter, reference.message)
+        assert result.rss_trace == pytest.approx(reference.rss_trace, rel=1e-6)
+        # with math.exp, as the scalar loop computed it, a last-bit change can
+        # flip a converged fit's stop message between the step test and a
+        # stall, but cannot move its fitted values by 1e-6
+        _assert_matches_reference(result, _reference_fit(model, x, y, y_err, exp=math.exp))
+
+
+def test_rows_do_not_depend_on_their_batch():
+    model = FitModel("gaussian")
+    x = np.linspace(0.0, 6.0, 41)
+    rows, errs = _noisy_rows(model, x, [1.0, 3.0, 0.5, 0.05], True, seed=8, n_rows=6)
+    errs[2] = None
+    batch = fitting.fit_rows(model, x, rows, errs)
+
+    def assert_same_fit(fit, expected):
+        np.testing.assert_allclose(fit.parameters, expected.parameters, rtol=1e-12)
+        np.testing.assert_allclose(fit.covariance, expected.covariance, rtol=1e-12)
+        assert (fit.n_iter, fit.converged, fit.message) == (
+            expected.n_iter,
+            expected.converged,
+            expected.message,
+        )
+
+    for y, y_err, expected in zip(rows, errs, batch):
+        assert_same_fit(fit_curve(model, x, y, y_err=y_err), expected)
+    for fit, expected in zip(fitting.fit_rows(model, x, rows[3:], errs[3:]), batch[3:]):
+        assert_same_fit(fit, expected)
+
+
+def test_mixed_batch_converged_exact_and_capped(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 6)
+    model = FitModel("sinusoid")
+    x = np.linspace(0.0, 2.0, 80)
+    truth = np.array([0.4, 2.3, 1.0, 0.5])
+    rng = np.random.default_rng(4)
+    converging = model.evaluate(x, truth) + 0.01 * rng.standard_normal(len(x))
+    exact = model.evaluate(x, truth)
+    far = np.array([0.4, 0.6, 0.0, 0.5])
+    rows = [converging, exact, exact]
+    inits = [truth, truth, far]
+    results = fitting.fit_rows(model, x, rows, None, inits)
+    references = [_reference_fit(model, x, y, init=p0) for y, p0 in zip(rows, inits)]
+    for result, reference in zip(results, references):
+        _assert_matches_reference(result, reference)
+        assert (result.n_iter, result.message) == (reference.n_iter, reference.message)
+    assert results[0].converged and results[0].n_iter < 6
+    assert results[1].converged and results[1].n_iter == 1 and results[1].rss == 0.0
+    assert not results[2].converged and results[2].n_iter == 6
+    assert results[2].message == "no convergence within 6 iterations"
+
+
+def test_singular_damped_system_fails_only_its_row():
+    system = np.array([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    grad = np.array([[1.0, -2.0], [1.0, 1.0], [4.0, 2.0]])
+    solved, steps = fitting._solve_rows(system, grad)
+    assert solved.tolist() == [True, False, True]
+    assert steps[0].tolist() == [-1.0, 2.0]
+    assert steps[2].tolist() == [-2.0, -1.0]
+
+
+def test_fit_rows_checks_every_row_before_iterating():
+    model = FitModel("gaussian")
+    x = np.linspace(0.0, 6.0, 41)
+    good = model.evaluate(x, np.array([1.0, 3.0, 0.5, 0.0]))
+    with pytest.raises(DegenerateDataError):
+        fitting.fit_rows(model, x, [good, np.full(41, 0.3)])
+    with pytest.raises(ValueError, match="y_err"):
+        fitting.fit_rows(model, x, [good, good], [None, np.zeros(41)])
+    with pytest.raises(ValueError, match="one entry per data row"):
+        fitting.fit_rows(model, x, [good, good], [None])
+    poly = fitting.fit_rows(FitModel("polynomial", order=1), x, [x, 2.0 * x])
+    assert [fit.parameter("c1") for fit in poly] == pytest.approx([1.0, 2.0])
+    assert fitting.fit_rows(model, x, []) == []

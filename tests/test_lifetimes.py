@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from magsense import fitting
 from magsense.errors import DegenerateDataError, EstimationError
 from magsense.lifetimes import (
     LifetimeEstimate,
@@ -250,3 +251,33 @@ def test_scan_extraction_synthetic_flags():
         extract_kappa_m_from_scan(
             synthetic_scan(params, omega, wide[:5], durations, 2e-4, seed=4)
         )
+
+
+def test_unconverged_fits_raise_the_flag(monkeypatch):
+    params = SystemParams.reference()
+    times = np.arange(0.0, 241e-9, 6e-9)
+    phases = np.linspace(0.0, 2 * math.pi, 25)
+    phase_data = run_decay_phase_sense(
+        params, 650.0, times, phases, make_config(mode="shots", n_shots=400, master_seed=2)
+    )
+    freq_data = frequency_dataset(
+        params, make_config(mode="shots", n_shots=400, master_seed=2, probe_duration=8e-9)
+    )
+    scan = synthetic_scan(
+        params,
+        2 * math.pi * 0.86e6,
+        np.linspace(-1.5, 1.5, 13) * params.kappa_m,
+        np.linspace(0.0, 3e-6, 8),
+        2e-4,
+        seed=1,
+    )
+    cases = [
+        (lifetime_from_phase, phase_data),
+        (lifetime_from_frequency, freq_data),
+        (extract_kappa_m_from_scan, scan),
+    ]
+    for estimator, data in cases:
+        assert "fit-not-converged" not in estimator(data).flags
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    for estimator, data in cases:
+        assert "fit-not-converged" in estimator(data).flags

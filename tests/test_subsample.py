@@ -1,10 +1,13 @@
 """Tests for time-budget subsampling of shot-resolved datasets."""
 
 import dataclasses
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from magsense import subsample
 from magsense.errors import BudgetError, EstimationError
 from magsense.fitting import FitModel, fit_curve
 from magsense.params import SystemParams
@@ -80,23 +83,57 @@ def test_draws_are_seeded_and_without_replacement(relaxation_dataset):
     assert np.array_equal(first.p_e, again.p_e)
     assert np.array_equal(first.shots, again.shots)
     assert not np.array_equal(first.p_e, other.p_e)
-    # every kept value at a point appears in the original draw, and the
-    # kept multiset never exceeds the recorded multiplicities
-    original = np.sort(dataset.shots[0])
-    kept = np.sort(first.shots[0])
-    position = np.searchsorted(original, kept)
-    assert np.array_equal(original[position], kept)
+    # at every point the kept shots are a sub-multiset of the recorded ones
+    for recorded, kept in zip(dataset.shots, first.shots):
+        assert not Counter(kept.tolist()) - Counter(recorded.tolist())
+
+
+def test_every_recorded_shot_is_kept_equally_often(relaxation_dataset):
+    _, dataset = relaxation_dataset
+    budget = dataset.total_time() / 4.0
+    n_draws = 200
+    kept_count = np.zeros(dataset.shots.shape[-1])
+    for seed in range(n_draws):
+        kept = subsample_time_budget(dataset, budget, seed=seed).shots
+        for recorded, subset in zip(dataset.shots, kept):
+            kept_count += np.isin(recorded, subset)
+    # each of the 400 shot positions is kept in a quarter of the
+    # n_draws * 20 point draws; chi-square with ~400 degrees of freedom
+    trials = n_draws * dataset.shots.shape[0]
+    expected = trials / 4.0
+    chi2 = float(np.sum((kept_count - expected) ** 2) / (trials * 0.25 * 0.75))
+    assert chi2 < 400 + 6 * math.sqrt(2 * 400)
 
 
 def test_estimates_are_recomputed_from_the_draw(relaxation_dataset):
     _, dataset = relaxation_dataset
     half = subsample_time_budget(dataset, dataset.total_time() / 2.0, seed=2)
     threshold = dataset.meta["readout_threshold"]
-    expected = np.mean(half.shots > threshold, axis=-1)
-    assert np.allclose(half.p_e, expected)
+    p_e, stderr = [], []
+    for kept in half.shots:
+        k = int(np.sum(kept > threshold))
+        n = len(kept)
+        p_smooth = (k + 1.0) / (n + 2.0)
+        p_e.append(k / n)
+        stderr.append(math.sqrt(p_smooth * (1.0 - p_smooth) / n))
+    assert np.array_equal(half.p_e, p_e)
+    assert np.array_equal(half.stderr, stderr)
     # binomial errors grow by about sqrt(2) at half the shots
     ratio = np.median(half.stderr / dataset.stderr)
     assert abs(ratio - np.sqrt(2.0)) < 0.25
+
+
+def test_block_size_cannot_change_the_draw(relaxation_dataset, monkeypatch):
+    _, dataset = relaxation_dataset
+    budget = dataset.total_time() / 3.0
+    default = subsample_time_budget(dataset, budget, seed=4)
+    n_points = int(np.prod(dataset.grid_shape))
+    for block in (1, 7, n_points + 1):
+        monkeypatch.setattr(subsample, "BLOCK_POINTS", block)
+        other = subsample_time_budget(dataset, budget, seed=4)
+        assert np.array_equal(other.shots, default.shots)
+        assert np.array_equal(other.p_e, default.p_e)
+        assert np.array_equal(other.stderr, default.stderr)
 
 
 def test_subsampled_relaxation_still_fits_the_lifetime(relaxation_dataset):
