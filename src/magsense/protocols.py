@@ -23,7 +23,7 @@ from .analysis import dephasing_rate, magnon_dephasing_rate, stark_shift
 from .hamiltonians import parametric_interaction
 from .lindblad import CollapseTerm, evolve_lindblad
 from .params import PumpSpec, SystemParams
-from .readout import ReadoutModel, sample_readout
+from .readout import ReadoutModel, laplace_stderr, sample_readout
 from .spaces import ModeSpace, build_mode_operators, fock_state
 from .sweep import Axis, SweepDataset, map_points, point_seed
 
@@ -124,27 +124,33 @@ def _measure_grid(
     config: ProtocolConfig,
     tag: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Sample (or pass through) true excited-state probabilities on a grid."""
+    """Sample (or pass through) true excited-state probabilities on a grid.
+
+    Each point's shots, drawn from its own ``point_seed`` stream, fill one
+    row of a single (points, shots) buffer; the fractions and their errors
+    are then counted over the whole buffer at once.
+    """
     shape = p_true.shape
     flat = np.clip(p_true.reshape(-1), 0.0, 1.0)
     if config.mode == "expectation":
         return flat.reshape(shape), np.zeros(shape), None
 
-    def sample_one(idx: int):
-        record = sample_readout(
+    n_shots = config.n_shots
+    values = np.empty((len(flat), n_shots))
+
+    def sample_one(idx: int) -> None:
+        values[idx] = sample_readout(
             float(flat[idx]),
             config.readout,
-            config.n_shots,
+            n_shots,
             seed=point_seed(config.master_seed, tag, idx),
-        )
-        return record.excited_fraction(), record.excited_stderr(), record.values
+        ).values
 
-    results = map_points(len(flat), sample_one, workers=config.workers)
-    p_hat = np.array([r[0] for r in results]).reshape(shape)
-    stderr = np.array([r[1] for r in results]).reshape(shape)
-    shots = None
-    if config.keep_shots:
-        shots = np.stack([r[2] for r in results]).reshape(shape + (config.n_shots,))
+    map_points(len(flat), sample_one, workers=config.workers)
+    clicks = np.count_nonzero(values > config.readout.threshold, axis=1)
+    p_hat = (clicks / n_shots).reshape(shape)
+    stderr = laplace_stderr(clicks, n_shots).reshape(shape)
+    shots = values.reshape(shape + (n_shots,)) if config.keep_shots else None
     return p_hat, stderr, shots
 
 

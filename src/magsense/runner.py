@@ -142,6 +142,15 @@ def _run_ramsey_series(params, node: ProtocolNode, config: ExperimentConfig) -> 
     )
 
 
+def _fit_status(fits) -> dict:
+    """Report keys saying whether every fit behind a report converged."""
+    failures = dict.fromkeys(fit.message for fit in fits if not fit.converged)
+    return {
+        "fit_converged": not failures,
+        "fit_message": "; ".join(failures) if failures else "none",
+    }
+
+
 def _row_errors(dataset: SweepDataset, index) -> np.ndarray | None:
     err = dataset.stderr[index] if index is not None else dataset.stderr
     return err if np.all(err > 0) else None
@@ -169,10 +178,11 @@ def _coherence_report(config: ExperimentConfig, datasets: dict, inputs: dict) ->
         "t2_stderr_s": ramsey_fit.stderr("tau"),
         "fringe_frequency_hz": abs(ramsey_fit.parameter("frequency")),
         "fringe_contrast": abs(ramsey_fit.parameter("amplitude")),
+        **_fit_status((t1_fit, ramsey_fit)),
     }
 
 
-def _fit_series_rates(series: SweepDataset) -> tuple[np.ndarray, np.ndarray]:
+def _fit_series_rates(series: SweepDataset) -> tuple[np.ndarray, np.ndarray, list]:
     delays = series.axis("delay").values
     fits = fit_rows(
         FitModel("damped-sinusoid"),
@@ -181,7 +191,7 @@ def _fit_series_rates(series: SweepDataset) -> tuple[np.ndarray, np.ndarray]:
         [_row_errors(series, k) for k in range(series.p_e.shape[0])],
     )
     taus = np.array([fit.parameter("tau") for fit in fits])
-    return 1.0 / taus, np.array([fit.stderr("tau") for fit in fits]) / taus**2
+    return 1.0 / taus, np.array([fit.stderr("tau") for fit in fits]) / taus**2, fits
 
 
 def _calibrate(config: ExperimentConfig, datasets: dict, inputs: dict):
@@ -194,7 +204,7 @@ def _calibrate(config: ExperimentConfig, datasets: dict, inputs: dict):
     stark_slope, stark_err = linear_slope(
         powers, centers, center_err if np.all(center_err > 0) else None
     )
-    rates, rate_err = _fit_series_rates(series)
+    rates, rate_err, series_fits = _fit_series_rates(series)
     series_powers = series.axis("pump_power").values
     dephasing_slope, dephasing_err = linear_slope(
         series_powers, rates, rate_err if np.all(rate_err > 0) else None
@@ -215,18 +225,19 @@ def _calibrate(config: ExperimentConfig, datasets: dict, inputs: dict):
         "dephasing_slope_rad_per_s_per_w": abs(dephasing_slope),
         "dephasing_slope_stderr": abs(dephasing_err),
     }
-    return calibration, spectro_fits, keys
+    fits = [fit for _, fit in spectro_fits] + series_fits
+    return calibration, spectro_fits, fits, keys
 
 
 def _calibration_report(config, datasets, inputs) -> dict:
-    _, _, keys = _calibrate(config, datasets, inputs)
-    return keys
+    _, _, fits, keys = _calibrate(config, datasets, inputs)
+    return {**keys, **_fit_status(fits)}
 
 
 def _sensitivity_report(
     config: ExperimentConfig, datasets: dict, node, out_dir: Path, manifest_hash: str
 ) -> dict:
-    calibration, spectro_fits, keys = _calibrate(config, datasets, node.inputs)
+    calibration, spectro_fits, fits, keys = _calibrate(config, datasets, node.inputs)
     spectroscopy = datasets[node.inputs["spectroscopy"]]
     profile = fit_noise_profile(spectroscopy, calibration)
     options = node.options
@@ -247,6 +258,7 @@ def _sensitivity_report(
             "unresolvable_points": int(np.sum(curve.unresolvable)),
             "sensitivity_min": float(np.min(resolved)) if resolved.size else float("nan"),
             "sensitivity_max": float(np.max(resolved)) if resolved.size else float("nan"),
+            **_fit_status(fits + list(profile.fits)),
         }
     )
     table = out_dir / "sensitivity.csv"

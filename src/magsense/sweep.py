@@ -5,7 +5,9 @@ cartesian grid of sweep axes, with standard errors, per-point shot counts,
 and optionally the raw analog shots (needed for time-budget subsampling).
 Datasets serialize to comma-separated tables with a commented header that
 records the manifest hash and per-column units; raw shots go to a companion
-``.npz`` file referenced from the header.
+``.npz`` file referenced from the header. The sidecar's member is stored, not
+deflated: float64 readout noise does not compress, so zlib would spend most
+of a run's write time to save a few percent of the bytes.
 
 Per-point random streams derive from (master seed, protocol tag, flat point
 index) so grid points can be evaluated in any order, or in parallel, without
@@ -14,6 +16,7 @@ changing the result.
 
 from __future__ import annotations
 
+import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -135,12 +138,16 @@ def _parse_column_label(label: str) -> tuple[str, str]:
 
 
 def write_dataset(dataset: SweepDataset, path) -> None:
-    """Write the dataset as a commented CSV (plus ``.npz`` shot sidecar)."""
+    """Write the dataset as a commented CSV.
+
+    Raw shots, when present, go to an uncompressed ``<stem>_shots.npz``
+    sidecar with one ``shots`` member, named in the header's ``shots_file``.
+    """
     path = Path(path)
     shots_name = ""
     if dataset.shots is not None:
         shots_name = path.stem + "_shots.npz"
-        np.savez_compressed(path.parent / shots_name, shots=dataset.shots)
+        np.savez(path.parent / shots_name, shots=dataset.shots)
     lines = [
         f"# manifest_sha256: {dataset.manifest_hash}",
         f"# protocol: {dataset.protocol}",
@@ -174,12 +181,40 @@ def write_dataset(dataset: SweepDataset, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_shots(sidecar: Path, shape: tuple) -> np.ndarray:
+    """The ``shots`` array of a sidecar, checked against the sweep grid."""
+    try:
+        payload = np.load(sidecar)
+        if not isinstance(payload, np.lib.npyio.NpzFile):
+            raise SchemaError(f"shots sidecar {sidecar.name} is not an .npz archive")
+        with payload:
+            if "shots" not in payload.files:
+                raise SchemaError(f"shots sidecar {sidecar.name} has no 'shots' member")
+            shots = payload["shots"]
+    # zipfile raises RuntimeError (NotImplementedError among them) for
+    # encrypted members and compression methods it does not support
+    except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
+        raise SchemaError(f"shots sidecar {sidecar.name} is not a loadable .npz: {exc}") from exc
+    if not np.issubdtype(shots.dtype, np.floating):
+        raise SchemaError(
+            f"shots sidecar {sidecar.name} holds {shots.dtype} values, not floating point"
+        )
+    if shots.shape[:-1] != shape or shots.shape[-1] < 1:
+        raise SchemaError(
+            f"shots sidecar {sidecar.name} has shape {shots.shape}, "
+            f"expected {shape} + (n_shots,)"
+        )
+    return shots
+
+
 def read_dataset(path) -> SweepDataset:
     """Read a dataset table written by write_dataset (or hand-built to match).
 
     Raises SchemaError on malformed headers, missing unit tags, a
     non-cartesian coordinate block, or a shots sidecar named in the header
-    but absent from disk.
+    that is absent, unreadable, lacks a ``shots`` member, or holds anything
+    but a floating-point array of shape ``grid + (n_shots,)``. Sidecars
+    written compressed load like stored ones.
     """
     path = Path(path)
     header: dict[str, str] = {}
@@ -249,8 +284,7 @@ def read_dataset(path) -> SweepDataset:
         sidecar = path.parent / header["shots_file"]
         if not sidecar.exists():
             raise SchemaError(f"{path.name} names shots sidecar {sidecar.name}, which is missing")
-        with np.load(sidecar) as payload:
-            shots = payload["shots"]
+        shots = _read_shots(sidecar, shape)
     meta = {}
     for key, value in header.items():
         if key.startswith("meta_"):

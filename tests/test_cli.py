@@ -242,6 +242,38 @@ class TestReport:
         assert err.startswith("error:") and "decay-phase_shots.npz" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda path, shots: path.write_bytes(b"not a zip archive " * 4),
+            lambda path, shots: np.savez(path, values=shots),
+            lambda path, shots: np.savez(path, shots=shots.astype(np.int64)),
+            lambda path, shots: np.savez(path, shots=shots[:, :5]),
+        ],
+        ids=["not-an-npz", "no-shots-member", "integer-shots", "grid-mismatch"],
+    )
+    def test_malformed_shots_sidecar_exits_2(self, work, decay_artifact, defect, capsys):
+        table = work / "malformed" / "decay-phase.csv"
+        table.parent.mkdir(exist_ok=True)
+        shutil.copy(decay_artifact / "decay-phase.csv", table)
+        with np.load(decay_artifact / "decay-phase_shots.npz") as payload:
+            defect(table.parent / "decay-phase_shots.npz", payload["shots"])
+        argv = [
+            "report",
+            "--import",
+            str(table),
+            "--analysis",
+            "lifetime-phase",
+            "--subsample-budget",
+            "0.1",
+            "--subsample-count",
+            "2",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "decay-phase_shots.npz" in err
+        assert "Traceback" not in err
+
     def test_subsample_flags(self, decay_artifact):
         argv = [
             "report",

@@ -13,6 +13,7 @@ from magsense.protocols import (
     ProtocolConfig,
     PulseSchedule,
     ScheduleElement,
+    _measure_grid,
     run_decay_phase_sense,
     run_decay_spectroscopy,
     run_parametric_decay_scan,
@@ -20,8 +21,9 @@ from magsense.protocols import (
     run_ramsey,
     run_relaxation,
 )
-from magsense.readout import ReadoutModel
+from magsense.readout import ReadoutModel, sample_readout
 from magsense.spaces import DensityMatrix, ModeSpace, build_mode_operators
+from magsense.sweep import point_seed
 
 
 def reference_config(**overrides) -> ProtocolConfig:
@@ -130,6 +132,48 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(runs[0].stderr, runs[1].stderr)
     assert np.array_equal(runs[0].shots, runs[1].shots)
     assert runs[0].shots.shape == (3, 5, 200)
+
+
+def _measure_grid_oracle(p_true, config, tag):
+    """Per-point sample_readout loop with ShotRecord's own estimators."""
+    flat = np.clip(p_true.reshape(-1), 0.0, 1.0)
+    records = [
+        sample_readout(
+            float(p),
+            config.readout,
+            config.n_shots,
+            seed=point_seed(config.master_seed, tag, idx),
+        )
+        for idx, p in enumerate(flat)
+    ]
+    p_hat = np.array([r.excited_fraction() for r in records]).reshape(p_true.shape)
+    stderr = np.array([r.excited_stderr() for r in records]).reshape(p_true.shape)
+    shots = np.stack([r.values for r in records]).reshape(p_true.shape + (config.n_shots,))
+    return p_hat, stderr, shots
+
+
+@pytest.mark.parametrize("keep_shots", [True, False])
+@pytest.mark.parametrize("workers", [None, 4])
+def test_measure_grid_matches_per_point_sampling(keep_shots, workers):
+    params = SystemParams.reference()
+    grid = np.linspace(-0.1, 1.1, 7 * 9).reshape(7, 9)  # clipped at both ends
+    grid[3, 4] = 0.5
+    config = ProtocolConfig(
+        readout=ReadoutModel.for_qubit(params.t1),
+        n_shots=101,
+        master_seed=5,
+        workers=workers,
+        keep_shots=keep_shots,
+    )
+    p_hat, stderr, shots = _measure_grid(grid, config, "oracle")
+    ref_p, ref_err, ref_shots = _measure_grid_oracle(grid, config, "oracle")
+    assert np.array_equal(p_hat, ref_p)
+    assert np.array_equal(stderr, ref_err)
+    if keep_shots:
+        assert shots.shape == (7, 9, 101)
+        assert np.array_equal(shots, ref_shots)
+    else:
+        assert shots is None
 
 
 def test_ramsey_pump_off_envelope_is_t2r():

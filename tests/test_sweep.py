@@ -1,5 +1,8 @@
 """Tests for sweep datasets, per-point seeding, and the table format."""
 
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,80 @@ def test_missing_shots_sidecar_rejected(tmp_path):
     (tmp_path / "scan_shots.npz").unlink()
     with pytest.raises(SchemaError, match="scan_shots.npz"):
         read_dataset(path)
+
+
+def test_sidecar_member_is_stored_and_deflated_sidecars_still_load(tmp_path):
+    ds = make_dataset(with_shots=True)
+    path = tmp_path / "scan.csv"
+    write_dataset(ds, path)
+    sidecar = tmp_path / "scan_shots.npz"
+    with zipfile.ZipFile(sidecar) as archive:
+        members = [(info.filename, info.compress_type) for info in archive.infolist()]
+    assert members == [("shots.npy", zipfile.ZIP_STORED)]
+    stored = read_dataset(path).shots
+    np.savez_compressed(sidecar, shots=ds.shots)
+    deflated = read_dataset(path).shots
+    assert stored.dtype == deflated.dtype == ds.shots.dtype
+    assert np.array_equal(stored, ds.shots)
+    assert np.array_equal(deflated, ds.shots)
+
+
+def _npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+SIDECAR_DEFECTS = {
+    "not-an-archive": lambda path, shots: path.write_bytes(b"\x80\x04 not a zip archive " * 4),
+    "bare-npy": lambda path, shots: path.write_bytes(_npy_bytes(shots)),
+    "no-shots-member": lambda path, shots: np.savez(path, values=shots),
+    "integer-shots": lambda path, shots: np.savez(path, shots=shots.astype(np.int64)),
+    "grid-mismatch": lambda path, shots: np.savez(path, shots=shots[:, :3]),
+    "no-shot-axis": lambda path, shots: np.savez(path, shots=shots[..., 0]),
+    "no-shots": lambda path, shots: np.savez(path, shots=shots[..., :0]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SIDECAR_DEFECTS))
+def test_malformed_shots_sidecar_rejected(tmp_path, defect):
+    ds = make_dataset(with_shots=True)
+    path = tmp_path / "scan.csv"
+    write_dataset(ds, path)
+    SIDECAR_DEFECTS[defect](tmp_path / "scan_shots.npz", ds.shots)
+    with pytest.raises(SchemaError, match="scan_shots.npz"):
+        read_dataset(path)
+
+
+def test_corrupted_sidecar_bytes_load_exactly_or_raise_schema_error(tmp_path):
+    axes = (Axis("delay", "s", np.array([0.0, 1e-6])),)
+    ds = SweepDataset(
+        axes=axes,
+        p_e=np.array([0.25, 0.75]),
+        stderr=np.array([0.1, 0.1]),
+        n_shots=4,
+        shot_duration=1e-6,
+        protocol="t",
+        shots=np.random.default_rng(3).standard_normal((2, 4)),
+    )
+    path = tmp_path / "tiny.csv"
+    write_dataset(ds, path)
+    sidecar = tmp_path / "tiny_shots.npz"
+    good = sidecar.read_bytes()
+    variants = [good[:n] for n in range(len(good))]
+    for pos in range(len(good)):
+        for flip in (0x01, 0xFF):
+            variants.append(good[:pos] + bytes([good[pos] ^ flip]) + good[pos + 1:])
+    loaded = 0
+    for data in variants:
+        sidecar.write_bytes(data)
+        try:
+            shots = read_dataset(path).shots
+        except SchemaError:
+            continue
+        assert np.array_equal(shots, ds.shots)
+        loaded += 1
+    assert 0 < loaded < len(variants)
 
 
 def test_missing_unit_tag_rejected(tmp_path):
