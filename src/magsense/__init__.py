@@ -16,7 +16,6 @@ from .analysis import (
     linear_slope,
     magnon_dephasing_rate,
     snr,
-    standard_error_of_mean,
     stark_shift,
 )
 from .config import (
@@ -70,8 +69,6 @@ from .lindblad import CollapseTerm, Trajectory, evolve_lindblad
 from .params import PumpSpec, SystemParams, gamma2_from_coherence
 from .protocols import (
     ProtocolConfig,
-    PulseSchedule,
-    ScheduleElement,
     run_decay_phase_sense,
     run_decay_spectroscopy,
     run_parametric_decay_scan,
@@ -79,7 +76,7 @@ from .protocols import (
     run_ramsey,
     run_relaxation,
 )
-from .readout import ReadoutModel, ShotRecord, fit_readout_histogram, sample_readout
+from .readout import ReadoutModel, ShotRecord, sample_readout
 from .runner import RunArtifact, load_artifact, read_report, run_experiment
 from .sensitivity import (
     NoiseProfile,
@@ -92,14 +89,12 @@ from .sensitivity import (
     qubit_response,
     sensitivity_curve,
     solve_sensitivity,
-    threshold_for_budget,
 )
 from .spaces import (
     DensityMatrix,
     ModeSpace,
     Operator,
     build_mode_operators,
-    coherent_state,
     expectation,
     expectation_real,
     fock_state,

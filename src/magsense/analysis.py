@@ -126,13 +126,6 @@ def calibrate_magnon_number(
     )
 
 
-def standard_error_of_mean(sigma: float, n_samples: int) -> float:
-    """Per-estimate standard error sigma/sqrt(N)."""
-    if sigma <= 0 or n_samples < 1:
-        raise ValueError("sigma must be > 0 and n_samples >= 1")
-    return sigma / math.sqrt(n_samples)
-
-
 def snr(p_e: float, p_e_prime: float, sigma: float, sigma_prime: float) -> float:
     """|P_e - P_e'| / sqrt(sigma^2 + sigma'^2)."""
     if sigma <= 0 or sigma_prime <= 0:

@@ -376,29 +376,9 @@ def _parse_acquisition(raw, path: str) -> dict:
         "artificial_detuning": block.quantity("artificial_detuning", "frequency", 0.0),
         "blur_phase_limit": block.quantity("blur_phase_limit", "angle", math.pi),
         "dead_time": block.quantity("dead_time", "time", 0.0),
+        "dt": block.quantity("dt", "time", 0.0),
     }
-    workers = block.integer("workers", 0)
-    dt = block.quantity("dt", "time", 0.0)
     block.finish()
-    if workers < 0:
-        raise ConfigError(f"{path}.workers: must be >= 0")
-    values["workers"] = workers if workers > 0 else None
-    values["dt"] = dt if dt > 0 else None
-    return values
-
-
-def _acquisition_resolved(values: dict) -> dict:
-    resolved = dict(values)
-    resolved["workers"] = values["workers"] or 0
-    resolved["dt"] = values["dt"] or 0.0
-    return resolved
-
-
-def _acquisition_from_resolved(resolved: dict) -> dict:
-    values = dict(resolved)
-    values["workers"] = resolved["workers"] or None
-    values["dt"] = resolved["dt"] or None
-    values["n_shots"] = int(resolved["n_shots"])
     return values
 
 
@@ -553,6 +533,10 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
         block.take("readout"), f"{source}.readout", system.t1, ideal
     )
     acquisition = _parse_acquisition(block.take("acquisition"), f"{source}.acquisition")
+    try:
+        ProtocolConfig(readout=readout, **acquisition)
+    except ValueError as exc:
+        raise ConfigError(f"{source}.acquisition: {exc}") from exc
     anchors = {key: getattr(system, key) for key in ("omega_q", "omega_c", "omega_m")}
     raw_protocols = block.take("protocols")
     if not isinstance(raw_protocols, list) or not raw_protocols:
@@ -601,7 +585,7 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
         "seed": seed,
         "system": system_resolved,
         "readout": readout_resolved,
-        "acquisition": _acquisition_resolved(acquisition),
+        "acquisition": dict(acquisition),
         "protocols": protocols_resolved,
         "analyses": analyses_resolved,
         "sensing": sensing_resolved,
@@ -641,7 +625,7 @@ def from_resolved(resolved: dict) -> ExperimentConfig:
         system=system,
         ideal_qubit=ideal,
         readout=readout,
-        acquisition=_acquisition_from_resolved(resolved["acquisition"]),
+        acquisition=dict(resolved["acquisition"]),
         protocols=tuple(
             _protocol_from_resolved(p) for p in resolved["protocols"]
         ),

@@ -7,9 +7,11 @@ enters as the dephasing rate from the analysis module. The parametric
 conversion scan is the exception: it runs the full Lindblad evolution of the
 exchange Hamiltonian with magnon and qubit collapse.
 
-Every protocol draws per-point readout shots from streams seeded by (master
-seed, protocol tag, flat point index), so datasets are reproducible and
-independent of execution order.
+Every protocol samples its grid points one after another, each from a
+readout stream seeded by (master seed, protocol tag, flat point index), so
+datasets are reproducible and independent of evaluation order. Every
+protocol's shot lasts the sequence before readout, plus the readout window,
+plus the dead time (``_shot_duration``).
 """
 
 from __future__ import annotations
@@ -25,73 +27,24 @@ from .lindblad import CollapseTerm, evolve_lindblad
 from .params import PumpSpec, SystemParams
 from .readout import ReadoutModel, laplace_stderr, sample_readout
 from .spaces import ModeSpace, build_mode_operators, fock_state
-from .sweep import Axis, SweepDataset, map_points, point_seed
-
-ELEMENT_KINDS = (
-    "pi_pulse",
-    "half_pi_pulse",
-    "delay",
-    "magnon_pump",
-    "parametric_pump",
-    "readout",
-)
+from .sweep import Axis, SweepDataset, point_seed
 
 # probe bandwidth for a pulse of duration t is 1/t (rad/s)
 DEFAULT_PROBE_DURATION = 1.0 / (2.0 * math.pi * 1.0e6)
 
 
 @dataclass(frozen=True)
-class ScheduleElement:
-    """One timed element of a pulse sequence."""
-
-    kind: str
-    start: float
-    duration: float
-    concurrent: bool = False  # may overlap other elements (e.g. magnon pump)
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in ELEMENT_KINDS:
-            raise ValueError(f"unknown schedule element kind {self.kind!r}")
-        if self.start < 0 or self.duration < 0:
-            raise ValueError("element start and duration must be >= 0")
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Ordered pulse elements; non-concurrent elements must not overlap."""
-
-    elements: tuple
-
-    def __post_init__(self) -> None:
-        timed = sorted(
-            (e for e in self.elements if not e.concurrent), key=lambda e: e.start
-        )
-        for first, second in zip(timed, timed[1:]):
-            if second.start < first.end:
-                raise ValueError(
-                    f"schedule elements {first.kind} and {second.kind} overlap "
-                    f"at t = {second.start}"
-                )
-
-    @property
-    def total_duration(self) -> float:
-        return max((e.end for e in self.elements), default=0.0)
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
-    """Shared knobs for all protocol simulations."""
+    """Shared knobs for all protocol simulations.
+
+    Durations are in seconds. ``dt`` is the Lindblad integrator step of the
+    parametric scan; 0 picks one from the fastest rate of each detuning.
+    """
 
     readout: ReadoutModel
     n_shots: int = 400
     master_seed: int = 1
     mode: str = "shots"  # "shots" samples the readout; "expectation" records p_e
-    workers: int | None = None
     keep_shots: bool = False
     pump: PumpSpec = field(default_factory=PumpSpec)
     probe_duration: float = DEFAULT_PROBE_DURATION
@@ -101,7 +54,7 @@ class ProtocolConfig:
     artificial_detuning: float = 0.0  # rad/s, Ramsey fringe detuning
     blur_phase_limit: float = math.pi
     dead_time: float = 0.0  # reset/settle time appended to each sequence
-    dt: float | None = None  # integrator step override for Lindblad protocols
+    dt: float = 0.0  # Lindblad integrator step, s
 
     def __post_init__(self) -> None:
         if self.n_shots < 1:
@@ -112,11 +65,19 @@ class ProtocolConfig:
             raise ValueError("probe duration must be > 0")
         if not 0.0 < self.probe_amplitude <= 1.0:
             raise ValueError("probe amplitude must lie in (0, 1]")
+        for name in ("pi_duration", "half_pi_duration", "dead_time", "dt"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def probe_sigma(self) -> float:
         """Probe pulse spectral width, rad/s."""
         return 1.0 / self.probe_duration
+
+
+def _shot_duration(config: ProtocolConfig, sequence: float) -> float:
+    """Wall time of one shot: the sequence before readout, the readout, the dead time."""
+    return sequence + config.readout.window + config.dead_time
 
 
 def _measure_grid(
@@ -127,8 +88,8 @@ def _measure_grid(
     """Sample (or pass through) true excited-state probabilities on a grid.
 
     Each point's shots, drawn from its own ``point_seed`` stream, fill one
-    row of a single (points, shots) buffer; the fractions and their errors
-    are then counted over the whole buffer at once.
+    row of a single (points, shots) buffer, one point after another; the
+    fractions and their errors are then counted over the whole buffer at once.
     """
     shape = p_true.shape
     flat = np.clip(p_true.reshape(-1), 0.0, 1.0)
@@ -137,16 +98,13 @@ def _measure_grid(
 
     n_shots = config.n_shots
     values = np.empty((len(flat), n_shots))
-
-    def sample_one(idx: int) -> None:
+    for idx in range(len(flat)):
         values[idx] = sample_readout(
             float(flat[idx]),
             config.readout,
             n_shots,
             seed=point_seed(config.master_seed, tag, idx),
         ).values
-
-    map_points(len(flat), sample_one, workers=config.workers)
     clicks = np.count_nonzero(values > config.readout.threshold, axis=1)
     p_hat = (clicks / n_shots).reshape(shape)
     stderr = laplace_stderr(clicks, n_shots).reshape(shape)
@@ -209,7 +167,6 @@ def run_qubit_spectroscopy(
         n_mean = config.pump.c_pump * power
         p_true[i] = _spectroscopy_response(params, config, probe_freqs, n_mean)
     p_hat, stderr, shots = _measure_grid(p_true, config, "spectroscopy")
-    schedule = spectroscopy_schedule(config)
     return SweepDataset(
         axes=(
             Axis("pump_power", "W", pump_powers),
@@ -218,7 +175,7 @@ def run_qubit_spectroscopy(
         p_e=p_hat,
         stderr=stderr,
         n_shots=config.n_shots,
-        shot_duration=schedule.total_duration + config.dead_time,
+        shot_duration=_shot_duration(config, config.probe_duration),
         protocol="spectroscopy",
         shots=shots,
         meta={
@@ -230,18 +187,6 @@ def run_qubit_spectroscopy(
             "probe_amplitude": config.probe_amplitude,
         },
         warnings=tuple(warnings),
-    )
-
-
-def spectroscopy_schedule(config: ProtocolConfig) -> PulseSchedule:
-    probe = config.probe_duration
-    window = config.readout.window
-    return PulseSchedule(
-        elements=(
-            ScheduleElement("magnon_pump", 0.0, probe + window, concurrent=True),
-            ScheduleElement("pi_pulse", 0.0, probe, label="probe"),
-            ScheduleElement("readout", probe, window),
-        )
     )
 
 
@@ -265,13 +210,13 @@ def run_ramsey(
     contrast = np.exp(-delays * envelope_rate)
     p_true = 0.5 + 0.5 * contrast * np.cos(detuning * delays)
     p_hat, stderr, shots = _measure_grid(p_true, config, "ramsey")
-    schedule = ramsey_schedule(config, float(np.max(delays)))
+    sequence = 2 * config.half_pi_duration + float(np.max(delays))
     return SweepDataset(
         axes=(Axis("delay", "s", delays),),
         p_e=p_hat,
         stderr=stderr,
         n_shots=config.n_shots,
-        shot_duration=schedule.total_duration + config.dead_time,
+        shot_duration=_shot_duration(config, sequence),
         protocol="ramsey",
         shots=shots,
         meta={
@@ -282,20 +227,6 @@ def run_ramsey(
             "artificial_detuning": config.artificial_detuning,
             "envelope_rate": envelope_rate,
         },
-    )
-
-
-def ramsey_schedule(config: ProtocolConfig, delay: float) -> PulseSchedule:
-    half = config.half_pi_duration
-    window = config.readout.window
-    return PulseSchedule(
-        elements=(
-            ScheduleElement("magnon_pump", 0.0, 2 * half + delay, concurrent=True),
-            ScheduleElement("half_pi_pulse", 0.0, half),
-            ScheduleElement("delay", half, delay),
-            ScheduleElement("half_pi_pulse", half + delay, half),
-            ScheduleElement("readout", 2 * half + delay, window),
-        )
     )
 
 
@@ -319,18 +250,13 @@ def run_relaxation(
         else np.exp(-delays / params.t1)
     )
     p_hat, stderr, shots = _measure_grid(p_true, config, "relaxation")
-    duration = (
-        config.pi_duration
-        + float(np.max(delays))
-        + config.readout.window
-        + config.dead_time
-    )
+    sequence = config.pi_duration + float(np.max(delays))
     return SweepDataset(
         axes=(Axis("delay", "s", delays),),
         p_e=p_hat,
         stderr=stderr,
         n_shots=config.n_shots,
-        shot_duration=duration,
+        shot_duration=_shot_duration(config, sequence),
         protocol="relaxation",
         shots=shots,
         meta={
@@ -385,12 +311,7 @@ def run_decay_phase_sense(
     contrast = np.exp(-(relax + params.gamma2_0) * sense_times - deph_integral)
     p_true = 0.5 + 0.5 * contrast[:, None] * np.cos(phi[:, None] - phases[None, :])
     p_hat, stderr, shots = _measure_grid(p_true, config, "decay-phase")
-    duration = (
-        2 * config.half_pi_duration
-        + float(np.max(sense_times))
-        + config.readout.window
-        + config.dead_time
-    )
+    sequence = 2 * config.half_pi_duration + float(np.max(sense_times))
     return SweepDataset(
         axes=(
             Axis("sense_time", "s", sense_times),
@@ -399,7 +320,7 @@ def run_decay_phase_sense(
         p_e=p_hat,
         stderr=stderr,
         n_shots=config.n_shots,
-        shot_duration=duration,
+        shot_duration=_shot_duration(config, sequence),
         protocol="decay-phase",
         shots=shots,
         meta={
@@ -452,12 +373,7 @@ def run_decay_spectroscopy(
             extra_width=excursion / math.sqrt(12.0),
         )
     p_hat, stderr, shots = _measure_grid(p_true, config, "decay-spectroscopy")
-    duration = (
-        float(np.max(sense_times))
-        + t_p
-        + config.readout.window
-        + config.dead_time
-    )
+    sequence = float(np.max(sense_times)) + t_p
     return SweepDataset(
         axes=(
             Axis("sense_time", "s", sense_times),
@@ -466,7 +382,7 @@ def run_decay_spectroscopy(
         p_e=p_hat,
         stderr=stderr,
         n_shots=config.n_shots,
-        shot_duration=duration,
+        shot_duration=_shot_duration(config, sequence),
         protocol="decay-spectroscopy",
         shots=shots,
         meta={
@@ -485,7 +401,7 @@ def _lindblad_excited_population(
     omega_qm: float,
     delta: float,
     durations: np.ndarray,
-    dt_override: float | None,
+    dt_override: float,
 ) -> np.ndarray:
     """P_e(t) for an excited qubit under the parametric exchange with loss."""
     space = ModeSpace(("q", "m"), (2, 3))
@@ -501,7 +417,7 @@ def _lindblad_excited_population(
     # keep dt * (fastest rate) well under the integrator budget of 0.1
     rate_scale = 0.5 * omega_qm + abs(delta) + params.kappa_m + inv_t1
     target = 0.02 / rate_scale
-    if dt_override is not None:
+    if dt_override > 0:
         target = dt_override
     substeps = max(1, math.ceil(spacing / target))
     dt = spacing / substeps
@@ -554,12 +470,7 @@ def run_parametric_decay_scan(
             params, omega_qm, float(delta), durations, config.dt
         )
     p_hat, stderr, shots = _measure_grid(p_true, config, "parametric-scan")
-    duration = (
-        config.pi_duration
-        + float(durations[-1])
-        + config.readout.window
-        + config.dead_time
-    )
+    sequence = config.pi_duration + float(durations[-1])
     return SweepDataset(
         axes=(
             Axis("pump_detuning", "rad/s", deltas),
@@ -568,7 +479,7 @@ def run_parametric_decay_scan(
         p_e=p_hat,
         stderr=stderr,
         n_shots=config.n_shots,
-        shot_duration=duration,
+        shot_duration=_shot_duration(config, sequence),
         protocol="parametric-scan",
         shots=shots,
         meta={

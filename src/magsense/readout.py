@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import FitModel, FitResult, fit_curve
-
 DEFAULT_SIGMA = 0.35
 DEFAULT_WINDOW = 2e-6
 
@@ -167,25 +165,3 @@ def sample_readout(
         values=values,
         threshold=model.threshold,
     )
-
-
-def fit_readout_histogram(values: np.ndarray, n_bins: int = 60) -> FitResult:
-    """Double-Gaussian fit to an excited-state-preparation histogram."""
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=n_bins)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return fit_curve(FitModel("double-gaussian", baseline=False), centers, counts.astype(float))
-
-
-def ideal_model_from_fit(model: ReadoutModel, fit: FitResult) -> ReadoutModel:
-    """Readout model using only the pure excited component of a histogram fit.
-
-    The fitted component closer to the nominal excited voltage replaces
-    (mu_e, sigma_e) and the decay weight is set to one.
-    """
-    mu_1 = fit.parameter("center_1")
-    mu_2 = fit.parameter("center_2")
-    if abs(mu_1 - model.mu_e) <= abs(mu_2 - model.mu_e):
-        mu, sigma = mu_1, fit.parameter("sigma_1")
-    else:
-        mu, sigma = mu_2, fit.parameter("sigma_2")
-    return replace(model, mu_e=mu, sigma_e=sigma, decay_weight=1.0)

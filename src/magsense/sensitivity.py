@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import CalibrationResult, linear_slope, snr
+from .analysis import CalibrationResult, snr
 from .errors import EstimationError
 # fit_curve is not called here; the benchmark's tracer (perfbench/layers.py)
 # wraps it in every analysis module, so the name stays bound
@@ -55,17 +55,6 @@ class SensingConfig:
     def total_time(self) -> float:
         """Total budget T = N tau in seconds."""
         return self.n_shots * self.tau
-
-
-def threshold_for_budget(total_time: float, unit_snr_time: float = 1.0) -> float:
-    """SNR threshold equivalent to unit SNR at ``unit_snr_time``.
-
-    The SNR of a mean scales as the square root of the acquisition time, so
-    demanding SNR = 1 over one second equals demanding sqrt(T/1 s) over T.
-    """
-    if total_time <= 0 or unit_snr_time <= 0:
-        raise ValueError("times must be > 0")
-    return math.sqrt(total_time / unit_snr_time)
 
 
 @dataclass(frozen=True)
@@ -302,16 +291,3 @@ def solve_sensitivity(
         noise=noise_profile,
         config=config,
     )
-
-
-def stark_and_dephasing_slopes(
-    powers: np.ndarray,
-    centers: np.ndarray,
-    rates: np.ndarray,
-    center_err: np.ndarray | None = None,
-    rate_err: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Magnitudes of the line-shift and added-dephasing slopes versus power."""
-    s1, _ = linear_slope(powers, centers, center_err)
-    s2, _ = linear_slope(powers, rates, rate_err)
-    return abs(s1), abs(s2)

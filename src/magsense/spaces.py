@@ -231,27 +231,6 @@ def ket_state(space: ModeSpace, amplitudes: dict[int, complex]) -> DensityMatrix
     return DensityMatrix(space, np.outer(psi, psi.conj()))
 
 
-def coherent_state(space: ModeSpace, mode: str, alpha: complex) -> DensityMatrix:
-    """Truncated (renormalized) coherent state on one mode, vacuum elsewhere."""
-    d = space.mode_dim(mode)
-    amps = np.zeros(d, dtype=complex)
-    log_fact = 0.0
-    for n in range(d):
-        if n > 0:
-            log_fact += math.log(n)
-        amps[n] = alpha**n * math.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact)
-    amps /= np.linalg.norm(amps)
-    psi = np.array([1.0 + 0.0j])
-    for label, dd in zip(space.labels, space.dims):
-        if label == mode:
-            local = amps
-        else:
-            local = np.zeros(dd, dtype=complex)
-            local[0] = 1.0
-        psi = np.kron(psi, local)
-    return DensityMatrix(space, np.outer(psi, psi.conj()))
-
-
 def expectation(rho: DensityMatrix, op: Operator) -> complex:
     """trace(rho @ op); complex in general."""
     _check_same_space(rho, op)

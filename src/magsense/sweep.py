@@ -10,15 +10,14 @@ deflated: float64 readout noise does not compress, so zlib would spend most
 of a run's write time to save a few percent of the bytes.
 
 Per-point random streams derive from (master seed, protocol tag, flat point
-index) so grid points can be evaluated in any order, or in parallel, without
-changing the result.
+index), so the order in which grid points are evaluated cannot change the
+result.
 """
 
 from __future__ import annotations
 
 import zipfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -107,18 +106,6 @@ def stream_seed(master_seed: int, tag: str) -> tuple:
 def point_seed(master_seed: int, protocol: str, index: int) -> tuple:
     """Seed material for one grid point, stable across execution order."""
     return stream_seed(master_seed, protocol) + (int(index),)
-
-
-def map_points(n_points: int, fn, workers: int | None = None) -> list:
-    """Evaluate ``fn(index)`` for every flat grid index.
-
-    Results are assembled by index, so any execution order (or thread pool)
-    yields the same list.
-    """
-    if workers is None or workers <= 1:
-        return [fn(i) for i in range(n_points)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_points)))
 
 
 def _column_label(name: str, unit: str) -> str:

@@ -15,7 +15,6 @@ from magsense.analysis import (
     linear_slope,
     magnon_dephasing_rate,
     snr,
-    standard_error_of_mean,
     stark_shift,
 )
 from magsense.errors import CalibrationError
@@ -131,8 +130,8 @@ def test_snr_values():
 
 def test_snr_shot_scaling():
     sigma = 0.2
-    base = snr(0.5, 0.4, standard_error_of_mean(sigma, 100), standard_error_of_mean(sigma, 100))
-    quad = snr(0.5, 0.4, standard_error_of_mean(sigma, 400), standard_error_of_mean(sigma, 400))
+    base = snr(0.5, 0.4, sigma / math.sqrt(100), sigma / math.sqrt(100))
+    quad = snr(0.5, 0.4, sigma / math.sqrt(400), sigma / math.sqrt(400))
     assert quad == pytest.approx(2.0 * base, rel=1e-12)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from magsense.cli import bundled_configs, main
+from magsense.config import resolved_hash
 from magsense.runner import read_report
 
 COHERENCE_YAML = """\
@@ -101,6 +102,35 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "unknown field 'frobnicate'" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_shots: 0", "n_shots must be >= 1"),
+            ("n_shots: 2000\n  probe_amplitude: 1.5", "probe amplitude must lie in (0, 1]"),
+            ('n_shots: 2000\n  half_pi_duration: "-16 ns"', "half_pi_duration must be >= 0"),
+            ('n_shots: 2000\n  pi_duration: "-32 ns"', "pi_duration must be >= 0"),
+            ('n_shots: 2000\n  dead_time: "-1 us"', "dead_time must be >= 0"),
+            ('n_shots: 2000\n  dt: "-1 ns"', "dt must be >= 0"),
+            ("n_shots: 2000\n  workers: 3", "unknown field 'workers'"),
+        ],
+        ids=[
+            "n_shots", "probe_amplitude", "half_pi_duration", "pi_duration",
+            "dead_time", "dt", "removed-field",
+        ],
+    )
+    def test_bad_acquisition_exits_2(self, work, line, message, capsys):
+        # coherence-baseline with one acquisition field changed
+        text = bundled_configs()["coherence-baseline"].read_text(encoding="utf-8")
+        bad = work / "bad-acquisition.yaml"
+        bad.write_text(text.replace("  n_shots: 2000\n", f"  {line}\n"), encoding="utf-8")
+        out = work / "bad-acquisition-run"
+        for argv in (["validate", str(bad)], ["run", str(bad), "--output", str(out)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and ".acquisition: " in err and message in err
+            assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bundled_name_resolves(self, capsys):
         assert main(["validate", "coherence-baseline"]) == 0
@@ -232,6 +262,30 @@ class TestReport:
         (twin / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["report", str(twin)]) == 2
         assert "hash does not match" in capsys.readouterr().err
+
+    def test_manifest_with_a_removed_acquisition_field_still_reports(self, work, capsys):
+        # artifacts written while acquisition had a thread-pool size record it
+        # as 0 in their resolved config, and their hash covers it
+        out = work / "legacy"
+        assert main(["run", str(work / "decay.yaml"), "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        old_hash = manifest["hash"]
+        manifest["config"]["acquisition"]["workers"] = 0
+        manifest["hash"] = resolved_hash(manifest["config"])
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        table = out / "decay-phase.csv"
+        table.write_text(
+            table.read_text(encoding="utf-8").replace(old_hash, manifest["hash"]),
+            encoding="utf-8",
+        )
+        expected = (out / "lifetime-phase.txt").read_text(encoding="utf-8")
+        assert main(["report", str(out)]) == 0
+        assert "report lifetime-phase:" in capsys.readouterr().out
+        assert (out / "lifetime-phase.txt").read_text(encoding="utf-8") == expected.replace(
+            old_hash, manifest["hash"]
+        )
 
     def test_missing_shots_sidecar_exits_2(self, work, decay_artifact, capsys):
         twin = work / "no-sidecar"

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from magsense.config import (
 )
 from magsense.errors import ConfigError
 from magsense.params import SystemParams
+from magsense.protocols import ProtocolConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,6 +260,21 @@ class TestConfigValidation:
         assert ideal.ideal_qubit and not plain.ideal_qubit
         assert ideal.readout.contrast() > plain.readout.contrast()
 
+    @pytest.mark.parametrize(
+        "acquisition, message",
+        [
+            ({"n_shots": 0}, "n_shots must be >= 1"),
+            ({"probe_amplitude": 1.5}, r"probe amplitude must lie in \(0, 1\]"),
+            ({"half_pi_duration": "-16 ns"}, "half_pi_duration must be >= 0"),
+            ({"pi_duration": "-32 ns"}, "pi_duration must be >= 0"),
+            ({"dead_time": "-1 us"}, "dead_time must be >= 0"),
+            ({"dt": "-1 ns"}, "dt must be >= 0"),
+        ],
+    )
+    def test_acquisition_values_checked_at_parse_time(self, acquisition, message):
+        with pytest.raises(ConfigError, match=rf"config\.acquisition: {message}"):
+            parse_config(base_config(acquisition=acquisition))
+
     def test_protocol_config_carries_seed_and_acquisition(self):
         config = parse_config(
             base_config(seed=9, acquisition={"n_shots": 123, "dead_time": "30 us"})
@@ -282,6 +299,21 @@ class TestResolvedManifest:
         config = parse_config(base_config())
         payload = json.dumps(config.resolved, sort_keys=True)
         assert json.loads(payload) == config.resolved
+
+    def test_resolved_acquisition_holds_the_protocol_knobs(self):
+        acquisition = parse_config(base_config()).resolved["acquisition"]
+        shared = {"readout", "master_seed", "pump"}
+        assert sorted(acquisition) == sorted(
+            f.name for f in fields(ProtocolConfig) if f.name not in shared
+        )
+        assert acquisition["dt"] == 0.0
+
+    def test_from_resolved_does_not_revalidate_acquisition(self):
+        # an artifact's manifest loads as recorded, even with values that
+        # parse_config now rejects
+        resolved = parse_config(base_config()).resolved
+        resolved["acquisition"]["pi_duration"] = -32e-9
+        assert from_resolved(resolved).acquisition["pi_duration"] == -32e-9
 
     def test_from_resolved_round_trip(self):
         raw = base_config(

@@ -1,4 +1,4 @@
-"""Protocol-level tests: schedules, semiclassical responses, Lindblad scans."""
+"""Protocol-level tests: shot durations, semiclassical responses, Lindblad scans."""
 
 import math
 
@@ -11,8 +11,6 @@ from magsense.lindblad import CollapseTerm, evolve_lindblad
 from magsense.params import PumpSpec, SystemParams
 from magsense.protocols import (
     ProtocolConfig,
-    PulseSchedule,
-    ScheduleElement,
     _measure_grid,
     run_decay_phase_sense,
     run_decay_spectroscopy,
@@ -33,28 +31,6 @@ def reference_config(**overrides) -> ProtocolConfig:
     return ProtocolConfig(**defaults)
 
 
-def test_schedule_rejects_overlap_and_allows_concurrent():
-    with pytest.raises(ValueError, match="overlap"):
-        PulseSchedule(
-            elements=(
-                ScheduleElement("half_pi_pulse", 0.0, 20e-9),
-                ScheduleElement("readout", 10e-9, 2e-6),
-            )
-        )
-    sched = PulseSchedule(
-        elements=(
-            ScheduleElement("magnon_pump", 0.0, 3e-6, concurrent=True),
-            ScheduleElement("half_pi_pulse", 0.0, 20e-9),
-            ScheduleElement("readout", 20e-9, 2e-6),
-        )
-    )
-    assert sched.total_duration == pytest.approx(3e-6)
-    with pytest.raises(ValueError, match="kind"):
-        ScheduleElement("chirp", 0.0, 1e-9)
-    with pytest.raises(ValueError):
-        ScheduleElement("delay", -1e-9, 1e-9)
-
-
 def test_protocol_config_validation():
     model = ReadoutModel.for_qubit(2.78e-6)
     with pytest.raises(ValueError):
@@ -65,6 +41,10 @@ def test_protocol_config_validation():
         ProtocolConfig(readout=model, probe_amplitude=1.2)
     with pytest.raises(ValueError):
         ProtocolConfig(readout=model, probe_duration=0.0)
+    for name in ("pi_duration", "half_pi_duration", "dead_time", "dt"):
+        with pytest.raises(ValueError, match=name):
+            ProtocolConfig(readout=model, **{name: -1e-9})
+        assert getattr(ProtocolConfig(readout=model, **{name: 0.0}), name) == 0.0
     config = ProtocolConfig(readout=model, probe_duration=1e-7)
     assert config.probe_sigma == pytest.approx(1e7)
 
@@ -117,35 +97,18 @@ def test_quadrupling_shots_halves_stderr():
     assert ratio == pytest.approx(2.0, rel=0.1)
 
 
-def test_worker_count_does_not_change_results():
-    params = SystemParams.reference()
-    readout = ReadoutModel.for_qubit(params.t1)
-    times = np.linspace(0.0, 60e-9, 3)
-    phases = np.linspace(0.0, 2 * math.pi, 5)
-    runs = []
-    for workers in (1, 4):
-        config = ProtocolConfig(
-            readout=readout, n_shots=200, master_seed=3, workers=workers, keep_shots=True
-        )
-        runs.append(run_decay_phase_sense(params, 30.0, times, phases, config))
-    assert np.array_equal(runs[0].p_e, runs[1].p_e)
-    assert np.array_equal(runs[0].stderr, runs[1].stderr)
-    assert np.array_equal(runs[0].shots, runs[1].shots)
-    assert runs[0].shots.shape == (3, 5, 200)
-
-
 def _measure_grid_oracle(p_true, config, tag):
-    """Per-point sample_readout loop with ShotRecord's own estimators."""
+    """Per-point sample_readout calls, visited in a shuffled order, with
+    ShotRecord's own estimators."""
     flat = np.clip(p_true.reshape(-1), 0.0, 1.0)
-    records = [
-        sample_readout(
-            float(p),
+    records = [None] * len(flat)
+    for idx in np.random.default_rng(17).permutation(len(flat)):
+        records[idx] = sample_readout(
+            float(flat[idx]),
             config.readout,
             config.n_shots,
-            seed=point_seed(config.master_seed, tag, idx),
+            seed=point_seed(config.master_seed, tag, int(idx)),
         )
-        for idx, p in enumerate(flat)
-    ]
     p_hat = np.array([r.excited_fraction() for r in records]).reshape(p_true.shape)
     stderr = np.array([r.excited_stderr() for r in records]).reshape(p_true.shape)
     shots = np.stack([r.values for r in records]).reshape(p_true.shape + (config.n_shots,))
@@ -153,8 +116,7 @@ def _measure_grid_oracle(p_true, config, tag):
 
 
 @pytest.mark.parametrize("keep_shots", [True, False])
-@pytest.mark.parametrize("workers", [None, 4])
-def test_measure_grid_matches_per_point_sampling(keep_shots, workers):
+def test_measure_grid_matches_per_point_sampling(keep_shots):
     params = SystemParams.reference()
     grid = np.linspace(-0.1, 1.1, 7 * 9).reshape(7, 9)  # clipped at both ends
     grid[3, 4] = 0.5
@@ -162,7 +124,6 @@ def test_measure_grid_matches_per_point_sampling(keep_shots, workers):
         readout=ReadoutModel.for_qubit(params.t1),
         n_shots=101,
         master_seed=5,
-        workers=workers,
         keep_shots=keep_shots,
     )
     p_hat, stderr, shots = _measure_grid(grid, config, "oracle")
@@ -377,10 +338,38 @@ def test_semiclassical_phase_matches_quantum_dispersive_evolution():
 
 def test_shot_duration_bookkeeping():
     params = SystemParams.reference()
-    config = reference_config(dead_time=5e-6, half_pi_duration=16e-9)
-    times = np.array([0.0, 120e-9, 240e-9])
+    pi, half, dead = 40e-9, 16e-9, 5e-6
+    config = reference_config(
+        dead_time=dead, pi_duration=pi, half_pi_duration=half, probe_duration=0.3e-6
+    )
+    window = config.readout.window
+    delays = np.array([0.0, 120e-9, 240e-9])
+    freqs = params.omega_q + 2 * math.pi * np.linspace(-2e6, 2e6, 5)
     phases = np.linspace(0.0, 2 * math.pi, 9)
-    data = run_decay_phase_sense(params, 10.0, times, phases, config)
-    expected = 2 * 16e-9 + 240e-9 + config.readout.window + 5e-6
-    assert data.shot_duration == pytest.approx(expected, rel=1e-12)
-    assert data.total_time() == pytest.approx(expected * data.n_shots.sum(), rel=1e-12)
+    durations = np.linspace(0.0, 0.4e-6, 3)
+    pump = PumpSpec(power_w=1.0, c_pump=10.0, omega_qm=2 * math.pi * 0.66e6)
+    # each dataset against the sequence before readout, summed in the same order
+    cases = [
+        (
+            run_qubit_spectroscopy(params, np.array([0.0, 1.0]), freqs, config),
+            config.probe_duration + window + dead,
+        ),
+        (run_ramsey(params, pump, delays, config), 2 * half + 240e-9 + window + dead),
+        (run_relaxation(params, config, delays), pi + 240e-9 + window + dead),
+        (
+            run_decay_phase_sense(params, 10.0, delays, phases, config),
+            2 * half + 240e-9 + window + dead,
+        ),
+        (
+            run_decay_spectroscopy(params, 10.0, delays, freqs, config),
+            240e-9 + config.probe_duration + window + dead,
+        ),
+        (
+            run_parametric_decay_scan(params, pump, np.array([0.0]), durations, config),
+            pi + 0.4e-6 + window + dead,
+        ),
+    ]
+    assert len({data.protocol for data, _ in cases}) == 6
+    for data, expected in cases:
+        assert data.shot_duration == expected, data.protocol
+        assert data.total_time() == float(np.sum(data.n_shots)) * expected

@@ -8,8 +8,6 @@ import pytest
 from magsense.readout import (
     ReadoutModel,
     ShotRecord,
-    fit_readout_histogram,
-    ideal_model_from_fit,
     sample_readout,
 )
 
@@ -113,14 +111,3 @@ def test_shot_record_subset():
     assert sub.n_shots == 10
     assert np.array_equal(sub.values, record.values[:10])
     assert sub.coordinates == {"delay": 1e-6}
-
-
-def test_histogram_fit_recovers_pure_excited_component():
-    model = default_model()
-    record = sample_readout(1.0, model, 40000, seed=21)
-    fit = fit_readout_histogram(record.values)
-    assert fit.converged
-    ideal = ideal_model_from_fit(model, fit)
-    assert ideal.decay_weight == 1.0
-    assert ideal.mu_e == pytest.approx(model.mu_e, abs=0.02)
-    assert ideal.sigma_e == pytest.approx(model.sigma_e, abs=0.03)

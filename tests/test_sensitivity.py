@@ -25,8 +25,6 @@ from magsense.sensitivity import (
     qubit_response,
     sensitivity_curve,
     solve_sensitivity,
-    stark_and_dephasing_slopes,
-    threshold_for_budget,
 )
 
 C_PUMP = 2.3e9  # magnons per W, chosen so 1 uW pumps ~2300 magnons
@@ -79,17 +77,6 @@ class TestSensingConfig:
     def test_rejects_nonpositive_settings(self, kwargs):
         with pytest.raises(ValueError):
             SensingConfig(**kwargs)
-
-    def test_threshold_matches_default_budget(self):
-        # sqrt(32 ms / 1 s) reproduces the configured default threshold
-        assert threshold_for_budget(0.032) == pytest.approx(0.18, abs=2e-3)
-        assert threshold_for_budget(1.0) == pytest.approx(1.0)
-
-    def test_threshold_rejects_nonpositive_times(self):
-        with pytest.raises(ValueError):
-            threshold_for_budget(0.0)
-        with pytest.raises(ValueError):
-            threshold_for_budget(1.0, unit_snr_time=-1.0)
 
 
 class TestQubitResponse:
@@ -314,13 +301,3 @@ class TestPipeline:
         assert not measured.unresolvable.any()
         assert not ideal.unresolvable.any()
         assert np.all(ideal.sensitivity <= measured.sensitivity)
-
-
-class TestSlopeHelpers:
-    def test_recovers_magnitudes_of_both_power_slopes(self):
-        powers = np.linspace(0.0, 1e-6, 9)
-        centers = 5.0e9 - 1.54e14 * powers
-        rates = 7.0e4 + 2.7e13 * powers
-        s_stark, s_deph = stark_and_dephasing_slopes(powers, centers, rates)
-        assert s_stark == pytest.approx(1.54e14, rel=1e-9)
-        assert s_deph == pytest.approx(2.7e13, rel=1e-9)

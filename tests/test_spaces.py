@@ -19,7 +19,6 @@ from magsense.spaces import (
     Operator,
     build_mode_operators,
     check_truncation,
-    coherent_state,
     compose_operator,
     expectation,
     expectation_real,
@@ -129,20 +128,6 @@ def test_expectation_space_mismatch():
         expectation(rho, n)
 
 
-def test_coherent_state_mean_occupation():
-    # oracle: truncated Poisson sum evaluated independently
-    alpha = 1.0
-    space = ModeSpace(("m",), (20,))
-    rho = coherent_state(space, "m", alpha)
-    _, n = build_mode_operators(space, "m")
-    weights = np.array(
-        [abs(alpha) ** (2 * k) / math.factorial(k) for k in range(20)]
-    )
-    expected = (np.arange(20) * weights).sum() / weights.sum()
-    assert expectation_real(rho, n) == pytest.approx(expected, abs=1e-12)
-    assert expectation_real(rho, n) == pytest.approx(1.0, abs=1e-6)
-
-
 def test_density_matrix_validate():
     space = ModeSpace(("q",), (2,))
     rho = fock_state(space, {"q": 1})
@@ -179,5 +164,9 @@ def test_coherent_state_tail_within_rule():
     n_mean = 3.0
     dim = fock_truncation(n_mean)
     space = ModeSpace(("m",), (dim,))
-    rho = coherent_state(space, "m", math.sqrt(n_mean))
+    # coherent-state amplitudes sqrt(Poisson(n_mean)), renormalised on the truncation
+    amplitudes = {
+        k: math.sqrt(math.exp(-n_mean) * n_mean**k / math.factorial(k)) for k in range(dim)
+    }
+    rho = ket_state(space, amplitudes)
     assert tail_population(rho, "m") < 1e-6

@@ -10,7 +10,6 @@ from magsense.errors import SchemaError
 from magsense.sweep import (
     Axis,
     SweepDataset,
-    map_points,
     point_seed,
     read_dataset,
     write_dataset,
@@ -75,17 +74,6 @@ def test_point_seed_distinguishes_streams():
     assert base != point_seed(5, "ramsey", 4)
     assert base != point_seed(5, "relaxation", 3)
     assert base != point_seed(6, "ramsey", 3)
-
-
-def test_map_points_order_independent():
-    def work(i):
-        rng = np.random.default_rng(point_seed(9, "demo", i))
-        return rng.random(4)
-
-    serial = map_points(12, work, workers=None)
-    threaded = map_points(12, work, workers=4)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a, b)
 
 
 def test_round_trip_with_shots(tmp_path):
