@@ -97,12 +97,16 @@ def test_quadrupling_shots_halves_stderr():
     assert ratio == pytest.approx(2.0, rel=0.1)
 
 
-def _measure_grid_oracle(p_true, config, tag):
-    """Per-point sample_readout calls, visited in a shuffled order, with
-    ShotRecord's own estimators."""
+def _measure_grid_oracle(p_true, config, tag, order_seed):
+    """Per-point sample_readout calls with ShotRecord's own estimators,
+    visited in grid order (``order_seed=None``) or in a seeded shuffle."""
     flat = np.clip(p_true.reshape(-1), 0.0, 1.0)
     records = [None] * len(flat)
-    for idx in np.random.default_rng(17).permutation(len(flat)):
+    if order_seed is None:
+        order = np.arange(len(flat))
+    else:
+        order = np.random.default_rng(order_seed).permutation(len(flat))
+    for idx in order:
         records[idx] = sample_readout(
             float(flat[idx]),
             config.readout,
@@ -116,7 +120,8 @@ def _measure_grid_oracle(p_true, config, tag):
 
 
 @pytest.mark.parametrize("keep_shots", [True, False])
-def test_measure_grid_matches_per_point_sampling(keep_shots):
+@pytest.mark.parametrize("order_seed", [None, 4])
+def test_measure_grid_matches_per_point_sampling(keep_shots, order_seed):
     params = SystemParams.reference()
     grid = np.linspace(-0.1, 1.1, 7 * 9).reshape(7, 9)  # clipped at both ends
     grid[3, 4] = 0.5
@@ -127,7 +132,7 @@ def test_measure_grid_matches_per_point_sampling(keep_shots):
         keep_shots=keep_shots,
     )
     p_hat, stderr, shots = _measure_grid(grid, config, "oracle")
-    ref_p, ref_err, ref_shots = _measure_grid_oracle(grid, config, "oracle")
+    ref_p, ref_err, ref_shots = _measure_grid_oracle(grid, config, "oracle", order_seed)
     assert np.array_equal(p_hat, ref_p)
     assert np.array_equal(stderr, ref_err)
     if keep_shots:
