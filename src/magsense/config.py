@@ -63,6 +63,10 @@ PROTOCOL_KINDS = (
     "parametric-scan",
 )
 
+# acquisition fields that manifests written by earlier versions may still
+# record; they no longer change the output and are dropped on rebuild
+REMOVED_ACQUISITION_FIELDS = ("workers",)
+
 # analysis kind -> {input key: expected protocol kind}
 ANALYSIS_INPUTS = {
     "coherence": {"ramsey": "ramsey", "relaxation": "relaxation"},
@@ -194,6 +198,8 @@ def parse_grid(value, dimension: str, path: str, anchors: dict) -> np.ndarray:
         raise ConfigError(f"{path}.count: must be >= 1")
     offset = 0.0
     if around is not None:
+        if not isinstance(around, str):
+            raise ConfigError(f"{path}.around: expected a string, got {around!r}")
         if dimension != "frequency":
             raise ConfigError(f"{path}.around: only frequency grids take an anchor")
         if around not in anchors:
@@ -607,7 +613,12 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
 
 
 def from_resolved(resolved: dict) -> ExperimentConfig:
-    """Rebuild an ExperimentConfig from a manifest's resolved mapping."""
+    """Rebuild an ExperimentConfig from a manifest's resolved mapping.
+
+    Acquisition fields that no longer exist are dropped from the rebuilt
+    acquisition; ``resolved`` itself, and so the manifest hash, is kept as
+    recorded.
+    """
     system, ideal = _system_from_resolved(resolved["system"])
     readout = _readout_from_resolved(resolved["readout"], system.t1, ideal)
     sensing = None
@@ -625,7 +636,11 @@ def from_resolved(resolved: dict) -> ExperimentConfig:
         system=system,
         ideal_qubit=ideal,
         readout=readout,
-        acquisition=dict(resolved["acquisition"]),
+        acquisition={
+            key: value
+            for key, value in resolved["acquisition"].items()
+            if key not in REMOVED_ACQUISITION_FIELDS
+        },
         protocols=tuple(
             _protocol_from_resolved(p) for p in resolved["protocols"]
         ),

@@ -240,22 +240,81 @@ def _sum_squares(r: np.ndarray) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def _check_data(model: FitModel, x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be matching one-dimensional arrays")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("fit data must be finite")
-    if len(x) < model.n_parameters() + 1:
-        raise ValueError(
-            f"{model.family} fit needs at least {model.n_parameters() + 1} points"
-        )
-    if model.family != "polynomial":
-        spread = np.ptp(y)
-        scale = np.max(np.abs(y)) if len(y) else 0.0
-        if spread == 0.0 or spread < 1e-14 * max(scale, 1e-300):
-            raise DegenerateDataError(
-                f"constant data carries no information for a {model.family} fit"
+def _prepare_rows(model: FitModel, x: np.ndarray, y_rows, y_err_rows, inits):
+    """Stacked rows, weights, absolute-error flags and internal starts.
+
+    Each data check runs once on the whole stack. The first invalid row
+    raises the error of the first check it fails, after the starts of the
+    rows before it, which can raise first.
+    """
+    shape_error = ValueError("x and y must be matching one-dimensional arrays")
+    if x.ndim != 1:
+        raise shape_error
+    try:
+        y = np.asarray(y_rows, dtype=float)
+    except ValueError:  # rows of different lengths
+        y = None
+    checked = len(y_rows)
+    if y is None or y.shape[1:] != x.shape:
+        checked = next(i for i, row in enumerate(y_rows) if np.shape(row) != x.shape)
+        y = np.asarray(y_rows[:checked], dtype=float).reshape(checked, len(x))
+    else:
+        shape_error = None
+    weighted = [i for i, y_err in enumerate(y_err_rows[:checked]) if y_err is not None]
+    errors = np.asarray([y_err_rows[i] for i in weighted], dtype=float)
+    errors = errors.reshape(len(weighted), len(x))
+    n_min = model.n_parameters() + 1
+    # (failing rows, error) in the order the checks apply to one row
+    checks = [
+        (
+            ~np.all(np.isfinite(y), axis=1) | (not np.all(np.isfinite(x))),
+            ValueError("fit data must be finite"),
+        ),
+        (
+            np.full(checked, len(x) < n_min),
+            ValueError(f"{model.family} fit needs at least {n_min} points"),
+        ),
+    ]
+    if model.family != "polynomial" and len(x) >= n_min:
+        with np.errstate(invalid="ignore"):
+            spread = np.ptp(y, axis=1)
+        scale = np.max(np.abs(y), axis=1)
+        checks.append(
+            (
+                (spread == 0.0) | (spread < 1e-14 * np.maximum(scale, 1e-300)),
+                DegenerateDataError(
+                    f"constant data carries no information for a {model.family} fit"
+                ),
             )
+        )
+    bad_errors = np.zeros(checked, dtype=bool)
+    bad_errors[weighted] = ~np.all(np.isfinite(errors) & (errors > 0), axis=1)
+    checks.append((bad_errors, ValueError("y_err must be finite and > 0")))
+    failing = np.array([rows for rows, _ in checks])
+    error = shape_error
+    if failing.any():
+        checked = int(np.argmax(failing.any(axis=0)))
+        error = checks[int(np.argmax(failing[:, checked]))][1]
+    starts = []
+    if model.family != "polynomial":
+        starts = [_internal_start(model, x, y[i], inits[i]) for i in range(checked)]
+    if error is not None:
+        raise error
+    weights = np.ones_like(y)
+    weights[weighted] = 1.0 / errors**2
+    absolute = np.zeros(checked, dtype=bool)
+    absolute[weighted] = True
+    return y, weights, absolute, np.array(starts)
+
+
+def _internal_start(model: FitModel, x: np.ndarray, y: np.ndarray, init) -> np.ndarray:
+    """Checked internal starting parameters of one row."""
+    p0 = np.asarray(init, dtype=float) if init is not None else _auto_init(model, x, y)
+    if len(p0) != model.n_parameters():
+        raise ValueError(
+            f"{model.family} expects {model.n_parameters()} parameters, got {len(p0)}"
+        )
+    return _to_internal(model, p0)
 
 
 def _fit_polynomial(model, x, y, weights) -> FitResult:
@@ -285,15 +344,19 @@ def _fit_polynomial(model, x, y, weights) -> FitResult:
 
 
 def _canonicalize_sinusoid(model: FitModel, p: np.ndarray, cov: np.ndarray):
-    """Fold amplitude sign into the phase and reduce it to [0, 2pi)."""
+    """Fold amplitude sign into the phase and reduce it to [0, 2pi).
+
+    Takes one parameter vector and covariance, or stacks of them
+    (``p[..., k]``, ``cov[..., k, k]``).
+    """
     phase_k = {"sinusoid": 2, "damped-sinusoid": 3}[model.family]
-    if p[0] < 0:
-        flip = np.ones(len(p))
-        flip[0] = -1.0
-        p = p * flip
-        cov = cov * np.outer(flip, flip)
-        p[phase_k] += math.pi
-    p[phase_k] = p[phase_k] % (2.0 * math.pi)
+    negative = p[..., 0] < 0
+    flip = np.ones(p.shape)
+    flip[..., 0] = np.where(negative, -1.0, 1.0)
+    p = p * flip
+    cov = cov * (flip[..., :, None] * flip[..., None, :])
+    phase = p[..., phase_k]
+    p[..., phase_k] = np.where(negative, phase + math.pi, phase) % (2.0 * math.pi)
     return p, cov
 
 
@@ -364,8 +427,8 @@ def fit_rows(
     Returns
     -------
     list of FitResult
-        One result per row, in row order. Checks run row by row before any
-        iteration, so the first invalid row raises.
+        One result per row, in row order. Checks run on all rows before
+        any iteration, and the first invalid row raises.
     """
     x = np.asarray(x, dtype=float)
     n_rows = len(y_rows)
@@ -373,34 +436,12 @@ def fit_rows(
     inits = [None] * n_rows if inits is None else list(inits)
     if not len(y_err_rows) == len(inits) == n_rows:
         raise ValueError("y_err_rows and inits need one entry per data row")
-    rows, weights, absolute, starts = [], [], [], []
-    for y, y_err, init in zip(y_rows, y_err_rows, inits):
-        y = np.asarray(y, dtype=float)
-        _check_data(model, x, y)
-        if y_err is not None:
-            y_err = np.asarray(y_err, dtype=float)
-            if np.any(~np.isfinite(y_err)) or np.any(y_err <= 0):
-                raise ValueError("y_err must be finite and > 0")
-            weights.append(1.0 / y_err**2)
-        else:
-            weights.append(np.ones_like(y))
-        rows.append(y)
-        absolute.append(y_err is not None)
-        if model.family == "polynomial":
-            continue
-        p0 = np.asarray(init, dtype=float) if init is not None else _auto_init(model, x, y)
-        if len(p0) != model.n_parameters():
-            raise ValueError(
-                f"{model.family} expects {model.n_parameters()} parameters, got {len(p0)}"
-            )
-        starts.append(_to_internal(model, p0))
-    if model.family == "polynomial":
-        return [_fit_polynomial(model, x, y, w) for y, w in zip(rows, weights)]
-    if not rows:
+    if not n_rows:
         return []
-    return _levenberg_marquardt(
-        model, x, np.array(rows), np.sqrt(np.array(weights)), absolute, np.array(starts)
-    )
+    y, weights, absolute, theta = _prepare_rows(model, x, y_rows, y_err_rows, inits)
+    if model.family == "polynomial":
+        return [_fit_polynomial(model, x, row, w) for row, w in zip(y, weights)]
+    return _levenberg_marquardt(model, x, y, np.sqrt(weights), absolute, theta)
 
 
 def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
@@ -462,36 +503,41 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     jac = _jacobian(model, theta, x, y, sw)
     normal = np.swapaxes(jac, 1, 2) @ jac
     dof = max(len(x) - theta.shape[1], 1)
-    results = []
-    for i in range(n_rows):
-        scale = 1.0 if absolute[i] else rss[i] / dof
-        try:
-            cov_theta = scale * np.linalg.inv(normal[i])
-        except np.linalg.LinAlgError:
-            cov_theta = scale * np.linalg.pinv(normal[i])
-        # delta method back to natural space: d p / d theta = p for log parameters
-        p = params[i].copy()
-        deriv = np.ones(len(p))
-        for k in model._positive_indices():
-            deriv[k] = p[k]
-        cov = cov_theta * np.outer(deriv, deriv)
-        cov = 0.5 * (cov + cov.T)
-        if model.family in ("sinusoid", "damped-sinusoid"):
-            p, cov = _canonicalize_sinusoid(model, p, cov)
-        results.append(
-            FitResult(
-                model=model,
-                parameter_names=model.parameter_names(),
-                parameters=p,
-                covariance=cov,
-                rss=float(rss[i]),
-                n_iter=int(n_iter[i]),
-                converged=bool(converged[i]),
-                message=messages[i],
-                rss_trace=traces[i],
-            )
+    scale = np.where(absolute, 1.0, rss / dof)[:, None, None]
+    try:
+        inverse = np.linalg.inv(normal)
+    except np.linalg.LinAlgError:
+        inverse = np.array([_inverse(matrix) for matrix in normal])
+    # delta method back to natural space: d p / d theta = p for log parameters
+    deriv = np.ones_like(params)
+    positive = list(model._positive_indices())
+    deriv[:, positive] = params[:, positive]
+    cov = scale * inverse * (deriv[:, :, None] * deriv[:, None, :])
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    if model.family in ("sinusoid", "damped-sinusoid"):
+        params, cov = _canonicalize_sinusoid(model, params, cov)
+    return [
+        FitResult(
+            model=model,
+            parameter_names=model.parameter_names(),
+            parameters=params[i],
+            covariance=cov[i],
+            rss=float(rss[i]),
+            n_iter=int(n_iter[i]),
+            converged=bool(converged[i]),
+            message=messages[i],
+            rss_trace=traces[i],
         )
-    return results
+        for i in range(n_rows)
+    ]
+
+
+def _inverse(matrix: np.ndarray) -> np.ndarray:
+    """Inverse of one normal matrix, or its pseudo-inverse when singular."""
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(matrix)
 
 
 def _damped_steps(model, x, y, sw, theta, rss, lam, hess, grad):

@@ -153,6 +153,18 @@ def _require_protocol(dataset: SweepDataset, protocol: str, axes: tuple) -> None
         raise EstimationError(f"expected axes {axes}, got {names}")
 
 
+def _draw_stacks(dataset: SweepDataset, p_e, stderr) -> tuple[np.ndarray, np.ndarray]:
+    """``p_e`` and ``stderr`` as float stacks of draws on the dataset's grid."""
+    p_e = np.asarray(p_e, dtype=float)
+    stderr = np.asarray(stderr, dtype=float)
+    if p_e.shape[1:] != dataset.grid_shape or stderr.shape != p_e.shape:
+        raise EstimationError(
+            f"draw stacks of shape {p_e.shape} and {stderr.shape} do not match "
+            f"(draws,) + grid {dataset.grid_shape}"
+        )
+    return p_e, stderr
+
+
 def lifetime_from_phase(dataset: SweepDataset) -> LifetimeEstimate:
     """Magnon lifetime from the fringe phase accumulated during decay.
 
@@ -164,36 +176,65 @@ def lifetime_from_phase(dataset: SweepDataset) -> LifetimeEstimate:
     non-exponential, so radian-scale lack of fit raises the
     unwrap-ambiguity flag. A row or final fit that stopped without
     converging raises the fit-not-converged flag.
+
+    This is the one-draw case of :func:`phase_lifetimes`.
+    """
+    return phase_lifetimes(dataset, dataset.p_e[None], dataset.stderr[None])[0]
+
+
+def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate]:
+    """Phase-method lifetimes of a stack of draws on ``dataset``'s grid.
+
+    ``p_e`` and ``stderr`` have shape ``(draws,) + dataset.grid_shape``.
+    The fringe rows of every draw go through one sinusoid ``fit_rows``
+    call and the phase series through one saturating-exponential call; a
+    row fits as it would alone, so each estimate equals
+    :func:`lifetime_from_phase` on a dataset holding that draw.
     """
     _require_protocol(dataset, "decay-phase", ("sense_time", "second_pulse_phase"))
     times = dataset.axis("sense_time").values
     thetas = dataset.axis("second_pulse_phase").values
     if len(times) < 6:
         raise EstimationError("phase extraction needs >= 6 sense times")
+    p_e, stderr = _draw_stacks(dataset, p_e, stderr)
+    n_draws = len(p_e)
     row_fits = _fringe_fits(
-        thetas, dataset.p_e, [_usable_errors(err) for err in dataset.stderr]
+        thetas,
+        p_e.reshape(-1, len(thetas)),
+        [_usable_errors(err) for err in stderr.reshape(-1, len(thetas))],
     )
     wrapped = np.array(
         [(math.pi / 2.0 - fit.parameter("phase")) % (2.0 * math.pi) for fit in row_fits]
+    ).reshape(n_draws, len(times))
+    phase_err = np.array([fit.stderr("phase") for fit in row_fits]).reshape(
+        n_draws, len(times)
     )
-    phase_err = np.array([fit.stderr("phase") for fit in row_fits])
-    wrapped[0] = ((wrapped[0] + math.pi) % (2.0 * math.pi)) - math.pi
+    wrapped[:, 0] = ((wrapped[:, 0] + math.pi) % (2.0 * math.pi)) - math.pi
     phi = unwrap_phases(wrapped)
-    y_err = phase_err if np.all(phase_err > 0) else None
-    fit = fit_curve(FitModel("saturating-exponential"), times, phi, y_err=y_err)
-    flags = []
-    misfit = float(np.max(np.abs(phi - fit.predict(times))))
-    if misfit > max(UNWRAP_RESIDUAL_FLOOR, 5.0 * float(np.median(phase_err))):
-        flags.append("unwrap-ambiguity")
-    flags += _convergence_flags(row_fits + [fit])
-    return LifetimeEstimate(
-        method=PHASE_METHOD,
-        lifetime=fit.parameter("tau"),
-        uncertainty=fit.stderr("tau"),
-        fit=fit,
-        flags=tuple(flags),
-        series={"times": times, "phases": phi, "phase_stderr": phase_err},
+    fits = fit_rows(
+        FitModel("saturating-exponential"),
+        times,
+        phi,
+        [_usable_errors(err) for err in phase_err],
     )
+    estimates = []
+    for k, fit in enumerate(fits):
+        flags = []
+        misfit = float(np.max(np.abs(phi[k] - fit.predict(times))))
+        if misfit > max(UNWRAP_RESIDUAL_FLOOR, 5.0 * float(np.median(phase_err[k]))):
+            flags.append("unwrap-ambiguity")
+        flags += _convergence_flags(row_fits[k * len(times) : (k + 1) * len(times)] + [fit])
+        estimates.append(
+            LifetimeEstimate(
+                method=PHASE_METHOD,
+                lifetime=fit.parameter("tau"),
+                uncertainty=fit.stderr("tau"),
+                fit=fit,
+                flags=tuple(flags),
+                series={"times": times, "phases": phi[k], "phase_stderr": phase_err[k]},
+            )
+        )
+    return estimates
 
 
 def lifetime_from_frequency(dataset: SweepDataset) -> LifetimeEstimate:
@@ -204,6 +245,21 @@ def lifetime_from_frequency(dataset: SweepDataset) -> LifetimeEstimate:
     center(t) yields tau = 1/kappa_m. Constant centers (no initial magnons)
     raise the flat-data error from the fitting layer; a row or final fit
     that stopped without converging raises the fit-not-converged flag.
+
+    This is the one-draw case of :func:`frequency_lifetimes`.
+    """
+    return frequency_lifetimes(dataset, dataset.p_e[None], dataset.stderr[None])[0]
+
+
+def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate]:
+    """Frequency-method lifetimes of a stack of draws on ``dataset``'s grid.
+
+    ``p_e`` and ``stderr`` have shape ``(draws,) + dataset.grid_shape``.
+    The spectroscopy rows of every draw go through one Gaussian
+    ``fit_rows`` call and the center series through one exponential-decay
+    call; a row fits as it would alone, so each estimate equals
+    :func:`lifetime_from_frequency` on a dataset holding that draw. A
+    draw with constant centers raises for the whole stack.
     """
     _require_protocol(
         dataset, "decay-spectroscopy", ("sense_time", "probe_frequency")
@@ -212,29 +268,43 @@ def lifetime_from_frequency(dataset: SweepDataset) -> LifetimeEstimate:
     freqs = dataset.axis("probe_frequency").values
     if len(times) < 6:
         raise EstimationError("frequency extraction needs >= 6 sense times")
+    p_e, stderr = _draw_stacks(dataset, p_e, stderr)
+    n_draws = len(p_e)
+    rows = p_e.reshape(-1, len(freqs))
     row_fits = fit_rows(
         FitModel("gaussian"),
         freqs,
-        dataset.p_e,
-        [_usable_errors(err) for err in dataset.stderr],
-        [_peak_row_init(freqs, row) for row in dataset.p_e],
+        rows,
+        [_usable_errors(err) for err in stderr.reshape(-1, len(freqs))],
+        [_peak_row_init(freqs, row) for row in rows],
     )
-    centers = np.array([fit.parameter("center") for fit in row_fits])
-    center_err = np.array([fit.stderr("center") for fit in row_fits])
+    centers = np.array([fit.parameter("center") for fit in row_fits]).reshape(
+        n_draws, len(times)
+    )
+    center_err = np.array([fit.stderr("center") for fit in row_fits]).reshape(
+        n_draws, len(times)
+    )
     # shift to a small dynamic range; the offset absorbs the translation
-    reference = centers[-1]
-    y_err = center_err if np.all(center_err > 0) else None
-    fit = fit_curve(
-        FitModel("exponential-decay"), times, centers - reference, y_err=y_err
+    shifted = centers - centers[:, -1:]
+    fits = fit_rows(
+        FitModel("exponential-decay"),
+        times,
+        shifted,
+        [_usable_errors(err) for err in center_err],
     )
-    return LifetimeEstimate(
-        method=FREQUENCY_METHOD,
-        lifetime=fit.parameter("tau"),
-        uncertainty=fit.stderr("tau"),
-        fit=fit,
-        flags=tuple(_convergence_flags(row_fits + [fit])),
-        series={"times": times, "centers": centers, "center_stderr": center_err},
-    )
+    return [
+        LifetimeEstimate(
+            method=FREQUENCY_METHOD,
+            lifetime=fit.parameter("tau"),
+            uncertainty=fit.stderr("tau"),
+            fit=fit,
+            flags=tuple(
+                _convergence_flags(row_fits[k * len(times) : (k + 1) * len(times)] + [fit])
+            ),
+            series={"times": times, "centers": centers[k], "center_stderr": center_err[k]},
+        )
+        for k, fit in enumerate(fits)
+    ]
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,10 @@ from .errors import ConfigError, SchemaError
 from .fitting import FitModel, fit_curve, fit_rows
 from .lifetimes import (
     extract_kappa_m_from_scan,
+    frequency_lifetimes,
     lifetime_from_frequency,
     lifetime_from_phase,
+    phase_lifetimes,
 )
 from .protocols import (
     run_decay_phase_sense,
@@ -313,15 +315,21 @@ def _subsample_table(
     path: Path,
     manifest_hash: str,
 ) -> dict:
-    """Per-subset lifetime fits under a repeated time-budget draw."""
-    estimator = lifetime_from_phase if method == "phase" else lifetime_from_frequency
-    lifetimes = np.zeros(count)
-    uncertainties = np.zeros(count)
+    """Per-subset lifetime fits under a repeated time-budget draw.
+
+    The draws are fit together, one batch per fit stage.
+    """
+    estimator = phase_lifetimes if method == "phase" else frequency_lifetimes
+    p_e = np.empty((count,) + dataset.grid_shape)
+    stderr = np.empty_like(p_e)
     for k in range(count):
         subset = subsample_time_budget(dataset, budget, seed=k)
-        estimate = estimator(subset)
-        lifetimes[k] = estimate.lifetime
-        uncertainties[k] = estimate.uncertainty
+        p_e[k], stderr[k] = subset.p_e, subset.stderr
+        # keep one draw's kept shots alive at a time
+        del subset
+    estimates = estimator(dataset, p_e, stderr)
+    lifetimes = np.array([estimate.lifetime for estimate in estimates])
+    uncertainties = np.array([estimate.uncertainty for estimate in estimates])
     _write_table(
         path,
         manifest_hash,

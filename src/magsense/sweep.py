@@ -197,18 +197,25 @@ def _read_shots(sidecar: Path, shape: tuple) -> np.ndarray:
 def read_dataset(path) -> SweepDataset:
     """Read a dataset table written by write_dataset (or hand-built to match).
 
-    Raises SchemaError on malformed headers, missing unit tags, a
-    non-cartesian coordinate block, or a shots sidecar named in the header
-    that is absent, unreadable, lacks a ``shots`` member, or holds anything
-    but a floating-point array of shape ``grid + (n_shots,)``. Sidecars
-    written compressed load like stored ones.
+    Raises SchemaError on text that is not UTF-8, malformed headers,
+    missing unit tags, a cell that is not a finite number (naming the file
+    and line), a non-cartesian coordinate block, or a shots sidecar named
+    in the header that is absent, unreadable, lacks a ``shots`` member, or
+    holds anything but a floating-point array of shape
+    ``grid + (n_shots,)``. Sidecars written compressed load like stored
+    ones.
     """
     path = Path(path)
     header: dict[str, str] = {}
     warnings: list[str] = []
     columns: list[tuple[str, str]] | None = None
     rows: list[list[float]] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    row_lines: list[int] = []
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path.name} is not UTF-8 text: {exc}") from exc
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -228,9 +235,14 @@ def read_dataset(path) -> SweepDataset:
         parts = line.split(",")
         if len(parts) != len(columns):
             raise SchemaError(
-                f"row has {len(parts)} fields, expected {len(columns)}"
+                f"{path.name}, line {number}: row has {len(parts)} fields, "
+                f"expected {len(columns)}"
             )
-        rows.append([float(p) for p in parts])
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise SchemaError(f"{path.name}, line {number}: {exc}") from exc
+        row_lines.append(number)
     if columns is None or not rows:
         raise SchemaError("dataset table has no column header or no rows")
     names = [c[0] for c in columns]
@@ -241,6 +253,10 @@ def read_dataset(path) -> SweepDataset:
     if n_axes < 1:
         raise SchemaError("dataset table has no sweep axis columns")
     data = np.asarray(rows, dtype=float)
+    finite = np.all(np.isfinite(data), axis=1)
+    if not np.all(finite):
+        number = row_lines[int(np.argmin(finite))]
+        raise SchemaError(f"{path.name}, line {number}: values must be finite")
     axes = []
     shape = []
     for k in range(n_axes):

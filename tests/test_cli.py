@@ -132,6 +132,18 @@ class TestValidate:
             assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "anchor", ["[omega_q]", "{omega_q: 1}"], ids=["list", "mapping"]
+    )
+    def test_non_string_anchor_exits_2(self, work, anchor, capsys):
+        text = bundled_configs()["decay-tracking"].read_text(encoding="utf-8")
+        bad = work / "bad-anchor.yaml"
+        bad.write_text(text.replace("around: omega_q", f"around: {anchor}"), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "probe_freqs.around: expected a string" in err
+        assert "Traceback" not in err
+
     def test_bundled_name_resolves(self, capsys):
         assert main(["validate", "coherence-baseline"]) == 0
         assert "ok: coherence-baseline" in capsys.readouterr().out
@@ -414,6 +426,17 @@ class TestImport:
         ]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_import_with_a_non_numeric_cell_exits_2(self, work, decay_artifact, capsys):
+        lines = (decay_artifact / "decay-phase.csv").read_text(encoding="utf-8").splitlines()
+        fields = lines[-1].split(",")
+        fields[2] = "0.x44375"
+        corrupted = work / "bad-cell.csv"
+        corrupted.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n", encoding="utf-8")
+        argv = ["report", "--import", str(corrupted), "--analysis", "lifetime-phase"]
+        assert main(argv + ["--output", str(work)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad-cell.csv, line {len(lines)}: " in err
 
     def test_import_rejects_bad_subsample_budget(self, work, decay_artifact, capsys):
         argv = [

@@ -456,6 +456,32 @@ def test_fit_rows_checks_every_row_before_iterating():
         fitting.fit_rows(model, x, [good, good], [None, np.zeros(41)])
     with pytest.raises(ValueError, match="one entry per data row"):
         fitting.fit_rows(model, x, [good, good], [None])
+    # the first invalid row raises, whichever check it fails
+    flat = np.full(41, 0.3)
+    with pytest.raises(ValueError, match="y_err"):
+        fitting.fit_rows(model, x, [good, flat], [np.zeros(41), None])
+    with pytest.raises(ValueError, match="expects 4 parameters"):
+        fitting.fit_rows(model, x, [good, flat], None, [np.ones(2), None])
+    with pytest.raises(DegenerateDataError):
+        fitting.fit_rows(model, x, [good, flat, good[:-1]])
+    with pytest.raises(ValueError, match="matching one-dimensional"):
+        fitting.fit_rows(model, x, [good, good[:-1], flat])
     poly = fitting.fit_rows(FitModel("polynomial", order=1), x, [x, 2.0 * x])
     assert [fit.parameter("c1") for fit in poly] == pytest.approx([1.0, 2.0])
     assert fitting.fit_rows(model, x, []) == []
+
+
+def test_singular_normal_matrix_takes_the_pseudo_inverse_for_its_row_only():
+    # a start far off the grid leaves the peak's columns of J exactly zero
+    model = FitModel("gaussian")
+    x = np.linspace(0.0, 6.0, 41)
+    y = model.evaluate(x, np.array([1.0, 3.0, 0.5, 0.0])) + 0.01 * np.sin(7.0 * x)
+    far = np.array([1.0, 1e4, 0.1, 0.0])
+    batch = fitting.fit_rows(model, x, [y, y], None, [None, far])
+    for fit, init in zip(batch, [None, far]):
+        alone = fit_curve(model, x, y, init=init)
+        np.testing.assert_allclose(fit.parameters, alone.parameters, rtol=1e-12)
+        np.testing.assert_allclose(fit.covariance, alone.covariance, rtol=1e-12)
+    assert np.all(np.diag(batch[0].covariance) > 0)
+    assert np.diag(batch[1].covariance)[:3].tolist() == [0.0, 0.0, 0.0]
+    assert batch[1].stderr("offset") > 0

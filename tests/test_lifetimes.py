@@ -11,9 +11,11 @@ from magsense.errors import DegenerateDataError, EstimationError
 from magsense.lifetimes import (
     LifetimeEstimate,
     extract_kappa_m_from_scan,
+    frequency_lifetimes,
     lifetime_from_frequency,
     lifetime_from_phase,
     parametric_qubit_decay,
+    phase_lifetimes,
 )
 from magsense.params import PumpSpec, SystemParams
 from magsense.protocols import (
@@ -281,3 +283,100 @@ def test_unconverged_fits_raise_the_flag(monkeypatch):
     monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
     for estimator, data in cases:
         assert "fit-not-converged" in estimator(data).flags
+
+
+# -- batched estimators against the one-dataset estimators ---------------------
+
+BATCHED = {
+    "phase": (phase_lifetimes, lifetime_from_phase),
+    "frequency": (frequency_lifetimes, lifetime_from_frequency),
+}
+
+
+@pytest.fixture(scope="module")
+def draw_stacks():
+    """Per method: a dataset and the p_e/stderr stacks of four seeded runs on its grid."""
+    params = SystemParams.reference()
+    times = np.arange(0.0, 241e-9, 6e-9)
+    phases = np.linspace(0.0, 2 * math.pi, 25)
+    runs = {
+        "phase": [
+            run_decay_phase_sense(
+                params, 650.0, times, phases, make_config(mode="shots", n_shots=100, master_seed=s)
+            )
+            for s in range(4)
+        ],
+        "frequency": [
+            frequency_dataset(
+                params, make_config(mode="shots", n_shots=100, master_seed=s, probe_duration=8e-9)
+            )
+            for s in range(4)
+        ],
+    }
+    return {
+        method: (data[0], np.array([d.p_e for d in data]), np.array([d.stderr for d in data]))
+        for method, data in runs.items()
+    }
+
+
+def _per_draw(estimator, dataset, p_e, stderr):
+    """The oracle: the one-dataset estimator on each draw in turn."""
+    return [
+        estimator(dataclasses.replace(dataset, p_e=p, stderr=err))
+        for p, err in zip(p_e, stderr)
+    ]
+
+
+def _assert_same_estimates(batch, loop):
+    assert len(batch) == len(loop)
+    for got, expected in zip(batch, loop):
+        assert (got.method, got.flags) == (expected.method, expected.flags)
+        np.testing.assert_allclose(
+            [got.lifetime, got.uncertainty], [expected.lifetime, expected.uncertainty], rtol=1e-12
+        )
+        np.testing.assert_allclose(got.fit.parameters, expected.fit.parameters, rtol=1e-12)
+        np.testing.assert_allclose(got.fit.covariance, expected.fit.covariance, rtol=1e-12)
+        assert got.series.keys() == expected.series.keys()
+        for key, values in expected.series.items():
+            np.testing.assert_allclose(got.series[key], values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("method", sorted(BATCHED))
+def test_batched_estimates_match_per_draw_fits(draw_stacks, method):
+    batched, single = BATCHED[method]
+    dataset, p_e, stderr = draw_stacks[method]
+    stderr = stderr.copy()
+    stderr[1, 3, 5] = 0.0  # this row of draw 1 fits unweighted
+    batch = batched(dataset, p_e, stderr)
+    _assert_same_estimates(batch, _per_draw(single, dataset, p_e, stderr))
+    assert batch[0].lifetime != batch[1].lifetime
+
+
+@pytest.mark.parametrize("method", sorted(BATCHED))
+def test_batched_estimates_flag_the_unconverged_draws(draw_stacks, method, monkeypatch):
+    batched, single = BATCHED[method]
+    dataset, p_e, stderr = draw_stacks[method]
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 30)
+    batch = batched(dataset, p_e, stderr)
+    _assert_same_estimates(batch, _per_draw(single, dataset, p_e, stderr))
+    flagged = ["fit-not-converged" in estimate.flags for estimate in batch]
+    assert any(flagged) and not all(flagged)
+
+
+def test_batched_flat_centre_draw_raises_as_the_loop_does(draw_stacks):
+    dataset, p_e, stderr = draw_stacks["frequency"]
+    params = SystemParams.reference()
+    flat = frequency_dataset(params, make_config(probe_duration=8e-9), n0=0.0)
+    p_e = np.concatenate([p_e[:2], flat.p_e[None]])
+    stderr = np.concatenate([stderr[:2], flat.stderr[None]])
+    with pytest.raises(DegenerateDataError) as loop_error:
+        _per_draw(lifetime_from_frequency, dataset, p_e, stderr)
+    with pytest.raises(DegenerateDataError) as batch_error:
+        frequency_lifetimes(dataset, p_e, stderr)
+    assert str(batch_error.value) == str(loop_error.value)
+
+
+def test_batched_estimators_check_the_stack_shape(draw_stacks):
+    dataset, p_e, stderr = draw_stacks["phase"]
+    with pytest.raises(EstimationError, match="do not match"):
+        phase_lifetimes(dataset, p_e[:, :, :-1], stderr[:, :, :-1])

@@ -1,19 +1,23 @@
 """Artifact-level tests: shots regenerated from a manifest, fit status keys."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 
 from magsense import fitting
-from magsense.config import load_config
+from magsense.config import load_config, resolved_hash
+from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase
 from magsense.runner import (
     _fit_status,
+    _subsample_table,
     execute_protocol,
     load_artifact,
     read_report,
     run_analyses,
     run_experiment,
 )
+from magsense.subsample import subsample_time_budget
 
 SHOTS_YAML = """\
 name: regenerate-shots
@@ -37,6 +41,24 @@ protocols:
     pump_powers: {start: 0 W, stop: 17.4 nW, count: 3}
     delays: {start: 0 us, stop: 3 us, count: 13}
   - kind: relaxation
+"""
+
+DECAY_YAML = """\
+name: subsample-fits
+seed: 41
+acquisition:
+  n_shots: 200
+  keep_shots: true
+  artificial_detuning: 4 MHz
+protocols:
+  - kind: decay-phase
+    n0: 650
+    sense_times: {start: 0 ns, stop: 240 ns, count: 9}
+    second_pulse_phases: {start: 0 rad, stop: 6.2832 rad, count: 13}
+  - kind: decay-spectroscopy
+    n0: 650
+    sense_times: {start: 0 ns, stop: 240 ns, count: 7}
+    probe_freqs: {around: omega_q, start: -48 MHz, stop: 4 MHz, count: 27}
 """
 
 FITS_YAML = """\
@@ -79,20 +101,59 @@ def _run(tmp_path, text):
     return run_experiment(load_config(source), tmp_path / "artifact")
 
 
+def _record_removed_acquisition_field(artifact) -> None:
+    """Rewrite an artifact as written while acquisition had ``workers: 0``."""
+    path = artifact / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    old_hash = manifest["hash"]
+    manifest["config"]["acquisition"]["workers"] = 0
+    manifest["hash"] = resolved_hash(manifest["config"])
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for table in artifact.glob("*.csv"):
+        text = table.read_text(encoding="utf-8")
+        table.write_text(text.replace(old_hash, manifest["hash"]), encoding="utf-8")
+
+
 def test_recorded_shots_regenerate_from_the_manifest(tmp_path):
     # the point_seed contract: a protocol re-run from the manifest's resolved
-    # config draws every recorded shot again, bit for bit
+    # config draws every recorded shot again, bit for bit, also from a
+    # manifest that still records a removed acquisition field
     artifact = _run(tmp_path, SHOTS_YAML)
-    manifest, config, datasets = load_artifact(artifact.path)
-    assert manifest["hash"] == config.manifest_hash
-    for node in config.protocols:
-        recorded = datasets[node.name]
-        regenerated = execute_protocol(node, config)
-        assert recorded.shots is not None
-        assert regenerated.shots.dtype == recorded.shots.dtype
-        assert np.array_equal(regenerated.shots, recorded.shots)
-        assert np.array_equal(regenerated.p_e, recorded.p_e)
-        assert np.array_equal(regenerated.stderr, recorded.stderr)
+    for legacy in (False, True):
+        if legacy:
+            _record_removed_acquisition_field(artifact.path)
+        manifest, config, datasets = load_artifact(artifact.path)
+        assert manifest["hash"] == config.manifest_hash
+        assert ("workers" in manifest["config"]["acquisition"]) == legacy
+        for node in config.protocols:
+            recorded = datasets[node.name]
+            regenerated = execute_protocol(node, config)
+            assert recorded.shots is not None
+            assert regenerated.shots.dtype == recorded.shots.dtype
+            assert np.array_equal(regenerated.shots, recorded.shots)
+            assert np.array_equal(regenerated.p_e, recorded.p_e)
+            assert np.array_equal(regenerated.stderr, recorded.stderr)
+
+
+def test_subsample_table_matches_per_draw_estimates(tmp_path):
+    artifact = _run(tmp_path, DECAY_YAML)
+    manifest, _, datasets = load_artifact(artifact.path)
+    cases = [
+        ("phase", datasets["decay-phase"], lifetime_from_phase),
+        ("frequency", datasets["decay-spectroscopy"], lifetime_from_frequency),
+    ]
+    count = 6
+    for method, dataset, estimator in cases:
+        budget = 60 * dataset.p_e.size * dataset.shot_duration  # 60 of 200 shots
+        table = tmp_path / f"{method}-subsample.csv"
+        keys = _subsample_table(dataset, method, budget, count, table, manifest["hash"])
+        rows = np.loadtxt(table, delimiter=",", comments="#", skiprows=2, ndmin=2)
+        loop = [estimator(subsample_time_budget(dataset, budget, seed=k)) for k in range(count)]
+        assert rows[:, 0].tolist() == list(range(count))
+        np.testing.assert_allclose(rows[:, 1], [e.lifetime for e in loop], rtol=1e-12)
+        np.testing.assert_allclose(rows[:, 2], [e.uncertainty for e in loop], rtol=1e-12)
+        assert keys["subsample_lifetime_mean_s"] == np.mean(rows[:, 1])
+        assert len(set(rows[:, 1])) == count
 
 
 def test_fit_status_names_each_failing_message_once():

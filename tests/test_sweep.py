@@ -175,6 +175,38 @@ def test_corrupted_sidecar_bytes_load_exactly_or_raise_schema_error(tmp_path):
     assert 0 < loaded < len(variants)
 
 
+def test_one_byte_substitutions_load_or_raise_schema_error(tmp_path):
+    ds = make_dataset(with_shots=True)
+    ds.meta["readout_threshold"] = 0.5
+    path = tmp_path / "scan.csv"
+    write_dataset(ds, path)
+    good = path.read_bytes()
+    # printable text, a line break and one byte that is not UTF-8
+    alphabet = np.frombuffer(bytes(range(32, 127)) + b"\n\xff", dtype=np.uint8)
+    rng = np.random.default_rng(11)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(400):
+        pos = int(rng.integers(len(good)))
+        data = bytearray(good)
+        data[pos] = rng.choice(alphabet[alphabet != good[pos]])
+        path.write_bytes(bytes(data))
+        try:
+            read_dataset(path)
+        except SchemaError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["loaded"] += 1
+    assert outcomes["loaded"] and outcomes["rejected"]
+    # a cell that is not a finite number names the file and its line
+    lines = good.decode("utf-8").splitlines()
+    for column, cell in ((2, "0.x44375"), (0, "1e999")):
+        fields = lines[-1].split(",")
+        fields[column] = cell
+        path.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=rf"scan\.csv, line {len(lines)}: "):
+            read_dataset(path)
+
+
 def test_missing_unit_tag_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
