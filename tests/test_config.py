@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from magsense.cli import bundled_configs
 from magsense.config import (
     ExperimentConfig,
     from_resolved,
@@ -340,6 +341,44 @@ class TestResolvedManifest:
             for key in left.grids:
                 assert np.allclose(left.grids[key], right.grids[key])
         assert rebuilt.analyses == config.analyses
+
+
+BUNDLED_HASHES = {
+    "coherence-baseline": "423bea8f26dbde8d35232aaf6e8027f6af537117da71ee2da890ea4587f961ab",
+    "decay-tracking": "10ff38c33a86d97b5960c8b7891759a702aa47ab449f859b33d72198bdd56a6f",
+    "magnon-counting": "cf79096075ff8ed2c8c53cb65aac59d946ae93fc61a8f57b5da7937ea6fa4583",
+    "parametric-scan": "b7c148dc8938e369a25f87e1d97be6f1c178530f60bf74968d82045b1fe9eb29",
+    "sensitivity-scan-ideal": "eb2179651b6c59f2b9c61f06a04b835b80d96140a9ece1b40924be7c03a2ce47",
+    "sensitivity-scan": "69a5d86e0ec3d63ceda20ca93220edf76879221153cabe3fef13d0bb22dfcf74",
+}
+
+
+class TestBundledManifests:
+    def test_bundled_manifest_hashes_are_pinned(self):
+        hashes = {name: load_config(path).manifest_hash for name, path in bundled_configs().items()}
+        assert hashes == BUNDLED_HASHES
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_HASHES))
+    def test_manifest_round_trip_rebuilds_every_field(self, name):
+        config = load_config(bundled_configs()[name])
+        rebuilt = from_resolved(json.loads(json.dumps(config.resolved)))
+        for item in fields(ExperimentConfig):
+            left, right = getattr(rebuilt, item.name), getattr(config, item.name)
+            if item.name == "output":
+                # the manifest records where nothing was written to
+                assert left is None
+            elif item.name == "protocols":
+                assert len(left) == len(right)
+                for mine, theirs in zip(left, right):
+                    assert (mine.name, mine.kind, mine.pump, mine.n0) == (
+                        theirs.name, theirs.kind, theirs.pump, theirs.n0
+                    )
+                    assert sorted(mine.grids) == sorted(theirs.grids)
+                    for key in mine.grids:
+                        assert np.array_equal(mine.grids[key], theirs.grids[key])
+            else:
+                assert left == right, item.name
+        assert rebuilt.manifest_hash == BUNDLED_HASHES[name]
 
 
 class TestLoadConfig:
