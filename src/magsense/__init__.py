@@ -53,7 +53,6 @@ from .fitting import (
 )
 from .hamiltonians import (
     derived_chi_qm,
-    dispersive_hamiltonian,
     full_hamiltonian,
     parametric_interaction,
 )
@@ -96,7 +95,6 @@ from .spaces import (
     Operator,
     build_mode_operators,
     expectation,
-    expectation_real,
     fock_state,
     ket_state,
 )

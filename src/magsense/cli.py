@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
+from .config import AnalysisNode, ExperimentConfig, load_config
 from .errors import ConfigError, MagsenseError, SchemaError
 from .runner import (
     RunArtifact,
@@ -106,10 +106,12 @@ def _cmd_report(args) -> int:
     manifest, config, datasets = load_artifact(args.artifact)
     out_dir = Path(args.artifact)
     reports = run_analyses(
-        config,
+        config.analyses,
         datasets,
         out_dir,
         manifest["hash"],
+        system=config.system,
+        sensing=config.sensing,
         only=args.only,
         subsample=subsample,
     )
@@ -126,8 +128,6 @@ def _cmd_report(args) -> int:
 
 def _report_imported(args, subsample: tuple | None) -> int:
     """Run a single analysis on an external dataset table."""
-    from .config import AnalysisNode
-
     if args.analysis is None:
         raise ConfigError("--import needs --analysis (one of "
                           f"{', '.join(_IMPORT_ANALYSES)})")
@@ -140,21 +140,12 @@ def _report_imported(args, subsample: tuple | None) -> int:
     out_dir = Path(args.output) if args.output else source.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     node = AnalysisNode(kind=args.analysis, inputs={"dataset": source.stem})
-    datasets = {source.stem: dataset}
-    config = _ImportShim(analyses=(node,))
     reports = run_analyses(
-        config, datasets, out_dir, dataset.manifest_hash, subsample=subsample
+        (node,), {source.stem: dataset}, out_dir, dataset.manifest_hash, subsample=subsample
     )
     for kind, path in sorted(reports.items()):
         print(f"report {kind}: {path}")
     return EXIT_OK
-
-
-class _ImportShim:
-    """Minimal stand-in for ExperimentConfig when reporting on imports."""
-
-    def __init__(self, analyses):
-        self.analyses = analyses
 
 
 def _cmd_list_configs(args) -> int:

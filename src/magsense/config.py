@@ -11,8 +11,11 @@ validation error rather than a silent factor-of-2-pi bug.
 
 Parsing produces a fully resolved mapping (every default materialized, all
 values in SI radian units) whose canonical JSON is hashed into the run
-manifest; ``from_resolved`` rebuilds the same ExperimentConfig from that
-mapping without consulting the original file.
+manifest. ``from_resolved`` reads that recorded mapping back through the same
+field tables, checks and constructors. A recorded quantity is an SI number
+rather than a "value unit" string, every field must be present, and three
+keys sit where the mapping puts them: the pump's ``power_w``, a protocol's
+``grids`` and an analysis's ``inputs`` and ``options``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import yaml
 
 from .errors import ConfigError
 from .params import PumpSpec, SystemParams, gamma2_from_coherence
-from .protocols import DEFAULT_PROBE_DURATION, ProtocolConfig
+from .protocols import DEFAULT_PROBE_DURATION, DEFAULT_RELAXATION_POINTS, ProtocolConfig
 from .readout import ReadoutModel
 from .sensitivity import SensingConfig
 
@@ -66,6 +69,14 @@ PROTOCOL_KINDS = (
 # acquisition fields that manifests written by earlier versions may still
 # record; they no longer change the output and are dropped on rebuild
 REMOVED_ACQUISITION_FIELDS = ("workers",)
+
+# A protocol samples its grid into one (points, shots) float64 buffer, and
+# the shots kept for the sidecar are a view of it. With the click mask next
+# to it, sampling raised peak RSS by 9.4 bytes a shot (8e6 shots, numpy 2.4,
+# 2-vCPU Linux VM), so at the bound a protocol peaks about 0.63 GB above
+# start-up. The largest bundled protocol (magnon-counting's spectroscopy,
+# 2457 points x 400 shots) fills 7.9 MB of it.
+MAX_SHOT_BUFFER_BYTES = 512 * 1024**2
 
 # analysis kind -> {input key: expected protocol kind}
 ANALYSIS_INPUTS = {
@@ -110,65 +121,75 @@ def parse_quantity(value, dimension: str, path: str) -> float:
     return number * table[unit]
 
 
-class _Block:
-    """A mapping section that tracks which keys were consumed."""
+def _check(value, kind, path: str, recorded: bool):
+    """One present field value of ``kind``.
 
-    def __init__(self, raw, path: str):
+    A kind is a unit dimension, "dimensionless", "integer", "boolean",
+    "string", "list", or a tuple of allowed strings. A recorded quantity is
+    an SI number, so it is checked as a plain finite number.
+    """
+    if kind in _UNIT_TABLES and not recorded:
+        return parse_quantity(value, kind, path)
+    if kind in _UNIT_TABLES or kind == "dimensionless":
+        number = parse_quantity(value, "dimensionless", path)
+        if kind != "dimensionless" and not math.isfinite(number):
+            raise ConfigError(f"{path}: value must be finite")
+        return number
+    if kind == "integer":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    elif kind == "boolean":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true/false, got {value!r}")
+    elif kind == "list":
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+    elif not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    elif kind != "string" and value not in kind:
+        raise ConfigError(f"{path}: {value!r} is not one of {', '.join(kind)}")
+    return value
+
+
+_REQUIRED = object()
+
+
+class _Block:
+    """A mapping section that tracks which keys were consumed.
+
+    A recorded block is part of a manifest's resolved mapping: it holds SI
+    numbers and every field, so it applies no defaults.
+    """
+
+    def __init__(self, raw, path: str, recorded: bool):
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a mapping")
         self.raw = raw
         self.path = path
+        self.recorded = recorded
         self.seen: set[str] = set()
 
-    def take(self, key: str, default=None):
+    def take(self, key: str):
         self.seen.add(key)
-        return self.raw.get(key, default)
+        return self.raw.get(key)
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
+    def child(self, key: str) -> "_Block":
+        return _Block(self.take(key), f"{self.path}.{key}", self.recorded)
 
-    def quantity(self, key: str, dimension: str, default=None) -> float:
+    def get(self, key: str, kind, default=_REQUIRED):
+        """One field; a default of None makes it optional."""
         value = self.take(key)
         if value is None:
-            if default is None:
+            if default is _REQUIRED or (self.recorded and default is not None):
                 raise ConfigError(f"{self.path}.{key}: required field is missing")
-            return float(default)
-        return parse_quantity(value, dimension, f"{self.path}.{key}")
+            return default
+        return _check(value, kind, f"{self.path}.{key}", self.recorded)
 
-    def number(self, key: str, default=None) -> float:
-        return self.quantity(key, "dimensionless", default)
-
-    def integer(self, key: str, default=None) -> int:
-        value = self.take(key)
-        if value is None:
-            if default is None:
-                raise ConfigError(f"{self.path}.{key}: required field is missing")
-            return int(default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{self.path}.{key}: expected an integer, got {value!r}")
-        return value
-
-    def boolean(self, key: str, default: bool = False) -> bool:
-        value = self.take(key, default)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{self.path}.{key}: expected true/false, got {value!r}")
-        return value
-
-    def string(self, key: str, default=None, choices=None) -> str:
-        value = self.take(key)
-        if value is None:
-            if default is None:
-                raise ConfigError(f"{self.path}.{key}: required field is missing")
-            value = default
-        if not isinstance(value, str):
-            raise ConfigError(f"{self.path}.{key}: expected a string, got {value!r}")
-        if choices is not None and value not in choices:
-            raise ConfigError(
-                f"{self.path}.{key}: {value!r} is not one of {', '.join(choices)}"
-            )
-        return value
+    def read(self, table) -> dict:
+        """The fields of a (key, kind, default) table."""
+        return {key: self.get(key, kind, default) for key, kind, default in table}
 
     def finish(self) -> None:
         unknown = sorted(set(self.raw) - self.seen)
@@ -176,30 +197,47 @@ class _Block:
             raise ConfigError(f"{self.path}: unknown field {unknown[0]!r}")
 
 
-def parse_grid(value, dimension: str, path: str, anchors: dict) -> np.ndarray:
+def _check_points(points: int, max_points: int | None, path: str) -> None:
+    if max_points is not None and points > max_points:
+        raise ConfigError(
+            f"{path}: {points} points exceed the {max_points} that fit, with "
+            "acquisition.n_shots and the protocol's other grids, in the "
+            f"{MAX_SHOT_BUFFER_BYTES}-byte shot buffer"
+        )
+
+
+def parse_grid(
+    value,
+    dimension: str,
+    path: str,
+    anchors: dict,
+    max_points: int | None = None,
+    recorded: bool = False,
+) -> np.ndarray:
     """A grid is a list of quantities or a start/stop/count mapping.
 
     The mapping form accepts ``around: <system frequency field>``, which
-    offsets start and stop by that resolved frequency.
+    offsets start and stop by that resolved frequency. A grid longer than
+    ``max_points`` is rejected before any array is built.
     """
     if isinstance(value, list):
         if not value:
             raise ConfigError(f"{path}: grid list is empty")
+        _check_points(len(value), max_points, path)
         return np.array(
-            [parse_quantity(v, dimension, f"{path}[{k}]") for k, v in enumerate(value)]
+            [_check(v, dimension, f"{path}[{k}]", recorded) for k, v in enumerate(value)]
         )
-    block = _Block(value, path)
-    start = block.quantity("start", dimension)
-    stop = block.quantity("stop", dimension)
-    count = block.integer("count")
-    around = block.take("around")
+    block = _Block(value, path, recorded)
+    start = block.get("start", dimension)
+    stop = block.get("stop", dimension)
+    count = block.get("count", "integer")
+    around = block.get("around", "string", None)
     block.finish()
     if count < 1:
         raise ConfigError(f"{path}.count: must be >= 1")
+    _check_points(count, max_points, f"{path}.count")
     offset = 0.0
     if around is not None:
-        if not isinstance(around, str):
-            raise ConfigError(f"{path}.around: expected a string, got {around!r}")
         if dimension != "frequency":
             raise ConfigError(f"{path}.around: only frequency grids take an anchor")
         if around not in anchors:
@@ -268,140 +306,121 @@ def resolved_hash(resolved: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_SYSTEM_FREQUENCIES = (
-    "omega_c",
-    "omega_m",
-    "omega_q",
-    "alpha",
-    "g_qc",
-    "g_mc",
-    "chi_qc",
-    "chi_qm",
-    "chi_mc",
-    "kappa_m",
-    "gamma2_0",
+# Field tables: (key, kind, default). A default of None marks a field that
+# may be absent; g_mc and gamma2_0 are then derived from the others.
+_REFERENCE = SystemParams.reference()
+_SYSTEM_FIELDS = tuple(
+    (key, kind, None if key in ("g_mc", "gamma2_0") else getattr(_REFERENCE, key))
+    for key, kind in (
+        ("omega_c", "frequency"),
+        ("omega_m", "frequency"),
+        ("omega_q", "frequency"),
+        ("alpha", "frequency"),
+        ("g_qc", "frequency"),
+        ("g_mc", "frequency"),
+        ("chi_qc", "frequency"),
+        ("chi_qm", "frequency"),
+        ("chi_mc", "frequency"),
+        ("kappa_m", "frequency"),
+        ("gamma2_0", "frequency"),
+        ("t1", "time"),
+        ("t2r", "time"),
+        ("t2e", "time"),
+    )
 )
-_SYSTEM_TIMES = ("t1", "t2r", "t2e")
+_READOUT_FIELDS = (
+    ("mu_g", "dimensionless", 0.0),
+    ("mu_e", "dimensionless", 1.0),
+    ("sigma", "dimensionless", 0.35),
+    ("window", "time", 2e-6),
+)
+_ACQUISITION_FIELDS = (
+    ("n_shots", "integer", 400),
+    ("mode", ("shots", "expectation"), "shots"),
+    ("keep_shots", "boolean", False),
+    ("probe_duration", "time", DEFAULT_PROBE_DURATION),
+    ("probe_amplitude", "dimensionless", 0.9),
+    ("pi_duration", "time", 32e-9),
+    ("half_pi_duration", "time", 16e-9),
+    ("artificial_detuning", "frequency", 0.0),
+    ("blur_phase_limit", "angle", math.pi),
+    ("dead_time", "time", 0.0),
+    ("dt", "time", 0.0),
+)
+# the pump's power_w is written "power" in YAML
+_PUMP_FIELDS = (
+    ("c_pump", "inverse-power", 0.0),
+    ("drive_frequency", "frequency", 0.0),
+    ("omega_qm", "frequency", 0.0),
+    ("delta", "frequency", 0.0),
+)
+_SENSING_FIELDS = (
+    ("tau", "time", _REQUIRED),
+    ("n_shots", "integer", _REQUIRED),
+    ("threshold", "dimensionless", 0.18),
+)
+_SENSITIVITY_OPTIONS = (
+    ("n_min", "dimensionless", 0.0),
+    ("n_max", "dimensionless", 2000.0),
+    ("count", "integer", 81),
+)
 
 
-def _parse_system(raw, path: str) -> tuple[SystemParams, bool, dict]:
-    block = _Block(raw, path)
-    reference = SystemParams.reference()
-    values = {}
-    for key in _SYSTEM_FREQUENCIES:
-        if block.has(key):
-            values[key] = block.quantity(key, "frequency")
-        else:
-            block.take(key)
-    for key in _SYSTEM_TIMES:
-        if block.has(key):
-            values[key] = block.quantity(key, "time")
-        else:
-            block.take(key)
-    ideal = block.boolean("ideal_qubit", False)
+def _read_system(block: _Block) -> tuple[SystemParams, bool, dict]:
+    values = block.read(_SYSTEM_FIELDS)
+    ideal = block.get("ideal_qubit", "boolean", False)
     block.finish()
-    merged = {
-        key: values.get(key, getattr(reference, key))
-        for key in _SYSTEM_FREQUENCIES + _SYSTEM_TIMES
-    }
-    # keep the coupling set self-consistent with overridden chis unless the
-    # coupling itself was pinned
-    if "g_mc" not in values:
-        ratio = merged["chi_qm"] / merged["chi_qc"]
-        if ratio < 0:
-            raise ConfigError(
-                f"{path}: chi_qm and chi_qc must share a sign to derive g_mc"
-            )
-        merged["g_mc"] = math.sqrt(ratio) * (merged["omega_m"] - merged["omega_c"])
-    if "gamma2_0" not in values:
-        merged["gamma2_0"] = gamma2_from_coherence(merged["t1"], merged["t2r"])
     try:
-        params = SystemParams(**merged)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    resolved = {key: float(merged[key]) for key in sorted(merged)}
+        # keep the coupling set self-consistent with overridden chis unless
+        # the coupling itself was pinned
+        if values["g_mc"] is None:
+            ratio = values["chi_qm"] / values["chi_qc"]
+            if ratio < 0:
+                raise ValueError("chi_qm and chi_qc must share a sign to derive g_mc")
+            values["g_mc"] = math.sqrt(ratio) * (values["omega_m"] - values["omega_c"])
+        if values["gamma2_0"] is None:
+            values["gamma2_0"] = gamma2_from_coherence(values["t1"], values["t2r"])
+        params = SystemParams(**values)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{block.path}: {exc}") from exc
+    resolved = {key: float(values[key]) for key in sorted(values)}
     resolved["ideal_qubit"] = ideal
     return params, ideal, resolved
 
 
-def _system_from_resolved(resolved: dict) -> tuple[SystemParams, bool]:
-    values = {k: v for k, v in resolved.items() if k != "ideal_qubit"}
-    return SystemParams(**values), bool(resolved["ideal_qubit"])
-
-
-def _parse_readout(raw, path: str, t1: float, ideal: bool) -> tuple[ReadoutModel, dict]:
-    block = _Block(raw, path)
-    mu_g = block.number("mu_g", 0.0)
-    mu_e = block.number("mu_e", 1.0)
-    sigma = block.number("sigma", 0.35)
-    window = block.quantity("window", "time", 2e-6)
-    threshold = block.number("threshold", 0.5 * (mu_g + mu_e))
+def _read_readout(block: _Block, t1: float, ideal: bool) -> tuple[ReadoutModel, dict]:
+    values = block.read(_READOUT_FIELDS)
+    values["threshold"] = block.get(
+        "threshold", "dimensionless", 0.5 * (values["mu_g"] + values["mu_e"])
+    )
     block.finish()
     try:
-        model = ReadoutModel.for_qubit(
-            t1=t1, mu_g=mu_g, mu_e=mu_e, sigma=sigma, window=window, threshold=threshold
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if ideal:
-        model = model.idealized()
-    resolved = {
-        "mu_g": mu_g,
-        "mu_e": mu_e,
-        "sigma": sigma,
-        "window": window,
-        "threshold": threshold,
-    }
-    return model, resolved
+        model = ReadoutModel.for_qubit(t1=t1, **values)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{block.path}: {exc}") from exc
+    return (model.idealized() if ideal else model), values
 
 
-def _readout_from_resolved(resolved: dict, t1: float, ideal: bool) -> ReadoutModel:
-    model = ReadoutModel.for_qubit(
-        t1=t1,
-        mu_g=resolved["mu_g"],
-        mu_e=resolved["mu_e"],
-        sigma=resolved["sigma"],
-        window=resolved["window"],
-        threshold=resolved["threshold"],
-    )
-    return model.idealized() if ideal else model
-
-
-def _parse_acquisition(raw, path: str) -> dict:
-    block = _Block(raw, path)
-    values = {
-        "n_shots": block.integer("n_shots", 400),
-        "mode": block.string("mode", "shots", choices=("shots", "expectation")),
-        "keep_shots": block.boolean("keep_shots", False),
-        "probe_duration": block.quantity(
-            "probe_duration", "time", DEFAULT_PROBE_DURATION
-        ),
-        "probe_amplitude": block.number("probe_amplitude", 0.9),
-        "pi_duration": block.quantity("pi_duration", "time", 32e-9),
-        "half_pi_duration": block.quantity("half_pi_duration", "time", 16e-9),
-        "artificial_detuning": block.quantity("artificial_detuning", "frequency", 0.0),
-        "blur_phase_limit": block.quantity("blur_phase_limit", "angle", math.pi),
-        "dead_time": block.quantity("dead_time", "time", 0.0),
-        "dt": block.quantity("dt", "time", 0.0),
-    }
+def _read_acquisition(block: _Block) -> dict:
+    if block.recorded:
+        for key in REMOVED_ACQUISITION_FIELDS:
+            block.take(key)
+    values = block.read(_ACQUISITION_FIELDS)
     block.finish()
     return values
 
 
-def _parse_pump(raw, path: str, required: tuple = ()) -> tuple[PumpSpec, dict]:
-    block = _Block(raw, path)
-    values = {
-        "power_w": block.quantity("power", "power", 0.0),
-        "c_pump": block.quantity("c_pump", "inverse-power", 0.0),
-        "drive_frequency": block.quantity("drive_frequency", "frequency", 0.0),
-        "omega_qm": block.quantity("omega_qm", "frequency", 0.0),
-        "delta": block.quantity("delta", "frequency", 0.0),
-    }
+def _read_pump(block: _Block, required: tuple = ()) -> tuple[PumpSpec, dict]:
+    values = {"power_w": block.get("power_w" if block.recorded else "power", "power", 0.0)}
+    values.update(block.read(_PUMP_FIELDS))
     block.finish()
-    for config_key, spec_key in (("c_pump", "c_pump"), ("omega_qm", "omega_qm")):
-        if config_key in required and values[spec_key] <= 0:
-            raise ConfigError(f"{path}.{config_key}: must be > 0 for this protocol")
-    return PumpSpec(**values), values
+    for key in required:
+        if values[key] <= 0:
+            raise ConfigError(f"{block.path}.{key}: must be > 0 for this protocol")
+    try:
+        return PumpSpec(**values), values
+    except ValueError as exc:
+        raise ConfigError(f"{block.path}: {exc}") from exc
 
 
 _GRID_DIMENSIONS = {
@@ -426,28 +445,33 @@ _PROTOCOL_LAYOUT = {
 }
 
 
-def _parse_protocol(raw, path: str, anchors: dict) -> tuple[ProtocolNode, dict]:
-    block = _Block(raw, path)
-    kind = block.string("kind", choices=PROTOCOL_KINDS)
-    name = block.string("name", kind)
+def _read_protocol(block: _Block, anchors: dict, n_shots: int) -> tuple[ProtocolNode, dict]:
+    kind = block.get("kind", PROTOCOL_KINDS)
+    name = block.get("name", "string", kind)
     required, optional, needs_n0, pump_required = _PROTOCOL_LAYOUT[kind]
+    grid_block = block.child("grids") if block.recorded else block
+    # grid points that still fit in the (points, shots) float64 buffer
+    capacity = MAX_SHOT_BUFFER_BYTES // (8 * max(n_shots, 1))
     grids = {}
-    for key in required:
-        value = block.take(key)
+    for key in required + optional:
+        path = f"{grid_block.path}.{key}"
+        value = grid_block.take(key)
         if value is None:
-            raise ConfigError(f"{path}.{key}: required grid is missing")
-        grids[key] = parse_grid(value, _GRID_DIMENSIONS[key], f"{path}.{key}", anchors)
-    for key in optional:
-        value = block.take(key)
-        if value is not None:
-            grids[key] = parse_grid(
-                value, _GRID_DIMENSIONS[key], f"{path}.{key}", anchors
-            )
-    n0 = block.number("n0", 0.0) if (needs_n0 or block.has("n0")) else 0.0
-    pump, pump_resolved = _parse_pump(block.take("pump"), f"{path}.pump", pump_required)
+            if key in required:
+                raise ConfigError(f"{path}: required grid is missing")
+            # the protocol falls back to its default grid
+            _check_points(DEFAULT_RELAXATION_POINTS, capacity, path)
+            continue
+        grids[key] = parse_grid(
+            value, _GRID_DIMENSIONS[key], path, anchors, capacity, block.recorded
+        )
+        capacity //= len(grids[key])
+    n0 = block.get("n0", "dimensionless", 0.0)
+    pump, pump_resolved = _read_pump(block.child("pump"), pump_required)
+    grid_block.finish()
     block.finish()
     if needs_n0 and n0 < 0:
-        raise ConfigError(f"{path}.n0: must be >= 0")
+        raise ConfigError(f"{block.path}.n0: must be >= 0")
     node = ProtocolNode(name=name, kind=kind, grids=grids, pump=pump, n0=n0)
     resolved = {
         "name": name,
@@ -459,143 +483,125 @@ def _parse_protocol(raw, path: str, anchors: dict) -> tuple[ProtocolNode, dict]:
     return node, resolved
 
 
-def _protocol_from_resolved(resolved: dict) -> ProtocolNode:
-    return ProtocolNode(
-        name=resolved["name"],
-        kind=resolved["kind"],
-        grids={k: np.array(v) for k, v in resolved["grids"].items()},
-        pump=PumpSpec(**resolved["pump"]),
-        n0=resolved["n0"],
-    )
-
-
-def _parse_analysis(raw, path: str, protocols: dict) -> tuple[AnalysisNode, dict]:
-    block = _Block(raw, path)
-    kind = block.string("kind", choices=tuple(ANALYSIS_INPUTS))
+def _read_analysis(block: _Block, protocols: dict) -> tuple[AnalysisNode, dict]:
+    kind = block.get("kind", tuple(ANALYSIS_INPUTS))
+    inputs_block = block.child("inputs") if block.recorded else block
+    options_block = block.child("options") if block.recorded else block
     inputs = {}
     for input_key, expected_kind in ANALYSIS_INPUTS[kind].items():
-        name = block.string(input_key, _default_input(protocols, expected_kind))
+        matches = [name for name, other in protocols.items() if other == expected_kind]
+        name = inputs_block.get(
+            input_key, "string", matches[0] if len(matches) == 1 else _REQUIRED
+        )
         if name not in protocols:
             raise ConfigError(
-                f"{path}.{input_key}: no protocol block named {name!r}"
+                f"{inputs_block.path}.{input_key}: no protocol block named {name!r}"
             )
         if protocols[name] != expected_kind:
             raise ConfigError(
-                f"{path}.{input_key}: protocol {name!r} has kind "
+                f"{inputs_block.path}.{input_key}: protocol {name!r} has kind "
                 f"{protocols[name]!r}, expected {expected_kind!r}"
             )
         inputs[input_key] = name
     options = {}
     if kind == "sensitivity":
-        options["n_min"] = block.number("n_min", 0.0)
-        options["n_max"] = block.number("n_max", 2000.0)
-        options["count"] = block.integer("count", 81)
+        options = options_block.read(_SENSITIVITY_OPTIONS)
         if options["count"] < 2 or options["n_max"] <= options["n_min"]:
-            raise ConfigError(f"{path}: sensitivity grid must be increasing")
+            raise ConfigError(f"{block.path}: sensitivity grid must be increasing")
+    inputs_block.finish()
+    options_block.finish()
     block.finish()
     node = AnalysisNode(kind=kind, inputs=inputs, options=options)
     return node, {"kind": kind, "inputs": inputs, "options": options}
 
 
-def _default_input(protocols: dict, expected_kind: str) -> str | None:
-    matches = [name for name, kind in protocols.items() if kind == expected_kind]
-    return matches[0] if len(matches) == 1 else None
-
-
-def _analysis_from_resolved(resolved: dict) -> AnalysisNode:
-    return AnalysisNode(
-        kind=resolved["kind"],
-        inputs=dict(resolved["inputs"]),
-        options=dict(resolved["options"]),
-    )
-
-
-def _parse_sensing(raw, path: str) -> tuple[SensingConfig, dict]:
-    block = _Block(raw, path)
-    values = {
-        "tau": block.quantity("tau", "time"),
-        "n_shots": block.integer("n_shots"),
-        "threshold": block.number("threshold", 0.18),
-    }
+def _read_sensing(block: _Block) -> tuple[SensingConfig, dict]:
+    values = block.read(_SENSING_FIELDS)
     block.finish()
     try:
-        sensing = SensingConfig(**values)
+        return SensingConfig(**values), values
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return sensing, values
+        raise ConfigError(f"{block.path}: {exc}") from exc
 
 
 def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
     """Validate a raw YAML mapping into an ExperimentConfig."""
-    block = _Block(raw, source)
-    name = block.string("name")
-    description = block.string("description", "")
-    seed = block.integer("seed", 1)
-    output = block.take("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"{source}.output: expected a path string")
-    system, ideal, system_resolved = _parse_system(block.take("system"), f"{source}.system")
-    readout, readout_resolved = _parse_readout(
-        block.take("readout"), f"{source}.readout", system.t1, ideal
-    )
-    acquisition = _parse_acquisition(block.take("acquisition"), f"{source}.acquisition")
-    try:
-        ProtocolConfig(readout=readout, **acquisition)
-    except ValueError as exc:
-        raise ConfigError(f"{source}.acquisition: {exc}") from exc
+    return _read_config(raw, source, recorded=False)
+
+
+def from_resolved(resolved: dict, source: str = "config") -> ExperimentConfig:
+    """Read a manifest's resolved mapping through the config schema.
+
+    Acquisition fields that no longer exist are dropped, and acquisition
+    values are not checked again; ``resolved`` itself, and so the manifest
+    hash, is kept as recorded.
+    """
+    return _read_config(resolved, source, recorded=True)
+
+
+def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
+    block = _Block(raw, source, recorded)
+    name = block.get("name", "string")
+    description = block.get("description", "string", "")
+    seed = block.get("seed", "integer", 1)
+    output = block.get("output", "string", None)
+    system, ideal, system_resolved = _read_system(block.child("system"))
+    readout, readout_resolved = _read_readout(block.child("readout"), system.t1, ideal)
+    acquisition = _read_acquisition(block.child("acquisition"))
+    if not recorded:
+        # only YAML is checked: an artifact keeps the acquisition it ran with,
+        # even values that later versions reject
+        try:
+            ProtocolConfig(readout=readout, **acquisition)
+        except ValueError as exc:
+            raise ConfigError(f"{source}.acquisition: {exc}") from exc
     anchors = {key: getattr(system, key) for key in ("omega_q", "omega_c", "omega_m")}
-    raw_protocols = block.take("protocols")
-    if not isinstance(raw_protocols, list) or not raw_protocols:
+    raw_protocols = block.get("protocols", "list")
+    if not raw_protocols:
         raise ConfigError(f"{source}.protocols: expected a non-empty list")
     protocol_nodes = []
     protocols_resolved = []
     kinds_by_name: dict[str, str] = {}
     for k, raw_protocol in enumerate(raw_protocols):
-        node, resolved = _parse_protocol(
-            raw_protocol, f"{source}.protocols[{k}]", anchors
+        path = f"{source}.protocols[{k}]"
+        node, resolved = _read_protocol(
+            _Block(raw_protocol, path, recorded), anchors, acquisition["n_shots"]
         )
         if node.name in kinds_by_name:
-            raise ConfigError(
-                f"{source}.protocols[{k}].name: duplicate name {node.name!r}"
-            )
+            raise ConfigError(f"{path}.name: duplicate name {node.name!r}")
         kinds_by_name[node.name] = node.kind
         protocol_nodes.append(node)
         protocols_resolved.append(resolved)
-    raw_analyses = block.take("analyses", [])
-    if raw_analyses is None:
-        raw_analyses = []
-    if not isinstance(raw_analyses, list):
-        raise ConfigError(f"{source}.analyses: expected a list")
     analysis_nodes = []
     analyses_resolved = []
-    for k, raw_analysis in enumerate(raw_analyses):
-        node, resolved = _parse_analysis(
-            raw_analysis, f"{source}.analyses[{k}]", kinds_by_name
+    for k, raw_analysis in enumerate(block.get("analyses", "list", [])):
+        node, resolved = _read_analysis(
+            _Block(raw_analysis, f"{source}.analyses[{k}]", recorded), kinds_by_name
         )
         analysis_nodes.append(node)
         analyses_resolved.append(resolved)
     sensing = None
     sensing_resolved = None
-    if block.has("sensing"):
-        sensing, sensing_resolved = _parse_sensing(block.take("sensing"), f"{source}.sensing")
-    else:
-        block.take("sensing")
+    if block.take("sensing") is not None:
+        sensing, sensing_resolved = _read_sensing(block.child("sensing"))
     block.finish()
     if any(node.kind == "sensitivity" for node in analysis_nodes) and sensing is None:
         raise ConfigError(
             f"{source}: a sensitivity analysis needs a 'sensing' block"
         )
-    resolved = {
-        "name": name,
-        "description": description,
-        "seed": seed,
-        "system": system_resolved,
-        "readout": readout_resolved,
-        "acquisition": dict(acquisition),
-        "protocols": protocols_resolved,
-        "analyses": analyses_resolved,
-        "sensing": sensing_resolved,
-    }
+    record = raw
+    if not recorded:
+        record = {
+            "name": name,
+            "description": description,
+            "seed": seed,
+            "system": system_resolved,
+            "readout": readout_resolved,
+            "acquisition": dict(acquisition),
+            "protocols": protocols_resolved,
+            "analyses": analyses_resolved,
+            "sensing": sensing_resolved,
+        }
     return ExperimentConfig(
         name=name,
         description=description,
@@ -608,45 +614,7 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
         protocols=tuple(protocol_nodes),
         analyses=tuple(analysis_nodes),
         sensing=sensing,
-        resolved=resolved,
-    )
-
-
-def from_resolved(resolved: dict) -> ExperimentConfig:
-    """Rebuild an ExperimentConfig from a manifest's resolved mapping.
-
-    Acquisition fields that no longer exist are dropped from the rebuilt
-    acquisition; ``resolved`` itself, and so the manifest hash, is kept as
-    recorded.
-    """
-    system, ideal = _system_from_resolved(resolved["system"])
-    readout = _readout_from_resolved(resolved["readout"], system.t1, ideal)
-    sensing = None
-    if resolved.get("sensing"):
-        sensing = SensingConfig(
-            tau=resolved["sensing"]["tau"],
-            n_shots=int(resolved["sensing"]["n_shots"]),
-            threshold=resolved["sensing"]["threshold"],
-        )
-    return ExperimentConfig(
-        name=resolved["name"],
-        description=resolved.get("description", ""),
-        seed=int(resolved["seed"]),
-        output=None,
-        system=system,
-        ideal_qubit=ideal,
-        readout=readout,
-        acquisition={
-            key: value
-            for key, value in resolved["acquisition"].items()
-            if key not in REMOVED_ACQUISITION_FIELDS
-        },
-        protocols=tuple(
-            _protocol_from_resolved(p) for p in resolved["protocols"]
-        ),
-        analyses=tuple(_analysis_from_resolved(a) for a in resolved["analyses"]),
-        sensing=sensing,
-        resolved=resolved,
+        resolved=record,
     )
 
 

@@ -1,9 +1,8 @@
 """Hamiltonian builders for the coupled qubit-cavity-magnon system.
 
-Three builders cover the models in use: the lab-frame coupled Hamiltonian, its
-dispersive (cross-Kerr) form, and the parametrically activated qubit-magnon
-conversion in the pump rotating frame. Mode labels are fixed as "q" (qubit),
-"c" (cavity), "m" (magnon).
+Two builders cover the models in use: the lab-frame coupled Hamiltonian and
+the parametrically activated qubit-magnon conversion in the pump rotating
+frame. Mode labels are fixed as "q" (qubit), "c" (cavity), "m" (magnon).
 """
 
 from __future__ import annotations
@@ -49,40 +48,6 @@ def full_hamiltonian(params: SystemParams, space: ModeSpace) -> Operator:
         (params.g_qc, [q.dag(), c]),
         (params.g_qc, [q, c.dag()]),
     ]
-    return compose_operator(terms, hermitian=True)
-
-
-def dispersive_hamiltonian(params: SystemParams, space: ModeSpace) -> Operator:
-    """Cross-Kerr Hamiltonian, diagonal in the number basis.
-
-    H = omega_c c^dag c + omega_m m^dag m + omega_q q^dag q
-        + (alpha/2)(q^dag q)^2
-        + chi_qc q^dag q c^dag c + chi_qm q^dag q m^dag m
-        + chi_mc m^dag m c^dag c
-
-    Terms are included for the modes present in ``space`` (protocol
-    simulations typically carry only q and m). For a two-level qubit the
-    anharmonic term is dropped: it would only offset the 0-1 transition, which
-    is defined to sit at omega_q.
-    """
-    params.dispersive_guard()
-    space.mode_index("q")
-    _, n_q = build_mode_operators(space, "q")
-    terms = [(params.omega_q, [n_q])]
-    if space.mode_dim("q") >= 3:
-        terms.append((0.5 * params.alpha, [n_q, n_q]))
-    has_c = "c" in space.labels
-    has_m = "m" in space.labels
-    if has_c:
-        _, n_c = build_mode_operators(space, "c")
-        terms.append((params.omega_c, [n_c]))
-        terms.append((params.chi_qc, [n_q, n_c]))
-    if has_m:
-        _, n_m = build_mode_operators(space, "m")
-        terms.append((params.omega_m, [n_m]))
-        terms.append((params.chi_qm, [n_q, n_m]))
-    if has_c and has_m:
-        terms.append((params.chi_mc, [n_m, n_c]))
     return compose_operator(terms, hermitian=True)
 
 

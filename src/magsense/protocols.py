@@ -31,6 +31,8 @@ from .sweep import Axis, SweepDataset, point_seed
 
 # probe bandwidth for a pulse of duration t is 1/t (rad/s)
 DEFAULT_PROBE_DURATION = 1.0 / (2.0 * math.pi * 1.0e6)
+# points of the relaxation scan when no delay grid is given
+DEFAULT_RELAXATION_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -237,12 +239,12 @@ def run_relaxation(
 ) -> SweepDataset:
     """Excited-state decay P_e(t) = exp(-t/T1) after a pi pulse.
 
-    The default grid spans [0, 4 T1] with 20 points.
+    The default grid spans [0, 4 T1] with DEFAULT_RELAXATION_POINTS points.
     """
     if delays is None:
         if math.isinf(params.t1):
             raise ValueError("relaxation scan needs an explicit grid for infinite T1")
-        delays = np.linspace(0.0, 4.0 * params.t1, 20)
+        delays = np.linspace(0.0, 4.0 * params.t1, DEFAULT_RELAXATION_POINTS)
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     p_true = (
         np.ones_like(delays)

@@ -33,6 +33,7 @@ from .lifetimes import (
     lifetime_from_phase,
     phase_lifetimes,
 )
+from .params import SystemParams
 from .protocols import (
     run_decay_phase_sense,
     run_decay_spectroscopy,
@@ -42,6 +43,7 @@ from .protocols import (
     run_relaxation,
 )
 from .sensitivity import (
+    SensingConfig,
     fit_noise_profile,
     fit_power_spectra,
     sensitivity_curve,
@@ -158,7 +160,7 @@ def _row_errors(dataset: SweepDataset, index) -> np.ndarray | None:
     return err if np.all(err > 0) else None
 
 
-def _coherence_report(config: ExperimentConfig, datasets: dict, inputs: dict) -> dict:
+def _coherence_report(datasets: dict, inputs: dict) -> dict:
     ramsey = datasets[inputs["ramsey"]]
     relaxation = datasets[inputs["relaxation"]]
     t1_fit = fit_curve(
@@ -196,7 +198,7 @@ def _fit_series_rates(series: SweepDataset) -> tuple[np.ndarray, np.ndarray, lis
     return 1.0 / taus, np.array([fit.stderr("tau") for fit in fits]) / taus**2, fits
 
 
-def _calibrate(config: ExperimentConfig, datasets: dict, inputs: dict):
+def _calibrate(system: SystemParams, datasets: dict, inputs: dict):
     spectroscopy = datasets[inputs["spectroscopy"]]
     series = datasets[inputs["ramsey_series"]]
     spectro_fits = fit_power_spectra(spectroscopy)
@@ -214,8 +216,8 @@ def _calibrate(config: ExperimentConfig, datasets: dict, inputs: dict):
     calibration = calibrate_magnon_number(
         stark_slope=abs(stark_slope),
         dephasing_slope=abs(dephasing_slope),
-        kappa_m=config.system.kappa_m,
-        gamma2_0=config.system.gamma2_0,
+        kappa_m=system.kappa_m,
+        gamma2_0=system.gamma2_0,
     )
     keys = {
         "chi_qm_rad_per_s": calibration.chi_qm,
@@ -231,28 +233,33 @@ def _calibrate(config: ExperimentConfig, datasets: dict, inputs: dict):
     return calibration, spectro_fits, fits, keys
 
 
-def _calibration_report(config, datasets, inputs) -> dict:
-    _, _, fits, keys = _calibrate(config, datasets, inputs)
+def _calibration_report(system: SystemParams, datasets: dict, inputs: dict) -> dict:
+    _, _, fits, keys = _calibrate(system, datasets, inputs)
     return {**keys, **_fit_status(fits)}
 
 
 def _sensitivity_report(
-    config: ExperimentConfig, datasets: dict, node, out_dir: Path, manifest_hash: str
+    system: SystemParams,
+    sensing: SensingConfig,
+    datasets: dict,
+    node,
+    out_dir: Path,
+    manifest_hash: str,
 ) -> dict:
-    calibration, spectro_fits, fits, keys = _calibrate(config, datasets, node.inputs)
+    calibration, spectro_fits, fits, keys = _calibrate(system, datasets, node.inputs)
     spectroscopy = datasets[node.inputs["spectroscopy"]]
     profile = fit_noise_profile(spectroscopy, calibration)
     options = node.options
     grid = np.linspace(options["n_min"], options["n_max"], int(options["count"]))
-    curve = sensitivity_curve(spectro_fits, profile, calibration, config.sensing, grid)
+    curve = sensitivity_curve(spectro_fits, profile, calibration, sensing, grid)
     resolved = curve.sensitivity[~curve.unresolvable]
     keys = dict(keys)
     keys.update(
         {
-            "snr_threshold": config.sensing.threshold,
-            "tau_s": config.sensing.tau,
-            "n_shots": config.sensing.n_shots,
-            "total_time_s": config.sensing.total_time,
+            "snr_threshold": sensing.threshold,
+            "tau_s": sensing.tau,
+            "n_shots": sensing.n_shots,
+            "total_time_s": sensing.total_time,
             "hull_min_magnons": curve.response.hull[0],
             "hull_max_magnons": curve.response.hull[1],
             "noise_amplitude": profile.amplitude,
@@ -348,24 +355,31 @@ def _subsample_table(
 
 
 def run_analyses(
-    config: ExperimentConfig,
+    analyses: tuple,
     datasets: dict,
     out_dir: Path,
     manifest_hash: str,
+    system: SystemParams | None = None,
+    sensing: SensingConfig | None = None,
     only: str | None = None,
     subsample: tuple | None = None,
 ) -> dict:
-    """Run attached analyses, writing one report file per analysis."""
+    """Run analysis nodes, writing one report file per analysis.
+
+    Calibration and sensitivity read the device's ``system`` parameters, and
+    sensitivity its ``sensing`` budget; the other analyses read only their
+    datasets.
+    """
     reports = {}
-    for node in config.analyses:
+    for node in analyses:
         if only is not None and node.kind != only:
             continue
         if node.kind == "coherence":
-            keys = _coherence_report(config, datasets, node.inputs)
+            keys = _coherence_report(datasets, node.inputs)
         elif node.kind == "calibration":
-            keys = _calibration_report(config, datasets, node.inputs)
+            keys = _calibration_report(system, datasets, node.inputs)
         elif node.kind == "sensitivity":
-            keys = _sensitivity_report(config, datasets, node, out_dir, manifest_hash)
+            keys = _sensitivity_report(system, sensing, datasets, node, out_dir, manifest_hash)
         elif node.kind == "lifetime-phase":
             keys = _lifetime_report(datasets, node.inputs, "phase")
         elif node.kind == "lifetime-frequency":
@@ -464,7 +478,14 @@ def run_experiment(
         write_dataset(dataset, path)
         datasets[node.name] = dataset
         dataset_paths[node.name] = path
-    reports = run_analyses(config, datasets, staging, manifest_hash)
+    reports = run_analyses(
+        config.analyses,
+        datasets,
+        staging,
+        manifest_hash,
+        system=config.system,
+        sensing=config.sensing,
+    )
     manifest = {
         "version": __version__,
         "name": config.name,
@@ -496,9 +517,15 @@ def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{manifest_path}: expected a JSON object")
+    if not isinstance(manifest.get("hash"), str):
+        raise SchemaError(f"{manifest_path}: 'hash' must be a string")
+    if not isinstance(manifest.get("config"), dict):
+        raise SchemaError(f"{manifest_path}: 'config' must be a mapping")
     if resolved_hash(manifest["config"]) != manifest["hash"]:
         raise SchemaError(f"{manifest_path}: hash does not match the resolved config")
-    config = from_resolved(manifest["config"])
+    config = from_resolved(manifest["config"], source=f"{manifest_path}: config")
     datasets = {}
     for node in config.protocols:
         dataset_path = path / f"{node.name}.csv"

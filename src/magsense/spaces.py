@@ -237,19 +237,6 @@ def expectation(rho: DensityMatrix, op: Operator) -> complex:
     return complex(np.trace(rho.matrix @ op.matrix))
 
 
-def expectation_real(rho: DensityMatrix, op: Operator, imag_tol: float = 1e-9) -> float:
-    """Real expectation value of a Hermitian observable.
-
-    Raises if the operator is not Hermitian or the imaginary residual exceeds
-    ``imag_tol``.
-    """
-    op.require_hermitian("observable")
-    val = expectation(rho, op)
-    if abs(val.imag) > imag_tol:
-        raise ValueError(f"imaginary residual {val.imag} for Hermitian observable")
-    return val.real
-
-
 def fock_truncation(n_mean: float) -> int:
     """Default bosonic truncation for a targeted mean occupation.
 

@@ -198,8 +198,10 @@ def read_dataset(path) -> SweepDataset:
     """Read a dataset table written by write_dataset (or hand-built to match).
 
     Raises SchemaError on text that is not UTF-8, malformed headers,
-    missing unit tags, a cell that is not a finite number (naming the file
-    and line), a non-cartesian coordinate block, or a shots sidecar named
+    missing unit tags, a cell that is not a finite number or an ``n_shots``
+    cell that is not a whole number (naming the file and line), a
+    non-cartesian coordinate block, an ``n_shots`` cell that differs from the
+    sidecar's shots per point, or a shots sidecar named
     in the header that is absent, unreadable, lacks a ``shots`` member, or
     holds anything but a floating-point array of shape
     ``grid + (n_shots,)``. Sidecars written compressed load like stored
@@ -257,6 +259,11 @@ def read_dataset(path) -> SweepDataset:
     if not np.all(finite):
         number = row_lines[int(np.argmin(finite))]
         raise SchemaError(f"{path.name}, line {number}: values must be finite")
+    n_shots = data[:, n_axes + 2]
+    whole = n_shots == np.round(n_shots)
+    if not np.all(whole):
+        number = row_lines[int(np.argmin(whole))]
+        raise SchemaError(f"{path.name}, line {number}: n_shots must be a whole number")
     axes = []
     shape = []
     for k in range(n_axes):
@@ -288,6 +295,13 @@ def read_dataset(path) -> SweepDataset:
         if not sidecar.exists():
             raise SchemaError(f"{path.name} names shots sidecar {sidecar.name}, which is missing")
         shots = _read_shots(sidecar, shape)
+        mismatch = n_shots != shots.shape[-1]
+        if np.any(mismatch):
+            number = row_lines[int(np.argmax(mismatch))]
+            raise SchemaError(
+                f"{path.name}, line {number}: n_shots differs from the "
+                f"{shots.shape[-1]} shots per point in {sidecar.name}"
+            )
     meta = {}
     for key, value in header.items():
         if key.startswith("meta_"):
@@ -299,7 +313,7 @@ def read_dataset(path) -> SweepDataset:
         axes=tuple(axes),
         p_e=data[:, n_axes].reshape(shape),
         stderr=data[:, n_axes + 1].reshape(shape),
-        n_shots=data[:, n_axes + 2].astype(int).reshape(shape),
+        n_shots=n_shots.astype(int).reshape(shape),
         shot_duration=duration,
         protocol=header.get("protocol", "imported"),
         shots=shots,

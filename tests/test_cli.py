@@ -5,9 +5,9 @@ import shutil
 
 import numpy as np
 import pytest
+from conftest import rewrite_manifest
 
 from magsense.cli import bundled_configs, main
-from magsense.config import resolved_hash
 from magsense.runner import read_report
 
 COHERENCE_YAML = """\
@@ -142,6 +142,20 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "probe_freqs.around: expected a string" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("count", [10**12, 10**19], ids=["1e12", "1e19"])
+    def test_oversized_grid_exits_2_before_allocating(self, work, count, monkeypatch, capsys):
+        def no_grid_array(*args, **kwargs):
+            raise AssertionError("a grid array was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid_array)
+        text = bundled_configs()["coherence-baseline"].read_text(encoding="utf-8")
+        bad = work / "oversized-grid.yaml"
+        bad.write_text(text.replace("count: 161", f"count: {count}"), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"protocols[0].delays.count: {count} points" in err
         assert "Traceback" not in err
 
     def test_bundled_name_resolves(self, capsys):
@@ -280,23 +294,14 @@ class TestReport:
         # as 0 in their resolved config, and their hash covers it
         out = work / "legacy"
         assert main(["run", str(work / "decay.yaml"), "--output", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        old_hash = manifest["hash"]
-        manifest["config"]["acquisition"]["workers"] = 0
-        manifest["hash"] = resolved_hash(manifest["config"])
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        table = out / "decay-phase.csv"
-        table.write_text(
-            table.read_text(encoding="utf-8").replace(old_hash, manifest["hash"]),
-            encoding="utf-8",
+        old_hash, new_hash = rewrite_manifest(
+            out, lambda config: config["acquisition"].update(workers=0)
         )
         expected = (out / "lifetime-phase.txt").read_text(encoding="utf-8")
         assert main(["report", str(out)]) == 0
         assert "report lifetime-phase:" in capsys.readouterr().out
         assert (out / "lifetime-phase.txt").read_text(encoding="utf-8") == expected.replace(
-            old_hash, manifest["hash"]
+            old_hash, new_hash
         )
 
     def test_missing_shots_sidecar_exits_2(self, work, decay_artifact, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from magsense.cli import bundled_configs
 from magsense.config import (
+    MAX_SHOT_BUFFER_BYTES,
     ExperimentConfig,
     from_resolved,
     load_config,
@@ -136,6 +137,60 @@ class TestGridParsing:
             parse_grid({"start": "0 us", "stop": "1 us", "count": 0}, "time", "g", {})
 
 
+class TestShotBufferBound:
+    @pytest.fixture(autouse=True)
+    def no_grid_arrays(self, monkeypatch):
+        # an unchecked grid fails here instead of allocating
+        def no_grid_array(start, stop, count):
+            assert count <= 1000, "an oversized grid array was built"
+            return np.arange(count, dtype=float)
+
+        monkeypatch.setattr(np, "linspace", no_grid_array)
+
+    def test_bundled_protocols_fit_well_inside(self):
+        for path in bundled_configs().values():
+            config = load_config(path)
+            for node in config.protocols:
+                points = math.prod(len(grid) for grid in node.grids.values())
+                shots = 8 * points * config.acquisition["n_shots"]
+                assert shots < MAX_SHOT_BUFFER_BYTES / 32
+
+    @pytest.mark.parametrize("count", [10**12, 10**19])
+    def test_a_huge_count_names_its_field(self, count):
+        delays = {"start": "0 us", "stop": "1 us", "count": count}
+        raw = base_config(protocols=[{"kind": "ramsey", "delays": delays}])
+        with pytest.raises(ConfigError, match=rf"protocols\[0\]\.delays\.count: {count} points exceed"):
+            parse_config(raw)
+
+    def test_the_bound_is_on_the_product_of_grids_and_shots(self):
+        limit = MAX_SHOT_BUFFER_BYTES // 8
+        raw = base_config(
+            acquisition={},
+            protocols=[
+                {
+                    "kind": "decay-phase",
+                    "sense_times": {"start": "0 ns", "stop": "1 ns", "count": 2},
+                    "second_pulse_phases": {"start": "0 rad", "stop": "1 rad", "count": 3},
+                }
+            ],
+        )
+        raw["acquisition"]["n_shots"] = limit // 6
+        parse_config(raw)
+        raw["acquisition"]["n_shots"] = limit // 6 + 1
+        with pytest.raises(
+            ConfigError, match=rf"second_pulse_phases\.count: 3 points exceed the 2 that fit"
+        ):
+            parse_config(raw)
+        # a list grid and the relaxation scan's default grid count as well
+        raw["acquisition"]["n_shots"] = limit // 2
+        raw["protocols"] = [{"kind": "ramsey", "delays": ["0 us", "1 us", "2 us"]}]
+        with pytest.raises(ConfigError, match=r"protocols\[0\]\.delays: 3 points exceed"):
+            parse_config(raw)
+        raw["protocols"] = [{"kind": "relaxation"}]
+        with pytest.raises(ConfigError, match=r"protocols\[0\]\.delays: 20 points exceed"):
+            parse_config(raw)
+
+
 class TestConfigValidation:
     def test_minimal_config_gets_reference_defaults(self):
         config = parse_config(base_config())
@@ -195,6 +250,21 @@ class TestConfigValidation:
         ]
         with pytest.raises(ConfigError, match="c_pump: must be > 0"):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"system": {"t2r": "0 us"}}, r"config\.system: float division by zero"),
+            (
+                {"protocols": [{"kind": "ramsey", "delays": ["1 us"], "pump": {"power": "-1 W"}}]},
+                r"config\.protocols\[0\]\.pump: pump power must be >= 0",
+            ),
+        ],
+        ids=["zero-t2r", "negative-pump-power"],
+    )
+    def test_constructor_errors_name_their_block(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(base_config(**overrides))
 
     def test_duplicate_protocol_names(self):
         raw = base_config()

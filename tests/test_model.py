@@ -9,7 +9,6 @@ import pytest
 from magsense.errors import UnknownModeError, ValidityError
 from magsense.hamiltonians import (
     derived_chi_qm,
-    dispersive_hamiltonian,
     full_hamiltonian,
     parametric_interaction,
 )
@@ -174,68 +173,6 @@ def test_full_hamiltonian_mode_and_parameter_checks():
             SystemParams.reference(), ModeSpace(("q", "c", "m"), (2, 3, 3))
         )
     full_hamiltonian(p, ModeSpace(("q", "c", "m"), (2, 3, 3)))
-
-
-def test_dispersive_hamiltonian_diagonal_and_gaps():
-    p = SystemParams.reference()
-    space = ModeSpace(("q", "m"), (2, 7))
-    h = dispersive_hamiltonian(p, space).matrix
-    off = h - np.diag(np.diag(h))
-    assert np.max(np.abs(off)) == 0.0
-    diag = np.real(np.diag(h))
-
-    def gap(n_m):
-        up = space.basis_index({"q": 1, "m": n_m})
-        dn = space.basis_index({"q": 0, "m": n_m})
-        return diag[up] - diag[dn]
-
-    # empty magnon mode leaves the transition at the bare frequency
-    assert gap(0) == p.omega_q
-    # differencing GHz-scale energies leaves ~ulp(omega_q) of noise
-    for n_m in range(1, 7):
-        assert gap(n_m) - gap(n_m - 1) == pytest.approx(p.chi_qm, rel=1e-9)
-    # reference shift direction: line moves down with occupation
-    assert gap(3) < gap(0)
-
-
-def test_dispersive_shift_hundred_magnons():
-    p = SystemParams.reference()
-    space = ModeSpace(("q", "m"), (2, 101))
-    diag = np.real(np.diag(dispersive_hamiltonian(p, space).matrix))
-    up = space.basis_index({"q": 1, "m": 100})
-    dn = space.basis_index({"q": 0, "m": 100})
-    shift = (diag[up] - diag[dn]) - p.omega_q
-    assert abs(shift) / TWO_PI == pytest.approx(6.70e6, rel=1e-9)
-
-
-def test_dispersive_three_mode_energies():
-    p = replace(
-        SystemParams.reference(),
-        chi_mc=TWO_PI * 11e3,
-        g_qc=0.0,
-        g_mc=0.0,
-    )
-    space = ModeSpace(("q", "c", "m"), (3, 3, 3))
-    diag = np.real(np.diag(dispersive_hamiltonian(p, space).matrix))
-    for occ in ({"q": 1, "c": 0, "m": 0}, {"q": 2, "c": 1, "m": 2}, {"q": 1, "c": 2, "m": 1}):
-        expected = (
-            occ["q"] * p.omega_q
-            + occ["c"] * p.omega_c
-            + occ["m"] * p.omega_m
-            + 0.5 * p.alpha * occ["q"] ** 2
-            + p.chi_qc * occ["q"] * occ["c"]
-            + p.chi_qm * occ["q"] * occ["m"]
-            + p.chi_mc * occ["m"] * occ["c"]
-        )
-        idx = space.basis_index(occ)
-        assert diag[idx] == pytest.approx(expected, rel=1e-12)
-
-
-def test_dispersive_guard_enforced_by_builder():
-    p = SystemParams.reference()
-    bad = replace(p, g_qc=0.5 * abs(p.delta_qc))
-    with pytest.raises(ValidityError):
-        dispersive_hamiltonian(bad, ModeSpace(("q", "m"), (2, 3)))
 
 
 def test_parametric_swap_time():

@@ -1,12 +1,12 @@
 """Artifact-level tests: shots regenerated from a manifest, fit status keys."""
 
-import json
 from types import SimpleNamespace
 
 import numpy as np
+from conftest import rewrite_manifest
 
 from magsense import fitting
-from magsense.config import load_config, resolved_hash
+from magsense.config import load_config
 from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase
 from magsense.runner import (
     _fit_status,
@@ -103,15 +103,7 @@ def _run(tmp_path, text):
 
 def _record_removed_acquisition_field(artifact) -> None:
     """Rewrite an artifact as written while acquisition had ``workers: 0``."""
-    path = artifact / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    old_hash = manifest["hash"]
-    manifest["config"]["acquisition"]["workers"] = 0
-    manifest["hash"] = resolved_hash(manifest["config"])
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for table in artifact.glob("*.csv"):
-        text = table.read_text(encoding="utf-8")
-        table.write_text(text.replace(old_hash, manifest["hash"]), encoding="utf-8")
+    rewrite_manifest(artifact, lambda config: config["acquisition"].update(workers=0))
 
 
 def test_recorded_shots_regenerate_from_the_manifest(tmp_path):
@@ -180,7 +172,14 @@ def test_reports_say_when_a_fit_did_not_converge(tmp_path, monkeypatch):
     monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
     stalled = tmp_path / "stalled"
     stalled.mkdir()
-    reports = run_analyses(config, datasets, stalled, manifest["hash"])
+    reports = run_analyses(
+        config.analyses,
+        datasets,
+        stalled,
+        manifest["hash"],
+        system=config.system,
+        sensing=config.sensing,
+    )
     for kind in kinds:
         report = read_report(reports[kind])
         assert report["fit_converged"] == "False"

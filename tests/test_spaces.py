@@ -16,12 +16,10 @@ from magsense.errors import (
 from magsense.spaces import (
     DensityMatrix,
     ModeSpace,
-    Operator,
     build_mode_operators,
     check_truncation,
     compose_operator,
     expectation,
-    expectation_real,
     fock_state,
     fock_truncation,
     ket_state,
@@ -112,13 +110,6 @@ def test_expectation_ground_number():
     _, n = build_mode_operators(space, "m")
     rho = fock_state(space, {"m": 0})
     assert expectation(rho, n) == 0
-
-
-def test_expectation_mixed_pauli_z():
-    space = ModeSpace(("q",), (2,))
-    rho = DensityMatrix(space, 0.5 * np.eye(2))
-    z = Operator(space, np.diag([1.0, -1.0]).astype(complex))
-    assert expectation_real(rho, z) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_expectation_space_mismatch():

@@ -207,6 +207,37 @@ def test_one_byte_substitutions_load_or_raise_schema_error(tmp_path):
             read_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "with_shots, cell, message",
+    [
+        (False, "2.5", "n_shots must be a whole number"),
+        (True, "2.5", "n_shots must be a whole number"),
+        (True, "24", "n_shots differs from the 25 shots per point in scan_shots.npz"),
+    ],
+    ids=["fraction", "fraction-with-sidecar", "sidecar-mismatch"],
+)
+def test_n_shots_cell_is_whole_and_matches_the_sidecar(tmp_path, with_shots, cell, message):
+    path = tmp_path / "scan.csv"
+    write_dataset(make_dataset(with_shots=with_shots), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = len(lines) - 3
+    fields = lines[row - 1].split(",")
+    fields[-1] = cell
+    lines[row - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"scan\.csv, line {row}: {message}"):
+        read_dataset(path)
+
+
+def test_n_shots_may_vary_without_a_sidecar(tmp_path):
+    path = tmp_path / "scan.csv"
+    write_dataset(make_dataset(), path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: text.rindex(",")] + ",24\n", encoding="utf-8")
+    n_shots = read_dataset(path).n_shots
+    assert n_shots[-1, -1] == 24 and np.all(n_shots.reshape(-1)[:-1] == 25)
+
+
 def test_missing_unit_tag_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
