@@ -370,6 +370,11 @@ def _read_system(block: _Block) -> tuple[SystemParams, bool, dict]:
     values = block.read(_SYSTEM_FIELDS)
     ideal = block.get("ideal_qubit", "boolean", False)
     block.finish()
+    # the derived g_mc and gamma2_0 divide by chi_qc and t2r
+    if values["g_mc"] is None and values["chi_qc"] == 0:
+        raise ConfigError(f"{block.path}.chi_qc: must be nonzero to derive g_mc")
+    if values["gamma2_0"] is None and values["t2r"] <= 0:
+        raise ConfigError(f"{block.path}.t2r: must be > 0")
     try:
         # keep the coupling set self-consistent with overridden chis unless
         # the coupling itself was pinned
@@ -508,6 +513,13 @@ def _read_analysis(block: _Block, protocols: dict) -> tuple[AnalysisNode, dict]:
         options = options_block.read(_SENSITIVITY_OPTIONS)
         if options["count"] < 2 or options["n_max"] <= options["n_min"]:
             raise ConfigError(f"{block.path}: sensitivity grid must be increasing")
+        # the solve holds float64 arrays of the grid's length
+        max_count = MAX_SHOT_BUFFER_BYTES // 8
+        if options["count"] > max_count:
+            raise ConfigError(
+                f"{options_block.path}.count: {options['count']} points exceed the "
+                f"{max_count} float64 values of a {MAX_SHOT_BUFFER_BYTES}-byte buffer"
+            )
     inputs_block.finish()
     options_block.finish()
     block.finish()

@@ -1,12 +1,12 @@
 """Damped least-squares curve fitting for spectroscopy and decay analyses.
 
 A small Levenberg-Marquardt engine with a fixed set of model families covers
-every fit in the analysis chain: Gaussian and Lorentzian lines, exponential
-decays, saturating exponentials, sinusoidal fringes (plain and damped),
-double-Gaussian histograms, and least-squares polynomials. Families with a
-width, rate, or frequency parameter fit its logarithm internally so those
-parameters stay positive; reported parameters and covariances are in the
-natural parameterization.
+every fit in the analysis chain: Gaussian and Lorentzian lines and
+double-Gaussian histograms, each over a constant offset, exponential decays,
+saturating exponentials, sinusoidal fringes (plain and damped), and
+least-squares polynomials. Families with a width, rate, or frequency
+parameter fit its logarithm internally so those parameters stay positive;
+reported parameters and covariances are in the natural parameterization.
 
 ``fit_rows`` fits many data rows on one abscissa in lockstep: each row keeps
 its own damping factor and stopping state, and the Jacobian probes and
@@ -15,9 +15,11 @@ evaluation. ``fit_curve`` is its one-row case.
 
 Initial guesses are automatic and deterministic: peaked models start from
 max/centroid/second-moment estimates, exponentials from log-linear regression,
-sinusoids from the discrete Fourier peak. Fitted sinusoid phases are
+sinusoids from the discrete Fourier peak; ``peak_row_start`` seeds rows known
+to be upward lines from their maximum. Fitted sinusoid phases are
 canonicalized to amplitude >= 0 and phase in [0, 2pi); series of phases are
-unwrapped by choosing the branch within pi of the previous point.
+unwrapped by choosing the branch within pi of the previous point. A row is
+weighted by its errors only when ``usable_errors`` finds every one > 0.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ _FAMILIES = (
     "polynomial",
 )
 
-# families whose trailing baseline term is controlled by the model flag
-_BASELINE_FAMILIES = {"gaussian", "lorentzian", "double-gaussian"}
-
-
 @dataclass(frozen=True)
 class FitModel:
     """Fit family selector.
@@ -66,14 +64,10 @@ class FitModel:
         polynomial.
     order : int, optional
         Polynomial order; required for the polynomial family.
-    baseline : bool
-        Whether peak families carry an additive constant term. Ignored by
-        families whose layout already contains an offset.
     """
 
     family: str
     order: int | None = None
-    baseline: bool = True
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -87,9 +81,9 @@ class FitModel:
     def parameter_names(self) -> tuple[str, ...]:
         if self.family == "polynomial":
             return tuple(f"c{k}" for k in range(self.order + 1))
-        names = {
-            "gaussian": ("amplitude", "center", "sigma"),
-            "lorentzian": ("amplitude", "center", "fwhm"),
+        return {
+            "gaussian": ("amplitude", "center", "sigma", "offset"),
+            "lorentzian": ("amplitude", "center", "fwhm", "offset"),
             "exponential-decay": ("amplitude", "tau", "offset"),
             "saturating-exponential": ("plateau", "amplitude", "tau"),
             "sinusoid": ("amplitude", "frequency", "phase", "offset"),
@@ -101,11 +95,9 @@ class FitModel:
                 "amplitude_2",
                 "center_2",
                 "sigma_2",
+                "offset",
             ),
         }[self.family]
-        if self.family in _BASELINE_FAMILIES and self.baseline:
-            names = names + ("offset",)
-        return names
 
     def n_parameters(self) -> int:
         return len(self.parameter_names())
@@ -136,12 +128,10 @@ class FitModel:
         if fam == "polynomial":
             return np.polynomial.polynomial.polyval(x, p)
         if fam == "gaussian":
-            c = p[3] if self.baseline else 0.0
-            return p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2) + c
+            return p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2) + p[3]
         if fam == "lorentzian":
-            c = p[3] if self.baseline else 0.0
             half = 0.5 * p[2]
-            return p[0] / (1.0 + ((x - p[1]) / half) ** 2) + c
+            return p[0] / (1.0 + ((x - p[1]) / half) ** 2) + p[3]
         if fam == "exponential-decay":
             return p[0] * np.exp(-x / p[1]) + p[2]
         if fam == "saturating-exponential":
@@ -156,11 +146,10 @@ class FitModel:
                 + p[4]
             )
         # double-gaussian
-        c = p[6] if self.baseline else 0.0
         return (
             p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2)
             + p[3] * np.exp(-0.5 * ((x - p[4]) / p[5]) ** 2)
-            + c
+            + p[6]
         )
 
 
@@ -207,9 +196,14 @@ def _from_internal(model: FitModel, theta: np.ndarray) -> np.ndarray:
 
 
 def _residuals(model: FitModel, theta, x, y, sw) -> np.ndarray:
-    """Weighted residuals of parameter vectors ``theta[..., k]`` against ``y``."""
+    """Weighted residuals of parameter vectors ``theta[..., k]`` against ``y``.
+
+    A trial step can overflow or divide by a vanishing width; the engine
+    rejects its non-finite residuals, so numpy's warnings are silenced here.
+    """
     p = _from_internal(model, theta)
-    return (y - model.evaluate(x, np.moveaxis(p, -1, 0)[..., None])) * sw
+    with np.errstate(all="ignore"):
+        return (y - model.evaluate(x, np.moveaxis(p, -1, 0)[..., None])) * sw
 
 
 def _jacobian(model: FitModel, theta, x, y, sw) -> np.ndarray:
@@ -615,15 +609,13 @@ def _grid_step(x: np.ndarray) -> float:
     return float(np.min(dx)) if len(dx) else 1.0
 
 
-def _peak_moments(x, y, baseline):
+def _peak_moments(x, y):
     """Signed peak location/width estimates shared by the peak families."""
     lo = float(np.min(y))
     hi = float(np.max(y))
     med = float(np.median(y))
     upward = (hi - med) >= (med - lo)
     c0 = lo if upward else hi
-    if not baseline:
-        c0 = 0.0 if upward and lo >= -0.1 * (hi - lo) else c0
     w = np.abs(y - c0)
     total = float(np.sum(w))
     if total == 0.0:
@@ -640,22 +632,41 @@ def _peak_moments(x, y, baseline):
 
 
 def _init_gaussian(model, x, y):
-    amp0, mu0, sigma0, c0, _ = _peak_moments(x, y, model.baseline)
-    p = [amp0, mu0, sigma0]
-    if model.baseline:
-        p.append(c0)
-    return np.array(p)
+    amp0, mu0, sigma0, c0, _ = _peak_moments(x, y)
+    return np.array([amp0, mu0, sigma0, c0])
 
 
 def _init_lorentzian(model, x, y):
-    amp0, mu0, sigma0, c0, upward = _peak_moments(x, y, model.baseline)
+    amp0, mu0, sigma0, c0, upward = _peak_moments(x, y)
     w = (y - c0) if upward else (c0 - y)
     n_half = int(np.sum(w >= 0.5 * abs(amp0)))
     fwhm0 = max(n_half, 1) * _grid_step(x)
-    p = [amp0, mu0, fwhm0]
-    if model.baseline:
-        p.append(c0)
-    return np.array(p)
+    return np.array([amp0, mu0, fwhm0, c0])
+
+
+def peak_row_start(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gaussian start values for an upward line that may be edge-truncated.
+
+    The moment initializer can read a peak parked near a grid edge as a
+    dip; rows known to be upward peaks (spectroscopy lines, their standard
+    errors) are seeded from the maximum directly.
+    """
+    top = float(np.max(y))
+    floor = float(np.min(y))
+    step = float(np.median(np.diff(np.sort(x))))
+    n_half = int(np.sum(y - floor > 0.5 * (top - floor)))
+    sigma = max(n_half, 1) * step / 2.355
+    return np.array([max(top - floor, 1e-9), float(x[np.argmax(y)]), sigma, floor])
+
+
+def usable_errors(stderr):
+    """Per-point errors to weight a fit by, or None unless every one is > 0.
+
+    Noise-free (expectation-mode) data carries zero errors and fits
+    unweighted.
+    """
+    err = np.asarray(stderr, dtype=float)
+    return err if np.all(err > 0) else None
 
 
 def _log_linear_rate(x, w):
@@ -739,7 +750,7 @@ def _init_damped_sinusoid(model, x, y):
 
 
 def _init_double_gaussian(model, x, y):
-    c0 = float(np.min(y)) if model.baseline else 0.0
+    c0 = float(np.min(y))
     w = y - np.min(y)
     total = float(np.sum(w))
     if total == 0.0:
@@ -761,10 +772,7 @@ def _init_double_gaussian(model, x, y):
     a2 = float(y[k2]) - c0
     if a2 <= 0:
         a2 = 0.1 * a1
-    p = [a1, mu1, s0, a2, mu2, s0]
-    if model.baseline:
-        p.append(c0)
-    return np.array(p)
+    return np.array([a1, mu1, s0, a2, mu2, s0, c0])
 
 
 _INITIALIZERS = {

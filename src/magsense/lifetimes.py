@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError
-from .fitting import FitModel, FitResult, fit_curve, fit_rows, unwrap_phases
+from .fitting import (
+    FitModel,
+    FitResult,
+    fit_curve,
+    fit_rows,
+    peak_row_start,
+    unwrap_phases,
+    usable_errors,
+)
 from .sweep import SweepDataset
 
 # lack-of-fit beyond this many radians marks a branch-assignment failure
@@ -115,29 +123,6 @@ def _fringe_fits(phases: np.ndarray, rows: np.ndarray, row_errs) -> list[FitResu
     return fit_rows(FitModel("sinusoid"), phases, rows, row_errs, inits)
 
 
-def _peak_row_init(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gaussian start values for an upward line that may be edge-truncated.
-
-    The generic moment initializer can read a peak parked near a grid edge
-    as a dip; spectroscopy rows are known to be upward peaks, so seed from
-    the maximum directly.
-    """
-    top = float(np.max(y))
-    floor = float(np.min(y))
-    step = float(np.median(np.diff(np.sort(x))))
-    n_half = int(np.sum(y - floor > 0.5 * (top - floor)))
-    sigma = max(n_half, 1) * step / 2.355
-    return np.array([max(top - floor, 1e-9), float(x[np.argmax(y)]), sigma, floor])
-
-
-def _usable_errors(stderr: np.ndarray):
-    """Per-point errors for weighting, or None for noise-free datasets."""
-    err = np.asarray(stderr, dtype=float)
-    if np.all(err > 0):
-        return err
-    return None
-
-
 def _convergence_flags(fits: list[FitResult]) -> list[str]:
     """The fit-not-converged flag when any of ``fits`` stopped unconverged."""
     return [] if all(fit.converged for fit in fits) else ["fit-not-converged"]
@@ -201,7 +186,7 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
     row_fits = _fringe_fits(
         thetas,
         p_e.reshape(-1, len(thetas)),
-        [_usable_errors(err) for err in stderr.reshape(-1, len(thetas))],
+        [usable_errors(err) for err in stderr.reshape(-1, len(thetas))],
     )
     wrapped = np.array(
         [(math.pi / 2.0 - fit.parameter("phase")) % (2.0 * math.pi) for fit in row_fits]
@@ -215,7 +200,7 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
         FitModel("saturating-exponential"),
         times,
         phi,
-        [_usable_errors(err) for err in phase_err],
+        [usable_errors(err) for err in phase_err],
     )
     estimates = []
     for k, fit in enumerate(fits):
@@ -275,8 +260,8 @@ def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEsti
         FitModel("gaussian"),
         freqs,
         rows,
-        [_usable_errors(err) for err in stderr.reshape(-1, len(freqs))],
-        [_peak_row_init(freqs, row) for row in rows],
+        [usable_errors(err) for err in stderr.reshape(-1, len(freqs))],
+        [peak_row_start(freqs, row) for row in rows],
     )
     centers = np.array([fit.parameter("center") for fit in row_fits]).reshape(
         n_draws, len(times)
@@ -290,7 +275,7 @@ def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEsti
         FitModel("exponential-decay"),
         times,
         shifted,
-        [_usable_errors(err) for err in center_err],
+        [usable_errors(err) for err in center_err],
     )
     return [
         LifetimeEstimate(
@@ -345,13 +330,14 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
         FitModel("exponential-decay"),
         durations[start:],
         dataset.p_e[:, start:],
-        [_usable_errors(err) for err in dataset.stderr[:, start:]],
+        [usable_errors(err) for err in dataset.stderr[:, start:]],
     )
     taus = np.array([fit.parameter("tau") for fit in row_fits])
     rates = 1.0 / taus
     rate_stderr = np.array([fit.stderr("tau") for fit in row_fits]) / taus**2
-    y_err = rate_stderr if np.all(rate_stderr > 0) else None
-    profile = fit_curve(FitModel("lorentzian"), deltas, rates, y_err=y_err)
+    profile = fit_curve(
+        FitModel("lorentzian"), deltas, rates, y_err=usable_errors(rate_stderr)
+    )
     names = profile.parameter_names
     amp = profile.parameter("amplitude")
     fwhm = profile.parameter("fwhm")

@@ -10,8 +10,9 @@ exchange Hamiltonian with magnon and qubit collapse.
 Every protocol samples its grid points one after another, each from a
 readout stream seeded by (master seed, protocol tag, flat point index), so
 datasets are reproducible and independent of evaluation order. Every
-protocol's shot lasts the sequence before readout, plus the readout window,
-plus the dead time (``_shot_duration``).
+protocol returns through ``_dataset``: a shot lasts the sequence before
+readout, plus the readout window, plus the dead time, and every dataset
+records the acquisition mode, master seed and readout threshold.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ class ProtocolConfig:
         return 1.0 / self.probe_duration
 
 
-def _shot_duration(config: ProtocolConfig, sequence: float) -> float:
-    """Wall time of one shot: the sequence before readout, the readout, the dead time."""
-    return sequence + config.readout.window + config.dead_time
-
-
 def _measure_grid(
     p_true: np.ndarray,
     config: ProtocolConfig,
@@ -114,6 +110,32 @@ def _measure_grid(
     return p_hat, stderr, shots
 
 
+def _dataset(config, protocol, axes, p_true, sequence, meta=None, warnings=()):
+    """Measure ``p_true`` on ``axes`` into the dataset of ``protocol``.
+
+    A shot lasts ``sequence`` (the pulses before readout), plus the readout
+    window, plus the dead time. The acquisition mode, master seed and
+    readout threshold lead the protocol's own ``meta``.
+    """
+    p_hat, stderr, shots = _measure_grid(p_true, config, protocol)
+    return SweepDataset(
+        axes=axes,
+        p_e=p_hat,
+        stderr=stderr,
+        n_shots=config.n_shots,
+        shot_duration=sequence + config.readout.window + config.dead_time,
+        protocol=protocol,
+        shots=shots,
+        meta={
+            "mode": config.mode,
+            "master_seed": config.master_seed,
+            "readout_threshold": config.readout.threshold,
+            **(meta or {}),
+        },
+        warnings=tuple(warnings),
+    )
+
+
 def _line_width(params: SystemParams, config: ProtocolConfig, n_mean: float, extra: float = 0.0) -> float:
     """Spectral width: probe bandwidth, dephasing, and optional blur in quadrature."""
     gamma = dephasing_rate(n_mean, params)
@@ -125,12 +147,10 @@ def _spectroscopy_response(
     config: ProtocolConfig,
     probe: np.ndarray,
     n_mean: float,
-    center_shift: float | None = None,
     extra_width: float = 0.0,
 ) -> np.ndarray:
     """Excited-state probability vs probe frequency for one magnon occupation."""
-    shift = stark_shift(n_mean, params.chi_qm) if center_shift is None else center_shift
-    center = params.omega_q + shift
+    center = params.omega_q + stark_shift(n_mean, params.chi_qm)
     sigma = _line_width(params, config, n_mean, extra_width)
     peak = config.probe_amplitude * config.probe_sigma / sigma
     return peak * np.exp(-0.5 * ((probe - center) / sigma) ** 2)
@@ -153,12 +173,11 @@ def run_qubit_spectroscopy(
     probe_freqs = np.atleast_1d(np.asarray(probe_freqs, dtype=float))
     warnings = []
     n_max = config.pump.c_pump * float(np.max(pump_powers))
+    lo, hi = np.min(probe_freqs), np.max(probe_freqs)
     for n_edge in (0.0, n_max):
         center = params.omega_q + stark_shift(n_edge, params.chi_qm)
         sigma = _line_width(params, config, n_edge)
-        if center - 2.0 * sigma < np.min(probe_freqs) or center + 2.0 * sigma > np.max(
-            probe_freqs
-        ):
+        if center - 2.0 * sigma < lo or center + 2.0 * sigma > hi:
             warnings.append(
                 f"probe grid does not cover the line at n = {n_edge:.6g} "
                 "with a 2-sigma margin"
@@ -168,27 +187,21 @@ def run_qubit_spectroscopy(
     for i, power in enumerate(pump_powers):
         n_mean = config.pump.c_pump * power
         p_true[i] = _spectroscopy_response(params, config, probe_freqs, n_mean)
-    p_hat, stderr, shots = _measure_grid(p_true, config, "spectroscopy")
-    return SweepDataset(
-        axes=(
+    return _dataset(
+        config,
+        "spectroscopy",
+        (
             Axis("pump_power", "W", pump_powers),
             Axis("probe_frequency", "rad/s", probe_freqs),
         ),
-        p_e=p_hat,
-        stderr=stderr,
-        n_shots=config.n_shots,
-        shot_duration=_shot_duration(config, config.probe_duration),
-        protocol="spectroscopy",
-        shots=shots,
-        meta={
-            "mode": config.mode,
-            "master_seed": config.master_seed,
-            "readout_threshold": config.readout.threshold,
+        p_true,
+        config.probe_duration,
+        {
             "c_pump": config.pump.c_pump,
             "probe_sigma": config.probe_sigma,
             "probe_amplitude": config.probe_amplitude,
         },
-        warnings=tuple(warnings),
+        warnings,
     )
 
 
@@ -211,20 +224,13 @@ def run_ramsey(
     envelope_rate = relax + dephasing_rate(n_mean, params)
     contrast = np.exp(-delays * envelope_rate)
     p_true = 0.5 + 0.5 * contrast * np.cos(detuning * delays)
-    p_hat, stderr, shots = _measure_grid(p_true, config, "ramsey")
-    sequence = 2 * config.half_pi_duration + float(np.max(delays))
-    return SweepDataset(
-        axes=(Axis("delay", "s", delays),),
-        p_e=p_hat,
-        stderr=stderr,
-        n_shots=config.n_shots,
-        shot_duration=_shot_duration(config, sequence),
-        protocol="ramsey",
-        shots=shots,
-        meta={
-            "mode": config.mode,
-            "master_seed": config.master_seed,
-            "readout_threshold": config.readout.threshold,
+    return _dataset(
+        config,
+        "ramsey",
+        (Axis("delay", "s", delays),),
+        p_true,
+        2 * config.half_pi_duration + float(np.max(delays)),
+        {
             "n_mean": n_mean,
             "artificial_detuning": config.artificial_detuning,
             "envelope_rate": envelope_rate,
@@ -246,26 +252,13 @@ def run_relaxation(
             raise ValueError("relaxation scan needs an explicit grid for infinite T1")
         delays = np.linspace(0.0, 4.0 * params.t1, DEFAULT_RELAXATION_POINTS)
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
-    p_true = (
-        np.ones_like(delays)
-        if math.isinf(params.t1)
-        else np.exp(-delays / params.t1)
-    )
-    p_hat, stderr, shots = _measure_grid(p_true, config, "relaxation")
-    sequence = config.pi_duration + float(np.max(delays))
-    return SweepDataset(
-        axes=(Axis("delay", "s", delays),),
-        p_e=p_hat,
-        stderr=stderr,
-        n_shots=config.n_shots,
-        shot_duration=_shot_duration(config, sequence),
-        protocol="relaxation",
-        shots=shots,
-        meta={
-            "mode": config.mode,
-            "master_seed": config.master_seed,
-            "readout_threshold": config.readout.threshold,
-        },
+    p_true = np.ones_like(delays) if math.isinf(params.t1) else np.exp(-delays / params.t1)
+    return _dataset(
+        config,
+        "relaxation",
+        (Axis("delay", "s", delays),),
+        p_true,
+        config.pi_duration + float(np.max(delays)),
     )
 
 
@@ -312,27 +305,17 @@ def run_decay_phase_sense(
     relax = 0.0 if math.isinf(params.t1) else 0.5 / params.t1
     contrast = np.exp(-(relax + params.gamma2_0) * sense_times - deph_integral)
     p_true = 0.5 + 0.5 * contrast[:, None] * np.cos(phi[:, None] - phases[None, :])
-    p_hat, stderr, shots = _measure_grid(p_true, config, "decay-phase")
-    sequence = 2 * config.half_pi_duration + float(np.max(sense_times))
-    return SweepDataset(
-        axes=(
+    return _dataset(
+        config,
+        "decay-phase",
+        (
             Axis("sense_time", "s", sense_times),
             Axis("second_pulse_phase", "rad", phases),
         ),
-        p_e=p_hat,
-        stderr=stderr,
-        n_shots=config.n_shots,
-        shot_duration=_shot_duration(config, sequence),
-        protocol="decay-phase",
-        shots=shots,
-        meta={
-            "mode": config.mode,
-            "master_seed": config.master_seed,
-            "readout_threshold": config.readout.threshold,
-            "n0": n0,
-            "phase_asymptote": float(params.chi_qm * n0 / kappa),
-        },
-        warnings=tuple(warnings),
+        p_true,
+        2 * config.half_pi_duration + float(np.max(sense_times)),
+        {"n0": n0, "phase_asymptote": float(params.chi_qm * n0 / kappa)},
+        warnings,
     )
 
 
@@ -358,43 +341,27 @@ def run_decay_spectroscopy(
     t_p = config.probe_duration
     window_factor = -math.expm1(-kappa * t_p) / (kappa * t_p)
     warnings = []
-    shift0 = stark_shift(n0 * window_factor, params.chi_qm)
-    if (params.omega_q + shift0) < np.min(probe_freqs) or (
-        params.omega_q + shift0
-    ) > np.max(probe_freqs):
+    line0 = params.omega_q + stark_shift(n0 * window_factor, params.chi_qm)
+    if line0 < np.min(probe_freqs) or line0 > np.max(probe_freqs):
         warnings.append("probe grid does not cover the initial shifted line")
     p_true = np.empty((len(sense_times), len(probe_freqs)))
     for i, t in enumerate(sense_times):
         n_window = n0 * math.exp(-kappa * t) * window_factor
         excursion = abs(params.chi_qm) * n0 * math.exp(-kappa * t) * -math.expm1(-kappa * t_p)
         p_true[i] = _spectroscopy_response(
-            params,
-            config,
-            probe_freqs,
-            n_window,
-            extra_width=excursion / math.sqrt(12.0),
+            params, config, probe_freqs, n_window, extra_width=excursion / math.sqrt(12.0)
         )
-    p_hat, stderr, shots = _measure_grid(p_true, config, "decay-spectroscopy")
-    sequence = float(np.max(sense_times)) + t_p
-    return SweepDataset(
-        axes=(
+    return _dataset(
+        config,
+        "decay-spectroscopy",
+        (
             Axis("sense_time", "s", sense_times),
             Axis("probe_frequency", "rad/s", probe_freqs),
         ),
-        p_e=p_hat,
-        stderr=stderr,
-        n_shots=config.n_shots,
-        shot_duration=_shot_duration(config, sequence),
-        protocol="decay-spectroscopy",
-        shots=shots,
-        meta={
-            "mode": config.mode,
-            "master_seed": config.master_seed,
-            "readout_threshold": config.readout.threshold,
-            "n0": n0,
-            "window_factor": window_factor,
-        },
-        warnings=tuple(warnings),
+        p_true,
+        float(np.max(sense_times)) + t_p,
+        {"n0": n0, "window_factor": window_factor},
+        warnings,
     )
 
 
@@ -418,9 +385,7 @@ def _lindblad_excited_population(
     inv_t1 = 0.0 if math.isinf(params.t1) else 1.0 / params.t1
     # keep dt * (fastest rate) well under the integrator budget of 0.1
     rate_scale = 0.5 * omega_qm + abs(delta) + params.kappa_m + inv_t1
-    target = 0.02 / rate_scale
-    if dt_override > 0:
-        target = dt_override
+    target = dt_override if dt_override > 0 else 0.02 / rate_scale
     substeps = max(1, math.ceil(spacing / target))
     dt = spacing / substeps
     for d in durations:
@@ -457,8 +422,6 @@ def run_parametric_decay_scan(
     recorded on the (uniform) duration grid.
     """
     omega_qm = pump.omega_qm
-    if omega_qm < 0:
-        raise ValueError("parametric amplitude must be >= 0")
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     durations = np.atleast_1d(np.asarray(durations, dtype=float))
     if len(durations) < 2 or durations[0] != 0.0:
@@ -471,23 +434,14 @@ def run_parametric_decay_scan(
         p_true[i] = _lindblad_excited_population(
             params, omega_qm, float(delta), durations, config.dt
         )
-    p_hat, stderr, shots = _measure_grid(p_true, config, "parametric-scan")
-    sequence = config.pi_duration + float(durations[-1])
-    return SweepDataset(
-        axes=(
+    return _dataset(
+        config,
+        "parametric-scan",
+        (
             Axis("pump_detuning", "rad/s", deltas),
             Axis("pump_duration", "s", durations),
         ),
-        p_e=p_hat,
-        stderr=stderr,
-        n_shots=config.n_shots,
-        shot_duration=_shot_duration(config, sequence),
-        protocol="parametric-scan",
-        shots=shots,
-        meta={
-            "mode": config.mode,
-            "master_seed": config.master_seed,
-            "readout_threshold": config.readout.threshold,
-            "omega_qm": omega_qm,
-        },
+        p_true,
+        config.pi_duration + float(durations[-1]),
+        {"omega_qm": omega_qm},
     )

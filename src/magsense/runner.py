@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import calibrate_magnon_number, linear_slope
 from .config import ExperimentConfig, ProtocolNode, from_resolved, resolved_hash
 from .errors import ConfigError, SchemaError
-from .fitting import FitModel, fit_curve, fit_rows
+from .fitting import FitModel, fit_curve, fit_rows, usable_errors
 from .lifetimes import (
     extract_kappa_m_from_scan,
     frequency_lifetimes,
@@ -52,6 +52,17 @@ from .subsample import subsample_time_budget
 from .sweep import Axis, SweepDataset, read_dataset, write_dataset
 
 MANIFEST_NAME = "manifest.json"
+
+# protocol grid -> the dataset axis that samples it
+_GRID_AXES = {
+    "pump_powers": "pump_power",
+    "probe_freqs": "probe_frequency",
+    "delays": "delay",
+    "sense_times": "sense_time",
+    "second_pulse_phases": "second_pulse_phase",
+    "deltas": "pump_detuning",
+    "durations": "pump_duration",
+}
 
 
 @dataclass(frozen=True)
@@ -155,11 +166,6 @@ def _fit_status(fits) -> dict:
     }
 
 
-def _row_errors(dataset: SweepDataset, index) -> np.ndarray | None:
-    err = dataset.stderr[index] if index is not None else dataset.stderr
-    return err if np.all(err > 0) else None
-
-
 def _coherence_report(datasets: dict, inputs: dict) -> dict:
     ramsey = datasets[inputs["ramsey"]]
     relaxation = datasets[inputs["relaxation"]]
@@ -167,13 +173,13 @@ def _coherence_report(datasets: dict, inputs: dict) -> dict:
         FitModel("exponential-decay"),
         relaxation.axis("delay").values,
         relaxation.p_e,
-        y_err=_row_errors(relaxation, None),
+        y_err=usable_errors(relaxation.stderr),
     )
     ramsey_fit = fit_curve(
         FitModel("damped-sinusoid"),
         ramsey.axis("delay").values,
         ramsey.p_e,
-        y_err=_row_errors(ramsey, None),
+        y_err=usable_errors(ramsey.stderr),
     )
     return {
         "t1_s": t1_fit.parameter("tau"),
@@ -192,7 +198,7 @@ def _fit_series_rates(series: SweepDataset) -> tuple[np.ndarray, np.ndarray, lis
         FitModel("damped-sinusoid"),
         delays,
         series.p_e,
-        [_row_errors(series, k) for k in range(series.p_e.shape[0])],
+        [usable_errors(err) for err in series.stderr],
     )
     taus = np.array([fit.parameter("tau") for fit in fits])
     return 1.0 / taus, np.array([fit.stderr("tau") for fit in fits]) / taus**2, fits
@@ -205,13 +211,11 @@ def _calibrate(system: SystemParams, datasets: dict, inputs: dict):
     centers = np.array([fit.parameter("center") for _, fit in spectro_fits])
     center_err = np.array([fit.stderr("center") for _, fit in spectro_fits])
     powers = np.array([power for power, _ in spectro_fits])
-    stark_slope, stark_err = linear_slope(
-        powers, centers, center_err if np.all(center_err > 0) else None
-    )
+    stark_slope, stark_err = linear_slope(powers, centers, usable_errors(center_err))
     rates, rate_err, series_fits = _fit_series_rates(series)
     series_powers = series.axis("pump_power").values
     dephasing_slope, dephasing_err = linear_slope(
-        series_powers, rates, rate_err if np.all(rate_err > 0) else None
+        series_powers, rates, usable_errors(rate_err)
     )
     calibration = calibrate_magnon_number(
         stark_slope=abs(stark_slope),
@@ -508,7 +512,11 @@ def run_experiment(
 
 
 def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
-    """Load a run artifact's manifest, config, and datasets from disk."""
+    """Load a run artifact's manifest, config, and datasets from disk.
+
+    Each dataset must carry the manifest's hash, and each axis the grid the
+    manifest records for it.
+    """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
@@ -527,7 +535,7 @@ def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
         raise SchemaError(f"{manifest_path}: hash does not match the resolved config")
     config = from_resolved(manifest["config"], source=f"{manifest_path}: config")
     datasets = {}
-    for node in config.protocols:
+    for k, node in enumerate(config.protocols):
         dataset_path = path / f"{node.name}.csv"
         if not dataset_path.exists():
             raise SchemaError(f"artifact is missing dataset {dataset_path.name}")
@@ -536,5 +544,14 @@ def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
             raise SchemaError(
                 f"{dataset_path.name}: embedded manifest hash does not match"
             )
+        axes = {axis.name: axis.values for axis in dataset.axes}
+        # a grid left out of the manifest (the relaxation default) is not checked
+        for key, grid in node.grids.items():
+            axis = _GRID_AXES[key]
+            if axis not in axes or not np.array_equal(axes[axis], grid):
+                raise SchemaError(
+                    f"{manifest_path}: config.protocols[{k}].grids.{key} does not "
+                    f"match axis {axis!r} of {dataset_path.name}"
+                )
         datasets[node.name] = dataset
     return manifest, config, datasets

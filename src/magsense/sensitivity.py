@@ -28,11 +28,15 @@ from .fitting import (  # noqa: F401
     fit_curve,
     fit_rows,
     interpolate_poly,
+    peak_row_start,
+    usable_errors,
 )
+from .lifetimes import _require_protocol
 from .sweep import SweepDataset
 
 SOLVE_RESOLUTION = 1e-3  # magnons, bisection stop
 DEFAULT_THRESHOLD = 0.18
+_SPECTROSCOPY_AXES = ("pump_power", "probe_frequency")
 
 
 @dataclass(frozen=True)
@@ -109,37 +113,19 @@ class NoiseProfile:
         return value * math.sqrt(self.reference_shots / n_shots)
 
 
-def _gaussian_row_init(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    top, floor = float(np.max(y)), float(np.min(y))
-    step = float(np.median(np.diff(np.sort(x))))
-    n_half = int(np.sum(y - floor > 0.5 * (top - floor)))
-    return np.array(
-        [max(top - floor, 1e-12), float(x[np.argmax(y)]), max(n_half, 1) * step / 2.355, floor]
-    )
-
-
 def fit_power_spectra(dataset: SweepDataset) -> list[tuple[float, FitResult]]:
     """Gaussian line fit per pump power of a spectroscopy dataset."""
-    _require_spectroscopy(dataset)
+    _require_protocol(dataset, "spectroscopy", _SPECTROSCOPY_AXES)
     powers = dataset.axis("pump_power").values
     freqs = dataset.axis("probe_frequency").values
     fits = fit_rows(
         FitModel("gaussian"),
         freqs,
         dataset.p_e,
-        [err if np.all(err > 0) else None for err in dataset.stderr],
-        [_gaussian_row_init(freqs, row) for row in dataset.p_e],
+        [usable_errors(err) for err in dataset.stderr],
+        [peak_row_start(freqs, row) for row in dataset.p_e],
     )
     return [(float(power), fit) for power, fit in zip(powers, fits)]
-
-
-def _require_spectroscopy(dataset: SweepDataset) -> None:
-    names = tuple(axis.name for axis in dataset.axes)
-    if dataset.protocol != "spectroscopy" or names != (
-        "pump_power",
-        "probe_frequency",
-    ):
-        raise EstimationError("expected a pump-power spectroscopy dataset")
 
 
 def fit_noise_profile(
@@ -152,7 +138,7 @@ def fit_noise_profile(
     powers and the width is converted to magnon units and interpolated
     linearly in population.
     """
-    _require_spectroscopy(dataset)
+    _require_protocol(dataset, "spectroscopy", _SPECTROSCOPY_AXES)
     if not np.all(dataset.stderr > 0):
         raise EstimationError(
             "noise profile needs shot-sampled data with nonzero standard errors"
@@ -163,7 +149,7 @@ def fit_noise_profile(
         FitModel("gaussian"),
         freqs,
         dataset.stderr,
-        inits=[_gaussian_row_init(freqs, row) for row in dataset.stderr],
+        inits=[peak_row_start(freqs, row) for row in dataset.stderr],
     )
     amplitudes = [fit.parameter("amplitude") for fit in fits]
     floors = [fit.parameter("offset") for fit in fits]

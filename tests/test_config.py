@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from magsense.cli import bundled_configs
+from magsense.cli import bundled_configs, main
 from magsense.config import (
     MAX_SHOT_BUFFER_BYTES,
     ExperimentConfig,
@@ -162,6 +162,21 @@ class TestShotBufferBound:
         with pytest.raises(ConfigError, match=rf"protocols\[0\]\.delays\.count: {count} points exceed"):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "count, code",
+        [(MAX_SHOT_BUFFER_BYTES // 8, 0), (MAX_SHOT_BUFFER_BYTES // 8 + 1, 2), (10**12, 2)],
+    )
+    def test_the_sensitivity_grid_count_is_bounded(self, count, code, tmp_path, capsys):
+        text = bundled_configs()["sensitivity-scan"].read_text(encoding="utf-8")
+        assert text.count("    count: 81\n") == 1
+        path = tmp_path / "huge-count.yaml"
+        text = text.replace("    count: 81\n", f"    count: {count}\n")
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert f"analyses[0].count: {count} points exceed" in err, err
+
     def test_the_bound_is_on_the_product_of_grids_and_shots(self):
         limit = MAX_SHOT_BUFFER_BYTES // 8
         raw = base_config(
@@ -254,13 +269,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"system": {"t2r": "0 us"}}, r"config\.system: float division by zero"),
+            ({"system": {"t2r": "0 us"}}, r"config\.system\.t2r: must be > 0"),
+            ({"system": {"chi_qc": "0 MHz"}}, r"config\.system\.chi_qc: must be nonzero"),
             (
                 {"protocols": [{"kind": "ramsey", "delays": ["1 us"], "pump": {"power": "-1 W"}}]},
                 r"config\.protocols\[0\]\.pump: pump power must be >= 0",
             ),
         ],
-        ids=["zero-t2r", "negative-pump-power"],
+        ids=["zero-t2r", "zero-chi_qc", "negative-pump-power"],
     )
     def test_constructor_errors_name_their_block(self, overrides, message):
         with pytest.raises(ConfigError, match=message):

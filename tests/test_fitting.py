@@ -167,6 +167,28 @@ def test_supplied_init_validation():
         fit_curve(model, x, y, init=np.array([1.0, 3.0, -0.5, 0.0]))
 
 
+def test_peak_row_start_seeds_an_edge_line_at_its_maximum():
+    # an upward line whose center sits on the last grid point
+    x = np.linspace(-4.0, 0.0, 41)
+    y = 0.7 * np.exp(-0.5 * (x / 0.6) ** 2) + 0.05
+    start = fitting.peak_row_start(x, y)
+    assert start[1] == x[np.argmax(y)] == x[-1]
+    assert start[0] == pytest.approx(np.max(y) - np.min(y))
+    assert start[3] == np.min(y)
+    fit = fit_curve(FitModel("gaussian"), x, y, init=start)
+    assert fit.parameter("center") == pytest.approx(0.0, abs=1e-6)
+    assert fit.parameter("sigma") == pytest.approx(0.6, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan], ids=["zero", "negative", "nan"])
+def test_usable_errors_needs_every_error_above_zero(bad):
+    errors = [0.1, 0.2, 0.3]
+    usable = fitting.usable_errors(errors)
+    assert usable.dtype == float and np.array_equal(usable, errors)
+    errors[1] = bad
+    assert fitting.usable_errors(errors) is None
+
+
 def test_fit_model_validation():
     with pytest.raises(ValueError):
         FitModel("spline")

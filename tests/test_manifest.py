@@ -153,6 +153,12 @@ HAND_CASES = {
         _edit_config(_set("analyses", 1, "kind", value="astrology")),
         "config.analyses[1].kind: 'astrology' is not one of",
     ),
+    # a grid that no longer matches the axis its dataset was sampled on
+    "probe-freqs-element-deleted": (
+        _edit_config(_delete("protocols", 2, "grids", "probe_freqs", 35)),
+        "config.protocols[2].grids.probe_freqs does not match axis 'probe_frequency' "
+        "of spectroscopy.csv",
+    ),
 }
 
 

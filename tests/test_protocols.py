@@ -341,6 +341,29 @@ def test_semiclassical_phase_matches_quantum_dispersive_evolution():
     assert err <= 0.02 * np.max(np.abs(semiclassical))
 
 
+@pytest.mark.parametrize("mode", ["shots", "expectation"])
+def test_every_protocol_records_mode_seed_and_threshold(mode):
+    params = SystemParams.reference()
+    config = reference_config(mode=mode, n_shots=16, master_seed=29)
+    delays = np.linspace(0.0, 0.4e-6, 3)
+    freqs = params.omega_q + 2 * math.pi * np.linspace(-2e6, 2e6, 5)
+    phases = np.linspace(0.0, 2 * math.pi, 4)
+    pump = PumpSpec(power_w=1.0, c_pump=10.0, omega_qm=2 * math.pi * 0.66e6)
+    datasets = [
+        run_qubit_spectroscopy(params, np.array([0.0, 1.0]), freqs, config),
+        run_ramsey(params, pump, delays, config),
+        run_relaxation(params, config, delays),
+        run_decay_phase_sense(params, 10.0, delays, phases, config),
+        run_decay_spectroscopy(params, 10.0, delays, freqs, config),
+        run_parametric_decay_scan(params, pump, np.array([0.0]), delays, config),
+    ]
+    assert len({data.protocol for data in datasets}) == 6
+    for data in datasets:
+        assert data.meta["mode"] == mode, data.protocol
+        assert data.meta["master_seed"] == 29, data.protocol
+        assert data.meta["readout_threshold"] == config.readout.threshold, data.protocol
+
+
 def test_shot_duration_bookkeeping():
     params = SystemParams.reference()
     pi, half, dead = 40e-9, 16e-9, 5e-6
