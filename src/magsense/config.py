@@ -94,6 +94,8 @@ def parse_quantity(value, dimension: str, path: str) -> float:
     if dimension == "dimensionless":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a plain number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: value must be finite")
         return float(value)
     table = _UNIT_TABLES[dimension]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -131,10 +133,7 @@ def _check(value, kind, path: str, recorded: bool):
     if kind in _UNIT_TABLES and not recorded:
         return parse_quantity(value, kind, path)
     if kind in _UNIT_TABLES or kind == "dimensionless":
-        number = parse_quantity(value, "dimensionless", path)
-        if kind != "dimensionless" and not math.isfinite(number):
-            raise ConfigError(f"{path}: value must be finite")
-        return number
+        return parse_quantity(value, "dimensionless", path)
     if kind == "integer":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -511,8 +510,10 @@ def _read_analysis(block: _Block, protocols: dict) -> tuple[AnalysisNode, dict]:
     options = {}
     if kind == "sensitivity":
         options = options_block.read(_SENSITIVITY_OPTIONS)
-        if options["count"] < 2 or options["n_max"] <= options["n_min"]:
-            raise ConfigError(f"{block.path}: sensitivity grid must be increasing")
+        if options["count"] < 2:
+            raise ConfigError(f"{options_block.path}.count: must be >= 2")
+        if options["n_max"] <= options["n_min"]:
+            raise ConfigError(f"{options_block.path}: n_max must be > n_min")
         # the solve holds float64 arrays of the grid's length
         max_count = MAX_SHOT_BUFFER_BYTES // 8
         if options["count"] > max_count:
@@ -556,6 +557,9 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
     name = block.get("name", "string")
     description = block.get("description", "string", "")
     seed = block.get("seed", "integer", 1)
+    if seed < 0:
+        # numpy seeds its streams from non-negative integers only
+        raise ConfigError(f"{source}.seed: must be >= 0")
     output = block.get("output", "string", None)
     system, ideal, system_resolved = _read_system(block.child("system"))
     readout, readout_resolved = _read_readout(block.child("readout"), system.t1, ideal)
@@ -567,6 +571,14 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
             ProtocolConfig(readout=readout, **acquisition)
         except ValueError as exc:
             raise ConfigError(f"{source}.acquisition: {exc}") from exc
+        # one point's shots must fit in the shot buffer
+        max_shots = MAX_SHOT_BUFFER_BYTES // 8
+        if acquisition["n_shots"] > max_shots:
+            raise ConfigError(
+                f"{source}.acquisition.n_shots: {acquisition['n_shots']} shots exceed "
+                f"the {max_shots} float64 values of the {MAX_SHOT_BUFFER_BYTES}-byte "
+                "shot buffer"
+            )
     anchors = {key: getattr(system, key) for key in ("omega_q", "omega_c", "omega_m")}
     raw_protocols = block.get("protocols", "list")
     if not raw_protocols:

@@ -11,8 +11,10 @@ Every protocol samples its grid points one after another, each from a
 readout stream seeded by (master seed, protocol tag, flat point index), so
 datasets are reproducible and independent of evaluation order. Every
 protocol returns through ``_dataset``: a shot lasts the sequence before
-readout, plus the readout window, plus the dead time, and every dataset
-records the acquisition mode, master seed and readout threshold.
+readout, plus the readout window, plus the dead time, every dataset
+records the acquisition mode, master seed and readout threshold
+(``dataset_meta``), and a true probability clipped into [0, 1] is named in
+a dataset warning.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ class ProtocolConfig:
         if self.mode not in ("shots", "expectation"):
             raise ValueError("mode must be 'shots' or 'expectation'")
         if self.probe_duration <= 0:
-            raise ValueError("probe duration must be > 0")
+            raise ValueError("probe_duration must be > 0")
         if not 0.0 < self.probe_amplitude <= 1.0:
-            raise ValueError("probe amplitude must lie in (0, 1]")
+            raise ValueError("probe_amplitude must lie in (0, 1]")
         for name in ("pi_duration", "half_pi_duration", "dead_time", "dt"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -110,12 +112,35 @@ def _measure_grid(
     return p_hat, stderr, shots
 
 
+def dataset_meta(config: ProtocolConfig, meta: dict | None = None) -> dict:
+    """The acquisition mode, master seed and readout threshold, then ``meta``."""
+    return {
+        "mode": config.mode,
+        "master_seed": config.master_seed,
+        "readout_threshold": config.readout.threshold,
+        **(meta or {}),
+    }
+
+
+def _clip_warnings(p_true: np.ndarray) -> tuple:
+    """A warning that counts the probabilities outside [0, 1], if any."""
+    excursion = np.maximum(p_true - 1.0, -p_true)
+    clipped = int(np.count_nonzero(excursion > 0))
+    if not clipped:
+        return ()
+    return (
+        f"{clipped} of {excursion.size} true probabilities lie outside [0, 1] and "
+        f"were clipped; largest excursion {float(np.max(excursion)):.3g}",
+    )
+
+
 def _dataset(config, protocol, axes, p_true, sequence, meta=None, warnings=()):
     """Measure ``p_true`` on ``axes`` into the dataset of ``protocol``.
 
     A shot lasts ``sequence`` (the pulses before readout), plus the readout
     window, plus the dead time. The acquisition mode, master seed and
-    readout threshold lead the protocol's own ``meta``.
+    readout threshold lead the protocol's own ``meta``. A probability
+    clipped into [0, 1] adds a warning.
     """
     p_hat, stderr, shots = _measure_grid(p_true, config, protocol)
     return SweepDataset(
@@ -126,13 +151,8 @@ def _dataset(config, protocol, axes, p_true, sequence, meta=None, warnings=()):
         shot_duration=sequence + config.readout.window + config.dead_time,
         protocol=protocol,
         shots=shots,
-        meta={
-            "mode": config.mode,
-            "master_seed": config.master_seed,
-            "readout_threshold": config.readout.threshold,
-            **(meta or {}),
-        },
-        warnings=tuple(warnings),
+        meta=dataset_meta(config, meta),
+        warnings=tuple(warnings) + _clip_warnings(p_true),
     )
 
 
@@ -238,6 +258,13 @@ def run_ramsey(
     )
 
 
+def relaxation_delays(params: SystemParams) -> np.ndarray:
+    """The default relaxation grid: DEFAULT_RELAXATION_POINTS delays over [0, 4 T1]."""
+    if math.isinf(params.t1):
+        raise ValueError("relaxation scan needs an explicit grid for infinite T1")
+    return np.linspace(0.0, 4.0 * params.t1, DEFAULT_RELAXATION_POINTS)
+
+
 def run_relaxation(
     params: SystemParams,
     config: ProtocolConfig,
@@ -245,12 +272,10 @@ def run_relaxation(
 ) -> SweepDataset:
     """Excited-state decay P_e(t) = exp(-t/T1) after a pi pulse.
 
-    The default grid spans [0, 4 T1] with DEFAULT_RELAXATION_POINTS points.
+    The default grid is ``relaxation_delays(params)``.
     """
     if delays is None:
-        if math.isinf(params.t1):
-            raise ValueError("relaxation scan needs an explicit grid for infinite T1")
-        delays = np.linspace(0.0, 4.0 * params.t1, DEFAULT_RELAXATION_POINTS)
+        delays = relaxation_delays(params)
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     p_true = np.ones_like(delays) if math.isinf(params.t1) else np.exp(-delays / params.t1)
     return _dataset(

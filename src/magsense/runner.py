@@ -35,6 +35,8 @@ from .lifetimes import (
 )
 from .params import SystemParams
 from .protocols import (
+    dataset_meta,
+    relaxation_delays,
     run_decay_phase_sense,
     run_decay_spectroscopy,
     run_parametric_decay_scan,
@@ -80,9 +82,14 @@ def _series_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
 
 
+def _protocol_params(config: ExperimentConfig) -> SystemParams:
+    """The device parameters the protocols run with."""
+    return config.system.with_ideal_qubit() if config.ideal_qubit else config.system
+
+
 def execute_protocol(node: ProtocolNode, config: ExperimentConfig) -> SweepDataset:
     """Run one protocol block and return its dataset."""
-    params = config.system.with_ideal_qubit() if config.ideal_qubit else config.system
+    params = _protocol_params(config)
     protocol_config = config.protocol_config(node.pump)
     grids = node.grids
     if node.kind == "spectroscopy":
@@ -146,13 +153,13 @@ def _run_ramsey_series(params, node: ProtocolNode, config: ExperimentConfig) -> 
         shot_duration=first.shot_duration,
         protocol="ramsey-series",
         shots=shots,
-        meta={
-            "mode": first.meta["mode"],
-            "master_seed": config.seed,
-            "readout_threshold": first.meta["readout_threshold"],
-            "c_pump": node.pump.c_pump,
-            "artificial_detuning": first.meta["artificial_detuning"],
-        },
+        meta=dataset_meta(
+            config.protocol_config(node.pump),
+            {
+                "c_pump": node.pump.c_pump,
+                "artificial_detuning": first.meta["artificial_detuning"],
+            },
+        ),
         warnings=warnings,
     )
 
@@ -336,8 +343,6 @@ def _subsample_table(
     for k in range(count):
         subset = subsample_time_budget(dataset, budget, seed=k)
         p_e[k], stderr[k] = subset.p_e, subset.stderr
-        # keep one draw's kept shots alive at a time
-        del subset
     estimates = estimator(dataset, p_e, stderr)
     lifetimes = np.array([estimate.lifetime for estimate in estimates])
     uncertainties = np.array([estimate.uncertainty for estimate in estimates])
@@ -515,7 +520,8 @@ def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
     """Load a run artifact's manifest, config, and datasets from disk.
 
     Each dataset must carry the manifest's hash, and each axis the grid the
-    manifest records for it.
+    manifest records for it; relaxation's default delays, which the manifest
+    leaves out, are derived from the recorded system.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
@@ -545,13 +551,21 @@ def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
                 f"{dataset_path.name}: embedded manifest hash does not match"
             )
         axes = {axis.name: axis.values for axis in dataset.axes}
-        # a grid left out of the manifest (the relaxation default) is not checked
-        for key, grid in node.grids.items():
+        grids = dict(node.grids)
+        if node.kind == "relaxation" and "delays" not in grids:
+            try:
+                grids["delays"] = relaxation_delays(_protocol_params(config))
+            except ValueError as exc:
+                raise SchemaError(
+                    f"{manifest_path}: config.protocols[{k}].grids.delays: {exc}"
+                ) from exc
+        for key, grid in grids.items():
             axis = _GRID_AXES[key]
             if axis not in axes or not np.array_equal(axes[axis], grid):
+                source = "" if key in node.grids else " (default, from config.system.t1)"
                 raise SchemaError(
-                    f"{manifest_path}: config.protocols[{k}].grids.{key} does not "
-                    f"match axis {axis!r} of {dataset_path.name}"
+                    f"{manifest_path}: config.protocols[{k}].grids.{key}{source} does "
+                    f"not match axis {axis!r} of {dataset_path.name}"
                 )
         datasets[node.name] = dataset
     return manifest, config, datasets

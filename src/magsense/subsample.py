@@ -7,11 +7,12 @@ Repeating the draw with different seeds turns one long run into an ensemble
 of budget-limited runs, which is how per-root-hertz spreads of fitted
 quantities are estimated here.
 
-Each call draws from one generator with block-wise keys: a point keeps the
-shots with its m smallest uniform keys, a uniform m-subset without
-replacement and independent across points, so the statistics are those of
-per-point draws. Keys follow flat point order in one stream, so the size
-of the key blocks cannot change the result.
+Every estimate reads only a point's click count, and the clicks among m
+shots drawn without replacement from N, C of which click, follow the
+hypergeometric law Hypergeometric(C, N - C, m) exactly. So each call counts
+the recorded clicks once and draws every point's kept clicks from that law
+with one generator, in flat point order. The result carries no shots: a
+click-count draw picks no shot identities.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .readout import laplace_stderr
 from .sweep import SweepDataset, stream_seed
 
 SUBSAMPLE_TAG = "subsample"
-BLOCK_POINTS = 32  # points per key block: bounds a draw's temporaries
 
 
 def shots_per_point(dataset: SweepDataset, budget: float) -> int:
@@ -45,11 +45,11 @@ def subsample_time_budget(
 ) -> SweepDataset:
     """Restrict a dataset to the shots affordable in ``budget`` seconds.
 
-    The budget is split evenly over the sweep grid; each point keeps a
-    uniform without-replacement draw of its recorded shots and the excited
-    fraction and its smoothed binomial error are recomputed from the draw.
-    Draws take block-wise keys from one generator per call, seeded from
-    ``(seed, SUBSAMPLE_TAG)``.
+    The budget is split evenly over the sweep grid. Each point's kept clicks
+    are those of a uniform without-replacement draw of its recorded shots,
+    drawn directly from their hypergeometric law by one generator per call,
+    seeded from ``(seed, SUBSAMPLE_TAG)``. The excited fraction and its
+    smoothed binomial error are recomputed from them.
 
     Parameters
     ----------
@@ -64,8 +64,8 @@ def subsample_time_budget(
     Returns
     -------
     SweepDataset
-        Same grid with reduced per-point shot counts. Returned unchanged
-        when the budget covers all recorded shots.
+        Same grid with reduced per-point shot counts and ``shots=None``.
+        Returned unchanged when the budget covers all recorded shots.
 
     Raises
     ------
@@ -85,22 +85,17 @@ def subsample_time_budget(
     flat_shots = dataset.shots.reshape(-1, dataset.shots.shape[-1])
     if n_keep < 1:
         raise BudgetError(f"budget {budget:g} s affords no shots on a {len(flat_shots)}-point grid")
-    if n_keep >= flat_shots.shape[1]:
+    n_recorded = flat_shots.shape[1]
+    if n_keep >= n_recorded:
         return dataset
+    recorded = np.count_nonzero(flat_shots > float(threshold), axis=1)
     rng = np.random.default_rng(stream_seed(seed, SUBSAMPLE_TAG))
-    kept = np.zeros((len(flat_shots), n_keep))
-    # one key buffer per call: one per block measured ~1 MB more peak RSS
-    keys = np.empty((BLOCK_POINTS, flat_shots.shape[1]))
-    for start in range(0, len(flat_shots), BLOCK_POINTS):
-        block = flat_shots[start : start + BLOCK_POINTS]
-        pick = np.argpartition(rng.random(out=keys[: len(block)]), n_keep - 1, axis=1)
-        kept[start : start + len(block)] = np.take_along_axis(block, pick[:, :n_keep], axis=1)
-    clicks = np.count_nonzero(kept > float(threshold), axis=1)
+    clicks = rng.hypergeometric(recorded, n_recorded - recorded, n_keep)
     shape = dataset.grid_shape
     return replace(
         dataset,
         p_e=(clicks / n_keep).reshape(shape),
         stderr=laplace_stderr(clicks, n_keep).reshape(shape),
         n_shots=np.full(shape, n_keep, dtype=int),
-        shots=kept.reshape(shape + (n_keep,)),
+        shots=None,
     )

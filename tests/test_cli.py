@@ -107,7 +107,7 @@ class TestValidate:
         "line, message",
         [
             ("n_shots: 0", "n_shots must be >= 1"),
-            ("n_shots: 2000\n  probe_amplitude: 1.5", "probe amplitude must lie in (0, 1]"),
+            ("n_shots: 2000\n  probe_amplitude: 1.5", "probe_amplitude must lie in (0, 1]"),
             ('n_shots: 2000\n  half_pi_duration: "-16 ns"', "half_pi_duration must be >= 0"),
             ('n_shots: 2000\n  pi_duration: "-32 ns"', "pi_duration must be >= 0"),
             ('n_shots: 2000\n  dead_time: "-1 us"', "dead_time must be >= 0"),
@@ -288,6 +288,22 @@ class TestReport:
         (twin / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["report", str(twin)]) == 2
         assert "hash does not match" in capsys.readouterr().err
+
+    def test_relaxation_default_grid_is_checked_against_t1(self, work, capsys):
+        # the manifest leaves relaxation's default delays out; they follow
+        # from system.t1, so a recorded t1 that no longer gives them fails
+        out = work / "baseline-t1"
+        assert main(["run", "coherence-baseline", "--output", str(out)]) == 0
+        assert main(["report", str(out)]) == 0
+        rewrite_manifest(out, lambda config: config["system"].update(t1=2 * config["system"]["t1"]))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert (
+            "config.protocols[1].grids.delays (default, from config.system.t1) does not "
+            "match axis 'delay' of relaxation.csv"
+        ) in err
 
     def test_manifest_with_a_removed_acquisition_field_still_reports(self, work, capsys):
         # artifacts written while acquisition had a thread-pool size record it

@@ -1,11 +1,13 @@
 """Tests for unit-tagged config parsing, resolution, and manifest hashing."""
 
+import copy
 import json
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 
 from magsense.cli import bundled_configs, main
 from magsense.config import (
@@ -74,6 +76,11 @@ class TestQuantityParsing:
         with pytest.raises(ConfigError, match="plain number"):
             parse_quantity("3 rad", "dimensionless", "p")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dimensionless_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="n0: value must be finite"):
+            parse_quantity(value, "dimensionless", "n0")
+
     def test_unknown_unit_is_rejected_with_choices(self):
         with pytest.raises(ConfigError, match="unknown frequency unit 'THz'"):
             parse_quantity("4.81 THz", "frequency", "p")
@@ -137,16 +144,18 @@ class TestGridParsing:
             parse_grid({"start": "0 us", "stop": "1 us", "count": 0}, "time", "g", {})
 
 
+@pytest.fixture
+def no_grid_arrays(monkeypatch):
+    # an unchecked grid fails here instead of allocating
+    def no_grid_array(start, stop, count):
+        assert count <= 1000, "an oversized grid array was built"
+        return np.arange(count, dtype=float)
+
+    monkeypatch.setattr(np, "linspace", no_grid_array)
+
+
+@pytest.mark.usefixtures("no_grid_arrays")
 class TestShotBufferBound:
-    @pytest.fixture(autouse=True)
-    def no_grid_arrays(self, monkeypatch):
-        # an unchecked grid fails here instead of allocating
-        def no_grid_array(start, stop, count):
-            assert count <= 1000, "an oversized grid array was built"
-            return np.arange(count, dtype=float)
-
-        monkeypatch.setattr(np, "linspace", no_grid_array)
-
     def test_bundled_protocols_fit_well_inside(self):
         for path in bundled_configs().values():
             config = load_config(path)
@@ -204,6 +213,116 @@ class TestShotBufferBound:
         raw["protocols"] = [{"kind": "relaxation"}]
         with pytest.raises(ConfigError, match=r"protocols\[0\]\.delays: 20 points exceed"):
             parse_config(raw)
+
+
+# Values every field of a bundled config is set to: wrong types, containers,
+# malformed and non-finite quantities, negative, huge and unit-less numbers.
+HOSTILE_VALUES = (
+    None,
+    True,
+    "text",
+    "",
+    "1 parsec",
+    "nan MHz",
+    "inf us",
+    "-1 us",
+    "1e400 s",
+    -1,
+    0,
+    2.5,
+    -2.5,
+    10**19,
+    1e19,
+    math.nan,
+    math.inf,
+    -math.inf,
+    [1],
+    {"text": 1},
+    [],
+    {},
+)
+
+
+def _field_paths(node, prefix=()):
+    """Every key and list index below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _field_label(source: str, path: tuple) -> str:
+    return source + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _names_field(message: str, source: str, path: tuple) -> bool:
+    """The message names the field, or its block and then its key."""
+    if _field_label(source, path) in message:
+        return True
+    block = _field_label(source, path[:-1]) + ":"
+    return block in message and str(path[-1]) in message.split(block, 1)[1]
+
+
+def _fuzzed_configs(rng):
+    """(bundled name, field path, hostile value, mutated raw config) cases."""
+    for name, path in sorted(bundled_configs().items()):
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        for field_path in _field_paths(raw):
+            # two seeded numbers of random sign and magnitude join the fixed list
+            seeded = (
+                float(rng.normal() * 10.0 ** rng.integers(-12, 30)),
+                int(rng.integers(-(2**62), 2**62)),
+            )
+            for value in HOSTILE_VALUES + seeded:
+                mutated = copy.deepcopy(raw)
+                block = mutated
+                for key in field_path[:-1]:
+                    block = block[key]
+                block[field_path[-1]] = copy.deepcopy(value)
+                yield name, field_path, value, mutated
+
+
+@pytest.mark.usefixtures("no_grid_arrays")
+class TestConfigFieldFuzzer:
+    def test_every_hostile_field_loads_or_names_the_field(self):
+        outcomes = {"loaded": 0, "rejected": 0}
+        cases = list(_fuzzed_configs(np.random.default_rng(2026)))
+        assert len(cases) > 3000
+        for name, path, value, raw in cases:
+            case = f"{name}: {_field_label('config', path)} = {value!r}"
+            try:
+                parse_config(raw, source="config")
+            except ConfigError as exc:
+                assert _names_field(str(exc), "config", path), f"{case}: {exc}"
+                outcomes["rejected"] += 1
+            else:
+                outcomes["loaded"] += 1
+        assert outcomes["loaded"] and outcomes["rejected"]
+
+    def test_validate_exits_2_on_a_seeded_sample(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        cases = list(_fuzzed_configs(rng))
+        path = tmp_path / "fuzzed.yaml"
+        codes = set()
+        for index in rng.choice(len(cases), size=40, replace=False):
+            name, field_path, value, raw = cases[int(index)]
+            path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+            try:
+                parse_config(raw, source=str(path))
+                expected = 0
+            except ConfigError:
+                expected = 2
+            capsys.readouterr()
+            code = main(["validate", str(path)])
+            err = capsys.readouterr().err
+            case = f"{name}: {_field_label('config', field_path)} = {value!r}"
+            assert code == expected, f"{case}: exit {code}: {err}"
+            if code == 2:
+                assert err.startswith("error:") and "Traceback" not in err, f"{case}: {err}"
+                assert _names_field(err, str(path), field_path), f"{case}: {err}"
+            codes.add(code)
+        assert codes == {0, 2}
 
 
 class TestConfigValidation:
@@ -282,6 +401,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             parse_config(base_config(**overrides))
 
+    def test_negative_seed_is_rejected(self):
+        # numpy seeds streams from non-negative integers; at run time a
+        # negative seed used to end in an untyped runtime error
+        assert parse_config(base_config(seed=0)).seed == 0
+        with pytest.raises(ConfigError, match=r"config\.seed: must be >= 0"):
+            parse_config(base_config(seed=-1))
+
     def test_duplicate_protocol_names(self):
         raw = base_config()
         raw["protocols"] = [
@@ -351,7 +477,7 @@ class TestConfigValidation:
         "acquisition, message",
         [
             ({"n_shots": 0}, "n_shots must be >= 1"),
-            ({"probe_amplitude": 1.5}, r"probe amplitude must lie in \(0, 1\]"),
+            ({"probe_amplitude": 1.5}, r"probe_amplitude must lie in \(0, 1\]"),
             ({"half_pi_duration": "-16 ns"}, "half_pi_duration must be >= 0"),
             ({"pi_duration": "-32 ns"}, "pi_duration must be >= 0"),
             ({"dead_time": "-1 us"}, "dead_time must be >= 0"),

@@ -159,6 +159,12 @@ HAND_CASES = {
         "config.protocols[2].grids.probe_freqs does not match axis 'probe_frequency' "
         "of spectroscopy.csv",
     ),
+    # relaxation's default delays follow from system.t1, which an ideal qubit lacks
+    "ideal-qubit-without-relaxation-grid": (
+        _edit_config(_set("system", "ideal_qubit", value=True)),
+        "config.protocols[1].grids.delays: relaxation scan needs an explicit grid "
+        "for infinite T1",
+    ),
 }
 
 

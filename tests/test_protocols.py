@@ -11,6 +11,7 @@ from magsense.lindblad import CollapseTerm, evolve_lindblad
 from magsense.params import PumpSpec, SystemParams
 from magsense.protocols import (
     ProtocolConfig,
+    _dataset,
     _measure_grid,
     run_decay_phase_sense,
     run_decay_spectroscopy,
@@ -21,7 +22,7 @@ from magsense.protocols import (
 )
 from magsense.readout import ReadoutModel, sample_readout
 from magsense.spaces import DensityMatrix, ModeSpace, build_mode_operators
-from magsense.sweep import point_seed
+from magsense.sweep import Axis, point_seed
 
 
 def reference_config(**overrides) -> ProtocolConfig:
@@ -362,6 +363,28 @@ def test_every_protocol_records_mode_seed_and_threshold(mode):
         assert data.meta["mode"] == mode, data.protocol
         assert data.meta["master_seed"] == 29, data.protocol
         assert data.meta["readout_threshold"] == config.readout.threshold, data.protocol
+
+
+@pytest.mark.parametrize("mode", ["shots", "expectation"])
+def test_clipped_probabilities_are_named_in_a_warning(mode):
+    config = reference_config(mode=mode, n_shots=16)
+    axes = (Axis("delay", "s", [0.0, 1e-7, 2e-7, 3e-7]),)
+    inside = _dataset(config, "relaxation", axes, np.array([0.0, 0.3, 0.7, 1.0]), 3e-7)
+    assert inside.warnings == ()
+    outside = _dataset(
+        config,
+        "relaxation",
+        axes,
+        np.array([-0.02, 0.3, 1.05, 1.0]),
+        3e-7,
+        warnings=("protocol warning",),
+    )
+    assert outside.warnings == (
+        "protocol warning",
+        "2 of 4 true probabilities lie outside [0, 1] and were clipped; "
+        "largest excursion 0.05",
+    )
+    assert np.all((outside.p_e >= 0.0) & (outside.p_e <= 1.0))
 
 
 def test_shot_duration_bookkeeping():
