@@ -15,7 +15,10 @@ manifest. ``from_resolved`` reads that recorded mapping back through the same
 field tables, checks and constructors. A recorded quantity is an SI number
 rather than a "value unit" string, every field must be present, and three
 keys sit where the mapping puts them: the pump's ``power_w``, a protocol's
-``grids`` and an analysis's ``inputs`` and ``options``.
+``grids`` and an analysis's ``inputs`` and ``options``. A manifest written
+by an earlier version may still record a field since removed from the
+schema (``REMOVED_FIELDS``); it is dropped where its recorded value is one
+the current code reproduces, and rejected where it is not.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ import yaml
 
 from .errors import ConfigError
 from .params import PumpSpec, SystemParams, gamma2_from_coherence
-from .protocols import DEFAULT_PROBE_DURATION, DEFAULT_RELAXATION_POINTS, ProtocolConfig
+from .protocols import (
+    BLUR_PHASE_LIMIT,
+    DEFAULT_PROBE_DURATION,
+    DEFAULT_RELAXATION_POINTS,
+    ProtocolConfig,
+)
 from .readout import ReadoutModel
 from .sensitivity import SensingConfig
 
@@ -66,9 +74,17 @@ PROTOCOL_KINDS = (
     "parametric-scan",
 )
 
-# acquisition fields that manifests written by earlier versions may still
-# record; they no longer change the output and are dropped on rebuild
-REMOVED_ACQUISITION_FIELDS = ("workers",)
+# Fields, per block, that manifests written by earlier versions may still
+# record, each with the one recorded value the current code reproduces; None
+# marks a field that never changed the output. A manifest's removed field is
+# dropped on rebuild, or rejected at a value no longer reproduced; in YAML it
+# is an unknown field.
+REMOVED_FIELDS = {
+    "system": {"chi_mc": None, "t2e": None},
+    # a dt of 0 let the parametric scan pick its own Lindblad step
+    "acquisition": {"workers": None, "dt": 0.0, "blur_phase_limit": BLUR_PHASE_LIMIT},
+    "pump": {"drive_frequency": None, "delta": None},
+}
 
 # A protocol samples its grid into one (points, shots) float64 buffer, and
 # the shots kept for the sidecar are a view of it. With the click mask next
@@ -189,6 +205,18 @@ class _Block:
     def read(self, table) -> dict:
         """The fields of a (key, kind, default) table."""
         return {key: self.get(key, kind, default) for key, kind, default in table}
+
+    def drop_removed(self, block: str) -> None:
+        """Take the ``REMOVED_FIELDS`` of ``block`` that a manifest records."""
+        if not self.recorded:
+            return
+        for key, reproduced in REMOVED_FIELDS[block].items():
+            value = self.take(key)
+            if value is not None and reproduced is not None and value != reproduced:
+                raise ConfigError(
+                    f"{self.path}.{key}: the field was removed, and only "
+                    f"{reproduced!r} is reproduced, not the recorded {value!r}"
+                )
 
     def finish(self) -> None:
         unknown = sorted(set(self.raw) - self.seen)
@@ -319,12 +347,10 @@ _SYSTEM_FIELDS = tuple(
         ("g_mc", "frequency"),
         ("chi_qc", "frequency"),
         ("chi_qm", "frequency"),
-        ("chi_mc", "frequency"),
         ("kappa_m", "frequency"),
         ("gamma2_0", "frequency"),
         ("t1", "time"),
         ("t2r", "time"),
-        ("t2e", "time"),
     )
 )
 _READOUT_FIELDS = (
@@ -342,16 +368,12 @@ _ACQUISITION_FIELDS = (
     ("pi_duration", "time", 32e-9),
     ("half_pi_duration", "time", 16e-9),
     ("artificial_detuning", "frequency", 0.0),
-    ("blur_phase_limit", "angle", math.pi),
     ("dead_time", "time", 0.0),
-    ("dt", "time", 0.0),
 )
 # the pump's power_w is written "power" in YAML
 _PUMP_FIELDS = (
     ("c_pump", "inverse-power", 0.0),
-    ("drive_frequency", "frequency", 0.0),
     ("omega_qm", "frequency", 0.0),
-    ("delta", "frequency", 0.0),
 )
 _SENSING_FIELDS = (
     ("tau", "time", _REQUIRED),
@@ -368,6 +390,7 @@ _SENSITIVITY_OPTIONS = (
 def _read_system(block: _Block) -> tuple[SystemParams, bool, dict]:
     values = block.read(_SYSTEM_FIELDS)
     ideal = block.get("ideal_qubit", "boolean", False)
+    block.drop_removed("system")
     block.finish()
     # the derived g_mc and gamma2_0 divide by chi_qc and t2r
     if values["g_mc"] is None and values["chi_qc"] == 0:
@@ -406,10 +429,8 @@ def _read_readout(block: _Block, t1: float, ideal: bool) -> tuple[ReadoutModel, 
 
 
 def _read_acquisition(block: _Block) -> dict:
-    if block.recorded:
-        for key in REMOVED_ACQUISITION_FIELDS:
-            block.take(key)
     values = block.read(_ACQUISITION_FIELDS)
+    block.drop_removed("acquisition")
     block.finish()
     return values
 
@@ -417,6 +438,7 @@ def _read_acquisition(block: _Block) -> dict:
 def _read_pump(block: _Block, required: tuple = ()) -> tuple[PumpSpec, dict]:
     values = {"power_w": block.get("power_w" if block.recorded else "power", "power", 0.0)}
     values.update(block.read(_PUMP_FIELDS))
+    block.drop_removed("pump")
     block.finish()
     for key in required:
         if values[key] <= 0:
@@ -512,6 +534,8 @@ def _read_analysis(block: _Block, protocols: dict) -> tuple[AnalysisNode, dict]:
         options = options_block.read(_SENSITIVITY_OPTIONS)
         if options["count"] < 2:
             raise ConfigError(f"{options_block.path}.count: must be >= 2")
+        if options["n_min"] < 0:
+            raise ConfigError(f"{options_block.path}.n_min: must be >= 0")
         if options["n_max"] <= options["n_min"]:
             raise ConfigError(f"{options_block.path}: n_max must be > n_min")
         # the solve holds float64 arrays of the grid's length
@@ -545,9 +569,9 @@ def parse_config(raw: dict, source: str = "config") -> ExperimentConfig:
 def from_resolved(resolved: dict, source: str = "config") -> ExperimentConfig:
     """Read a manifest's resolved mapping through the config schema.
 
-    Acquisition fields that no longer exist are dropped, and acquisition
-    values are not checked again; ``resolved`` itself, and so the manifest
-    hash, is kept as recorded.
+    A removed field (``REMOVED_FIELDS``) is dropped if its recorded value is
+    reproduced, and acquisition values are not checked again; ``resolved``
+    itself, and so the manifest hash, is kept as recorded.
     """
     return _read_config(resolved, source, recorded=True)
 

@@ -48,11 +48,9 @@ class SystemParams:
     g_mc: float  # magnon-cavity coupling, rad/s
     chi_qc: float  # qubit-cavity dispersive shift per photon, rad/s (signed)
     chi_qm: float  # qubit-magnon dispersive shift per magnon, rad/s (signed)
-    chi_mc: float  # magnon-cavity dispersive shift, rad/s (signed)
     kappa_m: float  # magnon energy decay rate, rad/s
     t1: float  # qubit relaxation time, s
     t2r: float  # Ramsey decay time, s
-    t2e: float  # echo decay time, s (benchmark only)
     gamma2_0: float  # bare qubit pure-dephasing rate, rad/s
 
     def __post_init__(self) -> None:
@@ -64,7 +62,7 @@ class SystemParams:
         for name in ("kappa_m", "gamma2_0"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("t1", "t2r", "t2e"):
+        for name in ("t1", "t2r"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         # equality holds for a pure-relaxation-limited qubit; small slack for
@@ -96,7 +94,7 @@ class SystemParams:
 
     def with_ideal_qubit(self) -> "SystemParams":
         """Ideal-qubit variant: no intrinsic relaxation or dephasing."""
-        return replace(self, t1=math.inf, t2r=math.inf, t2e=math.inf, gamma2_0=0.0)
+        return replace(self, t1=math.inf, t2r=math.inf, gamma2_0=0.0)
 
     @classmethod
     def reference(cls) -> "SystemParams":
@@ -124,11 +122,9 @@ class SystemParams:
             g_mc=g_mc,
             chi_qc=chi_qc,
             chi_qm=chi_qm,
-            chi_mc=0.0,
             kappa_m=TWO_PI * 4.81e6,
             t1=t1,
             t2r=t2r,
-            t2e=5.0e-6,
             gamma2_0=gamma2_from_coherence(t1, t2r),
         )
 
@@ -139,9 +135,7 @@ class PumpSpec:
 
     power_w: float = 0.0  # applied magnon pump power, W
     c_pump: float = 0.0  # pump-to-magnon conversion, magnons/W
-    drive_frequency: float = 0.0  # rad/s, rotating-frame bookkeeping only
     omega_qm: float = 0.0  # parametric conversion rate, rad/s
-    delta: float = 0.0  # parametric detuning, rad/s
 
     def __post_init__(self) -> None:
         if self.power_w < 0:

@@ -36,15 +36,14 @@ from .sweep import Axis, SweepDataset, point_seed
 DEFAULT_PROBE_DURATION = 1.0 / (2.0 * math.pi * 1.0e6)
 # points of the relaxation scan when no delay grid is given
 DEFAULT_RELAXATION_POINTS = 20
+# fringe phase between adjacent decay-phase sense times above which the
+# signal is flagged as blurred out, rad
+BLUR_PHASE_LIMIT = math.pi
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Shared knobs for all protocol simulations.
-
-    Durations are in seconds. ``dt`` is the Lindblad integrator step of the
-    parametric scan; 0 picks one from the fastest rate of each detuning.
-    """
+    """Shared knobs for all protocol simulations; durations are in seconds."""
 
     readout: ReadoutModel
     n_shots: int = 400
@@ -57,9 +56,7 @@ class ProtocolConfig:
     pi_duration: float = 32e-9
     half_pi_duration: float = 16e-9
     artificial_detuning: float = 0.0  # rad/s, Ramsey fringe detuning
-    blur_phase_limit: float = math.pi
     dead_time: float = 0.0  # reset/settle time appended to each sequence
-    dt: float = 0.0  # Lindblad integrator step, s
 
     def __post_init__(self) -> None:
         if self.n_shots < 1:
@@ -70,7 +67,7 @@ class ProtocolConfig:
             raise ValueError("probe_duration must be > 0")
         if not 0.0 < self.probe_amplitude <= 1.0:
             raise ValueError("probe_amplitude must lie in (0, 1]")
-        for name in ("pi_duration", "half_pi_duration", "dead_time", "dt"):
+        for name in ("pi_duration", "half_pi_duration", "dead_time"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -316,10 +313,10 @@ def run_decay_phase_sense(
     if n0 > 0 and len(sense_times) > 1:
         step = float(np.min(np.diff(np.sort(sense_times))))
         max_phase_step = abs(params.chi_qm) * n0 * step
-        if max_phase_step > config.blur_phase_limit:
+        if max_phase_step > BLUR_PHASE_LIMIT:
             warnings.append(
                 f"adjacent sense times advance the fringe phase by up to "
-                f"{max_phase_step:.3g} rad > {config.blur_phase_limit:.3g} rad; "
+                f"{max_phase_step:.3g} rad > {BLUR_PHASE_LIMIT:.3g} rad; "
                 "the signal blurs out"
             )
     phi = _decayed_phase(params, n0, sense_times)
@@ -395,7 +392,6 @@ def _lindblad_excited_population(
     omega_qm: float,
     delta: float,
     durations: np.ndarray,
-    dt_override: float,
 ) -> np.ndarray:
     """P_e(t) for an excited qubit under the parametric exchange with loss."""
     space = ModeSpace(("q", "m"), (2, 3))
@@ -410,7 +406,7 @@ def _lindblad_excited_population(
     inv_t1 = 0.0 if math.isinf(params.t1) else 1.0 / params.t1
     # keep dt * (fastest rate) well under the integrator budget of 0.1
     rate_scale = 0.5 * omega_qm + abs(delta) + params.kappa_m + inv_t1
-    target = dt_override if dt_override > 0 else 0.02 / rate_scale
+    target = 0.02 / rate_scale
     substeps = max(1, math.ceil(spacing / target))
     dt = spacing / substeps
     for d in durations:
@@ -456,9 +452,7 @@ def run_parametric_decay_scan(
         raise ValueError("duration grid must be uniform")
     p_true = np.empty((len(deltas), len(durations)))
     for i, delta in enumerate(deltas):
-        p_true[i] = _lindblad_excited_population(
-            params, omega_qm, float(delta), durations, config.dt
-        )
+        p_true[i] = _lindblad_excited_population(params, omega_qm, float(delta), durations)
     return _dataset(
         config,
         "parametric-scan",

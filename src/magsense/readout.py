@@ -107,7 +107,6 @@ def laplace_stderr(clicks, n_shots):
 class ShotRecord:
     """Analog shots drawn at one sweep point."""
 
-    coordinates: dict
     values: np.ndarray
     threshold: float
 
@@ -127,21 +126,8 @@ class ShotRecord:
         k = int(np.sum(self.values > self.threshold))
         return float(laplace_stderr(k, self.n_shots))
 
-    def subset(self, indices: np.ndarray) -> "ShotRecord":
-        return ShotRecord(
-            coordinates=self.coordinates,
-            values=self.values[np.asarray(indices, dtype=int)],
-            threshold=self.threshold,
-        )
 
-
-def sample_readout(
-    p_e: float,
-    model: ReadoutModel,
-    n_shots: int,
-    seed,
-    coordinates: dict | None = None,
-) -> ShotRecord:
+def sample_readout(p_e: float, model: ReadoutModel, n_shots: int, seed) -> ShotRecord:
     """Draw analog readout voltages for a given excited-state probability.
 
     Deterministic for a fixed seed; the seed may be anything accepted by
@@ -160,8 +146,4 @@ def sample_readout(
         model.mu_e + model.sigma_e * rng.standard_normal(n_shots),
         model.mu_g + model.sigma_g * rng.standard_normal(n_shots),
     )
-    return ShotRecord(
-        coordinates=dict(coordinates or {}),
-        values=values,
-        threshold=model.threshold,
-    )
+    return ShotRecord(values=values, threshold=model.threshold)

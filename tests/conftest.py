@@ -1,9 +1,20 @@
 """Helpers shared by the test modules."""
 
 import json
+import math
 from pathlib import Path
 
-from magsense.config import resolved_hash
+from magsense.config import REMOVED_FIELDS, resolved_hash
+
+# a value that earlier versions recorded, or could have, for each removed
+# field that changed no output at any value
+_ANY_RECORDED = {
+    "chi_mc": 0.0,
+    "t2e": 5e-6,
+    "workers": 0,
+    "drive_frequency": 2 * math.pi * 4.74e9,
+    "delta": 2 * math.pi * 1e6,
+}
 
 
 def rewrite_manifest(artifact, edit) -> tuple[str, str]:
@@ -24,3 +35,25 @@ def rewrite_manifest(artifact, edit) -> tuple[str, str]:
         text = table.read_text(encoding="utf-8")
         table.write_text(text.replace(old_hash, manifest["hash"]), encoding="utf-8")
     return old_hash, manifest["hash"]
+
+
+def removed_field_edits():
+    """(label, edit) that records one removed field at a reproduced value.
+
+    Each ``edit`` suits ``rewrite_manifest``; a pump field goes into every
+    protocol's pump.
+    """
+    edits = []
+    for block, table in sorted(REMOVED_FIELDS.items()):
+        for key, value in sorted(table.items()):
+            value = _ANY_RECORDED[key] if value is None else value
+
+            def edit(config, block=block, key=key, value=value):
+                if block == "pump":
+                    for protocol in config["protocols"]:
+                        protocol["pump"][key] = value
+                else:
+                    config[block][key] = value
+
+            edits.append((f"{block}.{key}", edit))
+    return edits

@@ -5,7 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
-from conftest import rewrite_manifest
+from conftest import removed_field_edits, rewrite_manifest
 
 from magsense.cli import bundled_configs, main
 from magsense.runner import read_report
@@ -111,7 +111,7 @@ class TestValidate:
             ('n_shots: 2000\n  half_pi_duration: "-16 ns"', "half_pi_duration must be >= 0"),
             ('n_shots: 2000\n  pi_duration: "-32 ns"', "pi_duration must be >= 0"),
             ('n_shots: 2000\n  dead_time: "-1 us"', "dead_time must be >= 0"),
-            ('n_shots: 2000\n  dt: "-1 ns"', "dt must be >= 0"),
+            ('n_shots: 2000\n  dt: "-1 ns"', "unknown field 'dt'"),
             ("n_shots: 2000\n  workers: 3", "unknown field 'workers'"),
         ],
         ids=[
@@ -306,19 +306,20 @@ class TestReport:
         ) in err
 
     def test_manifest_with_a_removed_acquisition_field_still_reports(self, work, capsys):
-        # artifacts written while acquisition had a thread-pool size record it
-        # as 0 in their resolved config, and their hash covers it
+        # artifacts written by earlier versions record fields since removed
+        # (a thread-pool size, the integrator step, ...) in their resolved
+        # config, and their hash covers them; each is added in turn
         out = work / "legacy"
         assert main(["run", str(work / "decay.yaml"), "--output", str(out)]) == 0
-        old_hash, new_hash = rewrite_manifest(
-            out, lambda config: config["acquisition"].update(workers=0)
-        )
         expected = (out / "lifetime-phase.txt").read_text(encoding="utf-8")
-        assert main(["report", str(out)]) == 0
-        assert "report lifetime-phase:" in capsys.readouterr().out
-        assert (out / "lifetime-phase.txt").read_text(encoding="utf-8") == expected.replace(
-            old_hash, new_hash
-        )
+        first_hash = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["hash"]
+        for label, edit in removed_field_edits():
+            _, new_hash = rewrite_manifest(out, edit)
+            assert main(["report", str(out)]) == 0, label
+            assert "report lifetime-phase:" in capsys.readouterr().out
+            assert (out / "lifetime-phase.txt").read_text(encoding="utf-8") == expected.replace(
+                first_hash, new_hash
+            ), label
 
     def test_missing_shots_sidecar_exits_2(self, work, decay_artifact, capsys):
         twin = work / "no-sidecar"

@@ -21,7 +21,7 @@ from magsense.config import (
     resolved_hash,
 )
 from magsense.errors import ConfigError
-from magsense.params import SystemParams
+from magsense.params import PumpSpec, SystemParams
 from magsense.protocols import ProtocolConfig
 
 TWO_PI = 2.0 * math.pi
@@ -463,6 +463,16 @@ class TestConfigValidation:
         assert config.sensing.threshold == 0.18
         assert config.analyses[0].options == {"n_min": 0.0, "n_max": 2000.0, "count": 81}
 
+    def test_negative_sensitivity_n_min_is_rejected(self, tmp_path, capsys):
+        # a negative n_min used to validate and run, sweeping negative
+        # magnon numbers through the report
+        text = bundled_configs()["sensitivity-scan"].read_text(encoding="utf-8")
+        assert text.count("    n_min: 0\n") == 1
+        path = tmp_path / "negative-n-min.yaml"
+        path.write_text(text.replace("    n_min: 0\n", "    n_min: -100\n"), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert "analyses[0].n_min: must be >= 0" in capsys.readouterr().err
+
     def test_empty_protocols_rejected(self):
         with pytest.raises(ConfigError, match="non-empty list"):
             parse_config(base_config(protocols=[]))
@@ -481,7 +491,6 @@ class TestConfigValidation:
             ({"half_pi_duration": "-16 ns"}, "half_pi_duration must be >= 0"),
             ({"pi_duration": "-32 ns"}, "pi_duration must be >= 0"),
             ({"dead_time": "-1 us"}, "dead_time must be >= 0"),
-            ({"dt": "-1 ns"}, "dt must be >= 0"),
         ],
     )
     def test_acquisition_values_checked_at_parse_time(self, acquisition, message):
@@ -514,12 +523,16 @@ class TestResolvedManifest:
         assert json.loads(payload) == config.resolved
 
     def test_resolved_acquisition_holds_the_protocol_knobs(self):
-        acquisition = parse_config(base_config()).resolved["acquisition"]
+        # every recorded acquisition, pump and system field has a constructor
+        # field behind it: a manifest records nothing that no code reads
+        resolved = parse_config(base_config()).resolved
         shared = {"readout", "master_seed", "pump"}
-        assert sorted(acquisition) == sorted(
-            f.name for f in fields(ProtocolConfig) if f.name not in shared
-        )
-        assert acquisition["dt"] == 0.0
+        for recorded, names in (
+            (resolved["acquisition"], {f.name for f in fields(ProtocolConfig)} - shared),
+            (resolved["protocols"][0]["pump"], {f.name for f in fields(PumpSpec)}),
+            (resolved["system"], {f.name for f in fields(SystemParams)} | {"ideal_qubit"}),
+        ):
+            assert sorted(recorded) == sorted(names)
 
     def test_from_resolved_does_not_revalidate_acquisition(self):
         # an artifact's manifest loads as recorded, even with values that
@@ -556,12 +569,12 @@ class TestResolvedManifest:
 
 
 BUNDLED_HASHES = {
-    "coherence-baseline": "423bea8f26dbde8d35232aaf6e8027f6af537117da71ee2da890ea4587f961ab",
-    "decay-tracking": "10ff38c33a86d97b5960c8b7891759a702aa47ab449f859b33d72198bdd56a6f",
-    "magnon-counting": "cf79096075ff8ed2c8c53cb65aac59d946ae93fc61a8f57b5da7937ea6fa4583",
-    "parametric-scan": "b7c148dc8938e369a25f87e1d97be6f1c178530f60bf74968d82045b1fe9eb29",
-    "sensitivity-scan-ideal": "eb2179651b6c59f2b9c61f06a04b835b80d96140a9ece1b40924be7c03a2ce47",
-    "sensitivity-scan": "69a5d86e0ec3d63ceda20ca93220edf76879221153cabe3fef13d0bb22dfcf74",
+    "coherence-baseline": "b4fec8d7f2b659caff8ad85e0c4b7498766ca44b789314c6d9d7ed012e32d91f",
+    "decay-tracking": "1709a8e39f7f06fcb09c2618a6b7878d2a6c69b48e4a240c8e1ec03a4e8e7597",
+    "magnon-counting": "2241ba6f7da0a48fe9a5798dac81a43acfae2487d1dfdbc53766070aa4eea815",
+    "parametric-scan": "3e602da48848f5c800aea9fdeedffde0f7f7621d4034304c2ad2301e97d3554e",
+    "sensitivity-scan-ideal": "f2e2a9c645651d39240184a7f1b4c6b182984db726ab30e86f29b6aa2e825a40",
+    "sensitivity-scan": "b5f226f2ebe7fc793a7d4d6a34e0e02479fa0773bd23616af82fe40748c567ac",
 }
 
 

@@ -159,6 +159,15 @@ HAND_CASES = {
         "config.protocols[2].grids.probe_freqs does not match axis 'probe_frequency' "
         "of spectroscopy.csv",
     ),
+    # removed fields at values the current code no longer reproduces
+    "recorded-dt": (
+        _edit_config(_set("acquisition", "dt", value=1e-9)),
+        "config.acquisition.dt: the field was removed",
+    ),
+    "recorded-blur-phase-limit": (
+        _edit_config(_set("acquisition", "blur_phase_limit", value=1.0)),
+        "config.acquisition.blur_phase_limit: the field was removed",
+    ),
     # relaxation's default delays follow from system.t1, which an ideal qubit lacks
     "ideal-qubit-without-relaxation-grid": (
         _edit_config(_set("system", "ideal_qubit", value=True)),

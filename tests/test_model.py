@@ -99,11 +99,9 @@ def _bare_params(**overrides):
         g_mc=0.0,
         chi_qc=0.0,
         chi_qm=0.0,
-        chi_mc=0.0,
         kappa_m=0.0,
         t1=1.0,
         t2r=1.0,
-        t2e=1.0,
         gamma2_0=0.0,
     )
     base.update(overrides)

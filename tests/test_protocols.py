@@ -42,7 +42,7 @@ def test_protocol_config_validation():
         ProtocolConfig(readout=model, probe_amplitude=1.2)
     with pytest.raises(ValueError):
         ProtocolConfig(readout=model, probe_duration=0.0)
-    for name in ("pi_duration", "half_pi_duration", "dead_time", "dt"):
+    for name in ("pi_duration", "half_pi_duration", "dead_time"):
         with pytest.raises(ValueError, match=name):
             ProtocolConfig(readout=model, **{name: -1e-9})
         assert getattr(ProtocolConfig(readout=model, **{name: 0.0}), name) == 0.0

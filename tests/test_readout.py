@@ -88,7 +88,7 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         ReadoutModel.for_qubit(t1=T1_REF, sigma=0.0)
     with pytest.raises(ValueError):
-        ShotRecord(coordinates={}, values=np.array([]), threshold=0.5)
+        ShotRecord(values=np.array([]), threshold=0.5)
 
 
 def test_idealized_model_contrast():
@@ -102,12 +102,3 @@ def test_stderr_positive_at_extremes():
     model = default_model()
     record = sample_readout(0.0, model, 200, seed=9)
     assert record.excited_stderr() > 0.0
-
-
-def test_shot_record_subset():
-    model = default_model()
-    record = sample_readout(0.5, model, 50, seed=11, coordinates={"delay": 1e-6})
-    sub = record.subset(np.arange(10))
-    assert sub.n_shots == 10
-    assert np.array_equal(sub.values, record.values[:10])
-    assert sub.coordinates == {"delay": 1e-6}

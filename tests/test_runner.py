@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 import numpy as np
-from conftest import rewrite_manifest
+from conftest import removed_field_edits, rewrite_manifest
 
 from magsense import fitting
 from magsense.config import load_config
@@ -101,22 +101,17 @@ def _run(tmp_path, text):
     return run_experiment(load_config(source), tmp_path / "artifact")
 
 
-def _record_removed_acquisition_field(artifact) -> None:
-    """Rewrite an artifact as written while acquisition had ``workers: 0``."""
-    rewrite_manifest(artifact, lambda config: config["acquisition"].update(workers=0))
-
-
 def test_recorded_shots_regenerate_from_the_manifest(tmp_path):
     # the point_seed contract: a protocol re-run from the manifest's resolved
     # config draws every recorded shot again, bit for bit, also from a
-    # manifest that still records a removed acquisition field
+    # manifest that still records removed fields, added one at a time
     artifact = _run(tmp_path, SHOTS_YAML)
-    for legacy in (False, True):
-        if legacy:
-            _record_removed_acquisition_field(artifact.path)
+    for label, edit in [("as written", None)] + removed_field_edits():
+        if edit is not None:
+            old_hash, new_hash = rewrite_manifest(artifact.path, edit)
+            assert old_hash != new_hash, label
         manifest, config, datasets = load_artifact(artifact.path)
         assert manifest["hash"] == config.manifest_hash
-        assert ("workers" in manifest["config"]["acquisition"]) == legacy
         for node in config.protocols:
             recorded = datasets[node.name]
             regenerated = execute_protocol(node, config)
