@@ -49,7 +49,6 @@ from .fitting import (
     fit_curve,
     fit_rows,
     interpolate_poly,
-    unwrap_phases,
 )
 from .hamiltonians import (
     derived_chi_qm,
@@ -94,7 +93,6 @@ from .spaces import (
     ModeSpace,
     Operator,
     build_mode_operators,
-    expectation,
     fock_state,
     ket_state,
 )

@@ -56,11 +56,8 @@ class CalibrationResult:
     chi_qm: float  # rad/s, magnitude of the shift per magnon
     c_pump: float  # magnons per W
     gamma2_0: float  # rad/s, input zero-power dephasing rate
-    stark_slope: float  # rad/s per W
-    dephasing_slope: float  # rad/s per W
-    rho: float  # dephasing_slope / stark_slope
+    rho: float  # dephasing slope / Stark slope
     root: str  # SMALL_CHI or LARGE_CHI
-    degenerate: bool = False  # rho = 1: the two roots coincide at kappa_m
 
     def __post_init__(self) -> None:
         if self.chi_qm <= 0 or self.c_pump <= 0:
@@ -118,11 +115,8 @@ def calibrate_magnon_number(
         chi_qm=chi,
         c_pump=stark_slope / chi,
         gamma2_0=gamma2_0,
-        stark_slope=stark_slope,
-        dephasing_slope=dephasing_slope,
         rho=rho,
         root=root,
-        degenerate=(rho == 1.0),
     )
 
 

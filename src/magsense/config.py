@@ -37,6 +37,7 @@ from .protocols import (
     BLUR_PHASE_LIMIT,
     DEFAULT_PROBE_DURATION,
     DEFAULT_RELAXATION_POINTS,
+    GRIDS,
     ProtocolConfig,
 )
 from .readout import ReadoutModel
@@ -449,16 +450,6 @@ def _read_pump(block: _Block, required: tuple = ()) -> tuple[PumpSpec, dict]:
         raise ConfigError(f"{block.path}: {exc}") from exc
 
 
-_GRID_DIMENSIONS = {
-    "pump_powers": "power",
-    "probe_freqs": "frequency",
-    "delays": "time",
-    "sense_times": "time",
-    "second_pulse_phases": "angle",
-    "deltas": "frequency",
-    "durations": "time",
-}
-
 # protocol kind -> (required grids, optional grids, needs n0, required pump keys)
 _PROTOCOL_LAYOUT = {
     "spectroscopy": (("pump_powers", "probe_freqs"), (), False, ("c_pump",)),
@@ -489,7 +480,7 @@ def _read_protocol(block: _Block, anchors: dict, n_shots: int) -> tuple[Protocol
             _check_points(DEFAULT_RELAXATION_POINTS, capacity, path)
             continue
         grids[key] = parse_grid(
-            value, _GRID_DIMENSIONS[key], path, anchors, capacity, block.recorded
+            value, GRIDS[key][2], path, anchors, capacity, block.recorded
         )
         capacity //= len(grids[key])
     n0 = block.get("n0", "dimensionless", 0.0)

@@ -17,9 +17,11 @@ Initial guesses are automatic and deterministic: peaked models start from
 max/centroid/second-moment estimates, exponentials from log-linear regression,
 sinusoids from the discrete Fourier peak; ``peak_row_start`` seeds rows known
 to be upward lines from their maximum. Fitted sinusoid phases are
-canonicalized to amplitude >= 0 and phase in [0, 2pi); series of phases are
-unwrapped by choosing the branch within pi of the previous point. A row is
-weighted by its errors only when ``usable_errors`` finds every one > 0.
+canonicalized to amplitude >= 0 and phase in [0, 2pi). A row is weighted by
+its errors only when ``usable_errors`` finds every one > 0.
+
+``_FAMILIES`` declares each family once: its parameter names, the indices
+fitted as logarithms, and its automatic initializer.
 """
 
 from __future__ import annotations
@@ -41,16 +43,6 @@ LAMBDA_MAX = 1e12
 # the same fits, this one suits the stall that ends most fits
 LADDER_RUNGS = 8
 
-_FAMILIES = (
-    "gaussian",
-    "lorentzian",
-    "exponential-decay",
-    "saturating-exponential",
-    "sinusoid",
-    "damped-sinusoid",
-    "double-gaussian",
-    "polynomial",
-)
 
 @dataclass(frozen=True)
 class FitModel:
@@ -81,38 +73,13 @@ class FitModel:
     def parameter_names(self) -> tuple[str, ...]:
         if self.family == "polynomial":
             return tuple(f"c{k}" for k in range(self.order + 1))
-        return {
-            "gaussian": ("amplitude", "center", "sigma", "offset"),
-            "lorentzian": ("amplitude", "center", "fwhm", "offset"),
-            "exponential-decay": ("amplitude", "tau", "offset"),
-            "saturating-exponential": ("plateau", "amplitude", "tau"),
-            "sinusoid": ("amplitude", "frequency", "phase", "offset"),
-            "damped-sinusoid": ("amplitude", "tau", "frequency", "phase", "offset"),
-            "double-gaussian": (
-                "amplitude_1",
-                "center_1",
-                "sigma_1",
-                "amplitude_2",
-                "center_2",
-                "sigma_2",
-                "offset",
-            ),
-        }[self.family]
+        return _FAMILIES[self.family][0]
 
     def n_parameters(self) -> int:
         return len(self.parameter_names())
 
     def _positive_indices(self) -> tuple[int, ...]:
-        return {
-            "gaussian": (2,),
-            "lorentzian": (2,),
-            "exponential-decay": (1,),
-            "saturating-exponential": (2,),
-            "sinusoid": (1,),
-            "damped-sinusoid": (1, 2),
-            "double-gaussian": (2, 5),
-            "polynomial": (),
-        }[self.family]
+        return _FAMILIES[self.family][1]
 
     def evaluate(self, x: np.ndarray, parameters: np.ndarray) -> np.ndarray:
         """Model prediction at ``x`` for natural-space parameters.
@@ -343,7 +310,7 @@ def _canonicalize_sinusoid(model: FitModel, p: np.ndarray, cov: np.ndarray):
     Takes one parameter vector and covariance, or stacks of them
     (``p[..., k]``, ``cov[..., k, k]``).
     """
-    phase_k = {"sinusoid": 2, "damped-sinusoid": 3}[model.family]
+    phase_k = model.parameter_names().index("phase")
     negative = p[..., 0] < 0
     flip = np.ones(p.shape)
     flip[..., 0] = np.where(negative, -1.0, 1.0)
@@ -631,12 +598,12 @@ def _peak_moments(x, y):
     return amp0, mu0, sigma0, c0, upward
 
 
-def _init_gaussian(model, x, y):
+def _init_gaussian(x, y):
     amp0, mu0, sigma0, c0, _ = _peak_moments(x, y)
     return np.array([amp0, mu0, sigma0, c0])
 
 
-def _init_lorentzian(model, x, y):
+def _init_lorentzian(x, y):
     amp0, mu0, sigma0, c0, upward = _peak_moments(x, y)
     w = (y - c0) if upward else (c0 - y)
     n_half = int(np.sum(w >= 0.5 * abs(amp0)))
@@ -681,7 +648,7 @@ def _log_linear_rate(x, w):
     return float(np.exp(coef[0])), float(-1.0 / slope)
 
 
-def _init_exponential(model, x, y):
+def _init_exponential(x, y):
     order = np.argsort(x)
     xs, ys = x[order], y[order]
     n_tail = max(3, len(xs) // 10)
@@ -700,7 +667,7 @@ def _init_exponential(model, x, y):
     return np.array([a0, max(tau0, 1e-3 * span), c0])
 
 
-def _init_saturating(model, x, y):
+def _init_saturating(x, y):
     order = np.argsort(x)
     xs, ys = x[order], y[order]
     n_tail = max(3, len(xs) // 10)
@@ -738,18 +705,18 @@ def _init_sinusoid_core(x, y):
     return max(a0, 1e-3 * np.ptp(ys)), f0, phi0 % (2.0 * math.pi), c0
 
 
-def _init_sinusoid(model, x, y):
+def _init_sinusoid(x, y):
     a0, f0, phi0, c0 = _init_sinusoid_core(x, y)
     return np.array([a0, f0, phi0, c0])
 
 
-def _init_damped_sinusoid(model, x, y):
+def _init_damped_sinusoid(x, y):
     a0, f0, phi0, c0 = _init_sinusoid_core(x, y)
     span = float(np.max(x) - np.min(x)) or 1.0
     return np.array([1.5 * a0, 0.5 * span, f0, phi0, c0])
 
 
-def _init_double_gaussian(model, x, y):
+def _init_double_gaussian(x, y):
     c0 = float(np.min(y))
     w = y - np.min(y)
     total = float(np.sum(w))
@@ -775,19 +742,30 @@ def _init_double_gaussian(model, x, y):
     return np.array([a1, mu1, s0, a2, mu2, s0, c0])
 
 
-_INITIALIZERS = {
-    "gaussian": _init_gaussian,
-    "lorentzian": _init_lorentzian,
-    "exponential-decay": _init_exponential,
-    "saturating-exponential": _init_saturating,
-    "sinusoid": _init_sinusoid,
-    "damped-sinusoid": _init_damped_sinusoid,
-    "double-gaussian": _init_double_gaussian,
+# family -> (parameter names, indices fitted as logarithms, initializer);
+# the polynomial's names follow its order, and it is solved directly
+_FAMILIES = {
+    "gaussian": (("amplitude", "center", "sigma", "offset"), (2,), _init_gaussian),
+    "lorentzian": (("amplitude", "center", "fwhm", "offset"), (2,), _init_lorentzian),
+    "exponential-decay": (("amplitude", "tau", "offset"), (1,), _init_exponential),
+    "saturating-exponential": (("plateau", "amplitude", "tau"), (2,), _init_saturating),
+    "sinusoid": (("amplitude", "frequency", "phase", "offset"), (1,), _init_sinusoid),
+    "damped-sinusoid": (
+        ("amplitude", "tau", "frequency", "phase", "offset"),
+        (1, 2),
+        _init_damped_sinusoid,
+    ),
+    "double-gaussian": (
+        ("amplitude_1", "center_1", "sigma_1", "amplitude_2", "center_2", "sigma_2", "offset"),
+        (2, 5),
+        _init_double_gaussian,
+    ),
+    "polynomial": ((), (), None),
 }
 
 
 def _auto_init(model: FitModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _INITIALIZERS[model.family](model, x, y)
+    return _FAMILIES[model.family][2](x, y)
 
 
 @dataclass(frozen=True)
@@ -804,9 +782,6 @@ class PolyInterpolant:
         value = np.polynomial.polynomial.polyval(x, self.coefficients)
         outside = (x < self.x_min) | (x > self.x_max)
         return value, outside
-
-    def __call__(self, x) -> np.ndarray:
-        return self.evaluate(x)[0]
 
 
 def interpolate_poly(x: np.ndarray, y: np.ndarray, order: int = 2) -> PolyInterpolant:
@@ -826,12 +801,3 @@ def interpolate_poly(x: np.ndarray, y: np.ndarray, order: int = 2) -> PolyInterp
     return PolyInterpolant(
         coefficients=coeffs, x_min=float(np.min(x)), x_max=float(np.max(x))
     )
-
-
-def unwrap_phases(phases: np.ndarray) -> np.ndarray:
-    """Unwrap a phase series by keeping adjacent steps within pi.
-
-    Each value is shifted by the multiple of 2pi that brings it closest to
-    its predecessor; the first value is kept as reported (in [0, 2pi)).
-    """
-    return np.unwrap(np.asarray(phases, dtype=float))

@@ -22,7 +22,6 @@ from .fitting import (
     fit_curve,
     fit_rows,
     peak_row_start,
-    unwrap_phases,
     usable_errors,
 )
 from .sweep import SweepDataset
@@ -195,7 +194,7 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
         n_draws, len(times)
     )
     wrapped[:, 0] = ((wrapped[:, 0] + math.pi) % (2.0 * math.pi)) - math.pi
-    phi = unwrap_phases(wrapped)
+    phi = np.unwrap(wrapped)
     fits = fit_rows(
         FitModel("saturating-exponential"),
         times,
@@ -303,9 +302,6 @@ class ParametricScanEstimate:
     center: float
     rate_offset: float
     fit: FitResult
-    deltas: np.ndarray
-    rates: np.ndarray
-    rate_stderr: np.ndarray
     flags: tuple = ()
 
 
@@ -363,8 +359,5 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
         center=profile.parameter("center"),
         rate_offset=profile.parameter("offset"),
         fit=profile,
-        deltas=deltas,
-        rates=rates,
-        rate_stderr=rate_stderr,
         flags=tuple(flags),
     )

@@ -40,6 +40,23 @@ DEFAULT_RELAXATION_POINTS = 20
 # signal is flagged as blurred out, rad
 BLUR_PHASE_LIMIT = math.pi
 
+# protocol grid key -> (dataset axis that samples it, axis unit, config quantity)
+GRIDS = {
+    "pump_powers": ("pump_power", "W", "power"),
+    "probe_freqs": ("probe_frequency", "rad/s", "frequency"),
+    "delays": ("delay", "s", "time"),
+    "sense_times": ("sense_time", "s", "time"),
+    "second_pulse_phases": ("second_pulse_phase", "rad", "angle"),
+    "deltas": ("pump_detuning", "rad/s", "frequency"),
+    "durations": ("pump_duration", "s", "time"),
+}
+
+
+def grid_axis(key: str, values) -> Axis:
+    """The dataset axis that samples protocol grid ``key`` at ``values``."""
+    name, unit, _ = GRIDS[key]
+    return Axis(name, unit, values)
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -208,8 +225,8 @@ def run_qubit_spectroscopy(
         config,
         "spectroscopy",
         (
-            Axis("pump_power", "W", pump_powers),
-            Axis("probe_frequency", "rad/s", probe_freqs),
+            grid_axis("pump_powers", pump_powers),
+            grid_axis("probe_freqs", probe_freqs),
         ),
         p_true,
         config.probe_duration,
@@ -244,7 +261,7 @@ def run_ramsey(
     return _dataset(
         config,
         "ramsey",
-        (Axis("delay", "s", delays),),
+        (grid_axis("delays", delays),),
         p_true,
         2 * config.half_pi_duration + float(np.max(delays)),
         {
@@ -278,7 +295,7 @@ def run_relaxation(
     return _dataset(
         config,
         "relaxation",
-        (Axis("delay", "s", delays),),
+        (grid_axis("delays", delays),),
         p_true,
         config.pi_duration + float(np.max(delays)),
     )
@@ -331,8 +348,8 @@ def run_decay_phase_sense(
         config,
         "decay-phase",
         (
-            Axis("sense_time", "s", sense_times),
-            Axis("second_pulse_phase", "rad", phases),
+            grid_axis("sense_times", sense_times),
+            grid_axis("second_pulse_phases", phases),
         ),
         p_true,
         2 * config.half_pi_duration + float(np.max(sense_times)),
@@ -377,8 +394,8 @@ def run_decay_spectroscopy(
         config,
         "decay-spectroscopy",
         (
-            Axis("sense_time", "s", sense_times),
-            Axis("probe_frequency", "rad/s", probe_freqs),
+            grid_axis("sense_times", sense_times),
+            grid_axis("probe_freqs", probe_freqs),
         ),
         p_true,
         float(np.max(sense_times)) + t_p,
@@ -457,8 +474,8 @@ def run_parametric_decay_scan(
         config,
         "parametric-scan",
         (
-            Axis("pump_detuning", "rad/s", deltas),
-            Axis("pump_duration", "s", durations),
+            grid_axis("deltas", deltas),
+            grid_axis("durations", durations),
         ),
         p_true,
         config.pi_duration + float(durations[-1]),

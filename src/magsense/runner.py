@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import calibrate_magnon_number, linear_slope
 from .config import ExperimentConfig, ProtocolNode, from_resolved, resolved_hash
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, MagsenseError, SchemaError
 from .fitting import FitModel, fit_curve, fit_rows, usable_errors
 from .lifetimes import (
     extract_kappa_m_from_scan,
@@ -35,7 +35,9 @@ from .lifetimes import (
 )
 from .params import SystemParams
 from .protocols import (
+    GRIDS,
     dataset_meta,
+    grid_axis,
     relaxation_delays,
     run_decay_phase_sense,
     run_decay_spectroscopy,
@@ -51,20 +53,9 @@ from .sensitivity import (
     sensitivity_curve,
 )
 from .subsample import subsample_time_budget
-from .sweep import Axis, SweepDataset, read_dataset, write_dataset
+from .sweep import SweepDataset, read_dataset, write_dataset
 
 MANIFEST_NAME = "manifest.json"
-
-# protocol grid -> the dataset axis that samples it
-_GRID_AXES = {
-    "pump_powers": "pump_power",
-    "probe_freqs": "probe_frequency",
-    "delays": "delay",
-    "sense_times": "sense_time",
-    "second_pulse_phases": "second_pulse_phase",
-    "deltas": "pump_detuning",
-    "durations": "pump_duration",
-}
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,6 @@ class RunArtifact:
     """A completed run directory: manifest plus dataset and report files."""
 
     path: Path
-    manifest: dict
     datasets: dict
     reports: dict
 
@@ -146,7 +136,7 @@ def _run_ramsey_series(params, node: ProtocolNode, config: ExperimentConfig) -> 
         shots = np.stack([row.shots for row in rows])
     warnings = tuple(dict.fromkeys(w for row in rows for w in row.warnings))
     return SweepDataset(
-        axes=(Axis("pump_power", "W", powers), first.axes[0]),
+        axes=(grid_axis("pump_powers", powers), first.axes[0]),
         p_e=np.stack([row.p_e for row in rows]),
         stderr=np.stack([row.stderr for row in rows]),
         n_shots=np.stack([row.n_shots for row in rows]),
@@ -363,6 +353,39 @@ def _subsample_table(
     }
 
 
+def _analysis_keys(node, datasets, out_dir, manifest_hash, system, sensing, subsample) -> dict:
+    """The report keys of one analysis node, with its subsample table's keys."""
+    if node.kind == "coherence":
+        keys = _coherence_report(datasets, node.inputs)
+    elif node.kind == "calibration":
+        keys = _calibration_report(system, datasets, node.inputs)
+    elif node.kind == "sensitivity":
+        keys = _sensitivity_report(system, sensing, datasets, node, out_dir, manifest_hash)
+    elif node.kind == "lifetime-phase":
+        keys = _lifetime_report(datasets, node.inputs, "phase")
+    elif node.kind == "lifetime-frequency":
+        keys = _lifetime_report(datasets, node.inputs, "frequency")
+    elif node.kind == "parametric":
+        keys = _parametric_report(datasets, node.inputs)
+    else:
+        raise ConfigError(f"unknown analysis kind {node.kind!r}")
+    if subsample is not None and node.kind in ("lifetime-phase", "lifetime-frequency"):
+        budget, count = subsample
+        method = "phase" if node.kind == "lifetime-phase" else "frequency"
+        table_path = out_dir / f"{node.kind}-subsample.csv"
+        keys.update(
+            _subsample_table(
+                datasets[node.inputs["dataset"]],
+                method,
+                budget,
+                count,
+                table_path,
+                manifest_hash,
+            )
+        )
+    return keys
+
+
 def run_analyses(
     analyses: tuple,
     datasets: dict,
@@ -377,40 +400,20 @@ def run_analyses(
 
     Calibration and sensitivity read the device's ``system`` parameters, and
     sensitivity its ``sensing`` budget; the other analyses read only their
-    datasets.
+    datasets. A ``MagsenseError`` raised inside an analysis is raised again,
+    as the same type, with the analysis's index, kind and inputs in front.
     """
     reports = {}
-    for node in analyses:
+    for k, node in enumerate(analyses):
         if only is not None and node.kind != only:
             continue
-        if node.kind == "coherence":
-            keys = _coherence_report(datasets, node.inputs)
-        elif node.kind == "calibration":
-            keys = _calibration_report(system, datasets, node.inputs)
-        elif node.kind == "sensitivity":
-            keys = _sensitivity_report(system, sensing, datasets, node, out_dir, manifest_hash)
-        elif node.kind == "lifetime-phase":
-            keys = _lifetime_report(datasets, node.inputs, "phase")
-        elif node.kind == "lifetime-frequency":
-            keys = _lifetime_report(datasets, node.inputs, "frequency")
-        elif node.kind == "parametric":
-            keys = _parametric_report(datasets, node.inputs)
-        else:
-            raise ConfigError(f"unknown analysis kind {node.kind!r}")
-        if subsample is not None and node.kind in ("lifetime-phase", "lifetime-frequency"):
-            budget, count = subsample
-            method = "phase" if node.kind == "lifetime-phase" else "frequency"
-            table_path = out_dir / f"{node.kind}-subsample.csv"
-            keys.update(
-                _subsample_table(
-                    datasets[node.inputs["dataset"]],
-                    method,
-                    budget,
-                    count,
-                    table_path,
-                    manifest_hash,
-                )
+        try:
+            keys = _analysis_keys(
+                node, datasets, out_dir, manifest_hash, system, sensing, subsample
             )
+        except MagsenseError as exc:
+            inputs = ", ".join(f"{key}={name}" for key, name in node.inputs.items())
+            raise type(exc)(f"analyses[{k}] ({node.kind}), inputs {inputs}: {exc}") from exc
         path = out_dir / f"{node.kind}.txt"
         _write_report(path, manifest_hash, keys)
         reports[node.kind] = path
@@ -510,7 +513,6 @@ def run_experiment(
     staging.rename(output)
     return RunArtifact(
         path=output,
-        manifest=manifest,
         datasets={k: output / p.name for k, p in dataset_paths.items()},
         reports={k: output / p.name for k, p in reports.items()},
     )
@@ -560,7 +562,7 @@ def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
                     f"{manifest_path}: config.protocols[{k}].grids.delays: {exc}"
                 ) from exc
         for key, grid in grids.items():
-            axis = _GRID_AXES[key]
+            axis = GRIDS[key][0]
             if axis not in axes or not np.array_equal(axes[axis], grid):
                 source = "" if key in node.grids else " (default, from config.system.t1)"
                 raise SchemaError(

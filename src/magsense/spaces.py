@@ -16,8 +16,6 @@ import numpy as np
 from .errors import HermiticityError, SpaceMismatchError, TruncationError, UnknownModeError
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-9
-EIGVAL_FLOOR = -1e-9
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class ModeSpace:
         return {label: occ[label] for label in self.labels}
 
 
-def _check_same_space(a: "Operator | DensityMatrix", b: "Operator | DensityMatrix") -> None:
+def _check_same_space(a: "Operator", b: "Operator") -> None:
     if a.space != b.space:
         raise SpaceMismatchError(f"space mismatch: {a.space.labels} vs {b.space.labels}")
 
@@ -111,9 +109,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         _check_same_space(self, other)
         return Operator(self.space, self.matrix @ other.matrix)
@@ -134,20 +129,6 @@ class DensityMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def validate(self, trace_tol: float = TRACE_TOL, eig_floor: float = EIGVAL_FLOOR) -> None:
-        """Check unit trace, Hermiticity and weak positivity."""
-        tr = self.trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {trace_tol}")
-        herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"Hermiticity residual {herm} beyond {HERMITICITY_TOL}")
-        w = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
-        if w.min() < eig_floor:
-            raise ValueError(f"eigenvalue {w.min()} below floor {eig_floor}")
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, self.matrix.copy())
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -177,10 +158,6 @@ def build_mode_operators(space: ModeSpace, mode: str) -> tuple[Operator, Operato
     d = space.mode_dim(mode)
     a = Operator(space, _embed(space, mode, _ladder(d)))
     return a, a.dag() @ a
-
-
-def identity(space: ModeSpace) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
 
 
 def compose_operator(
@@ -229,23 +206,6 @@ def ket_state(space: ModeSpace, amplitudes: dict[int, complex]) -> DensityMatrix
         raise ValueError("zero state vector")
     psi /= norm
     return DensityMatrix(space, np.outer(psi, psi.conj()))
-
-
-def expectation(rho: DensityMatrix, op: Operator) -> complex:
-    """trace(rho @ op); complex in general."""
-    _check_same_space(rho, op)
-    return complex(np.trace(rho.matrix @ op.matrix))
-
-
-def fock_truncation(n_mean: float) -> int:
-    """Default bosonic truncation for a targeted mean occupation.
-
-    ceil(n + 5*sqrt(n) + 5) keeps the coherent/thermal tail below the 1e-6
-    validation threshold for the occupations used here.
-    """
-    if n_mean < 0:
-        raise ValueError("mean occupation must be >= 0")
-    return math.ceil(n_mean + 5.0 * math.sqrt(n_mean) + 5.0)
 
 
 def tail_population(rho: DensityMatrix, mode: str) -> float:

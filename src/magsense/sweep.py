@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
+from .readout import laplace_stderr
 
 UNMANAGED_HASH = "unmanaged"
 
@@ -201,7 +202,9 @@ def read_dataset(path) -> SweepDataset:
     missing unit tags, a cell that is not a finite number or an ``n_shots``
     cell that is not a whole number (naming the file and line), a
     non-cartesian coordinate block, an ``n_shots`` cell that differs from the
-    sidecar's shots per point, or a shots sidecar named
+    sidecar's shots per point, a ``p_e`` or ``stderr`` cell that is not the
+    sidecar's click count above the recorded ``meta_readout_threshold``
+    (bit for bit, naming the first such line), or a shots sidecar named
     in the header that is absent, unreadable, lacks a ``shots`` member, or
     holds anything but a floating-point array of shape
     ``grid + (n_shots,)``. Sidecars written compressed load like stored
@@ -289,19 +292,6 @@ def read_dataset(path) -> SweepDataset:
         raise SchemaError("shot_duration_s header is not a number") from exc
     if not np.isfinite(duration) or duration <= 0:
         raise SchemaError("dataset table lacks a positive shot_duration_s header")
-    shots = None
-    if "shots_file" in header:
-        sidecar = path.parent / header["shots_file"]
-        if not sidecar.exists():
-            raise SchemaError(f"{path.name} names shots sidecar {sidecar.name}, which is missing")
-        shots = _read_shots(sidecar, shape)
-        mismatch = n_shots != shots.shape[-1]
-        if np.any(mismatch):
-            number = row_lines[int(np.argmax(mismatch))]
-            raise SchemaError(
-                f"{path.name}, line {number}: n_shots differs from the "
-                f"{shots.shape[-1]} shots per point in {sidecar.name}"
-            )
     meta = {}
     for key, value in header.items():
         if key.startswith("meta_"):
@@ -309,6 +299,33 @@ def read_dataset(path) -> SweepDataset:
                 meta[key[len("meta_"):]] = float(value)
             except ValueError as exc:
                 raise SchemaError(f"meta header {key!r} is not a number") from exc
+    shots = None
+    if "shots_file" in header:
+        sidecar = path.parent / header["shots_file"]
+        if not sidecar.exists():
+            raise SchemaError(f"{path.name} names shots sidecar {sidecar.name}, which is missing")
+        shots = _read_shots(sidecar, shape)
+        n_per_point = shots.shape[-1]
+        mismatch = n_shots != n_per_point
+        if np.any(mismatch):
+            number = row_lines[int(np.argmax(mismatch))]
+            raise SchemaError(
+                f"{path.name}, line {number}: n_shots differs from the "
+                f"{n_per_point} shots per point in {sidecar.name}"
+            )
+        threshold = meta.get("readout_threshold")
+        if threshold is not None:
+            # p_e and stderr must be the sidecar's clicks, counted as sampled
+            clicks = np.count_nonzero(shots > threshold, axis=-1).reshape(-1)
+            agree = (clicks / n_per_point == data[:, n_axes]) & (
+                laplace_stderr(clicks, n_per_point) == data[:, n_axes + 1]
+            )
+            if not np.all(agree):
+                number = row_lines[int(np.argmin(agree))]
+                raise SchemaError(
+                    f"{path.name}, line {number}: p_e and stderr disagree with the "
+                    f"clicks above threshold {threshold!r} in {sidecar.name}"
+                )
     dataset = SweepDataset(
         axes=tuple(axes),
         p_e=data[:, n_axes].reshape(shape),

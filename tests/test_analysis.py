@@ -75,7 +75,6 @@ def test_calibration_round_trip_noiseless():
     assert result.chi_qm == pytest.approx(chi, rel=1e-9)
     assert result.c_pump == pytest.approx(c_pump, rel=1e-9)
     assert result.root == SMALL_CHI
-    assert not result.degenerate
 
 
 def test_calibration_small_rho_expansion():
@@ -104,7 +103,6 @@ def test_calibration_error_cases():
     with pytest.raises(CalibrationError):
         calibrate_magnon_number(1.0, 0.5, kappa, 0.0, root="median-chi")
     degenerate = calibrate_magnon_number(1.0, 1.0, kappa, 0.0)
-    assert degenerate.degenerate
     assert degenerate.chi_qm == pytest.approx(kappa, rel=1e-12)
 
 
@@ -114,8 +112,6 @@ def test_calibration_result_validation():
             chi_qm=-1.0,
             c_pump=1.0,
             gamma2_0=0.0,
-            stark_slope=1.0,
-            dephasing_slope=0.1,
             rho=0.1,
             root=SMALL_CHI,
         )

@@ -5,10 +5,12 @@ import shutil
 
 import numpy as np
 import pytest
+import yaml
 from conftest import removed_field_edits, rewrite_manifest
 
 from magsense.cli import bundled_configs, main
 from magsense.runner import read_report
+from magsense.sweep import read_dataset
 
 COHERENCE_YAML = """\
 name: cli-coherence
@@ -233,6 +235,23 @@ class TestRun:
         assert capsys.readouterr().err.startswith("runtime error:")
         assert not out.exists()
 
+    def test_analysis_failure_names_the_analysis_and_its_input(self, work, capsys):
+        # no magnons and no shot noise: the line centers cannot decay
+        config = yaml.safe_load(bundled_configs()["decay-tracking"].read_text(encoding="utf-8"))
+        config["acquisition"].update(mode="expectation", keep_shots=False)
+        for block in config["protocols"]:
+            block["n0"] = 0
+        path = work / "no-magnons.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = work / "no-magnons"
+        assert main(["run", str(path), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "runtime error: analyses[1] (lifetime-frequency), inputs "
+            "dataset=decay-spectroscopy: constant data carries no information"
+        ), err
+        assert not out.exists()
+
     def test_coherence_report_contents(self, coherence_artifact):
         report = read_report(coherence_artifact / "coherence.txt")
         t1 = float(report["t1_s"])
@@ -329,6 +348,22 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "decay-phase_shots.npz" in err
         assert "Traceback" not in err
+
+    def test_sidecar_that_disagrees_with_its_table_exits_2(self, work, decay_artifact, capsys):
+        twin = work / "flipped-click"
+        shutil.copytree(decay_artifact, twin)
+        sidecar = twin / "decay-phase_shots.npz"
+        threshold = read_dataset(twin / "decay-phase.csv").meta["readout_threshold"]
+        with np.load(sidecar) as payload:
+            shots = payload["shots"]
+        # move one shot of the last point across the threshold
+        shots[-1, -1, 0] = threshold - 1.0 if shots[-1, -1, 0] > threshold else threshold + 1.0
+        np.savez(sidecar, shots=shots)
+        last_line = len((twin / "decay-phase.csv").read_text(encoding="utf-8").splitlines())
+        assert main(["report", str(twin), "--subsample-budget", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: decay-phase.csv, line {last_line}: p_e and stderr")
+        assert "decay-phase_shots.npz" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "defect",

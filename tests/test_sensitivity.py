@@ -268,7 +268,7 @@ class TestPipeline:
         profile = fit_noise_profile(dataset, calib)
         # probe-limited line: width in magnon units ~ probe_sigma / chi
         probe_sigma = ProtocolConfig(readout=readout).probe_sigma
-        assert float(profile.width(0.0)) == pytest.approx(
+        assert float(profile.width.evaluate(0.0)[0]) == pytest.approx(
             probe_sigma / calib.chi_qm, rel=0.2
         )
         config = SensingConfig(tau=32e-6, n_shots=1000)

@@ -14,14 +14,11 @@ from magsense.errors import (
     UnknownModeError,
 )
 from magsense.spaces import (
-    DensityMatrix,
     ModeSpace,
     build_mode_operators,
     check_truncation,
     compose_operator,
-    expectation,
     fock_state,
-    fock_truncation,
     ket_state,
     tail_population,
 )
@@ -105,40 +102,14 @@ def test_compose_hermitian_flag():
         compose_operator([(1.0, [a])], hermitian=True)
 
 
-def test_expectation_ground_number():
-    space = ModeSpace(("m",), (4,))
-    _, n = build_mode_operators(space, "m")
-    rho = fock_state(space, {"m": 0})
-    assert expectation(rho, n) == 0
-
-
-def test_expectation_space_mismatch():
-    rho = fock_state(ModeSpace(("q",), (2,)), {"q": 0})
-    _, n = build_mode_operators(ModeSpace(("m",), (3,)), "m")
-    with pytest.raises(SpaceMismatchError):
-        expectation(rho, n)
-
-
-def test_density_matrix_validate():
-    space = ModeSpace(("q",), (2,))
-    rho = fock_state(space, {"q": 1})
-    rho.validate()
-    bad = DensityMatrix(space, np.diag([0.6, 0.6]).astype(complex))
-    with pytest.raises(ValueError):
-        bad.validate()
-
-
 def test_ket_state_superposition():
     space = ModeSpace(("q",), (2,))
     rho = ket_state(space, {0: 1.0, 1: 1.0})
     assert rho.matrix[0, 1] == pytest.approx(0.5)
-    rho.validate()
-
-
-def test_fock_truncation_rule():
-    assert fock_truncation(0.0) == 5
-    assert fock_truncation(3.0) == math.ceil(3 + 5 * math.sqrt(3) + 5)
-    assert fock_truncation(100.0) == 155
+    # unit trace, Hermiticity and weak positivity
+    assert abs(rho.trace() - 1.0) <= 1e-9
+    assert np.abs(rho.matrix - rho.matrix.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(0.5 * (rho.matrix + rho.matrix.conj().T)).min() >= -1e-9
 
 
 def test_tail_population_and_guard():
@@ -150,14 +121,3 @@ def test_tail_population_and_guard():
     ok = fock_state(space, {"q": 1, "m": 0})
     check_truncation(ok, "m")
 
-
-def test_coherent_state_tail_within_rule():
-    n_mean = 3.0
-    dim = fock_truncation(n_mean)
-    space = ModeSpace(("m",), (dim,))
-    # coherent-state amplitudes sqrt(Poisson(n_mean)), renormalised on the truncation
-    amplitudes = {
-        k: math.sqrt(math.exp(-n_mean) * n_mean**k / math.factorial(k)) for k in range(dim)
-    }
-    rho = ket_state(space, amplitudes)
-    assert tail_population(rho, "m") < 1e-6

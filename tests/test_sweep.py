@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from magsense.errors import SchemaError
+from magsense.readout import laplace_stderr
 from magsense.sweep import (
     Axis,
     SweepDataset,
@@ -146,14 +147,17 @@ def test_malformed_shots_sidecar_rejected(tmp_path, defect):
 
 def test_corrupted_sidecar_bytes_load_exactly_or_raise_schema_error(tmp_path):
     axes = (Axis("delay", "s", np.array([0.0, 1e-6])),)
+    shots = np.random.default_rng(3).standard_normal((2, 4))
+    clicks = np.count_nonzero(shots > 0.0, axis=1)
     ds = SweepDataset(
         axes=axes,
-        p_e=np.array([0.25, 0.75]),
-        stderr=np.array([0.1, 0.1]),
+        p_e=clicks / 4,
+        stderr=laplace_stderr(clicks, 4),
         n_shots=4,
         shot_duration=1e-6,
         protocol="t",
-        shots=np.random.default_rng(3).standard_normal((2, 4)),
+        shots=shots,
+        meta={"readout_threshold": 0.0},
     )
     path = tmp_path / "tiny.csv"
     write_dataset(ds, path)
@@ -173,6 +177,21 @@ def test_corrupted_sidecar_bytes_load_exactly_or_raise_schema_error(tmp_path):
         assert np.array_equal(shots, ds.shots)
         loaded += 1
     assert 0 < loaded < len(variants)
+    # a well-formed sidecar must still count the clicks the table records:
+    # a shot moved across the threshold raises, naming the point's line
+    n_lines = len(path.read_text(encoding="utf-8").splitlines())
+    for point in range(2):
+        line = n_lines - 1 + point
+        for shot in range(4):
+            flipped = ds.shots.copy()
+            flipped[point, shot] = -flipped[point, shot]
+            np.savez(sidecar, shots=flipped)
+            with pytest.raises(SchemaError, match=rf"tiny\.csv, line {line}: .*tiny_shots\.npz"):
+                read_dataset(path)
+            moved = ds.shots.copy()
+            moved[point, shot] *= 2.0
+            np.savez(sidecar, shots=moved)
+            assert np.array_equal(read_dataset(path).shots, moved)
 
 
 def test_one_byte_substitutions_load_or_raise_schema_error(tmp_path):
