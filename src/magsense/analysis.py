@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, EstimationError
 from .fitting import FitModel, fit_curve
 from .params import SystemParams
 
@@ -120,11 +120,11 @@ def calibrate_magnon_number(
     )
 
 
-def snr(p_e: float, p_e_prime: float, sigma: float, sigma_prime: float) -> float:
-    """|P_e - P_e'| / sqrt(sigma^2 + sigma'^2)."""
-    if sigma <= 0 or sigma_prime <= 0:
-        raise ValueError("standard errors must be > 0")
-    return abs(p_e - p_e_prime) / math.sqrt(sigma**2 + sigma_prime**2)
+def snr(p_e, p_e_prime, sigma, sigma_prime) -> np.ndarray:
+    """|P_e - P_e'| / sqrt(sigma^2 + sigma'^2), elementwise over arrays."""
+    if np.any(sigma <= 0) or np.any(sigma_prime <= 0):
+        raise EstimationError("standard errors must be > 0")
+    return np.abs(p_e - p_e_prime) / np.sqrt(np.square(sigma) + np.square(sigma_prime))
 
 
 def linear_slope(x: np.ndarray, y: np.ndarray, y_err: np.ndarray | None = None):

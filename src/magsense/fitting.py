@@ -576,11 +576,26 @@ def _grid_step(x: np.ndarray) -> float:
     return float(np.min(dx)) if len(dx) else 1.0
 
 
+def _median(values) -> float:
+    """Median of finite values, bit for bit as ``np.median``.
+
+    ``np.median``'s NaN check imports ``numpy.ma``, a start-up cost that no
+    other analysis step pays.
+    """
+    ordered = np.sort(values, axis=None)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    if not len(ordered):
+        return math.nan
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
 def _peak_moments(x, y):
     """Signed peak location/width estimates shared by the peak families."""
     lo = float(np.min(y))
     hi = float(np.max(y))
-    med = float(np.median(y))
+    med = _median(y)
     upward = (hi - med) >= (med - lo)
     c0 = lo if upward else hi
     w = np.abs(y - c0)
@@ -620,7 +635,7 @@ def peak_row_start(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     top = float(np.max(y))
     floor = float(np.min(y))
-    step = float(np.median(np.diff(np.sort(x))))
+    step = _median(np.diff(np.sort(x)))
     n_half = int(np.sum(y - floor > 0.5 * (top - floor)))
     sigma = max(n_half, 1) * step / 2.355
     return np.array([max(top - floor, 1e-9), float(x[np.argmax(y)]), sigma, floor])

@@ -19,6 +19,7 @@ from .errors import EstimationError
 from .fitting import (
     FitModel,
     FitResult,
+    _median,
     fit_curve,
     fit_rows,
     peak_row_start,
@@ -205,7 +206,7 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
     for k, fit in enumerate(fits):
         flags = []
         misfit = float(np.max(np.abs(phi[k] - fit.predict(times))))
-        if misfit > max(UNWRAP_RESIDUAL_FLOOR, 5.0 * float(np.median(phase_err[k]))):
+        if misfit > max(UNWRAP_RESIDUAL_FLOOR, 5.0 * _median(phase_err[k])):
             flags.append("unwrap-ambiguity")
         flags += _convergence_flags(row_fits[k * len(times) : (k + 1) * len(times)] + [fit])
         estimates.append(

@@ -12,8 +12,7 @@ one second, the solved S reads directly in magnons per square root hertz.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,16 +73,16 @@ class ResponseModel:
         return self.peak.x_min, self.peak.x_max
 
 
-def qubit_response(n: float, n_m: float, model: ResponseModel) -> tuple[float, bool]:
+def qubit_response(n, n_m, model: ResponseModel) -> tuple[np.ndarray, np.ndarray]:
     """Excited-state response at probe coordinate ``n`` for population ``n_m``.
 
-    Returns the probability and a flag set when the interpolants were
-    evaluated outside the measured population hull.
+    Elementwise over arrays. Returns the probability and a flag set where
+    the interpolants were evaluated outside the measured population hull.
     """
     peak, out_peak = model.peak.evaluate(n_m)
     width, out_width = model.width.evaluate(n_m)
-    value = float(peak) * math.exp(-((n - n_m) ** 2) / (2.0 * float(width) ** 2))
-    return value, bool(out_peak or out_width)
+    value = peak * np.exp(-((n - n_m) ** 2) / (2.0 * width**2))
+    return value, out_peak | out_width
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,13 @@ class NoiseProfile:
     reference_shots: int
     fits: tuple = ()
 
-    def sigma(self, n: float, n_m: float, n_shots: int | None = None) -> float:
-        """Standard error at probe coordinate ``n`` for population ``n_m``."""
+    def sigma(self, n, n_m, n_shots: int | None = None) -> np.ndarray:
+        """Standard error at probe coordinate ``n`` for population ``n_m``, elementwise."""
         width, _ = self.width.evaluate(n_m)
-        value = self.amplitude * math.exp(
-            -((n - n_m) ** 2) / (2.0 * float(width) ** 2)
-        ) + self.floor
+        value = self.amplitude * np.exp(-((n - n_m) ** 2) / (2.0 * width**2)) + self.floor
         if n_shots is None or n_shots == self.reference_shots:
             return value
-        return value * math.sqrt(self.reference_shots / n_shots)
+        return value * np.sqrt(self.reference_shots / n_shots)
 
 
 def fit_power_spectra(dataset: SweepDataset) -> list[tuple[float, FitResult]]:
@@ -194,8 +191,6 @@ class SensitivityCurve:
     unresolvable: np.ndarray  # bool per grid point
     extrapolated: np.ndarray  # bool per grid point
     response: ResponseModel
-    noise: NoiseProfile
-    config: SensingConfig
 
     def __post_init__(self) -> None:
         resolved = self.sensitivity[~self.unresolvable]
@@ -204,17 +199,18 @@ class SensitivityCurve:
 
 
 def _snr_at_step(
-    n_m: float,
-    step: float,
+    n_m: np.ndarray,
+    step: np.ndarray,
     response: ResponseModel,
     noise: NoiseProfile,
     config: SensingConfig,
-) -> tuple[float, bool]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """SNR between populations n_m and n_m + step, with the extrapolation flag."""
     p_here, out1 = qubit_response(n_m, n_m, response)
     p_there, out2 = qubit_response(n_m, n_m + step, response)
     sigma_here = noise.sigma(n_m, n_m, config.n_shots)
     sigma_there = noise.sigma(n_m, n_m + step, config.n_shots)
-    return snr(p_here, p_there, sigma_here, sigma_there), out1 or out2
+    return snr(p_here, p_there, sigma_here, sigma_there), out1 | out2
 
 
 def sensitivity_curve(
@@ -240,40 +236,40 @@ def solve_sensitivity(
     config: SensingConfig,
     n_grid: np.ndarray | None = None,
 ) -> SensitivityCurve:
-    """Bisection solve of the threshold condition for a given response model."""
+    """Bisection solve of the threshold condition for a given response model.
+
+    Every grid point is bisected on [0, hull_hi - n_m] in lockstep: each
+    step evaluates the SNR once over the points whose bracket is still wider
+    than ``SOLVE_RESOLUTION``, and a point's solution is its final midpoint.
+    """
     hull_lo, hull_hi = response.hull
     if n_grid is None:
         n_grid = np.linspace(hull_lo, hull_hi, 81)
     n_grid = np.asarray(n_grid, dtype=float)
-    values = np.zeros(len(n_grid))
-    unresolvable = np.zeros(len(n_grid), dtype=bool)
+    lo = np.zeros(len(n_grid))
+    hi = hull_hi - n_grid
+    unresolvable = hi <= SOLVE_RESOLUTION
     extrapolated = np.zeros(len(n_grid), dtype=bool)
-    for k, n_m in enumerate(n_grid):
-        s_max = hull_hi - n_m
-        if s_max <= SOLVE_RESOLUTION:
-            unresolvable[k] = True
-            continue
-        snr_max, out = _snr_at_step(n_m, s_max, response, noise_profile, config)
-        extrapolated[k] |= out
-        if snr_max < config.threshold:
-            unresolvable[k] = True
-            continue
-        lo, hi = 0.0, s_max
-        while hi - lo > SOLVE_RESOLUTION:
-            mid = 0.5 * (lo + hi)
-            value, out = _snr_at_step(n_m, mid, response, noise_profile, config)
-            extrapolated[k] |= out
-            if value < config.threshold:
-                lo = mid
-            else:
-                hi = mid
-        values[k] = 0.5 * (lo + hi)
+    solving = ~unresolvable
+    snr_max, extrapolated[solving] = _snr_at_step(
+        n_grid[solving], hi[solving], response, noise_profile, config
+    )
+    unresolvable[solving] = snr_max < config.threshold
+    solving &= ~unresolvable
+    while True:
+        solving &= hi - lo > SOLVE_RESOLUTION
+        if not solving.any():
+            break
+        mid = 0.5 * (lo[solving] + hi[solving])
+        value, out = _snr_at_step(n_grid[solving], mid, response, noise_profile, config)
+        extrapolated[solving] |= out
+        below = value < config.threshold
+        lo[solving] = np.where(below, mid, lo[solving])
+        hi[solving] = np.where(below, hi[solving], mid)
     return SensitivityCurve(
         n_grid=n_grid,
-        sensitivity=values,
+        sensitivity=np.where(unresolvable, 0.0, 0.5 * (lo + hi)),
         unresolvable=unresolvable,
         extrapolated=extrapolated,
         response=response,
-        noise=noise_profile,
-        config=config,
     )

@@ -17,7 +17,7 @@ from magsense.analysis import (
     snr,
     stark_shift,
 )
-from magsense.errors import CalibrationError
+from magsense.errors import CalibrationError, EstimationError
 from magsense.params import TWO_PI, SystemParams
 
 
@@ -120,7 +120,7 @@ def test_calibration_result_validation():
 def test_snr_values():
     assert snr(0.4, 0.4, 0.05, 0.05) == 0.0
     assert snr(0.5, 0.4, 0.05, 0.05) == pytest.approx(1.414, abs=1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(EstimationError):
         snr(0.5, 0.4, 0.0, 0.05)
 
 

@@ -179,6 +179,19 @@ def test_peak_row_start_seeds_an_edge_line_at_its_maximum():
     assert fit.parameter("sigma") == pytest.approx(0.6, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 121, 350, 351])
+def test_median_is_numpy_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    rows = (
+        rng.standard_normal(n),
+        0.4 + 1e-3 * rng.standard_normal(n),
+        rng.integers(-2, 3, n) / 4.0,  # ties and signed zeros
+        np.diff(np.sort(rng.uniform(0.0, 1e8, n + 1))),
+    )
+    for row in rows:
+        assert np.float64(fitting._median(row)).tobytes() == np.median(row).tobytes()
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan], ids=["zero", "negative", "nan"])
 def test_usable_errors_needs_every_error_above_zero(bad):
     errors = [0.1, 0.2, 0.3]

@@ -5,16 +5,23 @@ the full pipeline (shot-sampled spectroscopy, line fits, empirical noise
 profile, calibrated magnon coordinates) checks the end-to-end figures.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from magsense.analysis import calibrate_magnon_number, magnon_dephasing_rate
+from magsense.cli import bundled_configs
+from magsense.config import load_config
 from magsense.errors import EstimationError
 from magsense.fitting import PolyInterpolant
 from magsense.params import PumpSpec, SystemParams
 from magsense.protocols import ProtocolConfig, run_qubit_spectroscopy
 from magsense.readout import ReadoutModel
+from magsense.runner import _calibrate, execute_protocol
 from magsense.sensitivity import (
+    SOLVE_RESOLUTION,
     NoiseProfile,
     ResponseModel,
     SensingConfig,
@@ -201,9 +208,167 @@ class TestSolverOnSyntheticModels:
                 unresolvable=np.array([False]),
                 extrapolated=np.array([False]),
                 response=model,
-                noise=self.noise(0.004),
-                config=SensingConfig(tau=32e-6, n_shots=1000),
             )
+
+
+def _reference_solve(response, noise, config, n_grid):
+    """Per-point scalar bisection: the solve as it ran before it went lockstep."""
+
+    def response_at(n, n_m):
+        peak, out_peak = response.peak.evaluate(n_m)
+        width, out_width = response.width.evaluate(n_m)
+        value = float(peak) * math.exp(-((n - n_m) ** 2) / (2.0 * float(width) ** 2))
+        return value, bool(out_peak or out_width)
+
+    def sigma_at(n, n_m):
+        width, _ = noise.width.evaluate(n_m)
+        value = noise.amplitude * math.exp(-((n - n_m) ** 2) / (2.0 * float(width) ** 2))
+        value += noise.floor
+        if config.n_shots == noise.reference_shots:
+            return value
+        return value * math.sqrt(noise.reference_shots / config.n_shots)
+
+    def snr_at(n_m, step):
+        p_here, out1 = response_at(n_m, n_m)
+        p_there, out2 = response_at(n_m, n_m + step)
+        sigma, sigma_prime = sigma_at(n_m, n_m), sigma_at(n_m, n_m + step)
+        assert sigma > 0 and sigma_prime > 0
+        return abs(p_here - p_there) / math.sqrt(sigma**2 + sigma_prime**2), out1 or out2
+
+    hull_hi = response.hull[1]
+    values = np.zeros(len(n_grid))
+    unresolvable = np.zeros(len(n_grid), dtype=bool)
+    extrapolated = np.zeros(len(n_grid), dtype=bool)
+    for k, n_m in enumerate(np.asarray(n_grid, dtype=float)):
+        s_max = hull_hi - n_m
+        if s_max <= SOLVE_RESOLUTION:
+            unresolvable[k] = True
+            continue
+        snr_max, out = snr_at(n_m, s_max)
+        extrapolated[k] |= out
+        if snr_max < config.threshold:
+            unresolvable[k] = True
+            continue
+        lo, hi = 0.0, s_max
+        while hi - lo > SOLVE_RESOLUTION:
+            mid = 0.5 * (lo + hi)
+            value, out = snr_at(n_m, mid)
+            extrapolated[k] |= out
+            if value < config.threshold:
+                lo = mid
+            else:
+                hi = mid
+        values[k] = 0.5 * (lo + hi)
+    return values, unresolvable, extrapolated
+
+
+@dataclass(frozen=True)
+class GappedInterpolant(PolyInterpolant):
+    """A polynomial measured on two population ranges; the gap between them is flagged."""
+
+    gap: tuple = (0.0, 0.0)
+
+    def evaluate(self, x):
+        value, outside = super().evaluate(x)
+        x = np.asarray(x, dtype=float)
+        return value, outside | ((x > self.gap[0]) & (x < self.gap[1]))
+
+
+def _linear_case(n_shots=1000, threshold=0.18):
+    response = TestSolverOnSyntheticModels().linear_model()
+    noise = TestSolverOnSyntheticModels().noise(0.004)
+    return response, noise, SensingConfig(32e-6, n_shots, threshold), np.linspace(0, 4000, 41)
+
+
+def _gaussian_model(lo=0.0, hi=2400.0, gap=None):
+    width = linear(12.0, 0.004, lo, hi)
+    if gap is not None:
+        width = GappedInterpolant(width.coefficients, lo, hi, gap)
+    return ResponseModel(
+        peak=PolyInterpolant(np.array([0.42, -6e-5, -1e-8]), lo, hi),
+        width=width,
+        n_grid=np.array([lo, hi]),
+    )
+
+
+def _gaussian_noise(reference_shots=400):
+    return NoiseProfile(
+        amplitude=0.01, floor=0.013, width=linear(18.0, 0.003, 0.0, 2400.0),
+        reference_shots=reference_shots,
+    )
+
+
+def _bundled_case():
+    config = load_config(bundled_configs()["sensitivity-scan"])
+    datasets = {node.name: execute_protocol(node, config) for node in config.protocols}
+    (node,) = config.analyses
+    calibration, spectro_fits, _, _ = _calibrate(config.system, datasets, node.inputs)
+    noise = fit_noise_profile(datasets[node.inputs["spectroscopy"]], calibration)
+    grid = np.linspace(node.options["n_min"], node.options["n_max"], int(node.options["count"]))
+    return build_response_model(spectro_fits, calibration), noise, config.sensing, grid
+
+
+ORACLE_CASES = {
+    "linear": _linear_case,
+    "gaussian": lambda: (
+        _gaussian_model(), _gaussian_noise(), SensingConfig(32e-6, 400),
+        np.linspace(0.0, 2400.0, 49),
+    ),
+    # the population hull starts at 600 magnons, so the lower points extrapolate
+    "below-hull": lambda: (
+        _gaussian_model(lo=600.0), _gaussian_noise(), SensingConfig(32e-6, 400),
+        np.linspace(0.0, 2400.0, 33),
+    ),
+    # flagged probes that neither the n_m nor the s_max probe makes
+    "gap-in-hull": lambda: (
+        _gaussian_model(gap=(900.0, 950.0)), _gaussian_noise(), SensingConfig(32e-6, 400),
+        np.linspace(0.0, 2400.0, 33),
+    ),
+    "hull-edge-unreachable": lambda: (
+        *_linear_case(threshold=1e4)[:3], np.array([0.0, 1000.0, 4000.0 - 5e-4, 4000.0]),
+    ),
+    "mixed": lambda: (
+        _gaussian_model(lo=300.0), _gaussian_noise(), SensingConfig(32e-6, 400, threshold=1.2),
+        np.array([0.0, 250.0, 300.0, 1234.5, 2200.0, 2399.0, 2400.0, 2400.0005, 2600.0]),
+    ),
+    "rescaled-shots": lambda: (
+        _gaussian_model(), _gaussian_noise(reference_shots=400), SensingConfig(32e-6, 1000),
+        np.linspace(0.0, 2400.0, 49),
+    ),
+    "bundled-sensitivity-scan": _bundled_case,
+}
+
+
+class TestLockstepSolveMatchesPerPointBisection:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bit_identical_to_reference_solve(self, case):
+        response, noise, config, grid = ORACLE_CASES[case]()
+        curve = solve_sensitivity(response, noise, config, grid)
+        values, unresolvable, extrapolated = _reference_solve(response, noise, config, grid)
+        assert np.array_equal(curve.sensitivity, values)
+        assert np.array_equal(curve.unresolvable, unresolvable)
+        assert np.array_equal(curve.extrapolated, extrapolated)
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = set()
+        for make in ORACLE_CASES.values():
+            if make is _bundled_case:
+                continue
+            curve = solve_sensitivity(*make())
+            outcomes |= {
+                ("resolved", bool((~curve.unresolvable).any())),
+                ("unresolvable", bool(curve.unresolvable.any())),
+                ("extrapolated", bool(curve.extrapolated.any())),
+            }
+        assert outcomes >= {("resolved", True), ("unresolvable", True), ("extrapolated", True)}
+
+    def test_nonpositive_standard_error_raises(self):
+        response, _, config, grid = _linear_case()
+        silent = NoiseProfile(
+            amplitude=0.0, floor=0.0, width=constant(1e6, 0.0, 4000.0), reference_shots=1000
+        )
+        with pytest.raises(EstimationError, match="standard errors must be > 0"):
+            solve_sensitivity(response, silent, config, grid)
 
 
 class TestSpectralFits:

@@ -76,10 +76,6 @@ ORACLES = {
         "tests/test_protocols.py::test_measure_grid_matches_per_point_sampling"
     ),
     "runner.read_report": "tests/test_cli.py::TestRun::test_coherence_report_contents",
-    # no reader: the test only passes it to the constructor
-    "sensitivity.SensitivityCurve.noise": (
-        "tests/test_sensitivity.py::TestSolverOnSyntheticModels::test_curve_rejects_nonpositive_resolved_values"
-    ),
     "spaces.Operator.__add__": "tests/test_model.py::test_parametric_conserves_total_excitation",
     "spaces.Operator.__sub__": "tests/test_model.py::test_parametric_conserves_total_excitation",
     "spaces.Operator.__matmul__": (

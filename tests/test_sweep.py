@@ -1,5 +1,6 @@
 """Tests for sweep datasets, per-point seeding, and the table format."""
 
+import dataclasses
 import io
 import zipfile
 
@@ -196,10 +197,18 @@ def test_corrupted_sidecar_bytes_load_exactly_or_raise_schema_error(tmp_path):
 
 def test_one_byte_substitutions_load_or_raise_schema_error(tmp_path):
     ds = make_dataset(with_shots=True)
-    ds.meta["readout_threshold"] = 0.5
+    # p_e and stderr count the sidecar's clicks, so the unmodified table loads
+    clicks = np.count_nonzero(ds.shots > 0.5, axis=-1)
+    ds = dataclasses.replace(
+        ds,
+        p_e=clicks / ds.shots.shape[-1],
+        stderr=laplace_stderr(clicks, ds.shots.shape[-1]),
+        meta={"readout_threshold": 0.5},
+    )
     path = tmp_path / "scan.csv"
     write_dataset(ds, path)
     good = path.read_bytes()
+    assert np.array_equal(read_dataset(path).p_e, ds.p_e)
     # printable text, a line break and one byte that is not UTF-8
     alphabet = np.frombuffer(bytes(range(32, 127)) + b"\n\xff", dtype=np.uint8)
     rng = np.random.default_rng(11)
