@@ -229,11 +229,11 @@ def _prepare_rows(model: FitModel, x: np.ndarray, y_rows, y_err_rows, inits):
     checks = [
         (
             ~np.all(np.isfinite(y), axis=1) | (not np.all(np.isfinite(x))),
-            ValueError("fit data must be finite"),
+            DegenerateDataError("fit data must be finite"),
         ),
         (
             np.full(checked, len(x) < n_min),
-            ValueError(f"{model.family} fit needs at least {n_min} points"),
+            DegenerateDataError(f"{model.family} fit needs at least {n_min} points"),
         ),
     ]
     if model.family != "polynomial" and len(x) >= n_min:

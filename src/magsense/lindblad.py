@@ -184,7 +184,8 @@ def evolve_lindblad(
         aligned = np.abs(t0 + record_idx * dt - record_times) <= 1e-6 * dt + 1e-15
         if not np.all(aligned) or record_idx.min() < 0 or record_idx.max() > n_steps:
             raise ValueError("record_times must lie on the integration step grid")
-        record_idx = np.unique(record_idx)
+        # rounding can repeat a step index; np.unique would import numpy.ma
+        record_idx = record_idx[np.concatenate(([True], np.diff(record_idx) > 0))]
 
     a = dt * _liouvillian(h, collapses)
     a2 = a @ a

@@ -7,8 +7,9 @@ enters as the dephasing rate from the analysis module. The parametric
 conversion scan is the exception: it runs the full Lindblad evolution of the
 exchange Hamiltonian with magnon and qubit collapse.
 
-Every protocol samples its grid points one after another, each from a
-readout stream seeded by (master seed, protocol tag, flat point index), so
+Every protocol samples its whole grid in one ``readout.sample_grid`` pass.
+Each point draws from its own readout stream, seeded by (master seed,
+protocol tag, flat point index) as ``sweep.point_seed`` spells it, so
 datasets are reproducible and independent of evaluation order. Every
 protocol returns through ``_dataset``: a shot lasts the sequence before
 readout, plus the readout window, plus the dead time, every dataset
@@ -28,9 +29,11 @@ from .analysis import dephasing_rate, magnon_dephasing_rate, stark_shift
 from .hamiltonians import parametric_interaction
 from .lindblad import CollapseTerm, evolve_lindblad
 from .params import PumpSpec, SystemParams
-from .readout import ReadoutModel, laplace_stderr, sample_readout
+# sample_readout is not called here; the benchmark's tracer wraps it under
+# this name (perfbench/layers.py:186), so the name stays bound
+from .readout import ReadoutModel, laplace_stderr, sample_grid, sample_readout  # noqa: F401
 from .spaces import ModeSpace, build_mode_operators, fock_state
-from .sweep import Axis, SweepDataset, point_seed
+from .sweep import Axis, SweepDataset, stream_seed
 
 # probe bandwidth for a pulse of duration t is 1/t (rad/s)
 DEFAULT_PROBE_DURATION = 1.0 / (2.0 * math.pi * 1.0e6)
@@ -101,9 +104,10 @@ def _measure_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Sample (or pass through) true excited-state probabilities on a grid.
 
-    Each point's shots, drawn from its own ``point_seed`` stream, fill one
-    row of a single (points, shots) buffer, one point after another; the
-    fractions and their errors are then counted over the whole buffer at once.
+    One ``sample_grid`` call draws every point, each from the stream of its
+    ``point_seed(master_seed, tag, flat index)``, and counts its clicks;
+    the fractions and their errors follow from the counts. The
+    (points, shots) voltages are returned only with ``keep_shots``.
     """
     shape = p_true.shape
     flat = np.clip(p_true.reshape(-1), 0.0, 1.0)
@@ -111,18 +115,17 @@ def _measure_grid(
         return flat.reshape(shape), np.zeros(shape), None
 
     n_shots = config.n_shots
-    values = np.empty((len(flat), n_shots))
-    for idx in range(len(flat)):
-        values[idx] = sample_readout(
-            float(flat[idx]),
-            config.readout,
-            n_shots,
-            seed=point_seed(config.master_seed, tag, idx),
-        ).values
-    clicks = np.count_nonzero(values > config.readout.threshold, axis=1)
+    clicks, shots = sample_grid(
+        flat,
+        config.readout,
+        n_shots,
+        stream_seed(config.master_seed, tag),
+        config.keep_shots,
+    )
     p_hat = (clicks / n_shots).reshape(shape)
     stderr = laplace_stderr(clicks, n_shots).reshape(shape)
-    shots = values.reshape(shape + (n_shots,)) if config.keep_shots else None
+    if shots is not None:
+        shots = shots.reshape(shape + (n_shots,))
     return p_hat, stderr, shots
 
 

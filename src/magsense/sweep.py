@@ -105,7 +105,10 @@ def stream_seed(master_seed: int, tag: str) -> tuple:
 
 
 def point_seed(master_seed: int, protocol: str, index: int) -> tuple:
-    """Seed material for one grid point, stable across execution order."""
+    """Seed material for one grid point, stable across execution order.
+
+    ``readout.sample_grid`` draws grid point ``index`` from this stream.
+    """
     return stream_seed(master_seed, protocol) + (int(index),)
 
 

@@ -252,6 +252,20 @@ class TestRun:
         ), err
         assert not out.exists()
 
+    def test_too_short_fit_grid_names_the_analysis_and_its_inputs(self, work, capsys):
+        config = yaml.safe_load(bundled_configs()["sensitivity-scan"].read_text(encoding="utf-8"))
+        config["protocols"][0]["probe_freqs"]["count"] = 1
+        path = work / "one-probe.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = work / "one-probe"
+        assert main(["run", str(path), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "runtime error: analyses[0] (sensitivity), inputs spectroscopy=spectroscopy, "
+            "ramsey_series=ramsey-series: gaussian fit needs at least 5 points"
+        ), err
+        assert not out.exists()
+
     def test_coherence_report_contents(self, coherence_artifact):
         report = read_report(coherence_artifact / "coherence.txt")
         t1 = float(report["t1_s"])

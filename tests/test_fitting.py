@@ -144,12 +144,12 @@ def test_constant_data_is_degenerate():
 
 def test_data_preconditions():
     model = FitModel("gaussian")
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateDataError, match="gaussian fit needs at least 5 points"):
         fit_curve(model, np.arange(4.0), np.arange(4.0))
     x = np.linspace(0.0, 1.0, 10)
     y = x.copy()
     y[3] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateDataError, match="fit data must be finite"):
         fit_curve(model, x, y)
 
 

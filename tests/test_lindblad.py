@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +229,52 @@ def test_record_times_subset():
             rho0, None, [CollapseTerm(a, 1.0 / T1)], (0.0, 1e-6), dt,
             observables=[n], record_times=np.array([0.33e-7]),
         )
+
+
+@pytest.mark.parametrize(
+    "steps, offsets",
+    [
+        ([0, 3, 3, 50, 50, 100], [0, 0, 5, 0, 5, 0]),
+        ([0, 0, 0, 7], [0, 2, 4, 0]),  # a run of three at the start
+        ([10, 99, 100, 100], [0, 0, -5, 0]),  # a pair at the end
+        ([1, 2, 3], [0, 0, 0]),  # no repeats
+    ],
+)
+def test_repeated_record_steps_collapse_as_np_unique(steps, offsets):
+    space = ModeSpace(("q",), (2,))
+    a, n = build_mode_operators(space, "q")
+    dt = 1e-8
+    # each offset (in fs) stays inside the step-grid tolerance, so
+    # strictly increasing times can round to one step
+    wanted = dt * np.array(steps) + 1e-15 * np.array(offsets)
+    traj = evolve_lindblad(
+        fock_state(space, {"q": 1}), None, [CollapseTerm(a, 1.0 / T1)], (0.0, 1e-6), dt,
+        observables=[n], record_times=wanted,
+    )
+    unique = np.unique(np.round(wanted / dt).astype(int))
+    assert np.array_equal(traj.times, np.array([0.0 + dt * k for k in unique.tolist()]))
+    assert traj.expectations.shape == (1, len(unique))
+
+
+def test_record_times_do_not_import_numpy_ma():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from magsense.lindblad import CollapseTerm, evolve_lindblad\n"
+        "from magsense.spaces import ModeSpace, build_mode_operators, fock_state\n"
+        "space = ModeSpace(('q',), (2,))\n"
+        "a, n = build_mode_operators(space, 'q')\n"
+        "times = np.array([0.0, 3e-8, 3e-8 + 5e-15, 1e-6])\n"
+        "evolve_lindblad(fock_state(space, {'q': 1}), None, [CollapseTerm(a, 1e5)],\n"
+        "                (0.0, 1e-6), 1e-8, observables=[n], record_times=times)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_truncation_guard_fires_during_evolution():

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from magsense.readout import (
+    SAMPLE_BLOCK,
     ReadoutModel,
     ShotRecord,
+    _seed_words,
+    sample_grid,
     sample_readout,
 )
+from magsense.sweep import point_seed, stream_seed
 
 T1_REF = 2.78e-6
 
@@ -89,6 +93,14 @@ def test_invalid_inputs():
         ReadoutModel.for_qubit(t1=T1_REF, sigma=0.0)
     with pytest.raises(ValueError):
         ShotRecord(values=np.array([]), threshold=0.5)
+    stream = stream_seed(0, "grid")
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            sample_grid(np.array([0.5, bad]), model, 100, stream, False)
+    with pytest.raises(ValueError):
+        sample_grid(np.array([0.5]), model, 0, stream, False)
+    with pytest.raises(ValueError):
+        sample_grid(np.array([0.5]), model, 10, stream_seed(-1, "grid"), False)
 
 
 def test_idealized_model_contrast():
@@ -102,3 +114,46 @@ def test_stderr_positive_at_extremes():
     model = default_model()
     record = sample_readout(0.0, model, 200, seed=9)
     assert record.excited_stderr() > 0.0
+
+
+# one to three entropy words from the master seed, and more than the pool's
+# four words in all from 2**64 + 3 (three master words, the tag, the index)
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("tag", ["decay-phase", "spectroscopy", "oracle"])
+def test_seed_words_are_numpy_seed_sequence_states(master, tag):
+    count = 301
+    expected = np.array(
+        [
+            np.random.SeedSequence(point_seed(master, tag, j)).generate_state(4, np.uint64)
+            for j in range(count)
+        ]
+    )
+    words = _seed_words(stream_seed(master, tag), count)
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, expected)
+
+
+@pytest.mark.parametrize("keep_shots", [True, False])
+@pytest.mark.parametrize("n_shots", [1, 57])
+@pytest.mark.parametrize(
+    "size", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3]
+)
+def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots):
+    model = default_model()
+    p = np.random.default_rng(size).random(size)
+    p[1::4] = 0.0
+    p[2::4] = 1.0
+    master = 2**32 + 11
+    clicks, shots = sample_grid(p, model, n_shots, stream_seed(master, "grid"), keep_shots)
+    expected = np.stack(
+        [
+            sample_readout(float(p[j]), model, n_shots, point_seed(master, "grid", j)).values
+            for j in range(size)
+        ]
+    )
+    assert np.array_equal(clicks, np.count_nonzero(expected > model.threshold, axis=1))
+    if keep_shots:
+        assert shots.shape == (size, n_shots)
+        assert np.array_equal(shots, expected)
+    else:
+        assert shots is None
