@@ -15,7 +15,7 @@ evaluation. ``fit_curve`` is its one-row case.
 
 Initial guesses are automatic and deterministic: peaked models start from
 max/centroid/second-moment estimates, exponentials from log-linear regression,
-sinusoids from the discrete Fourier peak; ``peak_row_start`` seeds rows known
+sinusoids from the discrete Fourier peak; ``peak_row_starts`` seeds rows known
 to be upward lines from their maximum. Fitted sinusoid phases are
 canonicalized to amplitude >= 0 and phase in [0, 2pi). A row is weighted by
 its errors only when ``usable_errors`` finds every one > 0.
@@ -626,19 +626,25 @@ def _init_lorentzian(x, y):
     return np.array([amp0, mu0, fwhm0, c0])
 
 
-def peak_row_start(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gaussian start values for an upward line that may be edge-truncated.
+def peak_row_starts(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Gaussian start values for rows of upward lines that may be edge-truncated.
 
     The moment initializer can read a peak parked near a grid edge as a
     dip; rows known to be upward peaks (spectroscopy lines, their standard
-    errors) are seeded from the maximum directly.
+    errors) are seeded from their maximum directly. Returns shape
+    ``(rows, 4)``; each row's start depends on that row alone.
     """
-    top = float(np.max(y))
-    floor = float(np.min(y))
+    rows = np.asarray(rows, dtype=float)
+    top = np.max(rows, axis=1)
+    floor = np.min(rows, axis=1)
     step = _median(np.diff(np.sort(x)))
-    n_half = int(np.sum(y - floor > 0.5 * (top - floor)))
-    sigma = max(n_half, 1) * step / 2.355
-    return np.array([max(top - floor, 1e-9), float(x[np.argmax(y)]), sigma, floor])
+    n_half = np.count_nonzero(rows - floor[:, None] > 0.5 * (top - floor)[:, None], axis=1)
+    starts = np.empty((len(rows), 4))
+    starts[:, 0] = np.maximum(top - floor, 1e-9)
+    starts[:, 1] = x[np.argmax(rows, axis=1)]
+    starts[:, 2] = np.maximum(n_half, 1) * step / 2.355
+    starts[:, 3] = floor
+    return starts
 
 
 def usable_errors(stderr):

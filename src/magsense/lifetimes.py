@@ -22,7 +22,7 @@ from .fitting import (
     _median,
     fit_curve,
     fit_rows,
-    peak_row_start,
+    peak_row_starts,
     usable_errors,
 )
 from .sweep import SweepDataset
@@ -98,29 +98,30 @@ def parametric_qubit_decay(delta: float, omega_qm: float, kappa_m: float):
     return rate, evaluator
 
 
-def _fringe_fits(phases: np.ndarray, rows: np.ndarray, row_errs) -> list[FitResult]:
-    """Sinusoid fits of fringe rows, each seeded by quadrature sums.
+def _fringe_starts(phases: np.ndarray, rows: np.ndarray) -> list[list[float]]:
+    """Sinusoid starts of fringe rows from their quadrature sums.
 
     A row follows 0.5 + 0.5 C cos(phi - theta), so the fitted sinusoid
     a sin(theta/(2 pi) ... ) carries phi as pi/2 minus its phase parameter.
+    The sums run along the rows; the seeds are scalar math per row.
     """
-    inits = []
-    for row in rows:
-        in_phase = float(np.sum((row - np.mean(row)) * np.cos(phases)))
-        quadrature = float(np.sum((row - np.mean(row)) * np.sin(phases)))
-        phi_seed = math.atan2(quadrature, in_phase)
-        amp_seed = 2.0 * math.hypot(in_phase, quadrature) / len(phases)
-        inits.append(
-            np.array(
-                [
-                    max(amp_seed, 1e-6),
-                    1.0 / (2.0 * math.pi),
-                    (math.pi / 2.0 - phi_seed) % (2.0 * math.pi),
-                    float(np.mean(row)),
-                ]
-            )
+    means = np.mean(rows, axis=1)
+    centered = rows - means[:, None]
+    in_phase = np.sum(centered * np.cos(phases), axis=1)
+    quadrature = np.sum(centered * np.sin(phases), axis=1)
+    starts = []
+    for mean, i_sum, q_sum in zip(means.tolist(), in_phase.tolist(), quadrature.tolist()):
+        phi_seed = math.atan2(q_sum, i_sum)
+        amp_seed = 2.0 * math.hypot(i_sum, q_sum) / len(phases)
+        starts.append(
+            [
+                max(amp_seed, 1e-6),
+                1.0 / (2.0 * math.pi),
+                (math.pi / 2.0 - phi_seed) % (2.0 * math.pi),
+                mean,
+            ]
         )
-    return fit_rows(FitModel("sinusoid"), phases, rows, row_errs, inits)
+    return starts
 
 
 def _convergence_flags(fits: list[FitResult]) -> list[str]:
@@ -183,10 +184,13 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
         raise EstimationError("phase extraction needs >= 6 sense times")
     p_e, stderr = _draw_stacks(dataset, p_e, stderr)
     n_draws = len(p_e)
-    row_fits = _fringe_fits(
+    rows = p_e.reshape(-1, len(thetas))
+    row_fits = fit_rows(
+        FitModel("sinusoid"),
         thetas,
-        p_e.reshape(-1, len(thetas)),
+        rows,
         [usable_errors(err) for err in stderr.reshape(-1, len(thetas))],
+        _fringe_starts(thetas, rows),
     )
     wrapped = np.array(
         [(math.pi / 2.0 - fit.parameter("phase")) % (2.0 * math.pi) for fit in row_fits]
@@ -261,7 +265,7 @@ def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEsti
         freqs,
         rows,
         [usable_errors(err) for err in stderr.reshape(-1, len(freqs))],
-        [peak_row_start(freqs, row) for row in rows],
+        peak_row_starts(freqs, rows),
     )
     centers = np.array([fit.parameter("center") for fit in row_fits]).reshape(
         n_draws, len(times)

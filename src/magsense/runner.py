@@ -23,7 +23,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import calibrate_magnon_number, linear_slope
-from .config import ExperimentConfig, ProtocolNode, from_resolved, resolved_hash
+from .config import (
+    MAX_SHOT_BUFFER_BYTES,
+    ExperimentConfig,
+    ProtocolNode,
+    from_resolved,
+    resolved_hash,
+)
 from .errors import ConfigError, MagsenseError, SchemaError
 from .fitting import FitModel, fit_curve, fit_rows, usable_errors
 from .lifetimes import (
@@ -52,7 +58,9 @@ from .sensitivity import (
     fit_power_spectra,
     sensitivity_curve,
 )
-from .subsample import subsample_time_budget
+# subsample_time_budget is not called here; the benchmark's tracer wraps it
+# under this name (perfbench/layers.py:194), so the name stays bound
+from .subsample import subsample_draws, subsample_time_budget  # noqa: F401
 from .sweep import SweepDataset, read_dataset, write_dataset
 
 MANIFEST_NAME = "manifest.json"
@@ -285,10 +293,15 @@ def _sensitivity_report(
     return keys
 
 
-def _lifetime_report(datasets: dict, inputs: dict, method: str) -> dict:
-    dataset = datasets[inputs["dataset"]]
-    estimator = lifetime_from_phase if method == "phase" else lifetime_from_frequency
-    estimate = estimator(dataset)
+# lifetime analysis kind -> (stack estimator, its row fit family)
+_LIFETIME_STACKS = {
+    "lifetime-phase": (phase_lifetimes, "sinusoid"),
+    "lifetime-frequency": (frequency_lifetimes, "gaussian"),
+}
+
+
+def _lifetime_keys(estimate) -> dict:
+    """The report keys of one lifetime estimate."""
     keys = {
         "method": estimate.method,
         "lifetime_s": estimate.lifetime,
@@ -315,27 +328,47 @@ def _parametric_report(datasets: dict, inputs: dict) -> dict:
     }
 
 
+def _check_subsample_count(dataset: SweepDataset, row_family: str, count: int) -> None:
+    """Reject a draw count whose row-fit Jacobian probes overflow the buffer.
+
+    The largest array of a subsample report is the row fit's float64
+    Jacobian probes: 2k model evaluations of every grid point of each of
+    the ``count + 1`` stacked draws, for a k-parameter row model.
+    """
+    per_draw = 8 * 2 * FitModel(row_family).n_parameters() * dataset.p_e.size
+    max_count = MAX_SHOT_BUFFER_BYTES // per_draw - 1
+    if count > max_count:
+        raise ConfigError(
+            f"--subsample-count {count} needs {(count + 1) * per_draw} bytes of fit "
+            f"probes on a {dataset.p_e.size}-point grid; at most {max_count} draws fit "
+            f"the {MAX_SHOT_BUFFER_BYTES}-byte buffer"
+        )
+
+
 def _subsample_table(
     dataset: SweepDataset,
-    method: str,
+    kind: str,
     budget: float,
     count: int,
     path: Path,
     manifest_hash: str,
 ) -> dict:
-    """Per-subset lifetime fits under a repeated time-budget draw.
+    """Lifetime report keys of the full data and of ``count`` time-budget draws.
 
-    The draws are fit together, one batch per fit stage.
+    The recorded ``p_e`` and ``stderr`` are draw 0 of one stack and the
+    subsample draws 1..count, all fit in one stack estimator call. Estimate
+    0 gives the keys the report writes without a subsample request, and
+    the draws' estimates the table.
     """
-    estimator = phase_lifetimes if method == "phase" else frequency_lifetimes
-    p_e = np.empty((count,) + dataset.grid_shape)
+    estimator, row_family = _LIFETIME_STACKS[kind]
+    _check_subsample_count(dataset, row_family, count)
+    p_e = np.empty((count + 1,) + dataset.grid_shape)
     stderr = np.empty_like(p_e)
-    for k in range(count):
-        subset = subsample_time_budget(dataset, budget, seed=k)
-        p_e[k], stderr[k] = subset.p_e, subset.stderr
-    estimates = estimator(dataset, p_e, stderr)
-    lifetimes = np.array([estimate.lifetime for estimate in estimates])
-    uncertainties = np.array([estimate.uncertainty for estimate in estimates])
+    p_e[0], stderr[0] = dataset.p_e, dataset.stderr
+    p_e[1:], stderr[1:] = subsample_draws(dataset, budget, range(count))
+    full, *draws = estimator(dataset, p_e, stderr)
+    lifetimes = np.array([estimate.lifetime for estimate in draws])
+    uncertainties = np.array([estimate.uncertainty for estimate in draws])
     _write_table(
         path,
         manifest_hash,
@@ -346,6 +379,7 @@ def _subsample_table(
         ],
     )
     return {
+        **_lifetime_keys(full),
         "subsample_budget_s": budget,
         "subsample_count": count,
         "subsample_lifetime_mean_s": float(np.mean(lifetimes)),
@@ -355,35 +389,24 @@ def _subsample_table(
 
 def _analysis_keys(node, datasets, out_dir, manifest_hash, system, sensing, subsample) -> dict:
     """The report keys of one analysis node, with its subsample table's keys."""
-    if node.kind == "coherence":
-        keys = _coherence_report(datasets, node.inputs)
-    elif node.kind == "calibration":
-        keys = _calibration_report(system, datasets, node.inputs)
-    elif node.kind == "sensitivity":
-        keys = _sensitivity_report(system, sensing, datasets, node, out_dir, manifest_hash)
-    elif node.kind == "lifetime-phase":
-        keys = _lifetime_report(datasets, node.inputs, "phase")
-    elif node.kind == "lifetime-frequency":
-        keys = _lifetime_report(datasets, node.inputs, "frequency")
-    elif node.kind == "parametric":
-        keys = _parametric_report(datasets, node.inputs)
-    else:
-        raise ConfigError(f"unknown analysis kind {node.kind!r}")
-    if subsample is not None and node.kind in ("lifetime-phase", "lifetime-frequency"):
+    if node.kind in _LIFETIME_STACKS:
+        dataset = datasets[node.inputs["dataset"]]
+        if subsample is None:
+            if node.kind == "lifetime-phase":
+                return _lifetime_keys(lifetime_from_phase(dataset))
+            return _lifetime_keys(lifetime_from_frequency(dataset))
         budget, count = subsample
-        method = "phase" if node.kind == "lifetime-phase" else "frequency"
         table_path = out_dir / f"{node.kind}-subsample.csv"
-        keys.update(
-            _subsample_table(
-                datasets[node.inputs["dataset"]],
-                method,
-                budget,
-                count,
-                table_path,
-                manifest_hash,
-            )
-        )
-    return keys
+        return _subsample_table(dataset, node.kind, budget, count, table_path, manifest_hash)
+    if node.kind == "coherence":
+        return _coherence_report(datasets, node.inputs)
+    if node.kind == "calibration":
+        return _calibration_report(system, datasets, node.inputs)
+    if node.kind == "sensitivity":
+        return _sensitivity_report(system, sensing, datasets, node, out_dir, manifest_hash)
+    if node.kind == "parametric":
+        return _parametric_report(datasets, node.inputs)
+    raise ConfigError(f"unknown analysis kind {node.kind!r}")
 
 
 def run_analyses(
@@ -432,17 +455,15 @@ def _write_report(path: Path, manifest_hash: str, keys: dict) -> None:
 
 def _write_table(path: Path, manifest_hash: str, columns: list) -> None:
     header = ",".join(f"{name} ({unit})" for name, unit, _ in columns)
+    cells = []
+    for _, _, values in columns:
+        values = np.asarray(values)
+        if np.issubdtype(values.dtype, np.integer):
+            cells.append([str(int(v)) for v in values.tolist()])
+        else:
+            cells.append([repr(float(v)) for v in values.tolist()])
     lines = [f"# manifest_sha256: {manifest_hash}", header]
-    length = len(columns[0][2])
-    for k in range(length):
-        lines.append(
-            ",".join(
-                str(int(values[k]))
-                if np.issubdtype(np.asarray(values).dtype, np.integer)
-                else repr(float(values[k]))
-                for _, _, values in columns
-            )
-        )
+    lines += [",".join(row) for row in zip(*cells)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -27,7 +27,7 @@ from .fitting import (  # noqa: F401
     fit_curve,
     fit_rows,
     interpolate_poly,
-    peak_row_start,
+    peak_row_starts,
     usable_errors,
 )
 from .lifetimes import _require_protocol
@@ -120,7 +120,7 @@ def fit_power_spectra(dataset: SweepDataset) -> list[tuple[float, FitResult]]:
         freqs,
         dataset.p_e,
         [usable_errors(err) for err in dataset.stderr],
-        [peak_row_start(freqs, row) for row in dataset.p_e],
+        peak_row_starts(freqs, dataset.p_e),
     )
     return [(float(power), fit) for power, fit in zip(powers, fits)]
 
@@ -146,7 +146,7 @@ def fit_noise_profile(
         FitModel("gaussian"),
         freqs,
         dataset.stderr,
-        inits=[peak_row_start(freqs, row) for row in dataset.stderr],
+        inits=peak_row_starts(freqs, dataset.stderr),
     )
     amplitudes = [fit.parameter("amplitude") for fit in fits]
     floors = [fit.parameter("offset") for fit in fits]

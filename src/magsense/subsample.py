@@ -11,8 +11,8 @@ Every estimate reads only a point's click count, and the clicks among m
 shots drawn without replacement from N, C of which click, follow the
 hypergeometric law Hypergeometric(C, N - C, m) exactly. So each call counts
 the recorded clicks once and draws every point's kept clicks from that law
-with one generator, in flat point order. The result carries no shots: a
-click-count draw picks no shot identities.
+with one generator per seed, in flat point order. The result carries no
+shots: a click-count draw picks no shot identities.
 """
 
 from __future__ import annotations
@@ -40,16 +40,17 @@ def shots_per_point(dataset: SweepDataset, budget: float) -> int:
     return math.floor(exact * (1.0 + 1e-12) + 1e-9)
 
 
-def subsample_time_budget(
-    dataset: SweepDataset, budget: float, seed: int = 0
-) -> SweepDataset:
-    """Restrict a dataset to the shots affordable in ``budget`` seconds.
+def subsample_draws(
+    dataset: SweepDataset, budget: float, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Excited fractions and errors of one time-budget draw per seed, stacked.
 
-    The budget is split evenly over the sweep grid. Each point's kept clicks
-    are those of a uniform without-replacement draw of its recorded shots,
-    drawn directly from their hypergeometric law by one generator per call,
-    seeded from ``(seed, SUBSAMPLE_TAG)``. The excited fraction and its
-    smoothed binomial error are recomputed from them.
+    The budget is split evenly over the sweep grid. The recorded clicks are
+    counted once; each seed's kept clicks are then those of a uniform
+    without-replacement draw of every point's recorded shots, drawn directly
+    from their hypergeometric law by a generator seeded from
+    ``(seed, SUBSAMPLE_TAG)``, and the excited fraction and its smoothed
+    binomial error are recomputed from them.
 
     Parameters
     ----------
@@ -58,14 +59,15 @@ def subsample_time_budget(
         ``meta["readout_threshold"]``.
     budget : float
         Total wall time to emulate, seconds.
-    seed : int
-        Master seed for the subsample draws.
+    seeds : sequence of int
+        Master seed of each draw.
 
     Returns
     -------
-    SweepDataset
-        Same grid with reduced per-point shot counts and ``shots=None``.
-        Returned unchanged when the budget covers all recorded shots.
+    (p_e, stderr)
+        Float arrays of shape ``(len(seeds),) + dataset.grid_shape``. When
+        the budget covers all recorded shots, every draw is the recorded
+        ``p_e`` and ``stderr``.
 
     Raises
     ------
@@ -85,17 +87,48 @@ def subsample_time_budget(
     flat_shots = dataset.shots.reshape(-1, dataset.shots.shape[-1])
     if n_keep < 1:
         raise BudgetError(f"budget {budget:g} s affords no shots on a {len(flat_shots)}-point grid")
+    shape = (len(seeds),) + dataset.grid_shape
     n_recorded = flat_shots.shape[1]
     if n_keep >= n_recorded:
-        return dataset
+        return (
+            np.broadcast_to(dataset.p_e, shape).astype(float),
+            np.broadcast_to(dataset.stderr, shape).astype(float),
+        )
     recorded = np.count_nonzero(flat_shots > float(threshold), axis=1)
-    rng = np.random.default_rng(stream_seed(seed, SUBSAMPLE_TAG))
-    clicks = rng.hypergeometric(recorded, n_recorded - recorded, n_keep)
+    clicks = np.empty((len(seeds), len(flat_shots)), dtype=np.int64)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(stream_seed(seed, SUBSAMPLE_TAG))
+        clicks[k] = rng.hypergeometric(recorded, n_recorded - recorded, n_keep)
+    return (clicks / n_keep).reshape(shape), laplace_stderr(clicks, n_keep).reshape(shape)
+
+
+def subsample_time_budget(
+    dataset: SweepDataset, budget: float, seed: int = 0
+) -> SweepDataset:
+    """Restrict a dataset to the shots affordable in ``budget`` seconds.
+
+    This is the one-seed case of :func:`subsample_draws`, as a dataset.
+
+    Returns
+    -------
+    SweepDataset
+        Same grid with reduced per-point shot counts and ``shots=None``.
+        Returned unchanged when the budget covers all recorded shots.
+
+    Raises
+    ------
+    EstimationError, BudgetError
+        As :func:`subsample_draws`.
+    """
+    p_e, stderr = subsample_draws(dataset, budget, [seed])
+    n_keep = shots_per_point(dataset, budget)
+    if n_keep >= dataset.shots.shape[-1]:
+        return dataset
     shape = dataset.grid_shape
     return replace(
         dataset,
-        p_e=(clicks / n_keep).reshape(shape),
-        stderr=laplace_stderr(clicks, n_keep).reshape(shape),
+        p_e=p_e[0],
+        stderr=stderr[0],
         n_shots=np.full(shape, n_keep, dtype=int),
         shots=None,
     )

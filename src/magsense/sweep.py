@@ -161,14 +161,15 @@ def write_dataset(dataset: SweepDataset, path) -> None:
     ]
     lines.append(",".join(columns))
     grids = np.meshgrid(*[ax.values for ax in dataset.axes], indexing="ij")
-    flat_axes = [g.reshape(-1) for g in grids]
-    p_flat = dataset.p_e.reshape(-1)
-    err_flat = dataset.stderr.reshape(-1)
-    n_flat = dataset.n_shots.reshape(-1)
-    for k in range(len(p_flat)):
-        row = [repr(float(v[k])) for v in flat_axes]
-        row += [repr(float(p_flat[k])), repr(float(err_flat[k])), str(int(n_flat[k]))]
-        lines.append(",".join(row))
+    # a memoryview yields one Python number at a time, so no column of
+    # Python objects is held next to the lines
+    floats = [
+        memoryview(np.ascontiguousarray(values, dtype=float).reshape(-1))
+        for values in (*grids, dataset.p_e, dataset.stderr)
+    ]
+    counts = memoryview(np.ascontiguousarray(dataset.n_shots, dtype=np.int64).reshape(-1))
+    row = ",".join(["%r"] * len(floats) + ["%d"])
+    lines += [row % values for values in zip(*floats, counts)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -8,7 +8,10 @@ import pytest
 import yaml
 from conftest import removed_field_edits, rewrite_manifest
 
+from magsense import runner
 from magsense.cli import bundled_configs, main
+from magsense.config import MAX_SHOT_BUFFER_BYTES
+from magsense.errors import ConfigError
 from magsense.runner import read_report
 from magsense.sweep import read_dataset
 
@@ -428,6 +431,35 @@ class TestReport:
         assert int(float(report["subsample_count"])) == 5
         assert float(report["subsample_lifetime_std_s"]) >= 0
         assert (decay_artifact / "lifetime-phase-subsample.csv").exists()
+
+    @pytest.mark.parametrize("count", [10, 100])
+    def test_subsample_counts_that_fit_run(self, decay_artifact, count):
+        argv = ["report", str(decay_artifact), "--subsample-budget", "0.1"]
+        assert main([*argv, "--subsample-count", str(count)]) == 0
+        table = np.loadtxt(
+            decay_artifact / "lifetime-phase-subsample.csv", delimiter=",", skiprows=2
+        )
+        assert table.shape == (count, 3)
+
+    def test_an_oversized_subsample_count_exits_2_before_any_draw(
+        self, decay_artifact, capsys, monkeypatch
+    ):
+        def no_draw(*args):
+            raise AssertionError("drew subsamples for an oversized count")
+
+        monkeypatch.setattr(runner, "subsample_draws", no_draw)
+        argv = ["report", str(decay_artifact), "--subsample-budget", "1.0"]
+        assert main([*argv, "--subsample-count", "1000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--subsample-count 1000000000" in err
+        assert "Traceback" not in err
+        # sinusoid row fits: 2 x 4 probes of the 13 x 13 grid per draw, plus the full data
+        largest = MAX_SHOT_BUFFER_BYTES // (8 * 2 * 4 * 13 * 13) - 1
+        assert f"at most {largest} draws" in err
+        dataset = read_dataset(decay_artifact / "decay-phase.csv")
+        runner._check_subsample_count(dataset, "sinusoid", largest)
+        with pytest.raises(ConfigError):
+            runner._check_subsample_count(dataset, "sinusoid", largest + 1)
 
     @pytest.mark.parametrize(
         "flags",

@@ -170,13 +170,38 @@ def test_peak_row_start_seeds_an_edge_line_at_its_maximum():
     # an upward line whose center sits on the last grid point
     x = np.linspace(-4.0, 0.0, 41)
     y = 0.7 * np.exp(-0.5 * (x / 0.6) ** 2) + 0.05
-    start = fitting.peak_row_start(x, y)
+    start = fitting.peak_row_starts(x, y[None])[0]
     assert start[1] == x[np.argmax(y)] == x[-1]
     assert start[0] == pytest.approx(np.max(y) - np.min(y))
     assert start[3] == np.min(y)
     fit = fit_curve(FitModel("gaussian"), x, y, init=start)
     assert fit.parameter("center") == pytest.approx(0.0, abs=1e-6)
     assert fit.parameter("sigma") == pytest.approx(0.6, rel=1e-6)
+
+
+def _peak_row_start(x, y):
+    """Per-row scalar oracle of ``peak_row_starts``."""
+    top = float(np.max(y))
+    floor = float(np.min(y))
+    step = float(np.median(np.diff(np.sort(x))))
+    n_half = int(np.sum(y - floor > 0.5 * (top - floor)))
+    sigma = max(n_half, 1) * step / 2.355
+    return np.array([max(top - floor, 1e-9), float(x[np.argmax(y)]), sigma, floor])
+
+
+def test_peak_row_starts_equal_the_per_row_oracle_bit_for_bit():
+    rng = np.random.default_rng(17)
+    x = np.sort(rng.uniform(-3.0, 3.0, 27))
+    random_rows = rng.uniform(0.0, 1.0, (40, 27))
+    constant_rows = np.full((3, 27), 0.25)
+    tied = rng.uniform(0.0, 0.5, (4, 27))
+    tied[:, [2, 11, 26]] = 0.9  # the first maximum wins
+    rows = np.concatenate((random_rows, constant_rows, tied, np.zeros((1, 27))))
+    starts = fitting.peak_row_starts(x, rows)
+    oracle = np.array([_peak_row_start(x, row) for row in rows])
+    assert starts.shape == (len(rows), 4)
+    assert starts.tobytes() == oracle.tobytes()
+    assert np.all(starts[43:47, 1] == x[2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 121, 350, 351])

@@ -10,6 +10,7 @@ from magsense import fitting
 from magsense.errors import DegenerateDataError, EstimationError
 from magsense.lifetimes import (
     LifetimeEstimate,
+    _fringe_starts,
     extract_kappa_m_from_scan,
     frequency_lifetimes,
     lifetime_from_frequency,
@@ -380,3 +381,32 @@ def test_batched_estimators_check_the_stack_shape(draw_stacks):
     dataset, p_e, stderr = draw_stacks["phase"]
     with pytest.raises(EstimationError, match="do not match"):
         phase_lifetimes(dataset, p_e[:, :, :-1], stderr[:, :, :-1])
+
+
+def _fringe_start(phases, row):
+    """Per-row scalar oracle of ``_fringe_starts``."""
+    in_phase = float(np.sum((row - np.mean(row)) * np.cos(phases)))
+    quadrature = float(np.sum((row - np.mean(row)) * np.sin(phases)))
+    phi_seed = math.atan2(quadrature, in_phase)
+    amp_seed = 2.0 * math.hypot(in_phase, quadrature) / len(phases)
+    return [
+        max(amp_seed, 1e-6),
+        1.0 / (2.0 * math.pi),
+        (math.pi / 2.0 - phi_seed) % (2.0 * math.pi),
+        float(np.mean(row)),
+    ]
+
+
+@pytest.mark.parametrize("n_phases", [7, 13, 25, 130])
+def test_fringe_starts_equal_the_per_row_oracle_bit_for_bit(n_phases):
+    rng = np.random.default_rng(n_phases)
+    phases = np.linspace(0.0, 2 * math.pi, n_phases)
+    random_rows = rng.uniform(0.0, 1.0, (50, n_phases))
+    constant_rows = np.full((3, n_phases), 0.5)
+    tied = rng.uniform(0.0, 0.5, (4, n_phases))
+    tied[:, [0, n_phases // 2, -1]] = 0.9
+    fringes = 0.5 + 0.5 * np.cos(phases - rng.uniform(0, 2 * math.pi, (20, 1)))
+    rows = np.concatenate((random_rows, constant_rows, tied, fringes))
+    starts = np.array(_fringe_starts(phases, rows))
+    oracle = np.array([_fringe_start(phases, row) for row in rows])
+    assert starts.tobytes() == oracle.tobytes()

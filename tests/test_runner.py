@@ -1,12 +1,15 @@
 """Artifact-level tests: shots regenerated from a manifest, fit status keys."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from conftest import removed_field_edits, rewrite_manifest
 
 from magsense import fitting
-from magsense.config import load_config
+from magsense.config import AnalysisNode, load_config
+from magsense.errors import DegenerateDataError, EstimationError, MagsenseError
 from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase
 from magsense.runner import (
     _fit_status,
@@ -18,6 +21,7 @@ from magsense.runner import (
     run_experiment,
 )
 from magsense.subsample import subsample_time_budget
+from magsense.sweep import Axis
 
 SHOTS_YAML = """\
 name: regenerate-shots
@@ -122,25 +126,93 @@ def test_recorded_shots_regenerate_from_the_manifest(tmp_path):
             assert np.array_equal(regenerated.stderr, recorded.stderr)
 
 
+LIFETIME_NODES = (
+    AnalysisNode("lifetime-phase", {"dataset": "decay-phase"}),
+    AnalysisNode("lifetime-frequency", {"dataset": "decay-spectroscopy"}),
+)
+
+
+def _keep_60_of_200(dataset):
+    return 60 * dataset.p_e.size * dataset.shot_duration
+
+
 def test_subsample_table_matches_per_draw_estimates(tmp_path):
     artifact = _run(tmp_path, DECAY_YAML)
     manifest, _, datasets = load_artifact(artifact.path)
     cases = [
-        ("phase", datasets["decay-phase"], lifetime_from_phase),
-        ("frequency", datasets["decay-spectroscopy"], lifetime_from_frequency),
+        ("lifetime-phase", datasets["decay-phase"], lifetime_from_phase),
+        ("lifetime-frequency", datasets["decay-spectroscopy"], lifetime_from_frequency),
     ]
     count = 6
-    for method, dataset, estimator in cases:
-        budget = 60 * dataset.p_e.size * dataset.shot_duration  # 60 of 200 shots
-        table = tmp_path / f"{method}-subsample.csv"
-        keys = _subsample_table(dataset, method, budget, count, table, manifest["hash"])
+    for kind, dataset, estimator in cases:
+        budget = _keep_60_of_200(dataset)
+        table = tmp_path / f"{kind}-subsample.csv"
+        keys = _subsample_table(dataset, kind, budget, count, table, manifest["hash"])
         rows = np.loadtxt(table, delimiter=",", comments="#", skiprows=2, ndmin=2)
         loop = [estimator(subsample_time_budget(dataset, budget, seed=k)) for k in range(count)]
         assert rows[:, 0].tolist() == list(range(count))
-        np.testing.assert_allclose(rows[:, 1], [e.lifetime for e in loop], rtol=1e-12)
-        np.testing.assert_allclose(rows[:, 2], [e.uncertainty for e in loop], rtol=1e-12)
+        assert rows[:, 1].tolist() == [e.lifetime for e in loop]
+        assert rows[:, 2].tolist() == [e.uncertainty for e in loop]
+        assert keys["lifetime_s"] == estimator(dataset).lifetime
         assert keys["subsample_lifetime_mean_s"] == np.mean(rows[:, 1])
         assert len(set(rows[:, 1])) == count
+
+
+def test_subsample_request_keeps_the_lifetime_report_keys(tmp_path):
+    artifact = _run(tmp_path, DECAY_YAML)
+    manifest, _, datasets = load_artifact(artifact.path)
+    plain, drawn = tmp_path / "plain", tmp_path / "drawn"
+    plain.mkdir()
+    drawn.mkdir()
+    for node in LIFETIME_NODES:
+        subsample = (_keep_60_of_200(datasets[node.inputs["dataset"]]), 4)
+        run_analyses((node,), datasets, plain, manifest["hash"])
+        run_analyses((node,), datasets, drawn, manifest["hash"], subsample=subsample)
+        lines = (drawn / f"{node.kind}.txt").read_bytes().splitlines(keepends=True)
+        report = [line for line in lines if not line.startswith(b"subsample_")]
+        assert len(lines) - len(report) == 4
+        assert b"".join(report) == (plain / f"{node.kind}.txt").read_bytes()
+
+
+def _analysis_error(node, datasets, out_dir, subsample=None):
+    with pytest.raises(MagsenseError) as info:
+        run_analyses((node,), datasets, out_dir, "0" * 64, subsample=subsample)
+    return type(info.value), str(info.value)
+
+
+def test_a_subsample_request_keeps_the_error_of_a_failing_analysis(tmp_path):
+    artifact = _run(tmp_path, DECAY_YAML)
+    _, _, datasets = load_artifact(artifact.path)
+    node = LIFETIME_NODES[0]
+    dataset = datasets["decay-phase"]
+    subsample = (_keep_60_of_200(dataset), 3)
+    no_shots = {"decay-phase": replace(dataset, shots=None)}
+    assert _analysis_error(node, no_shots, tmp_path, subsample) == (
+        EstimationError,
+        "analyses[0] (lifetime-phase), inputs dataset=decay-phase: "
+        "time-budget subsampling needs retained raw shots",
+    )
+    p_e = dataset.p_e.copy()
+    p_e[2, 4] = np.nan
+    five_times = (Axis("sense_time", "s", dataset.axes[0].values[:5]), dataset.axes[1])
+    failing = [
+        (replace(dataset, p_e=p_e), DegenerateDataError),
+        (
+            replace(
+                dataset,
+                axes=five_times,
+                p_e=dataset.p_e[:5],
+                stderr=dataset.stderr[:5],
+                n_shots=dataset.n_shots[:5],
+                shots=dataset.shots[:5],
+            ),
+            EstimationError,
+        ),
+    ]
+    for broken, error in failing:
+        expected = _analysis_error(node, {"decay-phase": broken}, tmp_path)
+        assert expected[0] is error
+        assert _analysis_error(node, {"decay-phase": broken}, tmp_path, subsample) == expected
 
 
 def test_fit_status_names_each_failing_message_once():

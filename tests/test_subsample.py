@@ -11,7 +11,12 @@ from magsense.fitting import FitModel, fit_curve
 from magsense.params import SystemParams
 from magsense.protocols import ProtocolConfig, run_relaxation
 from magsense.readout import ReadoutModel
-from magsense.subsample import SUBSAMPLE_TAG, shots_per_point, subsample_time_budget
+from magsense.subsample import (
+    SUBSAMPLE_TAG,
+    shots_per_point,
+    subsample_draws,
+    subsample_time_budget,
+)
 from magsense.sweep import Axis, SweepDataset, stream_seed
 
 # a seeded statistic is rejected below this upper-tail probability
@@ -168,6 +173,21 @@ def test_full_budget_returns_the_dataset_unchanged(relaxation_dataset):
     _, dataset = relaxation_dataset
     same = subsample_time_budget(dataset, dataset.total_time() * 2.0, seed=3)
     assert same is dataset
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0, 2.0])
+def test_stacked_draws_equal_the_per_seed_datasets(relaxation_dataset, fraction):
+    # the budget of fraction 1 and above covers every recorded shot
+    _, dataset = relaxation_dataset
+    budget = dataset.total_time() * fraction
+    seeds = [0, 3, 11, 2**40]
+    p_e, stderr = subsample_draws(dataset, budget, seeds)
+    assert p_e.shape == stderr.shape == (len(seeds),) + dataset.grid_shape
+    for k, seed in enumerate(seeds):
+        subset = subsample_time_budget(dataset, budget, seed=seed)
+        assert p_e[k].tobytes() == subset.p_e.tobytes()
+        assert stderr[k].tobytes() == subset.stderr.tobytes()
+    assert (len({row.tobytes() for row in p_e}) == len(seeds)) == (fraction < 1.0)
 
 
 def test_underfunded_budget_raises(relaxation_dataset):
