@@ -38,7 +38,6 @@ from .errors import (
     MagsenseError,
     SchemaError,
     SpaceMismatchError,
-    TruncationError,
     UnknownModeError,
     ValidityError,
 )

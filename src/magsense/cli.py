@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .config import AnalysisNode, ExperimentConfig, load_config
+from .config import ANALYSIS_INPUTS, AnalysisNode, ExperimentConfig, load_config
 from .errors import ConfigError, MagsenseError, SchemaError
 from .runner import (
     RunArtifact,
@@ -26,8 +26,12 @@ from .sweep import read_dataset
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+DEFAULT_SUBSAMPLE_COUNT = 100
 
-_IMPORT_ANALYSES = ("lifetime-phase", "lifetime-frequency", "parametric")
+# the analyses that run on one dataset, and so on one imported table
+_IMPORT_ANALYSES = tuple(
+    kind for kind, inputs in ANALYSIS_INPUTS.items() if tuple(inputs) == ("dataset",)
+)
 
 
 def _bundled_root():
@@ -83,24 +87,35 @@ def _cmd_run(args) -> int:
 
 def _subsample_request(args) -> tuple | None:
     """The validated (budget, count) of --subsample-budget, or None without it."""
+    count = args.subsample_count
     if args.subsample_budget is None:
+        if count is not None:
+            raise ConfigError("--subsample-count applies only with --subsample-budget")
         return None
     if not 0 < args.subsample_budget < math.inf:
         raise ConfigError(
             f"--subsample-budget must be finite and > 0 seconds, got {args.subsample_budget}"
         )
-    if args.subsample_count < 2:
+    if count is None:
+        count = DEFAULT_SUBSAMPLE_COUNT
+    if count < 2:
         raise ConfigError(
-            "--subsample-count must be >= 2 to give a lifetime spread, "
-            f"got {args.subsample_count}"
+            f"--subsample-count must be >= 2 to give a lifetime spread, got {count}"
         )
-    return args.subsample_budget, args.subsample_count
+    return args.subsample_budget, count
 
 
 def _cmd_report(args) -> int:
     subsample = _subsample_request(args)
     if args.import_file is not None:
+        if args.only is not None:
+            raise ConfigError("--only applies only to an artifact, not with --import")
+        if args.artifact is not None:
+            raise ConfigError("report takes an artifact directory or --import FILE, not both")
         return _report_imported(args, subsample)
+    for flag, value in (("--analysis", args.analysis), ("--output", args.output)):
+        if value is not None:
+            raise ConfigError(f"{flag} applies only with --import")
     if args.artifact is None:
         raise ConfigError("report needs an artifact directory or --import FILE")
     manifest, config, datasets = load_artifact(args.artifact)
@@ -197,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--subsample-count",
         type=int,
-        default=100,
-        help="number of subsample draws (default 100)",
+        help=f"number of subsample draws (default {DEFAULT_SUBSAMPLE_COUNT})",
     )
     report.set_defaults(handler=_cmd_report)
 

@@ -38,10 +38,11 @@ from .protocols import (
     DEFAULT_PROBE_DURATION,
     DEFAULT_RELAXATION_POINTS,
     GRIDS,
+    PROTOCOLS,
     ProtocolConfig,
 )
-from .readout import ReadoutModel
-from .sensitivity import SensingConfig
+from .readout import DEFAULT_SIGMA, DEFAULT_WINDOW, ReadoutModel
+from .sensitivity import DEFAULT_THRESHOLD, SensingConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,16 +65,6 @@ _UNIT_TABLES = {
     "inverse-power": INVERSE_POWER_UNITS,
     "angle": ANGLE_UNITS,
 }
-
-PROTOCOL_KINDS = (
-    "spectroscopy",
-    "ramsey",
-    "ramsey-series",
-    "relaxation",
-    "decay-phase",
-    "decay-spectroscopy",
-    "parametric-scan",
-)
 
 # Fields, per block, that manifests written by earlier versions may still
 # record, each with the one recorded value the current code reproduces; None
@@ -357,8 +348,8 @@ _SYSTEM_FIELDS = tuple(
 _READOUT_FIELDS = (
     ("mu_g", "dimensionless", 0.0),
     ("mu_e", "dimensionless", 1.0),
-    ("sigma", "dimensionless", 0.35),
-    ("window", "time", 2e-6),
+    ("sigma", "dimensionless", DEFAULT_SIGMA),
+    ("window", "time", DEFAULT_WINDOW),
 )
 _ACQUISITION_FIELDS = (
     ("n_shots", "integer", 400),
@@ -379,7 +370,7 @@ _PUMP_FIELDS = (
 _SENSING_FIELDS = (
     ("tau", "time", _REQUIRED),
     ("n_shots", "integer", _REQUIRED),
-    ("threshold", "dimensionless", 0.18),
+    ("threshold", "dimensionless", DEFAULT_THRESHOLD),
 )
 _SENSITIVITY_OPTIONS = (
     ("n_min", "dimensionless", 0.0),
@@ -450,31 +441,19 @@ def _read_pump(block: _Block, required: tuple = ()) -> tuple[PumpSpec, dict]:
         raise ConfigError(f"{block.path}: {exc}") from exc
 
 
-# protocol kind -> (required grids, optional grids, needs n0, required pump keys)
-_PROTOCOL_LAYOUT = {
-    "spectroscopy": (("pump_powers", "probe_freqs"), (), False, ("c_pump",)),
-    "ramsey": (("delays",), (), False, ()),
-    "ramsey-series": (("pump_powers", "delays"), (), False, ("c_pump",)),
-    "relaxation": ((), ("delays",), False, ()),
-    "decay-phase": (("sense_times", "second_pulse_phases"), (), True, ()),
-    "decay-spectroscopy": (("sense_times", "probe_freqs"), (), True, ()),
-    "parametric-scan": (("deltas", "durations"), (), False, ("omega_qm",)),
-}
-
-
 def _read_protocol(block: _Block, anchors: dict, n_shots: int) -> tuple[ProtocolNode, dict]:
-    kind = block.get("kind", PROTOCOL_KINDS)
+    kind = block.get("kind", tuple(PROTOCOLS))
     name = block.get("name", "string", kind)
-    required, optional, needs_n0, pump_required = _PROTOCOL_LAYOUT[kind]
+    keys, optional, needs_n0, pump_required = PROTOCOLS[kind]
     grid_block = block.child("grids") if block.recorded else block
     # grid points that still fit in the (points, shots) float64 buffer
     capacity = MAX_SHOT_BUFFER_BYTES // (8 * max(n_shots, 1))
     grids = {}
-    for key in required + optional:
+    for key in keys:
         path = f"{grid_block.path}.{key}"
         value = grid_block.take(key)
         if value is None:
-            if key in required:
+            if key not in optional:
                 raise ConfigError(f"{path}: required grid is missing")
             # the protocol falls back to its default grid
             _check_points(DEFAULT_RELAXATION_POINTS, capacity, path)

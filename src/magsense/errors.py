@@ -17,10 +17,6 @@ class HermiticityError(MagsenseError):
     """An operator used in a Hermitian role is not Hermitian."""
 
 
-class TruncationError(MagsenseError):
-    """Population leaked into the top Fock level beyond tolerance."""
-
-
 class IntegrationError(MagsenseError):
     """Time evolution failed a consistency check (step size, trace drift)."""
 

@@ -25,6 +25,7 @@ from .fitting import (
     peak_row_starts,
     usable_errors,
 )
+from .protocols import require_protocol
 from .sweep import SweepDataset
 
 # lack-of-fit beyond this many radians marks a branch-assignment failure
@@ -129,16 +130,6 @@ def _convergence_flags(fits: list[FitResult]) -> list[str]:
     return [] if all(fit.converged for fit in fits) else ["fit-not-converged"]
 
 
-def _require_protocol(dataset: SweepDataset, protocol: str, axes: tuple) -> None:
-    if dataset.protocol != protocol:
-        raise EstimationError(
-            f"expected a {protocol} dataset, got {dataset.protocol!r}"
-        )
-    names = tuple(axis.name for axis in dataset.axes)
-    if names != axes:
-        raise EstimationError(f"expected axes {axes}, got {names}")
-
-
 def _draw_stacks(dataset: SweepDataset, p_e, stderr) -> tuple[np.ndarray, np.ndarray]:
     """``p_e`` and ``stderr`` as float stacks of draws on the dataset's grid."""
     p_e = np.asarray(p_e, dtype=float)
@@ -177,9 +168,8 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
     row fits as it would alone, so each estimate equals
     :func:`lifetime_from_phase` on a dataset holding that draw.
     """
-    _require_protocol(dataset, "decay-phase", ("sense_time", "second_pulse_phase"))
-    times = dataset.axis("sense_time").values
-    thetas = dataset.axis("second_pulse_phase").values
+    require_protocol(dataset, "decay-phase")
+    times, thetas = (axis.values for axis in dataset.axes)
     if len(times) < 6:
         raise EstimationError("phase extraction needs >= 6 sense times")
     p_e, stderr = _draw_stacks(dataset, p_e, stderr)
@@ -250,11 +240,8 @@ def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEsti
     :func:`lifetime_from_frequency` on a dataset holding that draw. A
     draw with constant centers raises for the whole stack.
     """
-    _require_protocol(
-        dataset, "decay-spectroscopy", ("sense_time", "probe_frequency")
-    )
-    times = dataset.axis("sense_time").values
-    freqs = dataset.axis("probe_frequency").values
+    require_protocol(dataset, "decay-spectroscopy")
+    times, freqs = (axis.values for axis in dataset.axes)
     if len(times) < 6:
         raise EstimationError("frequency extraction needs >= 6 sense times")
     p_e, stderr = _draw_stacks(dataset, p_e, stderr)
@@ -321,9 +308,8 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
     omega_qm with the fit covariance propagated through. A rate or profile
     fit that stopped without converging raises the fit-not-converged flag.
     """
-    _require_protocol(dataset, "parametric-scan", ("pump_detuning", "pump_duration"))
-    deltas = dataset.axis("pump_detuning").values
-    durations = dataset.axis("pump_duration").values
+    require_protocol(dataset, "parametric-scan")
+    deltas, durations = (axis.values for axis in dataset.axes)
     if len(deltas) < 7:
         raise EstimationError("rate profile needs >= 7 detuning points")
     start = 1 if len(durations) > 4 else 0

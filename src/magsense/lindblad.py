@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationError
-from .spaces import DensityMatrix, Operator, check_truncation
+from .spaces import DensityMatrix, Operator
 
 # The generator on a d-dim space is a d^2 x d^2 complex128 matrix of 16*d^4
 # bytes, and building T and its powers keeps five to six of them alive. At
@@ -109,7 +109,6 @@ def evolve_lindblad(
     observables: Sequence[Operator] = (),
     record_times: np.ndarray | None = None,
     record_states: bool = False,
-    truncation_checks: Sequence[tuple[str, float]] = (),
 ) -> Trajectory:
     """Propagate the master equation by fixed-step RK4 with a static Hamiltonian.
 
@@ -129,8 +128,6 @@ def evolve_lindblad(
     record_times : array, optional
         Subset of the step grid to record; defaults to every step. Times must
         lie on the step grid.
-    truncation_checks : sequence of (mode, tol)
-        Bosonic tail guards applied to every recorded state.
 
     Returns
     -------
@@ -226,12 +223,8 @@ def evolve_lindblad(
             )
         rec_times[pos] = t
         rec_values[:, pos] = values[1:]
-        if record_states or truncation_checks:
-            state = DensityMatrix(rho0.space, vec.reshape(dim, dim).copy())
-            for mode, tol_tail in truncation_checks:
-                check_truncation(state, mode, tol_tail)
-            if record_states:
-                states.append(state)
+        if record_states:
+            states.append(DensityMatrix(rho0.space, vec.reshape(dim, dim).copy()))
     vec = advance(vec, n_steps - at)
 
     return Trajectory(

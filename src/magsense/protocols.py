@@ -16,6 +16,11 @@ readout, plus the readout window, plus the dead time, every dataset
 records the acquisition mode, master seed and readout threshold
 (``dataset_meta``), and a true probability clipped into [0, 1] is named in
 a dataset warning.
+
+``PROTOCOLS`` declares each kind's grids in axis order, the grids it may
+leave out, whether it takes n0, and the pump fields it needs. Config
+parsing, the dataset axes (``grid_axes``) and the estimators' input check
+(``require_protocol``) all read it.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import dephasing_rate, magnon_dephasing_rate, stark_shift
+from .errors import EstimationError
 from .hamiltonians import parametric_interaction
 from .lindblad import CollapseTerm, evolve_lindblad
 from .params import PumpSpec, SystemParams
 # sample_readout is not called here; the benchmark's tracer wraps it under
 # this name (perfbench/layers.py:186), so the name stays bound
-from .readout import ReadoutModel, laplace_stderr, sample_grid, sample_readout  # noqa: F401
+from .readout import ReadoutModel, click_estimates, sample_grid, sample_readout  # noqa: F401
 from .spaces import ModeSpace, build_mode_operators, fock_state
 from .sweep import Axis, SweepDataset, stream_seed
 
@@ -55,10 +61,42 @@ GRIDS = {
 }
 
 
-def grid_axis(key: str, values) -> Axis:
-    """The dataset axis that samples protocol grid ``key`` at ``values``."""
-    name, unit, _ = GRIDS[key]
-    return Axis(name, unit, values)
+# protocol kind -> (grid keys in axis order, grid keys it may leave out,
+# whether it takes n0, pump fields that must be > 0)
+PROTOCOLS = {
+    "spectroscopy": (("pump_powers", "probe_freqs"), (), False, ("c_pump",)),
+    "ramsey": (("delays",), (), False, ()),
+    "ramsey-series": (("pump_powers", "delays"), (), False, ("c_pump",)),
+    "relaxation": (("delays",), ("delays",), False, ()),
+    "decay-phase": (("sense_times", "second_pulse_phases"), (), True, ()),
+    "decay-spectroscopy": (("sense_times", "probe_freqs"), (), True, ()),
+    "parametric-scan": (("deltas", "durations"), (), False, ("omega_qm",)),
+}
+
+
+def grid_axes(kind: str, values) -> tuple:
+    """The dataset axes of protocol ``kind``, sampling its grids at ``values``.
+
+    ``values`` holds one grid per key of ``PROTOCOLS[kind]``, in axis order.
+    """
+    return tuple(
+        Axis(GRIDS[key][0], GRIDS[key][1], grid)
+        for key, grid in zip(PROTOCOLS[kind][0], values, strict=True)
+    )
+
+
+def require_protocol(dataset: SweepDataset, kind: str) -> None:
+    """Raise ``EstimationError`` unless ``dataset`` is a ``kind`` dataset.
+
+    Its axes must be the ones ``PROTOCOLS`` and ``GRIDS`` give the kind, in
+    order.
+    """
+    if dataset.protocol != kind:
+        raise EstimationError(f"expected a {kind} dataset, got {dataset.protocol!r}")
+    axes = tuple(GRIDS[key][0] for key in PROTOCOLS[kind][0])
+    names = tuple(axis.name for axis in dataset.axes)
+    if names != axes:
+        raise EstimationError(f"expected axes {axes}, got {names}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +160,10 @@ def _measure_grid(
         stream_seed(config.master_seed, tag),
         config.keep_shots,
     )
-    p_hat = (clicks / n_shots).reshape(shape)
-    stderr = laplace_stderr(clicks, n_shots).reshape(shape)
+    p_hat, stderr = click_estimates(clicks, n_shots)
     if shots is not None:
         shots = shots.reshape(shape + (n_shots,))
-    return p_hat, stderr, shots
+    return p_hat.reshape(shape), stderr.reshape(shape), shots
 
 
 def dataset_meta(config: ProtocolConfig, meta: dict | None = None) -> dict:
@@ -151,17 +188,18 @@ def _clip_warnings(p_true: np.ndarray) -> tuple:
     )
 
 
-def _dataset(config, protocol, axes, p_true, sequence, meta=None, warnings=()):
-    """Measure ``p_true`` on ``axes`` into the dataset of ``protocol``.
+def _dataset(config, protocol, grids, p_true, sequence, meta=None, warnings=()):
+    """Measure ``p_true`` on ``grids`` into the dataset of ``protocol``.
 
-    A shot lasts ``sequence`` (the pulses before readout), plus the readout
-    window, plus the dead time. The acquisition mode, master seed and
-    readout threshold lead the protocol's own ``meta``. A probability
-    clipped into [0, 1] adds a warning.
+    ``grids`` holds the protocol's grid values in ``PROTOCOLS`` order, and
+    the dataset's axes sample them. A shot lasts ``sequence`` (the pulses
+    before readout), plus the readout window, plus the dead time. The
+    acquisition mode, master seed and readout threshold lead the protocol's
+    own ``meta``. A probability clipped into [0, 1] adds a warning.
     """
     p_hat, stderr, shots = _measure_grid(p_true, config, protocol)
     return SweepDataset(
-        axes=axes,
+        axes=grid_axes(protocol, grids),
         p_e=p_hat,
         stderr=stderr,
         n_shots=config.n_shots,
@@ -227,10 +265,7 @@ def run_qubit_spectroscopy(
     return _dataset(
         config,
         "spectroscopy",
-        (
-            grid_axis("pump_powers", pump_powers),
-            grid_axis("probe_freqs", probe_freqs),
-        ),
+        (pump_powers, probe_freqs),
         p_true,
         config.probe_duration,
         {
@@ -264,7 +299,7 @@ def run_ramsey(
     return _dataset(
         config,
         "ramsey",
-        (grid_axis("delays", delays),),
+        (delays,),
         p_true,
         2 * config.half_pi_duration + float(np.max(delays)),
         {
@@ -298,7 +333,7 @@ def run_relaxation(
     return _dataset(
         config,
         "relaxation",
-        (grid_axis("delays", delays),),
+        (delays,),
         p_true,
         config.pi_duration + float(np.max(delays)),
     )
@@ -350,10 +385,7 @@ def run_decay_phase_sense(
     return _dataset(
         config,
         "decay-phase",
-        (
-            grid_axis("sense_times", sense_times),
-            grid_axis("second_pulse_phases", phases),
-        ),
+        (sense_times, phases),
         p_true,
         2 * config.half_pi_duration + float(np.max(sense_times)),
         {"n0": n0, "phase_asymptote": float(params.chi_qm * n0 / kappa)},
@@ -396,10 +428,7 @@ def run_decay_spectroscopy(
     return _dataset(
         config,
         "decay-spectroscopy",
-        (
-            grid_axis("sense_times", sense_times),
-            grid_axis("probe_freqs", probe_freqs),
-        ),
+        (sense_times, probe_freqs),
         p_true,
         float(np.max(sense_times)) + t_p,
         {"n0": n0, "window_factor": window_factor},
@@ -476,10 +505,7 @@ def run_parametric_decay_scan(
     return _dataset(
         config,
         "parametric-scan",
-        (
-            grid_axis("deltas", deltas),
-            grid_axis("durations", durations),
-        ),
+        (deltas, durations),
         p_true,
         config.pi_duration + float(durations[-1]),
         {"omega_qm": omega_qm},

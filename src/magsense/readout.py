@@ -112,14 +112,15 @@ class ReadoutModel:
         return replace(self, decay_weight=1.0)
 
 
-def laplace_stderr(clicks, n_shots):
-    """Laplace-smoothed binomial standard error of ``clicks / n_shots``.
+def click_estimates(clicks, n_shots):
+    """Excited fraction ``clicks / n_shots`` and its standard error.
 
-    Elementwise over arrays of click counts; the smoothing keeps the error
-    positive when no shot or every shot clicks.
+    Elementwise over arrays of click counts. The error is the
+    Laplace-smoothed binomial one, which stays positive when no shot or
+    every shot clicks.
     """
     p_smooth = (clicks + 1.0) / (n_shots + 2.0)
-    return np.sqrt(p_smooth * (1.0 - p_smooth) / n_shots)
+    return clicks / n_shots, np.sqrt(p_smooth * (1.0 - p_smooth) / n_shots)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class ShotRecord:
     def excited_stderr(self) -> float:
         """Laplace-smoothed binomial standard error of the fraction."""
         k = int(np.sum(self.values > self.threshold))
-        return float(laplace_stderr(k, self.n_shots))
+        return float(click_estimates(k, self.n_shots)[1])
 
 
 def sample_readout(p_e: float, model: ReadoutModel, n_shots: int, seed) -> ShotRecord:

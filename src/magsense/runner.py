@@ -43,7 +43,7 @@ from .params import SystemParams
 from .protocols import (
     GRIDS,
     dataset_meta,
-    grid_axis,
+    grid_axes,
     relaxation_delays,
     run_decay_phase_sense,
     run_decay_spectroscopy,
@@ -144,7 +144,7 @@ def _run_ramsey_series(params, node: ProtocolNode, config: ExperimentConfig) -> 
         shots = np.stack([row.shots for row in rows])
     warnings = tuple(dict.fromkeys(w for row in rows for w in row.warnings))
     return SweepDataset(
-        axes=(grid_axis("pump_powers", powers), first.axes[0]),
+        axes=grid_axes("ramsey-series", (powers, delays)),
         p_e=np.stack([row.p_e for row in rows]),
         stderr=np.stack([row.stderr for row in rows]),
         n_shots=np.stack([row.n_shots for row in rows]),

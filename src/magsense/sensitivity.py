@@ -30,12 +30,11 @@ from .fitting import (  # noqa: F401
     peak_row_starts,
     usable_errors,
 )
-from .lifetimes import _require_protocol
+from .protocols import require_protocol
 from .sweep import SweepDataset
 
 SOLVE_RESOLUTION = 1e-3  # magnons, bisection stop
 DEFAULT_THRESHOLD = 0.18
-_SPECTROSCOPY_AXES = ("pump_power", "probe_frequency")
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,8 @@ class NoiseProfile:
 
 def fit_power_spectra(dataset: SweepDataset) -> list[tuple[float, FitResult]]:
     """Gaussian line fit per pump power of a spectroscopy dataset."""
-    _require_protocol(dataset, "spectroscopy", _SPECTROSCOPY_AXES)
-    powers = dataset.axis("pump_power").values
-    freqs = dataset.axis("probe_frequency").values
+    require_protocol(dataset, "spectroscopy")
+    powers, freqs = (axis.values for axis in dataset.axes)
     fits = fit_rows(
         FitModel("gaussian"),
         freqs,
@@ -135,13 +133,12 @@ def fit_noise_profile(
     powers and the width is converted to magnon units and interpolated
     linearly in population.
     """
-    _require_protocol(dataset, "spectroscopy", _SPECTROSCOPY_AXES)
+    require_protocol(dataset, "spectroscopy")
     if not np.all(dataset.stderr > 0):
         raise EstimationError(
             "noise profile needs shot-sampled data with nonzero standard errors"
         )
-    powers = dataset.axis("pump_power").values
-    freqs = dataset.axis("probe_frequency").values
+    powers, freqs = (axis.values for axis in dataset.axes)
     fits = fit_rows(
         FitModel("gaussian"),
         freqs,
@@ -218,7 +215,7 @@ def sensitivity_curve(
     noise_profile: NoiseProfile,
     calibration: CalibrationResult,
     config: SensingConfig,
-    n_grid: np.ndarray | None = None,
+    n_grid: np.ndarray,
 ) -> SensitivityCurve:
     """Solve SNR(n_m, n_m + S) = threshold for S on a population grid.
 
@@ -234,7 +231,7 @@ def solve_sensitivity(
     response: ResponseModel,
     noise_profile: NoiseProfile,
     config: SensingConfig,
-    n_grid: np.ndarray | None = None,
+    n_grid: np.ndarray,
 ) -> SensitivityCurve:
     """Bisection solve of the threshold condition for a given response model.
 
@@ -242,9 +239,7 @@ def solve_sensitivity(
     step evaluates the SNR once over the points whose bracket is still wider
     than ``SOLVE_RESOLUTION``, and a point's solution is its final midpoint.
     """
-    hull_lo, hull_hi = response.hull
-    if n_grid is None:
-        n_grid = np.linspace(hull_lo, hull_hi, 81)
+    hull_hi = response.hull[1]
     n_grid = np.asarray(n_grid, dtype=float)
     lo = np.zeros(len(n_grid))
     hi = hull_hi - n_grid

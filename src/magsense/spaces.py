@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HermiticityError, SpaceMismatchError, TruncationError, UnknownModeError
+from .errors import HermiticityError, SpaceMismatchError, UnknownModeError
 
 HERMITICITY_TOL = 1e-12
 
@@ -207,24 +207,3 @@ def ket_state(space: ModeSpace, amplitudes: dict[int, complex]) -> DensityMatrix
     psi /= norm
     return DensityMatrix(space, np.outer(psi, psi.conj()))
 
-
-def tail_population(rho: DensityMatrix, mode: str) -> float:
-    """Population of the top Fock level of one mode."""
-    space = rho.space
-    top = space.mode_dim(mode) - 1
-    diag = np.real(np.diag(rho.matrix))
-    total = 0.0
-    for idx in range(space.dim):
-        if space.occupations(idx)[mode] == top:
-            total += diag[idx]
-    return float(total)
-
-
-def check_truncation(rho: DensityMatrix, mode: str, tol: float = 1e-6) -> None:
-    """Raise TruncationError if the top level of ``mode`` holds > tol population."""
-    tail = tail_population(rho, mode)
-    if tail > tol:
-        raise TruncationError(
-            f"top-level population {tail:.3e} of mode {mode!r} exceeds {tol:.1e}; "
-            "increase the truncation"
-        )

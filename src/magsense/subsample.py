@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import BudgetError, EstimationError
-from .readout import laplace_stderr
+from .readout import click_estimates
 from .sweep import SweepDataset, stream_seed
 
 SUBSAMPLE_TAG = "subsample"
@@ -99,7 +99,8 @@ def subsample_draws(
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(stream_seed(seed, SUBSAMPLE_TAG))
         clicks[k] = rng.hypergeometric(recorded, n_recorded - recorded, n_keep)
-    return (clicks / n_keep).reshape(shape), laplace_stderr(clicks, n_keep).reshape(shape)
+    p_e, stderr = click_estimates(clicks, n_keep)
+    return p_e.reshape(shape), stderr.reshape(shape)
 
 
 def subsample_time_budget(

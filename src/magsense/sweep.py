@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .readout import laplace_stderr
+from .readout import click_estimates
 
 UNMANAGED_HASH = "unmanaged"
 
@@ -321,9 +321,8 @@ def read_dataset(path) -> SweepDataset:
         if threshold is not None:
             # p_e and stderr must be the sidecar's clicks, counted as sampled
             clicks = np.count_nonzero(shots > threshold, axis=-1).reshape(-1)
-            agree = (clicks / n_per_point == data[:, n_axes]) & (
-                laplace_stderr(clicks, n_per_point) == data[:, n_axes + 1]
-            )
+            p_e, stderr = click_estimates(clicks, n_per_point)
+            agree = (p_e == data[:, n_axes]) & (stderr == data[:, n_axes + 1])
             if not np.all(agree):
                 number = row_lines[int(np.argmin(agree))]
                 raise SchemaError(

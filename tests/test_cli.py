@@ -478,6 +478,25 @@ class TestReport:
         assert err.startswith("error:") and "--subsample-" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--subsample-count", "5"],
+            ["--analysis", "lifetime-phase"],
+            ["--output", "not-made"],
+        ],
+        ids=["count-without-budget", "analysis-without-import", "output-without-import"],
+    )
+    def test_flags_that_do_not_apply_exit_2(
+        self, decay_artifact, flags, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", str(decay_artifact), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and flags[0] in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestImport:
     def test_import_runs_single_analysis(self, work, decay_artifact, capsys):
@@ -500,6 +519,27 @@ class TestImport:
         argv = ["report", "--import", str(decay_artifact / "decay-phase.csv")]
         assert main(argv) == 2
         assert "--import needs --analysis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ["--only", "artifact"])
+    def test_import_rejects_artifact_arguments(self, work, decay_artifact, extra, capsys):
+        out = work / f"imported-with-{extra.strip('-')}"
+        argv = [
+            "report",
+            "--import",
+            str(decay_artifact / "decay-phase.csv"),
+            "--analysis",
+            "lifetime-phase",
+            "--output",
+            str(out),
+        ]
+        if extra == "--only":
+            argv += ["--only", "lifetime-phase"]
+        else:
+            argv.insert(1, str(decay_artifact))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and extra in err
+        assert not out.exists()
 
     def test_import_rejects_multi_input_analyses(self, decay_artifact, capsys):
         argv = [

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magsense.errors import IntegrationError, TruncationError
+from magsense.errors import IntegrationError
 from magsense.lindblad import MAX_TOTAL_DIM, CollapseTerm, evolve_lindblad
 from magsense.spaces import (
     DensityMatrix,
@@ -275,19 +275,6 @@ def test_record_times_do_not_import_numpy_ma():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
-
-
-def test_truncation_guard_fires_during_evolution():
-    # resonant static drive eps*(a + a^dag) walks population up the 3-level ladder
-    space = ModeSpace(("m",), (3,))
-    a, _ = build_mode_operators(space, "m")
-    eps = 2 * math.pi * 1e6
-    h = compose_operator([(eps, [a]), (eps, [a.dag()])], hermitian=True)
-    rho0 = fock_state(space, {"m": 0})
-    with pytest.raises(TruncationError):
-        evolve_lindblad(
-            rho0, h, [], (0.0, 2e-6), 1e-9, truncation_checks=[("m", 1e-6)]
-        )
 
 
 def test_dimension_cap_rejects_before_building_the_generator():

@@ -1,15 +1,20 @@
 """Protocol-level tests: shot durations, semiclassical responses, Lindblad scans."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from magsense.analysis import magnon_dephasing_rate
+from magsense.config import parse_config
+from magsense.errors import EstimationError
 from magsense.fitting import FitModel, fit_curve
 from magsense.lindblad import CollapseTerm, evolve_lindblad
 from magsense.params import PumpSpec, SystemParams
 from magsense.protocols import (
+    GRIDS,
+    PROTOCOLS,
     ProtocolConfig,
     _dataset,
     _measure_grid,
@@ -19,10 +24,12 @@ from magsense.protocols import (
     run_qubit_spectroscopy,
     run_ramsey,
     run_relaxation,
+    require_protocol,
 )
 from magsense.readout import ReadoutModel, sample_readout
 from magsense.spaces import DensityMatrix, ModeSpace, build_mode_operators
-from magsense.sweep import Axis, point_seed
+from magsense.runner import execute_protocol
+from magsense.sweep import point_seed
 
 
 def reference_config(**overrides) -> ProtocolConfig:
@@ -368,13 +375,13 @@ def test_every_protocol_records_mode_seed_and_threshold(mode):
 @pytest.mark.parametrize("mode", ["shots", "expectation"])
 def test_clipped_probabilities_are_named_in_a_warning(mode):
     config = reference_config(mode=mode, n_shots=16)
-    axes = (Axis("delay", "s", [0.0, 1e-7, 2e-7, 3e-7]),)
-    inside = _dataset(config, "relaxation", axes, np.array([0.0, 0.3, 0.7, 1.0]), 3e-7)
+    grids = ([0.0, 1e-7, 2e-7, 3e-7],)
+    inside = _dataset(config, "relaxation", grids, np.array([0.0, 0.3, 0.7, 1.0]), 3e-7)
     assert inside.warnings == ()
     outside = _dataset(
         config,
         "relaxation",
-        axes,
+        grids,
         np.array([-0.02, 0.3, 1.05, 1.0]),
         3e-7,
         warnings=("protocol warning",),
@@ -424,3 +431,49 @@ def test_shot_duration_bookkeeping():
     for data, expected in cases:
         assert data.shot_duration == expected, data.protocol
         assert data.total_time() == float(np.sum(data.n_shots)) * expected
+
+
+# a small config grid for each protocol grid key
+SMALL_GRIDS = {
+    "pump_powers": {"start": "0 uW", "stop": "1 uW", "count": 2},
+    "probe_freqs": {"start": "-2 MHz", "stop": "2 MHz", "count": 3, "around": "omega_q"},
+    "delays": {"start": "0 us", "stop": "1 us", "count": 3},
+    "sense_times": {"start": "0 ns", "stop": "200 ns", "count": 3},
+    "second_pulse_phases": {"start": "0 rad", "stop": "3 rad", "count": 4},
+    "deltas": {"start": "-1 MHz", "stop": "1 MHz", "count": 2},
+    "durations": {"start": "0 us", "stop": "0.2 us", "count": 3},
+}
+SMALL_PUMP = {"c_pump": "100 1/uW", "omega_qm": "0.66 MHz"}
+
+
+def test_every_protocol_kind_has_the_axes_its_table_entry_declares():
+    blocks = []
+    for kind, (keys, _, takes_n0, pump_keys) in PROTOCOLS.items():
+        block = {"kind": kind, **{key: SMALL_GRIDS[key] for key in keys}}
+        block["pump"] = {key: SMALL_PUMP[key] for key in pump_keys}
+        if takes_n0:
+            block["n0"] = 10.0
+        blocks.append(block)
+    config = parse_config(
+        {"name": "kinds", "acquisition": {"mode": "expectation"}, "protocols": blocks}
+    )
+    assert [node.kind for node in config.protocols] == list(PROTOCOLS)
+    for node in config.protocols:
+        dataset = execute_protocol(node, config)
+        names = tuple(axis.name for axis in dataset.axes)
+        assert names == tuple(GRIDS[key][0] for key in PROTOCOLS[node.kind][0])
+        require_protocol(dataset, node.kind)
+        for other in PROTOCOLS:
+            if other != node.kind:
+                with pytest.raises(EstimationError, match=f"expected a {other} dataset"):
+                    require_protocol(dataset, other)
+        if len(dataset.axes) > 1:
+            swapped = dataclasses.replace(
+                dataset,
+                axes=dataset.axes[::-1],
+                p_e=dataset.p_e.T,
+                stderr=dataset.stderr.T,
+                n_shots=dataset.n_shots.T,
+            )
+            with pytest.raises(EstimationError, match="expected axes"):
+                require_protocol(swapped, node.kind)

@@ -10,17 +10,14 @@ import pytest
 from magsense.errors import (
     HermiticityError,
     SpaceMismatchError,
-    TruncationError,
     UnknownModeError,
 )
 from magsense.spaces import (
     ModeSpace,
     build_mode_operators,
-    check_truncation,
     compose_operator,
     fock_state,
     ket_state,
-    tail_population,
 )
 
 
@@ -110,14 +107,4 @@ def test_ket_state_superposition():
     assert abs(rho.trace() - 1.0) <= 1e-9
     assert np.abs(rho.matrix - rho.matrix.conj().T).max() <= 1e-12
     assert np.linalg.eigvalsh(0.5 * (rho.matrix + rho.matrix.conj().T)).min() >= -1e-9
-
-
-def test_tail_population_and_guard():
-    space = ModeSpace(("q", "m"), (2, 4))
-    top = fock_state(space, {"q": 1, "m": 3})
-    assert tail_population(top, "m") == pytest.approx(1.0)
-    with pytest.raises(TruncationError):
-        check_truncation(top, "m")
-    ok = fock_state(space, {"q": 1, "m": 0})
-    check_truncation(ok, "m")
 

@@ -76,6 +76,9 @@ ORACLES = {
         "tests/test_protocols.py::test_measure_grid_matches_per_point_sampling"
     ),
     "runner.read_report": "tests/test_cli.py::TestRun::test_coherence_report_contents",
+    "spaces.ModeSpace.occupations": (
+        "tests/test_model.py::test_full_hamiltonian_uncoupled_is_diagonal"
+    ),
     "spaces.Operator.__add__": "tests/test_model.py::test_parametric_conserves_total_excitation",
     "spaces.Operator.__sub__": "tests/test_model.py::test_parametric_conserves_total_excitation",
     "spaces.Operator.__matmul__": (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from magsense.errors import SchemaError
-from magsense.readout import laplace_stderr
+from magsense.readout import click_estimates
 from magsense.sweep import (
     Axis,
     SweepDataset,
@@ -149,11 +149,11 @@ def test_malformed_shots_sidecar_rejected(tmp_path, defect):
 def test_corrupted_sidecar_bytes_load_exactly_or_raise_schema_error(tmp_path):
     axes = (Axis("delay", "s", np.array([0.0, 1e-6])),)
     shots = np.random.default_rng(3).standard_normal((2, 4))
-    clicks = np.count_nonzero(shots > 0.0, axis=1)
+    p_e, stderr = click_estimates(np.count_nonzero(shots > 0.0, axis=1), 4)
     ds = SweepDataset(
         axes=axes,
-        p_e=clicks / 4,
-        stderr=laplace_stderr(clicks, 4),
+        p_e=p_e,
+        stderr=stderr,
         n_shots=4,
         shot_duration=1e-6,
         protocol="t",
@@ -199,10 +199,11 @@ def test_one_byte_substitutions_load_or_raise_schema_error(tmp_path):
     ds = make_dataset(with_shots=True)
     # p_e and stderr count the sidecar's clicks, so the unmodified table loads
     clicks = np.count_nonzero(ds.shots > 0.5, axis=-1)
+    p_e, stderr = click_estimates(clicks, ds.shots.shape[-1])
     ds = dataclasses.replace(
         ds,
-        p_e=clicks / ds.shots.shape[-1],
-        stderr=laplace_stderr(clicks, ds.shots.shape[-1]),
+        p_e=p_e,
+        stderr=stderr,
         meta={"readout_threshold": 0.5},
     )
     path = tmp_path / "scan.csv"
