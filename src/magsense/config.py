@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
 from .params import PumpSpec, SystemParams, gamma2_from_coherence
@@ -78,12 +77,16 @@ REMOVED_FIELDS = {
     "pump": {"drive_frequency": None, "delta": None},
 }
 
-# A protocol samples its grid into one (points, shots) float64 buffer, and
-# the shots kept for the sidecar are a view of it. With the click mask next
-# to it, sampling raised peak RSS by 9.4 bytes a shot (8e6 shots, numpy 2.4,
-# 2-vCPU Linux VM), so at the bound a protocol peaks about 0.63 GB above
-# start-up. The largest bundled protocol (magnon-counting's spectroscopy,
-# 2457 points x 400 shots) fills 7.9 MB of it.
+# A protocol with keep_shots samples its grid into one (points, shots)
+# float64 buffer, which its sidecar is written from without a copy. A run
+# holds one protocol's shots at a time: they are dropped once written. Its
+# peak RSS rose 8.3 bytes a shot, plus about 4 MiB, above start-up (4e6 and
+# 8e6 kept shots in one protocol; two protocols of 8e6 each peaked as one;
+# numpy 2.4, 2-vCPU Linux VM), so at the bound a run peaks about 0.56 GB
+# above start-up however many protocols it has. A report loads every
+# sidecar of an artifact at once, so its peak grows with their sum. The
+# largest bundled protocol with kept shots (decay-tracking's
+# decay-spectroscopy, 1701 points x 800 shots) fills 10.9 MB of the bound.
 MAX_SHOT_BUFFER_BYTES = 512 * 1024**2
 
 # analysis kind -> {input key: expected protocol kind}
@@ -638,6 +641,10 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Parse a YAML config file."""
+    # imported here so that commands which read no YAML, such as ``report``
+    # on an artifact's JSON manifest, do not pay for the import
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = yaml.safe_load(handle)

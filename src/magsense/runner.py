@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import calibrate_magnon_number, linear_slope
 from .config import (
+    ANALYSIS_INPUTS,
     MAX_SHOT_BUFFER_BYTES,
     ExperimentConfig,
     ProtocolNode,
@@ -45,6 +46,7 @@ from .protocols import (
     dataset_meta,
     grid_axes,
     relaxation_delays,
+    require_protocol,
     run_decay_phase_sense,
     run_decay_spectroscopy,
     run_parametric_decay_scan,
@@ -124,11 +126,13 @@ def _run_ramsey_series(params, node: ProtocolNode, config: ExperimentConfig) -> 
 
     Each power gets an independent master seed derived from the run seed, so
     rows are statistically independent while the whole series stays
-    reproducible.
+    reproducible. Kept shots are copied into the series' stack as each row
+    is sampled, so no row holds its own past the copy.
     """
     powers = node.grids["pump_powers"]
     delays = node.grids["delays"]
     rows = []
+    shots = None
     for k, power in enumerate(powers):
         pump = replace(node.pump, power_w=float(power))
         row = run_ramsey(
@@ -137,11 +141,13 @@ def _run_ramsey_series(params, node: ProtocolNode, config: ExperimentConfig) -> 
             delays,
             config.protocol_config(pump, master_seed=_series_seed(config.seed, k)),
         )
+        if row.shots is not None:
+            if shots is None:
+                shots = np.empty((len(powers),) + row.shots.shape, dtype=row.shots.dtype)
+            shots[k] = row.shots
+            row = replace(row, shots=None)
         rows.append(row)
     first = rows[0]
-    shots = None
-    if first.shots is not None:
-        shots = np.stack([row.shots for row in rows])
     warnings = tuple(dict.fromkeys(w for row in rows for w in row.warnings))
     return SweepDataset(
         axes=grid_axes("ramsey-series", (powers, delays)),
@@ -361,6 +367,9 @@ def _subsample_table(
     the draws' estimates the table.
     """
     estimator, row_family = _LIFETIME_STACKS[kind]
+    # the kind check comes before the draw, so a wrong-kind dataset is
+    # reported as such and not as one the draw cannot use
+    require_protocol(dataset, ANALYSIS_INPUTS[kind]["dataset"])
     _check_subsample_count(dataset, row_family, count)
     p_e = np.empty((count + 1,) + dataset.grid_shape)
     stderr = np.empty_like(p_e)
@@ -509,7 +518,10 @@ def run_experiment(
         dataset = execute_protocol(node, config).with_manifest(manifest_hash)
         path = staging / f"{node.name}.csv"
         write_dataset(dataset, path)
-        datasets[node.name] = dataset
+        # the analyses read no shots: once in their sidecar, a protocol's
+        # shots are not held while the next protocol samples its own
+        datasets[node.name] = replace(dataset, shots=None)
+        del dataset
         dataset_paths[node.name] = path
     reports = run_analyses(
         config.analyses,

@@ -7,7 +7,9 @@ Datasets serialize to comma-separated tables with a commented header that
 records the manifest hash and per-column units; raw shots go to a companion
 ``.npz`` file referenced from the header. The sidecar's member is stored, not
 deflated: float64 readout noise does not compress, so zlib would spend most
-of a run's write time to save a few percent of the bytes.
+of a run's write time to save a few percent of the bytes. The member is
+written straight from the shots array's buffer, so writing a sidecar copies
+no shot.
 
 Per-point random streams derive from (master seed, protocol tag, flat point
 index), so the order in which grid points are evaluated cannot change the
@@ -128,17 +130,35 @@ def _parse_column_label(label: str) -> tuple[str, str]:
     return name, unit
 
 
+def _write_shots(path: Path, shots: np.ndarray) -> None:
+    """Write ``shots`` as the one ``shots.npy`` member of an ``.npz`` archive.
+
+    The archive's bytes are those ``np.savez(path, shots=shots)`` writes for
+    a C-ordered array: a stored zip64 member behind a version 1.0 ``.npy``
+    header. ``savez`` copies the array in 16 MiB ``tobytes`` chunks; here
+    the member is written from the array's own buffer.
+    """
+    shots = np.ascontiguousarray(shots)
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
+        with archive.open("shots.npy", "w", force_zip64=True) as member:
+            header = np.lib.format.header_data_from_array_1_0(shots)
+            np.lib.format.write_array_header_1_0(member, header)
+            member.write(shots.reshape(-1).view(np.uint8))
+
+
 def write_dataset(dataset: SweepDataset, path) -> None:
     """Write the dataset as a commented CSV.
 
     Raw shots, when present, go to an uncompressed ``<stem>_shots.npz``
     sidecar with one ``shots`` member, named in the header's ``shots_file``.
+    The sidecar is byte for byte what ``np.savez`` writes, without the copy
+    of the shots that ``np.savez`` makes on the way.
     """
     path = Path(path)
     shots_name = ""
     if dataset.shots is not None:
         shots_name = path.stem + "_shots.npz"
-        np.savez(path.parent / shots_name, shots=dataset.shots)
+        _write_shots(path.parent / shots_name, dataset.shots)
     lines = [
         f"# manifest_sha256: {dataset.manifest_hash}",
         f"# protocol: {dataset.protocol}",

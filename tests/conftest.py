@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 from magsense.config import REMOVED_FIELDS, resolved_hash
@@ -57,3 +58,13 @@ def removed_field_edits():
 
             edits.append((f"{block}.{key}", edit))
     return edits
+
+
+def traced_peak(call) -> int:
+    """The peak bytes that tracemalloc sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,7 +3,11 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -635,3 +639,14 @@ class TestLoadConfig:
         path.write_text("- 1\n- 2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="must be a YAML mapping"):
             load_config(path)
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    # report reads only the artifact's JSON, so only load_config imports yaml
+    code = "import sys\nimport magsense.cli\nprint('yaml' in sys.modules)\n"
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

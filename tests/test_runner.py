@@ -5,14 +5,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import removed_field_edits, rewrite_manifest
+from conftest import removed_field_edits, rewrite_manifest, traced_peak
 
 from magsense import fitting
 from magsense.config import AnalysisNode, load_config
 from magsense.errors import DegenerateDataError, EstimationError, MagsenseError
 from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase
+from magsense.protocols import run_ramsey
 from magsense.runner import (
     _fit_status,
+    _protocol_params,
+    _series_seed,
     _subsample_table,
     execute_protocol,
     load_artifact,
@@ -215,6 +218,22 @@ def test_a_subsample_request_keeps_the_error_of_a_failing_analysis(tmp_path):
         assert _analysis_error(node, {"decay-phase": broken}, tmp_path, subsample) == expected
 
 
+def test_a_subsample_request_checks_the_dataset_kind_before_the_draw(tmp_path):
+    artifact = _run(tmp_path, DECAY_YAML)
+    _, _, datasets = load_artifact(artifact.path)
+    dataset = datasets["decay-spectroscopy"]
+    node = AnalysisNode("lifetime-phase", {"dataset": "decay-spectroscopy"})
+    no_shots = {"decay-spectroscopy": replace(dataset, shots=None)}
+    expected = (
+        EstimationError,
+        "analyses[0] (lifetime-phase), inputs dataset=decay-spectroscopy: "
+        "expected a decay-phase dataset, got 'decay-spectroscopy'",
+    )
+    assert _analysis_error(node, no_shots, tmp_path) == expected
+    subsample = (_keep_60_of_200(dataset), 3)
+    assert _analysis_error(node, no_shots, tmp_path, subsample) == expected
+
+
 def test_fit_status_names_each_failing_message_once():
     fits = [
         SimpleNamespace(converged=True, message="stalled: no damped step reduces the residual"),
@@ -252,3 +271,77 @@ def test_reports_say_when_a_fit_did_not_converge(tmp_path, monkeypatch):
         assert report["fit_converged"] == "False"
         assert report["fit_message"] == "no convergence within 1 iterations"
 
+
+SERIES_SHOTS_YAML = """\
+name: series-shots
+seed: 23
+acquisition:
+  n_shots: 1200
+  keep_shots: true
+  artificial_detuning: 4 MHz
+protocols:
+  - kind: ramsey-series
+    pump:
+      c_pump: 2.3e9 1/W
+    pump_powers: {start: 0 W, stop: 17.4 nW, count: 8}
+    delays: {start: 0 us, stop: 3 us, count: 150}
+"""
+
+
+def test_ramsey_series_holds_one_copy_of_its_kept_shots(tmp_path):
+    source = tmp_path / "config.yaml"
+    source.write_text(SERIES_SHOTS_YAML, encoding="utf-8")
+    config = load_config(source)
+    node = config.protocols[0]
+    series = []
+    peak = traced_peak(lambda: series.append(execute_protocol(node, config)))
+    shots = series[0].shots
+    # stacking rows that still hold their shots would peak at twice the stack
+    assert peak < 1.5 * shots.nbytes
+    powers = node.grids["pump_powers"]
+    assert shots.shape == (len(powers), len(node.grids["delays"]), 1200)
+    for k, power in enumerate(powers):
+        pump = replace(node.pump, power_w=float(power))
+        row = run_ramsey(
+            _protocol_params(config),
+            pump,
+            node.grids["delays"],
+            config.protocol_config(pump, master_seed=_series_seed(config.seed, k)),
+        )
+        assert np.array_equal(shots[k], row.shots)
+
+
+# decay-tracking at the benchmark's smoke grids, with its 800 kept shots
+SMOKE_DECAY_YAML = """\
+name: smoke-decay-tracking
+seed: 51
+acquisition:
+  n_shots: 800
+  keep_shots: true
+  probe_duration: 8 ns
+protocols:
+  - kind: decay-phase
+    n0: 650
+    sense_times: {start: 0 ns, stop: 240 ns, count: 13}
+    second_pulse_phases: {start: 0 rad, stop: 6.283185307179586 rad, count: 25}
+  - kind: decay-spectroscopy
+    n0: 650
+    sense_times: {start: 0 ns, stop: 240 ns, count: 9}
+    probe_freqs: {around: omega_q, start: -48 MHz, stop: 4 MHz, count: 27}
+analyses:
+  - kind: lifetime-phase
+  - kind: lifetime-frequency
+"""
+
+
+def test_a_run_holds_one_protocols_kept_shots_at_a_time(tmp_path):
+    source = tmp_path / "config.yaml"
+    source.write_text(SMOKE_DECAY_YAML, encoding="utf-8")
+    config = load_config(source)
+    peak = traced_peak(lambda: run_experiment(config, tmp_path / "artifact"))
+    _, _, datasets = load_artifact(tmp_path / "artifact")
+    shot_bytes = [dataset.shots.nbytes for dataset in datasets.values()]
+    assert len(shot_bytes) == 2
+    # holding the first protocol's shots while the second samples its own
+    # would peak above both
+    assert peak < sum(shot_bytes)

@@ -6,6 +6,7 @@ import zipfile
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from magsense.errors import SchemaError
 from magsense.readout import click_estimates
@@ -117,6 +118,52 @@ def test_sidecar_member_is_stored_and_deflated_sidecars_still_load(tmp_path):
     assert stored.dtype == deflated.dtype == ds.shots.dtype
     assert np.array_equal(stored, ds.shots)
     assert np.array_equal(deflated, ds.shots)
+
+
+def _dataset_of(shots):
+    """A dataset holding ``shots``, on a grid of all but their last axis."""
+    grid = shots.shape[:-1]
+    return SweepDataset(
+        axes=tuple(Axis(f"x{k}", "s", np.arange(n, dtype=float)) for k, n in enumerate(grid)),
+        p_e=np.full(grid, 0.5),
+        stderr=np.full(grid, 0.05),
+        n_shots=shots.shape[-1],
+        shot_duration=1e-6,
+        protocol="t",
+        shots=shots,
+    )
+
+
+def _assert_sidecar_is_savez(tmp_path, shots):
+    path = tmp_path / "scan.csv"
+    write_dataset(_dataset_of(shots), path)
+    np.savez(tmp_path / "savez.npz", shots=shots)
+    assert (tmp_path / "scan_shots.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
+    loaded = read_dataset(path).shots
+    assert loaded.dtype == shots.dtype
+    assert np.array_equal(loaded, shots)
+
+
+@pytest.mark.parametrize("n_shots", [1, 800])
+@pytest.mark.parametrize("grid", [(7,), (3, 5), (2, 3, 4)], ids=["1-axis", "2-axis", "3-axis"])
+def test_sidecar_is_the_file_savez_writes(tmp_path, grid, n_shots):
+    shots = np.random.default_rng(len(grid)).standard_normal(grid + (n_shots,))
+    _assert_sidecar_is_savez(tmp_path, shots)
+
+
+def test_sidecar_of_a_view_into_a_larger_buffer_is_the_file_savez_writes(tmp_path):
+    buffer = np.random.default_rng(4).standard_normal((6, 4, 3, 800))
+    shots = buffer[2:5]
+    assert shots.base is buffer and shots.flags.c_contiguous
+    _assert_sidecar_is_savez(tmp_path, shots)
+
+
+def test_writing_a_sidecar_copies_no_shots(tmp_path):
+    # numpy's savez copies an array of under 16 MiB whole, in one tobytes call
+    shots = np.random.default_rng(5).standard_normal((4, 5, 50_000))
+    dataset = _dataset_of(shots)
+    peak = traced_peak(lambda: write_dataset(dataset, tmp_path / "scan.csv"))
+    assert peak < shots.nbytes / 8
 
 
 def _npy_bytes(array):
