@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .fitting import FitModel
 from .params import PumpSpec, SystemParams, gamma2_from_coherence
 from .protocols import (
     BLUR_PHASE_LIMIT,
@@ -83,8 +84,8 @@ REMOVED_FIELDS = {
 # peak RSS rose 8.3 bytes a shot, plus about 4 MiB, above start-up (4e6 and
 # 8e6 kept shots in one protocol; two protocols of 8e6 each peaked as one;
 # numpy 2.4, 2-vCPU Linux VM), so at the bound a run peaks about 0.56 GB
-# above start-up however many protocols it has. A report loads every
-# sidecar of an artifact at once, so its peak grows with their sum. The
+# above start-up however many protocols it has. A report reads each
+# sidecar a block at a time and holds none of its shots. The
 # largest bundled protocol with kept shots (decay-tracking's
 # decay-spectroscopy, 1701 points x 800 shots) fills 10.9 MB of the bound.
 MAX_SHOT_BUFFER_BYTES = 512 * 1024**2
@@ -97,6 +98,36 @@ ANALYSIS_INPUTS = {
     "lifetime-phase": {"dataset": "decay-phase"},
     "lifetime-frequency": {"dataset": "decay-spectroscopy"},
     "parametric": {"dataset": "parametric-scan"},
+}
+
+
+# protocol kind -> {grid key: the fit its analyses run along that grid}. A
+# grid with no more points than the fit has parameters would fail that fit
+# only after the run had sampled every grid, so a YAML config whose analysis
+# reads such a grid is rejected up front.
+_GRID_FITS = {
+    "spectroscopy": {
+        "pump_powers": FitModel("polynomial", order=1),
+        "probe_freqs": FitModel("gaussian"),
+    },
+    "ramsey": {"delays": FitModel("damped-sinusoid")},
+    "ramsey-series": {
+        "pump_powers": FitModel("polynomial", order=1),
+        "delays": FitModel("damped-sinusoid"),
+    },
+    "relaxation": {"delays": FitModel("exponential-decay")},
+    "decay-phase": {
+        "sense_times": FitModel("saturating-exponential"),
+        "second_pulse_phases": FitModel("sinusoid"),
+    },
+    "decay-spectroscopy": {
+        "sense_times": FitModel("exponential-decay"),
+        "probe_freqs": FitModel("gaussian"),
+    },
+    "parametric-scan": {
+        "deltas": FitModel("lorentzian"),
+        "durations": FitModel("exponential-decay"),
+    },
 }
 
 
@@ -525,6 +556,18 @@ def _read_analysis(block: _Block, protocols: dict) -> tuple[AnalysisNode, dict]:
     return node, {"kind": kind, "inputs": inputs, "options": options}
 
 
+def _check_fitted_grids(node: ProtocolNode, path: str) -> None:
+    """Reject a grid of ``node`` too short for the fit an analysis runs along it."""
+    for key, grid in node.grids.items():
+        fit = _GRID_FITS[node.kind][key]
+        n_min = fit.n_parameters() + 1
+        if len(grid) < n_min:
+            raise ConfigError(
+                f"{path}.{key}: the {fit.family} fit along this grid needs at least "
+                f"{n_min} points, got {len(grid)}"
+            )
+
+
 def _read_sensing(block: _Block) -> tuple[SensingConfig, dict]:
     values = block.read(_SENSING_FIELDS)
     block.finish()
@@ -601,6 +644,12 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
         )
         analysis_nodes.append(node)
         analyses_resolved.append(resolved)
+    if not recorded:
+        # like acquisition values, an artifact's grids are not checked again
+        read = {name for node in analysis_nodes for name in node.inputs.values()}
+        for k, node in enumerate(protocol_nodes):
+            if node.name in read:
+                _check_fitted_grids(node, f"{source}.protocols[{k}]")
     sensing = None
     sensing_resolved = None
     if block.take("sensing") is not None:

@@ -9,10 +9,12 @@ quantities are estimated here.
 
 Every estimate reads only a point's click count, and the clicks among m
 shots drawn without replacement from N, C of which click, follow the
-hypergeometric law Hypergeometric(C, N - C, m) exactly. So each call counts
-the recorded clicks once and draws every point's kept clicks from that law
-with one generator per seed, in flat point order. The result carries no
-shots: a click-count draw picks no shot identities.
+hypergeometric law Hypergeometric(C, N - C, m) exactly. So each call takes
+the recorded clicks, those a dataset read from disk carries or those
+``sweep.count_clicks`` counts in the shots a run holds, and draws every
+point's kept clicks from that law with one generator per seed, in flat point
+order. The result carries no shots: a click-count draw picks no shot
+identities.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, EstimationError
 from .readout import click_estimates
-from .sweep import SweepDataset, stream_seed
+from .sweep import SweepDataset, count_clicks, stream_seed
 
 SUBSAMPLE_TAG = "subsample"
 
@@ -40,23 +42,63 @@ def shots_per_point(dataset: SweepDataset, budget: float) -> int:
     return math.floor(exact * (1.0 + 1e-12) + 1e-9)
 
 
+def _recorded_clicks(dataset: SweepDataset) -> tuple[np.ndarray, int]:
+    """Each point's recorded clicks, flat, and the shots per point they count."""
+    if dataset.clicks is not None:
+        return dataset.clicks.reshape(-1), int(dataset.n_shots.flat[0])
+    if dataset.shots is None:
+        raise EstimationError("time-budget subsampling needs retained raw shots")
+    threshold = dataset.meta.get("readout_threshold")
+    if threshold is None:
+        raise EstimationError(
+            "dataset meta lacks 'readout_threshold'; cannot re-threshold shots"
+        )
+    shots = dataset.shots
+    clicks = count_clicks([shots.reshape(-1)], shots.shape, False, threshold)
+    return clicks.reshape(-1), shots.shape[-1]
+
+
+def _draws(dataset: SweepDataset, budget: float, seeds) -> tuple:
+    """``subsample_draws``, then the shots kept and recorded per point."""
+    recorded, n_recorded = _recorded_clicks(dataset)
+    n_keep = shots_per_point(dataset, budget)
+    if n_keep < 1:
+        raise BudgetError(f"budget {budget:g} s affords no shots on a {len(recorded)}-point grid")
+    shape = (len(seeds),) + dataset.grid_shape
+    if n_keep >= n_recorded:
+        return (
+            np.broadcast_to(dataset.p_e, shape).astype(float),
+            np.broadcast_to(dataset.stderr, shape).astype(float),
+            n_keep,
+            n_recorded,
+        )
+    clicks = np.empty((len(seeds), len(recorded)), dtype=np.int64)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(stream_seed(seed, SUBSAMPLE_TAG))
+        clicks[k] = rng.hypergeometric(recorded, n_recorded - recorded, n_keep)
+    p_e, stderr = click_estimates(clicks, n_keep)
+    return p_e.reshape(shape), stderr.reshape(shape), n_keep, n_recorded
+
+
 def subsample_draws(
     dataset: SweepDataset, budget: float, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
     """Excited fractions and errors of one time-budget draw per seed, stacked.
 
-    The budget is split evenly over the sweep grid. The recorded clicks are
-    counted once; each seed's kept clicks are then those of a uniform
-    without-replacement draw of every point's recorded shots, drawn directly
-    from their hypergeometric law by a generator seeded from
-    ``(seed, SUBSAMPLE_TAG)``, and the excited fraction and its smoothed
-    binomial error are recomputed from them.
+    The budget is split evenly over the sweep grid. Each seed's kept clicks
+    are those of a uniform without-replacement draw of every point's
+    recorded shots, drawn directly from their hypergeometric law by a
+    generator seeded from ``(seed, SUBSAMPLE_TAG)``, and the excited
+    fraction and its smoothed binomial error are recomputed from them. The
+    recorded clicks are the dataset's ``clicks``, as ``read_dataset``
+    counted them in the sidecar; a dataset that holds its shots instead has
+    them counted once, above ``meta["readout_threshold"]``.
 
     Parameters
     ----------
     dataset : SweepDataset
-        Must retain raw shots and record the readout threshold in
-        ``meta["readout_threshold"]``.
+        Must carry recorded ``clicks``, or retain raw shots and record the
+        readout threshold in ``meta["readout_threshold"]``.
     budget : float
         Total wall time to emulate, seconds.
     seeds : sequence of int
@@ -72,35 +114,13 @@ def subsample_draws(
     Raises
     ------
     EstimationError
-        If the dataset has no raw shots or no recorded threshold.
+        If the dataset has neither recorded clicks nor raw shots, or holds
+        shots but no recorded threshold.
     BudgetError
         If the budget is not finite and > 0 or affords no shot per point.
     """
-    if dataset.shots is None:
-        raise EstimationError("time-budget subsampling needs retained raw shots")
-    threshold = dataset.meta.get("readout_threshold")
-    if threshold is None:
-        raise EstimationError(
-            "dataset meta lacks 'readout_threshold'; cannot re-threshold shots"
-        )
-    n_keep = shots_per_point(dataset, budget)
-    flat_shots = dataset.shots.reshape(-1, dataset.shots.shape[-1])
-    if n_keep < 1:
-        raise BudgetError(f"budget {budget:g} s affords no shots on a {len(flat_shots)}-point grid")
-    shape = (len(seeds),) + dataset.grid_shape
-    n_recorded = flat_shots.shape[1]
-    if n_keep >= n_recorded:
-        return (
-            np.broadcast_to(dataset.p_e, shape).astype(float),
-            np.broadcast_to(dataset.stderr, shape).astype(float),
-        )
-    recorded = np.count_nonzero(flat_shots > float(threshold), axis=1)
-    clicks = np.empty((len(seeds), len(flat_shots)), dtype=np.int64)
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(stream_seed(seed, SUBSAMPLE_TAG))
-        clicks[k] = rng.hypergeometric(recorded, n_recorded - recorded, n_keep)
-    p_e, stderr = click_estimates(clicks, n_keep)
-    return p_e.reshape(shape), stderr.reshape(shape)
+    p_e, stderr, _, _ = _draws(dataset, budget, seeds)
+    return p_e, stderr
 
 
 def subsample_time_budget(
@@ -108,28 +128,30 @@ def subsample_time_budget(
 ) -> SweepDataset:
     """Restrict a dataset to the shots affordable in ``budget`` seconds.
 
-    This is the one-seed case of :func:`subsample_draws`, as a dataset.
+    This is the one-seed case of :func:`subsample_draws`, as a dataset, so
+    it serves a dataset read from disk, which carries its recorded clicks,
+    and one that holds its shots alike.
 
     Returns
     -------
     SweepDataset
-        Same grid with reduced per-point shot counts and ``shots=None``.
-        Returned unchanged when the budget covers all recorded shots.
+        Same grid with reduced per-point shot counts, ``shots=None`` and
+        ``clicks=None``. Returned unchanged when the budget covers all
+        recorded shots.
 
     Raises
     ------
     EstimationError, BudgetError
         As :func:`subsample_draws`.
     """
-    p_e, stderr = subsample_draws(dataset, budget, [seed])
-    n_keep = shots_per_point(dataset, budget)
-    if n_keep >= dataset.shots.shape[-1]:
+    p_e, stderr, n_keep, n_recorded = _draws(dataset, budget, [seed])
+    if n_keep >= n_recorded:
         return dataset
-    shape = dataset.grid_shape
     return replace(
         dataset,
         p_e=p_e[0],
         stderr=stderr[0],
-        n_shots=np.full(shape, n_keep, dtype=int),
+        n_shots=np.full(dataset.grid_shape, n_keep, dtype=int),
         shots=None,
+        clicks=None,
     )

@@ -2,14 +2,20 @@
 
 A SweepDataset holds estimates of the excited-state probability on a
 cartesian grid of sweep axes, with standard errors, per-point shot counts,
-and optionally the raw analog shots (needed for time-budget subsampling).
-Datasets serialize to comma-separated tables with a commented header that
-records the manifest hash and per-column units; raw shots go to a companion
-``.npz`` file referenced from the header. The sidecar's member is stored, not
-deflated: float64 readout noise does not compress, so zlib would spend most
-of a run's write time to save a few percent of the bytes. The member is
-written straight from the shots array's buffer, so writing a sidecar copies
-no shot.
+and optionally the raw analog shots of a run or the recorded click counts
+read back from them (either serves time-budget subsampling). Datasets
+serialize to comma-separated tables with a commented header that records the
+manifest hash and per-column units; raw shots go to a companion ``.npz`` file
+referenced from the header. The sidecar's member is stored, not deflated:
+float64 readout noise does not compress, so zlib would spend most of a run's
+write time to save a few percent of the bytes. The member is written straight
+from the shots array's buffer, so writing a sidecar copies no shot.
+
+Reading a table checks its sidecar in one pass over the member, in blocks of
+``SIDECAR_BLOCK_BYTES``: the ``.npy`` header, the CRC and each point's clicks
+above the recorded readout threshold. The dataset keeps those counts and no
+shot, so reading holds two blocks of shots at most, however many a sidecar
+has.
 
 Per-point random streams derive from (master seed, protocol tag, flat point
 index), so the order in which grid points are evaluated cannot change the
@@ -18,6 +24,7 @@ result.
 
 from __future__ import annotations
 
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
@@ -29,6 +36,25 @@ from .errors import SchemaError
 from .readout import click_estimates
 
 UNMANAGED_HASH = "unmanaged"
+
+# Bytes of a sidecar's shots read, checked and counted at a time. Reading a
+# sidecar holds two blocks at most (the next is read before the last is
+# freed) besides its grid's counts, so 64 KiB keeps ``report`` on the
+# benchmark's smoke artifact, 3.6 MB of shots, under an eighth of them.
+SIDECAR_BLOCK_BYTES = 64 * 1024
+
+# The ``.npz`` member spellings ``np.load`` resolves for the key ``shots``,
+# the exact name first, and the ``.npy`` header reader of each format
+# version it accepts; version 3.0 differs from 2.0 only in decoding the
+# header as UTF-8, which a floating-point header never needs.
+_SHOTS_MEMBERS = ("shots", "shots.npy")
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+    (3, 0): np.lib.format.read_array_header_2_0,
+}
+# the leading bytes by which np.load tells a zip archive
+_ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
 
 
 @dataclass(frozen=True)
@@ -62,6 +88,9 @@ class SweepDataset:
     shot_duration: float  # wall time per shot (full sequence), s
     protocol: str
     shots: np.ndarray | None = None  # analog values, shape grid + (N,)
+    # clicks above meta's readout_threshold per point, read from a sidecar of
+    # the same n_shots at every point; None on a dataset that holds its shots
+    clicks: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     warnings: tuple = ()
     manifest_hash: str = UNMANAGED_HASH
@@ -80,6 +109,11 @@ class SweepDataset:
                 )
         if self.shots is not None and self.shots.shape[:-1] != shape:
             raise ValueError("shots array does not match the sweep grid")
+        if self.clicks is not None:
+            if np.shape(self.clicks) != shape:
+                raise ValueError("clicks array does not match the sweep grid")
+            if np.any(self.n_shots != self.n_shots.flat[0]):
+                raise ValueError("recorded clicks need the same n_shots at every point")
         if self.shot_duration <= 0:
             raise ValueError("shot duration must be > 0")
 
@@ -193,30 +227,116 @@ def write_dataset(dataset: SweepDataset, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_shots(sidecar: Path, shape: tuple) -> np.ndarray:
-    """The ``shots`` array of a sidecar, checked against the sweep grid."""
+def count_clicks(blocks, shape: tuple, fortran_order: bool, threshold: float) -> np.ndarray:
+    """Each grid point's shots above ``threshold``, counted in one pass.
+
+    ``blocks`` yields the flat values of a ``shape`` array, a grid and then
+    a shot axis, in C order or with ``fortran_order`` in Fortran order; a
+    block may end anywhere. Returns the counts on the grid, those of
+    ``np.count_nonzero(shots > threshold, axis=-1)``. Both the shots a run
+    holds and a sidecar read back are counted here.
+    """
+    grid, n_shots = shape[:-1], shape[-1]
+    n_points = math.prod(grid)
+    # the values form a C-ordered (rows, width) matrix: a row per point in
+    # C order, a row per shot, across the points, in Fortran order
+    width = n_points if fortran_order else n_shots
+    counts = np.zeros(n_points, dtype=np.int64)
+    threshold = float(threshold)
+    start = 0
+    for block in blocks:
+        above = block > threshold
+        row, col = divmod(start, width)
+        start += len(above)
+        # the values that finish row ``row``, then whole rows, then the rest
+        head = min(len(above), -col % width)
+        whole = (len(above) - head) // width
+        body = above[head : head + whole * width].reshape(whole, width)
+        tail = above[head + whole * width :]
+        if fortran_order:
+            counts[col : col + head] += above[:head]
+            if whole:
+                counts += np.count_nonzero(body, axis=0)
+            counts[: len(tail)] += tail
+        else:
+            first = row + (head > 0)
+            counts[row] += np.count_nonzero(above[:head])
+            counts[first : first + whole] += np.count_nonzero(body, axis=1)
+            if len(tail):
+                counts[first + whole] += np.count_nonzero(tail)
+    return counts.reshape(grid, order="F" if fortran_order else "C")
+
+
+def _member_blocks(member, dtype: np.dtype, n_values: int):
+    """The ``n_values`` values after a member's ``.npy`` header, a block at a time."""
+    step = max(SIDECAR_BLOCK_BYTES // dtype.itemsize, 1) * dtype.itemsize
+    left = n_values * dtype.itemsize
+    while left:
+        size = min(step, left)
+        data = member.read(size)
+        if len(data) < size:
+            raise EOFError(f"the shots member ends {left - len(data)} bytes short of its array")
+        left -= size
+        yield np.frombuffer(data, dtype=dtype)
+
+
+def _shots_member(archive: zipfile.ZipFile, sidecar: Path) -> str:
+    """The name of the archive's ``shots`` member, resolved as ``np.load`` does."""
+    names = set(archive.namelist())
+    for name in _SHOTS_MEMBERS:
+        if name in names:
+            return name
+    raise SchemaError(f"shots sidecar {sidecar.name} has no 'shots' member")
+
+
+def _shots_header(member, sidecar: Path, grid: tuple) -> tuple:
+    """The member's ``.npy`` shape, order and dtype, checked against the grid."""
+    version = np.lib.format.read_magic(member)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    shape, fortran_order, dtype = _NPY_HEADERS[version](member)
+    if not np.issubdtype(dtype, np.floating):
+        raise SchemaError(
+            f"shots sidecar {sidecar.name} holds {dtype} values, not floating point"
+        )
+    if shape[:-1] != grid or shape[-1] < 1:
+        raise SchemaError(
+            f"shots sidecar {sidecar.name} has shape {shape}, expected {grid} + (n_shots,)"
+        )
+    return shape, fortran_order, dtype
+
+
+def _read_sidecar(sidecar: Path, grid: tuple, threshold: float | None) -> tuple:
+    """Check a sidecar's ``shots`` against the grid in one streamed pass.
+
+    Returns the shots per point and, with a ``threshold``, each point's
+    clicks above it. The member is read to its end, where zipfile checks
+    its CRC; it is never held whole.
+    """
     try:
-        payload = np.load(sidecar)
-        if not isinstance(payload, np.lib.npyio.NpzFile):
-            raise SchemaError(f"shots sidecar {sidecar.name} is not an .npz archive")
-        with payload:
-            if "shots" not in payload.files:
-                raise SchemaError(f"shots sidecar {sidecar.name} has no 'shots' member")
-            shots = payload["shots"]
+        with open(sidecar, "rb") as handle:
+            if not handle.read(len(np.lib.format.MAGIC_PREFIX)).startswith(_ZIP_MAGIC):
+                raise SchemaError(f"shots sidecar {sidecar.name} is not an .npz archive")
+            handle.seek(0)
+            with (
+                zipfile.ZipFile(handle) as archive,
+                archive.open(_shots_member(archive, sidecar)) as member,
+            ):
+                shape, fortran_order, dtype = _shots_header(member, sidecar, grid)
+                blocks = _member_blocks(member, dtype, math.prod(shape))
+                clicks = None
+                if threshold is None:
+                    for _ in blocks:
+                        pass
+                else:
+                    clicks = count_clicks(blocks, shape, fortran_order, threshold)
+                while member.read(SIDECAR_BLOCK_BYTES):
+                    pass
     # zipfile raises RuntimeError (NotImplementedError among them) for
     # encrypted members and compression methods it does not support
     except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
         raise SchemaError(f"shots sidecar {sidecar.name} is not a loadable .npz: {exc}") from exc
-    if not np.issubdtype(shots.dtype, np.floating):
-        raise SchemaError(
-            f"shots sidecar {sidecar.name} holds {shots.dtype} values, not floating point"
-        )
-    if shots.shape[:-1] != shape or shots.shape[-1] < 1:
-        raise SchemaError(
-            f"shots sidecar {sidecar.name} has shape {shots.shape}, "
-            f"expected {shape} + (n_shots,)"
-        )
-    return shots
+    return shape[-1], clicks
 
 
 def read_dataset(path) -> SweepDataset:
@@ -233,6 +353,11 @@ def read_dataset(path) -> SweepDataset:
     holds anything but a floating-point array of shape
     ``grid + (n_shots,)``. Sidecars written compressed load like stored
     ones.
+
+    The sidecar is streamed, ``SIDECAR_BLOCK_BYTES`` at a time, and never
+    held: the dataset comes back with ``shots=None`` and, where the table
+    records a readout threshold, each point's recorded clicks in
+    ``clicks``.
     """
     path = Path(path)
     header: dict[str, str] = {}
@@ -323,13 +448,13 @@ def read_dataset(path) -> SweepDataset:
                 meta[key[len("meta_"):]] = float(value)
             except ValueError as exc:
                 raise SchemaError(f"meta header {key!r} is not a number") from exc
-    shots = None
+    clicks = None
     if "shots_file" in header:
         sidecar = path.parent / header["shots_file"]
         if not sidecar.exists():
             raise SchemaError(f"{path.name} names shots sidecar {sidecar.name}, which is missing")
-        shots = _read_shots(sidecar, shape)
-        n_per_point = shots.shape[-1]
+        threshold = meta.get("readout_threshold")
+        n_per_point, clicks = _read_sidecar(sidecar, shape, threshold)
         mismatch = n_shots != n_per_point
         if np.any(mismatch):
             number = row_lines[int(np.argmax(mismatch))]
@@ -337,11 +462,9 @@ def read_dataset(path) -> SweepDataset:
                 f"{path.name}, line {number}: n_shots differs from the "
                 f"{n_per_point} shots per point in {sidecar.name}"
             )
-        threshold = meta.get("readout_threshold")
-        if threshold is not None:
+        if clicks is not None:
             # p_e and stderr must be the sidecar's clicks, counted as sampled
-            clicks = np.count_nonzero(shots > threshold, axis=-1).reshape(-1)
-            p_e, stderr = click_estimates(clicks, n_per_point)
+            p_e, stderr = click_estimates(clicks.reshape(-1), n_per_point)
             agree = (p_e == data[:, n_axes]) & (stderr == data[:, n_axes + 1])
             if not np.all(agree):
                 number = row_lines[int(np.argmin(agree))]
@@ -356,7 +479,7 @@ def read_dataset(path) -> SweepDataset:
         n_shots=n_shots.astype(int).reshape(shape),
         shot_duration=duration,
         protocol=header.get("protocol", "imported"),
-        shots=shots,
+        clicks=clicks,
         meta=meta,
         warnings=tuple(warnings),
         manifest_hash=header.get("manifest_sha256", UNMANAGED_HASH),

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -82,6 +83,11 @@ def decay_artifact(work):
     out = work / "dec"
     assert main(["run", str(work / "decay.yaml"), "--output", str(out)]) == 0
     return out
+
+
+def _write_zip_member(path, name, data):
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr(name, data)
 
 
 def artifact_files(path):
@@ -255,17 +261,17 @@ class TestRun:
         ), err
         assert not out.exists()
 
-    def test_too_short_fit_grid_names_the_analysis_and_its_inputs(self, work, capsys):
+    def test_too_short_fit_grid_exits_2_before_sampling(self, work, capsys):
         config = yaml.safe_load(bundled_configs()["sensitivity-scan"].read_text(encoding="utf-8"))
         config["protocols"][0]["probe_freqs"]["count"] = 1
         path = work / "one-probe.yaml"
         path.write_text(yaml.safe_dump(config), encoding="utf-8")
         out = work / "one-probe"
-        assert main(["run", str(path), "--output", str(out)]) == 3
+        assert main(["run", str(path), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            "runtime error: analyses[0] (sensitivity), inputs spectroscopy=spectroscopy, "
-            "ramsey_series=ramsey-series: gaussian fit needs at least 5 points"
+            f"error: {path}.protocols[0].probe_freqs: the gaussian fit along this grid "
+            "needs at least 5 points, got 1"
         ), err
         assert not out.exists()
 
@@ -389,8 +395,9 @@ class TestReport:
             lambda path, shots: np.savez(path, values=shots),
             lambda path, shots: np.savez(path, shots=shots.astype(np.int64)),
             lambda path, shots: np.savez(path, shots=shots[:, :5]),
+            lambda path, shots: _write_zip_member(path, "shots.npy", b"no .npy header here"),
         ],
-        ids=["not-an-npz", "no-shots-member", "integer-shots", "grid-mismatch"],
+        ids=["not-an-npz", "no-shots-member", "integer-shots", "grid-mismatch", "not-npy-member"],
     )
     def test_malformed_shots_sidecar_exits_2(self, work, decay_artifact, defect, capsys):
         table = work / "malformed" / "decay-phase.csv"

@@ -15,6 +15,7 @@ import yaml
 
 from magsense.cli import bundled_configs, main
 from magsense.config import (
+    _GRID_FITS,
     MAX_SHOT_BUFFER_BYTES,
     ExperimentConfig,
     from_resolved,
@@ -26,7 +27,7 @@ from magsense.config import (
 )
 from magsense.errors import ConfigError
 from magsense.params import PumpSpec, SystemParams
-from magsense.protocols import ProtocolConfig
+from magsense.protocols import PROTOCOLS, ProtocolConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +42,10 @@ def base_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+# the fewest Ramsey delays the coherence analysis's damped sinusoid can fit
+FITTED_DELAYS = {"start": "0 us", "stop": "5 us", "count": 6}
 
 
 class TestQuantityParsing:
@@ -329,6 +334,43 @@ class TestConfigFieldFuzzer:
         assert codes == {0, 2}
 
 
+class TestFittedGrids:
+    @pytest.mark.parametrize(
+        "protocol, key, count, family, n_min",
+        [
+            (0, "probe_freqs", 1, "gaussian", 5),
+            (0, "probe_freqs", 4, "gaussian", 5),
+            (0, "pump_powers", 2, "polynomial", 3),
+            (1, "delays", 3, "damped-sinusoid", 6),
+            (1, "delays", 5, "damped-sinusoid", 6),
+        ],
+    )
+    def test_a_grid_too_short_for_its_fit_exits_2(
+        self, protocol, key, count, family, n_min, tmp_path, capsys
+    ):
+        config = yaml.safe_load(bundled_configs()["sensitivity-scan"].read_text(encoding="utf-8"))
+        path = tmp_path / "short.yaml"
+        config["protocols"][protocol][key]["count"] = n_min
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        config["protocols"][protocol][key]["count"] = count
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"short.yaml.protocols[{protocol}].{key}: the {family} fit along this grid "
+            f"needs at least {n_min} points, got {count}"
+        ) in err, err
+        # with no analysis to read it, the grid is only sampled
+        del config["analyses"], config["sensing"]
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+
+    def test_every_fitted_grid_has_its_fit(self):
+        for kind, (keys, _, _, _) in PROTOCOLS.items():
+            assert sorted(_GRID_FITS[kind]) == sorted(keys), kind
+
+
 class TestConfigValidation:
     def test_minimal_config_gets_reference_defaults(self):
         config = parse_config(base_config())
@@ -436,6 +478,7 @@ class TestConfigValidation:
 
     def test_analysis_inputs_bind_by_unique_kind(self):
         raw = base_config(analyses=[{"kind": "coherence"}])
+        raw["protocols"][0]["delays"] = FITTED_DELAYS
         raw["protocols"].append({"kind": "relaxation", "name": "t1"})
         config = parse_config(raw)
         assert config.analyses[0].inputs == {"ramsey": "ramsey", "relaxation": "t1"}
@@ -446,15 +489,15 @@ class TestConfigValidation:
             {
                 "kind": "spectroscopy",
                 "name": "spec",
-                "pump_powers": ["0 W", "1 uW"],
-                "probe_freqs": ["5.9 GHz"],
+                "pump_powers": ["0 W", "0.5 uW", "1 uW"],
+                "probe_freqs": {"start": "5.8 GHz", "stop": "5.9 GHz", "count": 5},
                 "pump": {"c_pump": "2.3e9 1/W"},
             },
             {
                 "kind": "ramsey-series",
                 "name": "series",
-                "pump_powers": ["0 W", "1 nW"],
-                "delays": ["0 us", "1 us"],
+                "pump_powers": ["0 W", "0.5 nW", "1 nW"],
+                "delays": FITTED_DELAYS,
                 "pump": {"c_pump": "2.3e9 1/W"},
             },
         ]
@@ -553,6 +596,7 @@ class TestResolvedManifest:
             analyses=[{"kind": "coherence"}],
             sensing={"tau": "32 us", "n_shots": 1000},
         )
+        raw["protocols"][0]["delays"] = FITTED_DELAYS
         raw["protocols"].append({"kind": "relaxation", "name": "t1"})
         config = parse_config(raw)
         rebuilt = from_resolved(config.resolved)

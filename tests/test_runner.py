@@ -122,9 +122,13 @@ def test_recorded_shots_regenerate_from_the_manifest(tmp_path):
         for node in config.protocols:
             recorded = datasets[node.name]
             regenerated = execute_protocol(node, config)
-            assert recorded.shots is not None
-            assert regenerated.shots.dtype == recorded.shots.dtype
-            assert np.array_equal(regenerated.shots, recorded.shots)
+            with np.load(artifact.path / f"{node.name}_shots.npz") as payload:
+                recorded_shots = payload["shots"]
+            assert regenerated.shots.dtype == recorded_shots.dtype
+            assert np.array_equal(regenerated.shots, recorded_shots)
+            threshold = recorded.meta["readout_threshold"]
+            clicks = np.count_nonzero(regenerated.shots > threshold, axis=-1)
+            assert np.array_equal(recorded.clicks, clicks)
             assert np.array_equal(regenerated.p_e, recorded.p_e)
             assert np.array_equal(regenerated.stderr, recorded.stderr)
 
@@ -189,7 +193,7 @@ def test_a_subsample_request_keeps_the_error_of_a_failing_analysis(tmp_path):
     node = LIFETIME_NODES[0]
     dataset = datasets["decay-phase"]
     subsample = (_keep_60_of_200(dataset), 3)
-    no_shots = {"decay-phase": replace(dataset, shots=None)}
+    no_shots = {"decay-phase": replace(dataset, clicks=None)}
     assert _analysis_error(node, no_shots, tmp_path, subsample) == (
         EstimationError,
         "analyses[0] (lifetime-phase), inputs dataset=decay-phase: "
@@ -207,7 +211,7 @@ def test_a_subsample_request_keeps_the_error_of_a_failing_analysis(tmp_path):
                 p_e=dataset.p_e[:5],
                 stderr=dataset.stderr[:5],
                 n_shots=dataset.n_shots[:5],
-                shots=dataset.shots[:5],
+                clicks=dataset.clicks[:5],
             ),
             EstimationError,
         ),
@@ -223,7 +227,7 @@ def test_a_subsample_request_checks_the_dataset_kind_before_the_draw(tmp_path):
     _, _, datasets = load_artifact(artifact.path)
     dataset = datasets["decay-spectroscopy"]
     node = AnalysisNode("lifetime-phase", {"dataset": "decay-spectroscopy"})
-    no_shots = {"decay-spectroscopy": replace(dataset, shots=None)}
+    no_shots = {"decay-spectroscopy": replace(dataset, clicks=None)}
     expected = (
         EstimationError,
         "analyses[0] (lifetime-phase), inputs dataset=decay-spectroscopy: "
@@ -334,14 +338,54 @@ analyses:
 """
 
 
+def _sidecar_shot_bytes(artifact) -> list:
+    """The bytes of shots each sidecar of ``artifact`` holds."""
+    sizes = []
+    for sidecar in sorted(artifact.glob("*_shots.npz")):
+        with np.load(sidecar) as payload:
+            sizes.append(payload["shots"].nbytes)
+    return sizes
+
+
 def test_a_run_holds_one_protocols_kept_shots_at_a_time(tmp_path):
     source = tmp_path / "config.yaml"
     source.write_text(SMOKE_DECAY_YAML, encoding="utf-8")
     config = load_config(source)
     peak = traced_peak(lambda: run_experiment(config, tmp_path / "artifact"))
-    _, _, datasets = load_artifact(tmp_path / "artifact")
-    shot_bytes = [dataset.shots.nbytes for dataset in datasets.values()]
+    shot_bytes = _sidecar_shot_bytes(tmp_path / "artifact")
     assert len(shot_bytes) == 2
     # holding the first protocol's shots while the second samples its own
     # would peak above both
     assert peak < sum(shot_bytes)
+
+
+@pytest.fixture(scope="module")
+def smoke_decay_artifact(tmp_path_factory):
+    work = tmp_path_factory.mktemp("smoke-decay")
+    source = work / "config.yaml"
+    source.write_text(SMOKE_DECAY_YAML, encoding="utf-8")
+    return run_experiment(load_config(source), work / "artifact").path
+
+
+def test_loading_an_artifact_holds_no_sidecars_shots(smoke_decay_artifact):
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_artifact(smoke_decay_artifact)))
+    # the sidecars are checked a block at a time, not held
+    assert peak < sum(_sidecar_shot_bytes(smoke_decay_artifact)) / 8
+    _, _, datasets = loaded[0]
+    assert all(dataset.clicks is not None for dataset in datasets.values())
+
+
+def test_a_subsample_report_holds_no_sidecars_shots(smoke_decay_artifact, tmp_path):
+    def report():
+        manifest, config, datasets = load_artifact(smoke_decay_artifact)
+        # the stacked fits grow with the draw count, and not with the shots;
+        # two draws keep them under the bound, so the shots are what it tests
+        reports = run_analyses(
+            config.analyses, datasets, tmp_path, manifest["hash"], subsample=(1.0, 2)
+        )
+        assert set(reports) == {"lifetime-phase", "lifetime-frequency"}
+
+    peak = traced_peak(report)
+    assert (tmp_path / "lifetime-phase-subsample.csv").exists()
+    assert peak < sum(_sidecar_shot_bytes(smoke_decay_artifact)) / 8

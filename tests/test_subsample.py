@@ -17,7 +17,7 @@ from magsense.subsample import (
     subsample_draws,
     subsample_time_budget,
 )
-from magsense.sweep import Axis, SweepDataset, stream_seed
+from magsense.sweep import Axis, SweepDataset, read_dataset, stream_seed, write_dataset
 
 # a seeded statistic is rejected below this upper-tail probability
 MIN_P_VALUE = 1e-4
@@ -188,6 +188,24 @@ def test_stacked_draws_equal_the_per_seed_datasets(relaxation_dataset, fraction)
         assert p_e[k].tobytes() == subset.p_e.tobytes()
         assert stderr[k].tobytes() == subset.stderr.tobytes()
     assert (len({row.tobytes() for row in p_e}) == len(seeds)) == (fraction < 1.0)
+
+
+def test_a_dataset_read_back_draws_what_its_shots_draw(relaxation_dataset, tmp_path):
+    # the recorded clicks a table's sidecar gives are those of the shots
+    _, dataset = relaxation_dataset
+    path = tmp_path / "relaxation.csv"
+    write_dataset(dataset, path)
+    loaded = read_dataset(path)
+    assert loaded.shots is None
+    budget = dataset.total_time() / 4.0
+    seeds = [0, 5, 2**40]
+    for got, want in zip(
+        subsample_draws(loaded, budget, seeds), subsample_draws(dataset, budget, seeds)
+    ):
+        assert got.tobytes() == want.tobytes()
+    subset = subsample_time_budget(loaded, budget, seed=5)
+    assert subset.clicks is None and np.all(subset.n_shots == 100)
+    assert subsample_time_budget(loaded, dataset.total_time(), seed=5) is loaded
 
 
 def test_underfunded_budget_raises(relaxation_dataset):

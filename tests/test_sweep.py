@@ -10,6 +10,7 @@ from conftest import traced_peak
 
 from magsense.errors import SchemaError
 from magsense.readout import click_estimates
+from magsense import sweep
 from magsense.sweep import (
     Axis,
     SweepDataset,
@@ -41,6 +42,15 @@ def make_dataset(with_shots=False):
     )
 
 
+def _counted(ds, threshold=0.5):
+    """``ds`` with p_e and stderr counting its shots' clicks above ``threshold``."""
+    clicks = np.count_nonzero(ds.shots > threshold, axis=-1)
+    p_e, stderr = click_estimates(clicks, ds.shots.shape[-1])
+    return dataclasses.replace(
+        ds, p_e=p_e, stderr=stderr, meta={**ds.meta, "readout_threshold": threshold}
+    )
+
+
 def test_axis_validation():
     with pytest.raises(ValueError):
         Axis("x", "s", np.array([]))
@@ -69,6 +79,11 @@ def test_dataset_shape_checks():
     )
     assert ds.n_shots.shape == (5,)
     assert ds.total_time() == pytest.approx(50e-6)
+    # recorded clicks lie on the grid and count as many shots at every point
+    with pytest.raises(ValueError, match="clicks array"):
+        dataclasses.replace(ds, clicks=np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="same n_shots"):
+        dataclasses.replace(ds, n_shots=np.arange(5), clicks=np.zeros(5, dtype=int))
 
 
 def test_point_seed_distinguishes_streams():
@@ -80,7 +95,7 @@ def test_point_seed_distinguishes_streams():
 
 
 def test_round_trip_with_shots(tmp_path):
-    ds = make_dataset(with_shots=True)
+    ds = _counted(make_dataset(with_shots=True))
     path = tmp_path / "scan.csv"
     write_dataset(ds, path)
     loaded = read_dataset(path)
@@ -93,7 +108,11 @@ def test_round_trip_with_shots(tmp_path):
     np.testing.assert_array_equal(loaded.p_e, ds.p_e)
     np.testing.assert_array_equal(loaded.stderr, ds.stderr)
     np.testing.assert_array_equal(loaded.n_shots, ds.n_shots)
-    np.testing.assert_array_equal(loaded.shots, ds.shots)
+    # the reader keeps each point's clicks, not the shots they count
+    assert loaded.shots is None
+    np.testing.assert_array_equal(loaded.clicks, np.count_nonzero(ds.shots > 0.5, axis=-1))
+    with np.load(tmp_path / "scan_shots.npz") as payload:
+        np.testing.assert_array_equal(payload["shots"], ds.shots)
 
 
 def test_missing_shots_sidecar_rejected(tmp_path):
@@ -105,32 +124,37 @@ def test_missing_shots_sidecar_rejected(tmp_path):
 
 
 def test_sidecar_member_is_stored_and_deflated_sidecars_still_load(tmp_path):
-    ds = make_dataset(with_shots=True)
+    ds = _counted(make_dataset(with_shots=True))
     path = tmp_path / "scan.csv"
     write_dataset(ds, path)
     sidecar = tmp_path / "scan_shots.npz"
     with zipfile.ZipFile(sidecar) as archive:
         members = [(info.filename, info.compress_type) for info in archive.infolist()]
     assert members == [("shots.npy", zipfile.ZIP_STORED)]
-    stored = read_dataset(path).shots
+    stored = read_dataset(path).clicks
     np.savez_compressed(sidecar, shots=ds.shots)
-    deflated = read_dataset(path).shots
-    assert stored.dtype == deflated.dtype == ds.shots.dtype
-    assert np.array_equal(stored, ds.shots)
-    assert np.array_equal(deflated, ds.shots)
+    deflated = read_dataset(path).clicks
+    clicks = np.count_nonzero(ds.shots > 0.5, axis=-1)
+    assert np.array_equal(stored, clicks)
+    assert np.array_equal(deflated, clicks)
 
 
 def _dataset_of(shots):
-    """A dataset holding ``shots``, on a grid of all but their last axis."""
+    """A dataset holding ``shots``, on a grid of all but their last axis.
+
+    Its p_e and stderr count the clicks above a recorded threshold of 0.
+    """
     grid = shots.shape[:-1]
+    p_e, stderr = click_estimates(np.count_nonzero(shots > 0.0, axis=-1), shots.shape[-1])
     return SweepDataset(
         axes=tuple(Axis(f"x{k}", "s", np.arange(n, dtype=float)) for k, n in enumerate(grid)),
-        p_e=np.full(grid, 0.5),
-        stderr=np.full(grid, 0.05),
+        p_e=p_e,
+        stderr=stderr,
         n_shots=shots.shape[-1],
         shot_duration=1e-6,
         protocol="t",
         shots=shots,
+        meta={"readout_threshold": 0.0},
     )
 
 
@@ -139,9 +163,7 @@ def _assert_sidecar_is_savez(tmp_path, shots):
     write_dataset(_dataset_of(shots), path)
     np.savez(tmp_path / "savez.npz", shots=shots)
     assert (tmp_path / "scan_shots.npz").read_bytes() == (tmp_path / "savez.npz").read_bytes()
-    loaded = read_dataset(path).shots
-    assert loaded.dtype == shots.dtype
-    assert np.array_equal(loaded, shots)
+    assert np.array_equal(read_dataset(path).clicks, np.count_nonzero(shots > 0.0, axis=-1))
 
 
 @pytest.mark.parametrize("n_shots", [1, 800])
@@ -166,6 +188,68 @@ def test_writing_a_sidecar_copies_no_shots(tmp_path):
     assert peak < shots.nbytes / 8
 
 
+@pytest.mark.parametrize("n_shots", [50_000, 200_000])
+def test_reading_a_sidecar_holds_one_block_of_shots(tmp_path, n_shots):
+    shots = np.random.default_rng(6).standard_normal((4, 5, n_shots))
+    path = tmp_path / "scan.csv"
+    write_dataset(_dataset_of(shots), path)
+    del shots
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(read_dataset(path)))
+    # two blocks, their click flags and the grid's counts, at any shot count
+    assert peak < 3 * sweep.SIDECAR_BLOCK_BYTES
+    assert loaded[0].shots is None
+
+
+def _write_member(path, name, data, compression=zipfile.ZIP_STORED):
+    """An archive whose one member ``name`` holds ``data``."""
+    with zipfile.ZipFile(path, "w", compression=compression) as archive:
+        archive.writestr(name, data)
+
+
+# (grid, shots per point): whole blocks and a partial last one, a point
+# wider than a block, and one shot per point
+STREAM_SHAPES = [((3, 61), 1500), ((2,), 70_000), ((5, 7), 1)]
+
+
+@pytest.mark.parametrize("grid, n_shots", STREAM_SHAPES, ids=["partial-block", "wide-point", "one-shot"])
+@pytest.mark.parametrize("dtype", ["<f8", ">f8", "f4"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "compression", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED], ids=["stored", "deflated"]
+)
+@pytest.mark.parametrize("member", ["shots.npy", "shots"])
+def test_streamed_clicks_match_np_load(tmp_path, grid, n_shots, dtype, order, compression, member):
+    values = np.random.default_rng(7).standard_normal(grid + (n_shots,)).astype(dtype)
+    values = np.asarray(values, order=order)
+    assert np.lib.format.header_data_from_array_1_0(values)["fortran_order"] == (order == "F")
+    threshold = 0.3
+    ds = _counted(_dataset_of(values), threshold)
+    path = tmp_path / "scan.csv"
+    write_dataset(dataclasses.replace(ds, shots=None), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(3, "# shots_file: scan_shots.npz")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sidecar = tmp_path / "scan_shots.npz"
+    _write_member(sidecar, member, _npy_bytes(values), compression)
+    with np.load(sidecar) as payload:
+        expected = np.count_nonzero(payload["shots"] > threshold, axis=-1)
+    assert np.array_equal(read_dataset(path).clicks, expected)
+
+
+def test_stream_counts_blocks_cut_anywhere():
+    # blocks shorter than a point, spanning points and ending mid-point,
+    # in both orders, against the count over the whole array
+    values = np.random.default_rng(8).standard_normal((3, 4, 9))
+    expected = np.count_nonzero(values > 0.1, axis=-1)
+    for order in ("C", "F"):
+        flat = values.reshape(-1, order=order)
+        for size in (1, 4, 9, 10, 35, 108):
+            blocks = [flat[i : i + size] for i in range(0, flat.size, size)]
+            counts = sweep.count_clicks(blocks, values.shape, order == "F", 0.1)
+            assert np.array_equal(counts, expected), (order, size)
+
+
 def _npy_bytes(array):
     buffer = io.BytesIO()
     np.save(buffer, array)
@@ -180,6 +264,8 @@ SIDECAR_DEFECTS = {
     "grid-mismatch": lambda path, shots: np.savez(path, shots=shots[:, :3]),
     "no-shot-axis": lambda path, shots: np.savez(path, shots=shots[..., 0]),
     "no-shots": lambda path, shots: np.savez(path, shots=shots[..., :0]),
+    # np.load returns such a member's bytes, not an array
+    "not-npy-member": lambda path, shots: _write_member(path, "shots.npy", b"no .npy header here"),
 }
 
 
@@ -215,14 +301,17 @@ def test_corrupted_sidecar_bytes_load_exactly_or_raise_schema_error(tmp_path):
     for pos in range(len(good)):
         for flip in (0x01, 0xFF):
             variants.append(good[:pos] + bytes([good[pos] ^ flip]) + good[pos + 1:])
+    clicks = np.count_nonzero(shots > 0.0, axis=1)
     loaded = 0
     for data in variants:
         sidecar.write_bytes(data)
         try:
-            shots = read_dataset(path).shots
+            counted = read_dataset(path).clicks
         except SchemaError:
             continue
-        assert np.array_equal(shots, ds.shots)
+        assert np.array_equal(counted, clicks)
+        with np.load(sidecar) as payload:
+            assert np.array_equal(payload["shots"], ds.shots)
         loaded += 1
     assert 0 < loaded < len(variants)
     # a well-formed sidecar must still count the clicks the table records:
@@ -239,20 +328,12 @@ def test_corrupted_sidecar_bytes_load_exactly_or_raise_schema_error(tmp_path):
             moved = ds.shots.copy()
             moved[point, shot] *= 2.0
             np.savez(sidecar, shots=moved)
-            assert np.array_equal(read_dataset(path).shots, moved)
+            assert np.array_equal(read_dataset(path).clicks, clicks)
 
 
 def test_one_byte_substitutions_load_or_raise_schema_error(tmp_path):
-    ds = make_dataset(with_shots=True)
     # p_e and stderr count the sidecar's clicks, so the unmodified table loads
-    clicks = np.count_nonzero(ds.shots > 0.5, axis=-1)
-    p_e, stderr = click_estimates(clicks, ds.shots.shape[-1])
-    ds = dataclasses.replace(
-        ds,
-        p_e=p_e,
-        stderr=stderr,
-        meta={"readout_threshold": 0.5},
-    )
+    ds = _counted(make_dataset(with_shots=True))
     path = tmp_path / "scan.csv"
     write_dataset(ds, path)
     good = path.read_bytes()
