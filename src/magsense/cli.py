@@ -13,7 +13,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .config import ANALYSIS_INPUTS, AnalysisNode, ExperimentConfig, load_config
+from .config import ANALYSES, AnalysisNode, ExperimentConfig, load_config
 from .errors import ConfigError, MagsenseError, SchemaError
 from .runner import (
     RunArtifact,
@@ -30,7 +30,7 @@ DEFAULT_SUBSAMPLE_COUNT = 100
 
 # the analyses that run on one dataset, and so on one imported table
 _IMPORT_ANALYSES = tuple(
-    kind for kind, inputs in ANALYSIS_INPUTS.items() if tuple(inputs) == ("dataset",)
+    kind for kind, inputs in ANALYSES.items() if tuple(inputs) == ("dataset",)
 )
 
 

@@ -90,43 +90,44 @@ REMOVED_FIELDS = {
 # decay-spectroscopy, 1701 points x 800 shots) fills 10.9 MB of the bound.
 MAX_SHOT_BUFFER_BYTES = 512 * 1024**2
 
-# analysis kind -> {input key: expected protocol kind}
-ANALYSIS_INPUTS = {
-    "coherence": {"ramsey": "ramsey", "relaxation": "relaxation"},
-    "calibration": {"spectroscopy": "spectroscopy", "ramsey_series": "ramsey-series"},
-    "sensitivity": {"spectroscopy": "spectroscopy", "ramsey_series": "ramsey-series"},
-    "lifetime-phase": {"dataset": "decay-phase"},
-    "lifetime-frequency": {"dataset": "decay-spectroscopy"},
-    "parametric": {"dataset": "parametric-scan"},
-}
-
-
-# protocol kind -> {grid key: the fit its analyses run along that grid}. A
-# grid with no more points than the fit has parameters would fail that fit
-# only after the run had sampled every grid, so a YAML config whose analysis
-# reads such a grid is rejected up front.
-_GRID_FITS = {
-    "spectroscopy": {
-        "pump_powers": FitModel("polynomial", order=1),
-        "probe_freqs": FitModel("gaussian"),
+# analysis kind -> {input key: (protocol kind, {grid key: the fit the analysis
+# runs along that grid})}. A grid no longer than its fit's parameter count would
+# fail that fit only after every grid was sampled, so validate rejects it.
+_SPECTROSCOPY = (
+    "spectroscopy",
+    {"pump_powers": FitModel("polynomial", order=1), "probe_freqs": FitModel("gaussian")},
+)
+_RAMSEY_SERIES = (
+    "ramsey-series",
+    {"pump_powers": FitModel("polynomial", order=1), "delays": FitModel("damped-sinusoid")},
+)
+ANALYSES = {
+    "coherence": {
+        "ramsey": ("ramsey", {"delays": FitModel("damped-sinusoid")}),
+        "relaxation": ("relaxation", {"delays": FitModel("exponential-decay")}),
     },
-    "ramsey": {"delays": FitModel("damped-sinusoid")},
-    "ramsey-series": {
-        "pump_powers": FitModel("polynomial", order=1),
-        "delays": FitModel("damped-sinusoid"),
+    "calibration": {"spectroscopy": _SPECTROSCOPY, "ramsey_series": _RAMSEY_SERIES},
+    "sensitivity": {"spectroscopy": _SPECTROSCOPY, "ramsey_series": _RAMSEY_SERIES},
+    "lifetime-phase": {
+        "dataset": (
+            "decay-phase",
+            {
+                "sense_times": FitModel("saturating-exponential"),
+                "second_pulse_phases": FitModel("sinusoid"),
+            },
+        )
     },
-    "relaxation": {"delays": FitModel("exponential-decay")},
-    "decay-phase": {
-        "sense_times": FitModel("saturating-exponential"),
-        "second_pulse_phases": FitModel("sinusoid"),
+    "lifetime-frequency": {
+        "dataset": (
+            "decay-spectroscopy",
+            {"sense_times": FitModel("exponential-decay"), "probe_freqs": FitModel("gaussian")},
+        )
     },
-    "decay-spectroscopy": {
-        "sense_times": FitModel("exponential-decay"),
-        "probe_freqs": FitModel("gaussian"),
-    },
-    "parametric-scan": {
-        "deltas": FitModel("lorentzian"),
-        "durations": FitModel("exponential-decay"),
+    "parametric": {
+        "dataset": (
+            "parametric-scan",
+            {"deltas": FitModel("lorentzian"), "durations": FitModel("exponential-decay")},
+        )
     },
 }
 
@@ -514,11 +515,11 @@ def _read_protocol(block: _Block, anchors: dict, n_shots: int) -> tuple[Protocol
 
 
 def _read_analysis(block: _Block, protocols: dict) -> tuple[AnalysisNode, dict]:
-    kind = block.get("kind", tuple(ANALYSIS_INPUTS))
+    kind = block.get("kind", tuple(ANALYSES))
     inputs_block = block.child("inputs") if block.recorded else block
     options_block = block.child("options") if block.recorded else block
     inputs = {}
-    for input_key, expected_kind in ANALYSIS_INPUTS[kind].items():
+    for input_key, (expected_kind, _) in ANALYSES[kind].items():
         matches = [name for name, other in protocols.items() if other == expected_kind]
         name = inputs_block.get(
             input_key, "string", matches[0] if len(matches) == 1 else _REQUIRED
@@ -556,16 +557,19 @@ def _read_analysis(block: _Block, protocols: dict) -> tuple[AnalysisNode, dict]:
     return node, {"kind": kind, "inputs": inputs, "options": options}
 
 
-def _check_fitted_grids(node: ProtocolNode, path: str) -> None:
-    """Reject a grid of ``node`` too short for the fit an analysis runs along it."""
-    for key, grid in node.grids.items():
-        fit = _GRID_FITS[node.kind][key]
-        n_min = fit.n_parameters() + 1
-        if len(grid) < n_min:
-            raise ConfigError(
-                f"{path}.{key}: the {fit.family} fit along this grid needs at least "
-                f"{n_min} points, got {len(grid)}"
-            )
+def _check_fitted_grids(analyses: list, protocols: list, source: str) -> None:
+    """Reject a protocol grid too short for the fit an analysis runs along it."""
+    for analysis in analyses:
+        for input_key, name in analysis.inputs.items():
+            fits = ANALYSES[analysis.kind][input_key][1]
+            k = [node.name for node in protocols].index(name)
+            for key, grid in protocols[k].grids.items():
+                n_min = fits[key].n_parameters() + 1
+                if len(grid) < n_min:
+                    raise ConfigError(
+                        f"{source}.protocols[{k}].{key}: the {fits[key].family} fit "
+                        f"along this grid needs at least {n_min} points, got {len(grid)}"
+                    )
 
 
 def _read_sensing(block: _Block) -> tuple[SensingConfig, dict]:
@@ -639,17 +643,19 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
     analysis_nodes = []
     analyses_resolved = []
     for k, raw_analysis in enumerate(block.get("analyses", "list", [])):
-        node, resolved = _read_analysis(
-            _Block(raw_analysis, f"{source}.analyses[{k}]", recorded), kinds_by_name
-        )
+        path = f"{source}.analyses[{k}]"
+        node, resolved = _read_analysis(_Block(raw_analysis, path, recorded), kinds_by_name)
+        for first, other in enumerate(analysis_nodes):
+            if other.kind == node.kind:
+                raise ConfigError(
+                    f"{path}.kind: a second {node.kind!r} analysis, after "
+                    f"analyses[{first}]; each kind writes one report"
+                )
         analysis_nodes.append(node)
         analyses_resolved.append(resolved)
     if not recorded:
         # like acquisition values, an artifact's grids are not checked again
-        read = {name for node in analysis_nodes for name in node.inputs.values()}
-        for k, node in enumerate(protocol_nodes):
-            if node.name in read:
-                _check_fitted_grids(node, f"{source}.protocols[{k}]")
+        _check_fitted_grids(analysis_nodes, protocol_nodes, source)
     sensing = None
     sensing_resolved = None
     if block.take("sensing") is not None:

@@ -37,12 +37,13 @@ FREQUENCY_METHOD = "frequency"
 
 @dataclass(frozen=True)
 class LifetimeEstimate:
-    """A decay-time estimate with its fit provenance."""
+    """A decay-time estimate; ``fits`` holds its row fits, then ``fit``."""
 
     method: str
     lifetime: float
     uncertainty: float
     fit: FitResult
+    fits: tuple = ()
     flags: tuple = ()
     series: dict = field(default_factory=dict)
 
@@ -125,7 +126,7 @@ def _fringe_starts(phases: np.ndarray, rows: np.ndarray) -> list[list[float]]:
     return starts
 
 
-def _convergence_flags(fits: list[FitResult]) -> list[str]:
+def _convergence_flags(fits: tuple) -> list[str]:
     """The fit-not-converged flag when any of ``fits`` stopped unconverged."""
     return [] if all(fit.converged for fit in fits) else ["fit-not-converged"]
 
@@ -202,13 +203,15 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
         misfit = float(np.max(np.abs(phi[k] - fit.predict(times))))
         if misfit > max(UNWRAP_RESIDUAL_FLOOR, 5.0 * _median(phase_err[k])):
             flags.append("unwrap-ambiguity")
-        flags += _convergence_flags(row_fits[k * len(times) : (k + 1) * len(times)] + [fit])
+        draw_fits = (*row_fits[k * len(times) : (k + 1) * len(times)], fit)
+        flags += _convergence_flags(draw_fits)
         estimates.append(
             LifetimeEstimate(
                 method=PHASE_METHOD,
                 lifetime=fit.parameter("tau"),
                 uncertainty=fit.stderr("tau"),
                 fit=fit,
+                fits=draw_fits,
                 flags=tuple(flags),
                 series={"times": times, "phases": phi[k], "phase_stderr": phase_err[k]},
             )
@@ -268,24 +271,26 @@ def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEsti
         shifted,
         [usable_errors(err) for err in center_err],
     )
-    return [
-        LifetimeEstimate(
-            method=FREQUENCY_METHOD,
-            lifetime=fit.parameter("tau"),
-            uncertainty=fit.stderr("tau"),
-            fit=fit,
-            flags=tuple(
-                _convergence_flags(row_fits[k * len(times) : (k + 1) * len(times)] + [fit])
-            ),
-            series={"times": times, "centers": centers[k], "center_stderr": center_err[k]},
+    estimates = []
+    for k, fit in enumerate(fits):
+        draw_fits = (*row_fits[k * len(times) : (k + 1) * len(times)], fit)
+        estimates.append(
+            LifetimeEstimate(
+                method=FREQUENCY_METHOD,
+                lifetime=fit.parameter("tau"),
+                uncertainty=fit.stderr("tau"),
+                fit=fit,
+                fits=draw_fits,
+                flags=tuple(_convergence_flags(draw_fits)),
+                series={"times": times, "centers": centers[k], "center_stderr": center_err[k]},
+            )
         )
-        for k, fit in enumerate(fits)
-    ]
+    return estimates
 
 
 @dataclass(frozen=True)
 class ParametricScanEstimate:
-    """kappa_m and omega_qm inferred from the rate-vs-detuning profile."""
+    """kappa_m and omega_qm of a scan; ``fits`` holds its rate fits, then ``fit``."""
 
     kappa_m: float
     kappa_m_stderr: float
@@ -294,6 +299,7 @@ class ParametricScanEstimate:
     center: float
     rate_offset: float
     fit: FitResult
+    fits: tuple = ()
     flags: tuple = ()
 
 
@@ -341,7 +347,8 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
         flags.append("scan-narrower-than-fwhm")
     if amp <= 2.0 * profile.stderr("amplitude"):
         flags.append("amplitude-consistent-with-zero")
-    flags += _convergence_flags(row_fits + [profile])
+    fits = (*row_fits, profile)
+    flags += _convergence_flags(fits)
     return ParametricScanEstimate(
         kappa_m=fwhm,
         kappa_m_stderr=profile.stderr("fwhm"),
@@ -350,5 +357,6 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
         center=profile.parameter("center"),
         rate_offset=profile.parameter("offset"),
         fit=profile,
+        fits=fits,
         flags=tuple(flags),
     )

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import calibrate_magnon_number, linear_slope
 from .config import (
-    ANALYSIS_INPUTS,
+    ANALYSES,
     MAX_SHOT_BUFFER_BYTES,
     ExperimentConfig,
     ProtocolNode,
@@ -43,6 +43,7 @@ from .lifetimes import (
 from .params import SystemParams
 from .protocols import (
     GRIDS,
+    PROTOCOLS,
     dataset_meta,
     grid_axes,
     relaxation_delays,
@@ -177,9 +178,14 @@ def _fit_status(fits) -> dict:
     }
 
 
-def _coherence_report(datasets: dict, inputs: dict) -> dict:
-    ramsey = datasets[inputs["ramsey"]]
-    relaxation = datasets[inputs["relaxation"]]
+# A report builder maps (node, datasets, system, sensing, subsample) to (keys,
+# fits, {table file name: columns}). It calls its estimators by their names in
+# this module, looked up at each call, so a wrapper bound there sees each call.
+
+
+def _coherence_report(node, datasets, system, sensing, subsample):
+    ramsey = datasets[node.inputs["ramsey"]]
+    relaxation = datasets[node.inputs["relaxation"]]
     t1_fit = fit_curve(
         FitModel("exponential-decay"),
         relaxation.axis("delay").values,
@@ -199,8 +205,7 @@ def _coherence_report(datasets: dict, inputs: dict) -> dict:
         "t2_stderr_s": ramsey_fit.stderr("tau"),
         "fringe_frequency_hz": abs(ramsey_fit.parameter("frequency")),
         "fringe_contrast": abs(ramsey_fit.parameter("amplitude")),
-        **_fit_status((t1_fit, ramsey_fit)),
-    }
+    }, (t1_fit, ramsey_fit), {}
 
 
 def _fit_series_rates(series: SweepDataset) -> tuple[np.ndarray, np.ndarray, list]:
@@ -248,19 +253,12 @@ def _calibrate(system: SystemParams, datasets: dict, inputs: dict):
     return calibration, spectro_fits, fits, keys
 
 
-def _calibration_report(system: SystemParams, datasets: dict, inputs: dict) -> dict:
-    _, _, fits, keys = _calibrate(system, datasets, inputs)
-    return {**keys, **_fit_status(fits)}
+def _calibration_report(node, datasets, system, sensing, subsample):
+    _, _, fits, keys = _calibrate(system, datasets, node.inputs)
+    return keys, fits, {}
 
 
-def _sensitivity_report(
-    system: SystemParams,
-    sensing: SensingConfig,
-    datasets: dict,
-    node,
-    out_dir: Path,
-    manifest_hash: str,
-) -> dict:
+def _sensitivity_report(node, datasets, system, sensing, subsample):
     calibration, spectro_fits, fits, keys = _calibrate(system, datasets, node.inputs)
     spectroscopy = datasets[node.inputs["spectroscopy"]]
     profile = fit_noise_profile(spectroscopy, calibration)
@@ -268,7 +266,6 @@ def _sensitivity_report(
     grid = np.linspace(options["n_min"], options["n_max"], int(options["count"]))
     curve = sensitivity_curve(spectro_fits, profile, calibration, sensing, grid)
     resolved = curve.sensitivity[~curve.unresolvable]
-    keys = dict(keys)
     keys.update(
         {
             "snr_threshold": sensing.threshold,
@@ -282,28 +279,15 @@ def _sensitivity_report(
             "unresolvable_points": int(np.sum(curve.unresolvable)),
             "sensitivity_min": float(np.min(resolved)) if resolved.size else float("nan"),
             "sensitivity_max": float(np.max(resolved)) if resolved.size else float("nan"),
-            **_fit_status(fits + list(profile.fits)),
         }
     )
-    table = out_dir / "sensitivity.csv"
-    _write_table(
-        table,
-        manifest_hash,
-        [
-            ("n_m", "magnons", curve.n_grid),
-            ("sensitivity", "magnons/sqrt(Hz)", curve.sensitivity),
-            ("unresolvable", "flag", curve.unresolvable.astype(int)),
-            ("extrapolated", "flag", curve.extrapolated.astype(int)),
-        ],
-    )
-    return keys
-
-
-# lifetime analysis kind -> (stack estimator, its row fit family)
-_LIFETIME_STACKS = {
-    "lifetime-phase": (phase_lifetimes, "sinusoid"),
-    "lifetime-frequency": (frequency_lifetimes, "gaussian"),
-}
+    table = [
+        ("n_m", "magnons", curve.n_grid),
+        ("sensitivity", "magnons/sqrt(Hz)", curve.sensitivity),
+        ("unresolvable", "flag", curve.unresolvable.astype(int)),
+        ("extrapolated", "flag", curve.extrapolated.astype(int)),
+    ]
+    return keys, fits + list(profile.fits), {"sensitivity.csv": table}
 
 
 def _lifetime_keys(estimate) -> dict:
@@ -319,8 +303,75 @@ def _lifetime_keys(estimate) -> dict:
     return keys
 
 
-def _parametric_report(datasets: dict, inputs: dict) -> dict:
-    estimate = extract_kappa_m_from_scan(datasets[inputs["dataset"]])
+def _check_subsample_count(dataset: SweepDataset, row_fit: FitModel, count: int) -> None:
+    """Reject a draw count whose row-fit Jacobian probes overflow the buffer.
+
+    The largest array of a subsample report is the row fit's float64
+    Jacobian probes: 2k model evaluations of every grid point of each of
+    the ``count + 1`` stacked draws, for a k-parameter row model.
+    """
+    per_draw = 8 * 2 * row_fit.n_parameters() * dataset.p_e.size
+    max_count = MAX_SHOT_BUFFER_BYTES // per_draw - 1
+    if count > max_count:
+        raise ConfigError(
+            f"--subsample-count {count} needs {(count + 1) * per_draw} bytes of fit "
+            f"probes on a {dataset.p_e.size}-point grid; at most {max_count} draws fit "
+            f"the {MAX_SHOT_BUFFER_BYTES}-byte buffer"
+        )
+
+
+def _lifetime_report(node, datasets, subsample, estimate, stack):
+    """A lifetime report from ``estimate``, or from ``stack`` with a subsample.
+
+    With a subsample request, the recorded ``p_e`` and ``stderr`` are draw 0
+    of one stack and the time-budget draws 1..count, all fit in one ``stack``
+    call. Estimate 0 gives the keys the report writes without a request, and
+    the draws' estimates the subsample table.
+    """
+    dataset = datasets[node.inputs["dataset"]]
+    if subsample is None:
+        full = estimate(dataset)
+        return _lifetime_keys(full), full.fits, {}
+    budget, count = subsample
+    protocol, grid_fits = ANALYSES[node.kind]["dataset"]
+    # the kind check comes before the draw, so a wrong-kind dataset is
+    # reported as such and not as one the draw cannot use
+    require_protocol(dataset, protocol)
+    # the row fit runs along the protocol's last axis
+    _check_subsample_count(dataset, grid_fits[PROTOCOLS[protocol][0][-1]], count)
+    p_e = np.empty((count + 1,) + dataset.grid_shape)
+    stderr = np.empty_like(p_e)
+    p_e[0], stderr[0] = dataset.p_e, dataset.stderr
+    p_e[1:], stderr[1:] = subsample_draws(dataset, budget, range(count))
+    full, *draws = stack(dataset, p_e, stderr)
+    lifetimes = np.array([draw.lifetime for draw in draws])
+    keys = {
+        **_lifetime_keys(full),
+        "subsample_budget_s": budget,
+        "subsample_count": count,
+        "subsample_lifetime_mean_s": float(np.mean(lifetimes)),
+        "subsample_lifetime_std_s": float(np.std(lifetimes, ddof=1)),
+    }
+    table = [
+        ("subset", "index", np.arange(count)),
+        ("lifetime", "s", lifetimes),
+        ("uncertainty", "s", np.array([draw.uncertainty for draw in draws])),
+    ]
+    return keys, full.fits, {f"{node.kind}-subsample.csv": table}
+
+
+def _phase_lifetime_report(node, datasets, system, sensing, subsample):
+    return _lifetime_report(node, datasets, subsample, lifetime_from_phase, phase_lifetimes)
+
+
+def _frequency_lifetime_report(node, datasets, system, sensing, subsample):
+    return _lifetime_report(
+        node, datasets, subsample, lifetime_from_frequency, frequency_lifetimes
+    )
+
+
+def _parametric_report(node, datasets, system, sensing, subsample):
+    estimate = extract_kappa_m_from_scan(datasets[node.inputs["dataset"]])
     return {
         "kappa_m_rad_per_s": estimate.kappa_m,
         "kappa_m_stderr": estimate.kappa_m_stderr,
@@ -331,91 +382,20 @@ def _parametric_report(datasets: dict, inputs: dict) -> dict:
         "center_rad_per_s": estimate.center,
         "rate_offset_rad_per_s": estimate.rate_offset,
         "flags": ";".join(estimate.flags) if estimate.flags else "none",
-    }
+    }, estimate.fits, {}
 
 
-def _check_subsample_count(dataset: SweepDataset, row_family: str, count: int) -> None:
-    """Reject a draw count whose row-fit Jacobian probes overflow the buffer.
-
-    The largest array of a subsample report is the row fit's float64
-    Jacobian probes: 2k model evaluations of every grid point of each of
-    the ``count + 1`` stacked draws, for a k-parameter row model.
-    """
-    per_draw = 8 * 2 * FitModel(row_family).n_parameters() * dataset.p_e.size
-    max_count = MAX_SHOT_BUFFER_BYTES // per_draw - 1
-    if count > max_count:
-        raise ConfigError(
-            f"--subsample-count {count} needs {(count + 1) * per_draw} bytes of fit "
-            f"probes on a {dataset.p_e.size}-point grid; at most {max_count} draws fit "
-            f"the {MAX_SHOT_BUFFER_BYTES}-byte buffer"
-        )
-
-
-def _subsample_table(
-    dataset: SweepDataset,
-    kind: str,
-    budget: float,
-    count: int,
-    path: Path,
-    manifest_hash: str,
-) -> dict:
-    """Lifetime report keys of the full data and of ``count`` time-budget draws.
-
-    The recorded ``p_e`` and ``stderr`` are draw 0 of one stack and the
-    subsample draws 1..count, all fit in one stack estimator call. Estimate
-    0 gives the keys the report writes without a subsample request, and
-    the draws' estimates the table.
-    """
-    estimator, row_family = _LIFETIME_STACKS[kind]
-    # the kind check comes before the draw, so a wrong-kind dataset is
-    # reported as such and not as one the draw cannot use
-    require_protocol(dataset, ANALYSIS_INPUTS[kind]["dataset"])
-    _check_subsample_count(dataset, row_family, count)
-    p_e = np.empty((count + 1,) + dataset.grid_shape)
-    stderr = np.empty_like(p_e)
-    p_e[0], stderr[0] = dataset.p_e, dataset.stderr
-    p_e[1:], stderr[1:] = subsample_draws(dataset, budget, range(count))
-    full, *draws = estimator(dataset, p_e, stderr)
-    lifetimes = np.array([estimate.lifetime for estimate in draws])
-    uncertainties = np.array([estimate.uncertainty for estimate in draws])
-    _write_table(
-        path,
-        manifest_hash,
-        [
-            ("subset", "index", np.arange(count)),
-            ("lifetime", "s", lifetimes),
-            ("uncertainty", "s", uncertainties),
-        ],
-    )
-    return {
-        **_lifetime_keys(full),
-        "subsample_budget_s": budget,
-        "subsample_count": count,
-        "subsample_lifetime_mean_s": float(np.mean(lifetimes)),
-        "subsample_lifetime_std_s": float(np.std(lifetimes, ddof=1)),
-    }
-
-
-def _analysis_keys(node, datasets, out_dir, manifest_hash, system, sensing, subsample) -> dict:
-    """The report keys of one analysis node, with its subsample table's keys."""
-    if node.kind in _LIFETIME_STACKS:
-        dataset = datasets[node.inputs["dataset"]]
-        if subsample is None:
-            if node.kind == "lifetime-phase":
-                return _lifetime_keys(lifetime_from_phase(dataset))
-            return _lifetime_keys(lifetime_from_frequency(dataset))
-        budget, count = subsample
-        table_path = out_dir / f"{node.kind}-subsample.csv"
-        return _subsample_table(dataset, node.kind, budget, count, table_path, manifest_hash)
-    if node.kind == "coherence":
-        return _coherence_report(datasets, node.inputs)
-    if node.kind == "calibration":
-        return _calibration_report(system, datasets, node.inputs)
-    if node.kind == "sensitivity":
-        return _sensitivity_report(system, sensing, datasets, node, out_dir, manifest_hash)
-    if node.kind == "parametric":
-        return _parametric_report(datasets, node.inputs)
-    raise ConfigError(f"unknown analysis kind {node.kind!r}")
+# analysis kind -> its report builder, for each kind of config.ANALYSES; the
+# kinds of _SUBSAMPLED fit a subsample request's draws
+REPORTS = {
+    "coherence": _coherence_report,
+    "calibration": _calibration_report,
+    "sensitivity": _sensitivity_report,
+    "lifetime-phase": _phase_lifetime_report,
+    "lifetime-frequency": _frequency_lifetime_report,
+    "parametric": _parametric_report,
+}
+_SUBSAMPLED = ("lifetime-phase", "lifetime-frequency")
 
 
 def run_analyses(
@@ -428,27 +408,32 @@ def run_analyses(
     only: str | None = None,
     subsample: tuple | None = None,
 ) -> dict:
-    """Run analysis nodes, writing one report file per analysis.
+    """Run analysis nodes, writing their tables and then one report each.
 
     Calibration and sensitivity read the device's ``system`` parameters, and
     sensitivity its ``sensing`` budget; the other analyses read only their
-    datasets. A ``MagsenseError`` raised inside an analysis is raised again,
-    as the same type, with the analysis's index, kind and inputs in front.
+    datasets. Every report ends in the same fit-status keys. A
+    ``MagsenseError`` raised inside an analysis is raised again, as the same
+    type, with the analysis's index, kind and inputs in front, and no file
+    is written; so is a ``subsample`` request that no analysis run can use.
     """
-    reports = {}
-    for k, node in enumerate(analyses):
-        if only is not None and node.kind != only:
-            continue
+    runs = [(k, node) for k, node in enumerate(analyses) if only in (None, node.kind)]
+    if subsample is not None and runs and not any(n.kind in _SUBSAMPLED for _, n in runs):
+        raise ConfigError("--subsample-budget applies only to a lifetime analysis")
+    built = {}
+    for k, node in runs:
         try:
-            keys = _analysis_keys(
-                node, datasets, out_dir, manifest_hash, system, sensing, subsample
-            )
+            built[node.kind] = REPORTS[node.kind](node, datasets, system, sensing, subsample)
         except MagsenseError as exc:
             inputs = ", ".join(f"{key}={name}" for key, name in node.inputs.items())
             raise type(exc)(f"analyses[{k}] ({node.kind}), inputs {inputs}: {exc}") from exc
-        path = out_dir / f"{node.kind}.txt"
-        _write_report(path, manifest_hash, keys)
-        reports[node.kind] = path
+    for _, _, tables in built.values():
+        for name, columns in tables.items():
+            _write_table(out_dir / name, manifest_hash, columns)
+    reports = {}
+    for kind, (keys, fits, _) in built.items():
+        reports[kind] = out_dir / f"{kind}.txt"
+        _write_report(reports[kind], manifest_hash, {**keys, **_fit_status(fits)})
     return reports
 
 

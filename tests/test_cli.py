@@ -13,6 +13,7 @@ from magsense import runner
 from magsense.cli import bundled_configs, main
 from magsense.config import MAX_SHOT_BUFFER_BYTES
 from magsense.errors import ConfigError
+from magsense.fitting import FitModel
 from magsense.runner import read_report
 from magsense.sweep import read_dataset
 
@@ -464,9 +465,9 @@ class TestReport:
         largest = MAX_SHOT_BUFFER_BYTES // (8 * 2 * 4 * 13 * 13) - 1
         assert f"at most {largest} draws" in err
         dataset = read_dataset(decay_artifact / "decay-phase.csv")
-        runner._check_subsample_count(dataset, "sinusoid", largest)
+        runner._check_subsample_count(dataset, FitModel("sinusoid"), largest)
         with pytest.raises(ConfigError):
-            runner._check_subsample_count(dataset, "sinusoid", largest + 1)
+            runner._check_subsample_count(dataset, FitModel("sinusoid"), largest + 1)
 
     @pytest.mark.parametrize(
         "flags",
@@ -486,23 +487,33 @@ class TestReport:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flags",
+        "artifact, flags",
         [
-            ["--subsample-count", "5"],
-            ["--analysis", "lifetime-phase"],
-            ["--output", "not-made"],
+            ("decay_artifact", ["--subsample-count", "5"]),
+            ("decay_artifact", ["--analysis", "lifetime-phase"]),
+            ("decay_artifact", ["--output", "not-made"]),
+            ("coherence_artifact", ["--subsample-budget", "1.0"]),
         ],
-        ids=["count-without-budget", "analysis-without-import", "output-without-import"],
+        ids=[
+            "count-without-budget",
+            "analysis-without-import",
+            "output-without-import",
+            "budget-without-lifetime",
+        ],
     )
     def test_flags_that_do_not_apply_exit_2(
-        self, decay_artifact, flags, tmp_path, monkeypatch, capsys
+        self, artifact, flags, tmp_path, monkeypatch, capsys, request
     ):
+        artifact = request.getfixturevalue(artifact)
+        capsys.readouterr()
+        before = {path.name: path.read_bytes() for path in artifact.iterdir()}
         monkeypatch.chdir(tmp_path)
-        assert main(["report", str(decay_artifact), *flags]) == 2
+        assert main(["report", str(artifact), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and flags[0] in captured.err
         assert list(tmp_path.iterdir()) == []
+        assert {path.name: path.read_bytes() for path in artifact.iterdir()} == before
 
 
 class TestImport:

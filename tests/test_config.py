@@ -15,7 +15,7 @@ import yaml
 
 from magsense.cli import bundled_configs, main
 from magsense.config import (
-    _GRID_FITS,
+    ANALYSES,
     MAX_SHOT_BUFFER_BYTES,
     ExperimentConfig,
     from_resolved,
@@ -367,8 +367,12 @@ class TestFittedGrids:
         assert main(["validate", str(path)]) == 0
 
     def test_every_fitted_grid_has_its_fit(self):
-        for kind, (keys, _, _, _) in PROTOCOLS.items():
-            assert sorted(_GRID_FITS[kind]) == sorted(keys), kind
+        read = set()
+        for kind, inputs in ANALYSES.items():
+            for input_key, (protocol, fits) in inputs.items():
+                assert sorted(fits) == sorted(PROTOCOLS[protocol][0]), (kind, input_key)
+                read.add(protocol)
+        assert read == set(PROTOCOLS)
 
 
 class TestConfigValidation:
@@ -462,6 +466,34 @@ class TestConfigValidation:
         ]
         with pytest.raises(ConfigError, match="duplicate name 'twin'"):
             parse_config(raw)
+
+    def test_a_second_analysis_of_a_kind_is_rejected(self, tmp_path, capsys):
+        phase = {
+            "kind": "decay-phase",
+            "n0": 650,
+            "sense_times": {"start": "0 ns", "stop": "240 ns", "count": 7},
+            "second_pulse_phases": {"start": "0 rad", "stop": "6 rad", "count": 9},
+        }
+        raw = base_config(
+            protocols=[{**phase, "name": "early"}, {**phase, "name": "late"}],
+            analyses=[
+                {"kind": "lifetime-phase", "dataset": "early"},
+                {"kind": "lifetime-phase", "dataset": "late"},
+            ],
+        )
+        message = (
+            "config.analyses[1].kind: a second 'lifetime-phase' analysis, after "
+            "analyses[0]; each kind writes one report"
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == message
+        path = tmp_path / "twice.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert "analyses[1].kind" in capsys.readouterr().err
+        del raw["analyses"][1]
+        assert parse_config(raw).analyses[0].inputs == {"dataset": "early"}
 
     def test_analysis_input_kind_mismatch(self):
         raw = base_config(

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from conftest import removed_field_edits, rewrite_manifest, traced_peak
 
-from magsense import fitting
-from magsense.config import AnalysisNode, load_config
+from magsense import fitting, runner
+from magsense.config import ANALYSES, AnalysisNode, load_config
 from magsense.errors import DegenerateDataError, EstimationError, MagsenseError
 from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase
 from magsense.protocols import run_ramsey
 from magsense.runner import (
+    REPORTS,
     _fit_status,
     _protocol_params,
     _series_seed,
-    _subsample_table,
     execute_protocol,
     load_artifact,
     read_report,
@@ -146,22 +146,23 @@ def _keep_60_of_200(dataset):
 def test_subsample_table_matches_per_draw_estimates(tmp_path):
     artifact = _run(tmp_path, DECAY_YAML)
     manifest, _, datasets = load_artifact(artifact.path)
-    cases = [
-        ("lifetime-phase", datasets["decay-phase"], lifetime_from_phase),
-        ("lifetime-frequency", datasets["decay-spectroscopy"], lifetime_from_frequency),
-    ]
+    estimators = (lifetime_from_phase, lifetime_from_frequency)
     count = 6
-    for kind, dataset, estimator in cases:
+    for node, estimator in zip(LIFETIME_NODES, estimators):
+        dataset = datasets[node.inputs["dataset"]]
         budget = _keep_60_of_200(dataset)
-        table = tmp_path / f"{kind}-subsample.csv"
-        keys = _subsample_table(dataset, kind, budget, count, table, manifest["hash"])
+        reports = run_analyses(
+            (node,), datasets, tmp_path, manifest["hash"], subsample=(budget, count)
+        )
+        keys = read_report(reports[node.kind])
+        table = tmp_path / f"{node.kind}-subsample.csv"
         rows = np.loadtxt(table, delimiter=",", comments="#", skiprows=2, ndmin=2)
         loop = [estimator(subsample_time_budget(dataset, budget, seed=k)) for k in range(count)]
         assert rows[:, 0].tolist() == list(range(count))
         assert rows[:, 1].tolist() == [e.lifetime for e in loop]
         assert rows[:, 2].tolist() == [e.uncertainty for e in loop]
-        assert keys["lifetime_s"] == estimator(dataset).lifetime
-        assert keys["subsample_lifetime_mean_s"] == np.mean(rows[:, 1])
+        assert float(keys["lifetime_s"]) == estimator(dataset).lifetime
+        assert float(keys["subsample_lifetime_mean_s"]) == np.mean(rows[:, 1])
         assert len(set(rows[:, 1])) == count
 
 
@@ -252,28 +253,104 @@ def test_fit_status_names_each_failing_message_once():
     assert _fit_status(fits[:1]) == {"fit_converged": True, "fit_message": "none"}
 
 
-def test_reports_say_when_a_fit_did_not_converge(tmp_path, monkeypatch):
-    artifact = _run(tmp_path, FITS_YAML)
-    kinds = ("coherence", "calibration", "sensitivity")
-    for kind in kinds:
-        report = read_report(artifact.reports[kind])
-        assert (report["fit_converged"], report["fit_message"]) == ("True", "none")
-    manifest, config, datasets = load_artifact(artifact.path)
+PARAMETRIC_YAML = """\
+name: parametric-fits
+seed: 5
+acquisition:
+  n_shots: 1600
+protocols:
+  - kind: parametric-scan
+    pump:
+      omega_qm: 0.66 MHz
+    deltas: {start: -7.215 MHz, stop: 7.215 MHz, count: 9}
+    durations: {start: 0 us, stop: 4 us, count: 9}
+analyses:
+  - kind: parametric
+"""
+
+# configs that between them run every analysis kind, with every fit converged
+KIND_CASES = {
+    "coherence-calibration-sensitivity": FITS_YAML,
+    "lifetimes": DECAY_YAML
+    + "analyses:\n  - kind: lifetime-phase\n  - kind: lifetime-frequency\n",
+    "parametric": PARAMETRIC_YAML,
+}
+
+
+@pytest.fixture(scope="module")
+def kind_artifacts(tmp_path_factory):
+    return {
+        case: _run(tmp_path_factory.mktemp(case), text) for case, text in KIND_CASES.items()
+    }
+
+
+def test_reports_say_when_a_fit_did_not_converge(kind_artifacts, tmp_path, monkeypatch):
+    kinds = set()
+    for artifact in kind_artifacts.values():
+        for kind, path in artifact.reports.items():
+            report = read_report(path)
+            assert (report["fit_converged"], report["fit_message"]) == ("True", "none")
+            assert list(report)[-2:] == ["fit_converged", "fit_message"]
+            kinds.add(kind)
+    assert kinds == set(ANALYSES)
     monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
-    stalled = tmp_path / "stalled"
-    stalled.mkdir()
-    reports = run_analyses(
-        config.analyses,
-        datasets,
-        stalled,
-        manifest["hash"],
-        system=config.system,
-        sensing=config.sensing,
-    )
-    for kind in kinds:
-        report = read_report(reports[kind])
-        assert report["fit_converged"] == "False"
-        assert report["fit_message"] == "no convergence within 1 iterations"
+    for case, artifact in kind_artifacts.items():
+        manifest, config, datasets = load_artifact(artifact.path)
+        stalled = tmp_path / case
+        stalled.mkdir()
+        reports = run_analyses(
+            config.analyses,
+            datasets,
+            stalled,
+            manifest["hash"],
+            system=config.system,
+            sensing=config.sensing,
+        )
+        assert reports.keys() == artifact.reports.keys()
+        for kind, path in reports.items():
+            report = read_report(path)
+            assert report["fit_converged"] == "False"
+            assert report["fit_message"] == "no convergence within 1 iterations"
+
+
+# the estimators the benchmark's tracer (perfbench/layers.py) wraps by their
+# names on runner, which each report builder must call through those names
+TRACED = {
+    "coherence": {"fit_curve"},
+    "calibration": {"fit_power_spectra"},
+    "sensitivity": {"fit_power_spectra", "fit_noise_profile", "sensitivity_curve"},
+    "lifetime-phase": {"lifetime_from_phase"},
+    "lifetime-frequency": {"lifetime_from_frequency"},
+    "parametric": {"extract_kappa_m_from_scan"},
+}
+
+
+def test_each_report_calls_its_traced_estimators_by_name(kind_artifacts, tmp_path, monkeypatch):
+    assert REPORTS.keys() == ANALYSES.keys() == TRACED.keys()
+    calls = []
+    for name in set().union(*TRACED.values()):
+
+        def counted(*args, _name=name, _fn=getattr(runner, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counted)
+    ran = set()
+    for artifact in kind_artifacts.values():
+        manifest, config, datasets = load_artifact(artifact.path)
+        for node in config.analyses:
+            calls.clear()
+            run_analyses(
+                (node,),
+                datasets,
+                tmp_path,
+                manifest["hash"],
+                system=config.system,
+                sensing=config.sensing,
+            )
+            assert set(calls) == TRACED[node.kind], node.kind
+            ran.add(node.kind)
+    assert ran == set(REPORTS)
 
 
 SERIES_SHOTS_YAML = """\
