@@ -9,9 +9,16 @@ parameter fit its logarithm internally so those parameters stay positive;
 reported parameters and covariances are in the natural parameterization.
 
 ``fit_rows`` fits many data rows on one abscissa in lockstep: each row keeps
-its own damping factor and stopping state, and the Jacobian probes and
-trial steps of all rows still iterating go through one broadcast model
-evaluation. ``fit_curve`` is its one-row case.
+its own damping factor and stopping state, and the Jacobians and trial steps
+of all rows still iterating go through one broadcast evaluation. Jacobians
+are closed-form: each family declares its partial derivatives next to its
+model, so no fit takes a finite difference. ``fit_curve`` is its one-row
+case.
+
+A parameter the data do not determine (its column of the Jacobian is zero,
+or it moves along the null space of a singular normal matrix) gets infinite
+variance, and its fit reads not converged with a message naming it. A
+point with an infinite error gets no weight.
 
 Initial guesses are automatic and deterministic: peaked models start from
 max/centroid/second-moment estimates, exponentials from log-linear regression,
@@ -119,6 +126,51 @@ class FitModel:
             + p[6]
         )
 
+    def _partials(self, x: np.ndarray, p: np.ndarray) -> tuple:
+        """Partial derivatives of :meth:`evaluate` by each natural parameter.
+
+        Takes ``x`` and ``p`` as :meth:`evaluate` does, branch for branch,
+        and returns one array (or scalar) per parameter, broadcasting like
+        the model value. The polynomial family is solved directly and has
+        no entry.
+        """
+        fam = self.family
+        if fam == "gaussian":
+            u = (x - p[1]) / p[2]
+            bump = np.exp(-0.5 * u**2)
+            slope = p[0] * bump * u / p[2]
+            return bump, slope, slope * u, 1.0
+        if fam == "lorentzian":
+            half = 0.5 * p[2]
+            v = (x - p[1]) / half
+            line = 1.0 / (1.0 + v**2)
+            slope = p[0] * line**2 * v / half
+            return line, 2.0 * slope, slope * v, 1.0
+        if fam == "exponential-decay":
+            decay = np.exp(-x / p[1])
+            return decay, p[0] * decay * x / p[1] ** 2, 1.0
+        if fam == "saturating-exponential":
+            decay = np.exp(-x / p[2])
+            return 1.0, -decay, -p[1] * decay * x / p[2] ** 2
+        if fam == "sinusoid":
+            angle = 2.0 * math.pi * p[1] * x + p[2]
+            swing = p[0] * np.cos(angle)
+            return np.sin(angle), 2.0 * math.pi * x * swing, swing, 1.0
+        if fam == "damped-sinusoid":
+            decay = np.exp(-x / p[1])
+            angle = 2.0 * math.pi * p[2] * x + p[3]
+            wave = decay * np.sin(angle)
+            swing = p[0] * decay * np.cos(angle)
+            return wave, p[0] * wave * x / p[1] ** 2, 2.0 * math.pi * x * swing, swing, 1.0
+        # double-gaussian
+        u1 = (x - p[1]) / p[2]
+        u2 = (x - p[4]) / p[5]
+        bump1 = np.exp(-0.5 * u1**2)
+        bump2 = np.exp(-0.5 * u2**2)
+        slope1 = p[0] * bump1 * u1 / p[2]
+        slope2 = p[3] * bump2 * u2 / p[5]
+        return bump1, slope1, slope1 * u1, bump2, slope2, slope2 * u2, 1.0
+
 
 @dataclass
 class FitResult:
@@ -146,11 +198,18 @@ class FitResult:
 
 
 def _to_internal(model: FitModel, p: np.ndarray) -> np.ndarray:
+    """Internal parameters of natural parameter vectors ``p[..., k]``.
+
+    Vectors are checked in order; the first one with a log parameter <= 0
+    raises naming its first such parameter.
+    """
     theta = np.array(p, dtype=float)
-    for k in model._positive_indices():
-        if theta[k] <= 0:
-            raise ValueError(f"parameter {model.parameter_names()[k]} must be > 0")
-        theta[k] = math.log(theta[k])
+    positive = list(model._positive_indices())
+    bad = theta[..., positive] <= 0
+    if bad.any():
+        first = int(np.argmax(bad.reshape(-1))) % len(positive)
+        raise ValueError(f"parameter {model.parameter_names()[positive[first]]} must be > 0")
+    theta[..., positive] = np.log(theta[..., positive])
     return theta
 
 
@@ -173,22 +232,30 @@ def _residuals(model: FitModel, theta, x, y, sw) -> np.ndarray:
         return (y - model.evaluate(x, np.moveaxis(p, -1, 0)[..., None])) * sw
 
 
-def _jacobian(model: FitModel, theta, x, y, sw) -> np.ndarray:
-    """Central-difference Jacobians of the rows' residuals, shape (rows, n, k).
+def _jacobian(model: FitModel, theta, x, sw) -> np.ndarray:
+    """Jacobians of the rows' residuals by their internal parameters, (rows, n, k).
 
-    The 2k probes of every row go through one broadcast model evaluation.
+    Closed form: minus the weight times the model's partial derivatives,
+    times d p / d theta = p for a log parameter, whose column is exactly 0
+    where ``_from_internal`` clamps it. Every element depends on its own
+    row alone, whatever batch the row is in.
     """
-    n_par = theta.shape[1]
-    h = 1e-6 * np.maximum(1.0, np.abs(theta))
-    shifts = h[:, :, None] * np.eye(n_par)
-    probes = np.concatenate(
-        (theta[:, None, :] + shifts, theta[:, None, :] - shifts), axis=1
-    )
-    r = _residuals(model, probes, x, y[:, None, :], sw[:, None, :])
+    p = _from_internal(model, theta)
+    chain = np.ones_like(p)
+    positive = list(model._positive_indices())
+    chain[:, positive] = p[:, positive]
     # C order (rows, n, k): each row's J^T J and J^T r then go through the
     # same BLAS calls, with the same rounding, whatever batch it is in
-    jac = (r[:, :n_par] - r[:, n_par:]) / (2.0 * h[:, :, None])
-    return np.ascontiguousarray(np.swapaxes(jac, 1, 2))
+    jac = np.empty(sw.shape + theta.shape[1:])
+    with np.errstate(all="ignore"):
+        for k, partial in enumerate(model._partials(x, np.moveaxis(p, -1, 0)[..., None])):
+            jac[:, :, k] = partial
+        jac *= -sw[:, :, None] * chain[:, None, :]
+    clamped = np.zeros(theta.shape, dtype=bool)
+    clamped[:, positive] = theta[:, positive] > 700.0
+    if clamped.any():
+        np.copyto(jac, 0.0, where=clamped[:, None, :])
+    return jac
 
 
 def _normal_equations(jac: np.ndarray, r: np.ndarray):
@@ -249,32 +316,42 @@ def _prepare_rows(model: FitModel, x: np.ndarray, y_rows, y_err_rows, inits):
             )
         )
     bad_errors = np.zeros(checked, dtype=bool)
-    bad_errors[weighted] = ~np.all(np.isfinite(errors) & (errors > 0), axis=1)
-    checks.append((bad_errors, ValueError("y_err must be finite and > 0")))
+    bad_errors[weighted] = ~np.all(errors > 0, axis=1)  # inf: a point of no weight
+    checks.append((bad_errors, ValueError("y_err must be > 0")))
     failing = np.array([rows for rows, _ in checks])
     error = shape_error
     if failing.any():
         checked = int(np.argmax(failing.any(axis=0)))
         error = checks[int(np.argmax(failing[:, checked]))][1]
-    starts = []
+    starts = None
     if model.family != "polynomial":
-        starts = [_internal_start(model, x, y[i], inits[i]) for i in range(checked)]
+        starts = _internal_starts(model, x, y[:checked], inits[:checked])
     if error is not None:
         raise error
     weights = np.ones_like(y)
     weights[weighted] = 1.0 / errors**2
     absolute = np.zeros(checked, dtype=bool)
     absolute[weighted] = True
-    return y, weights, absolute, np.array(starts)
+    return y, weights, absolute, starts
 
 
-def _internal_start(model: FitModel, x: np.ndarray, y: np.ndarray, init) -> np.ndarray:
-    """Checked internal starting parameters of one row."""
-    p0 = np.asarray(init, dtype=float) if init is not None else _auto_init(model, x, y)
-    if len(p0) != model.n_parameters():
-        raise ValueError(
-            f"{model.family} expects {model.n_parameters()} parameters, got {len(p0)}"
-        )
+def _internal_starts(model: FitModel, x: np.ndarray, y: np.ndarray, inits) -> np.ndarray:
+    """Checked internal starting parameters of rows ``y``, shape (rows, k).
+
+    The first row whose start is invalid raises its start's first error:
+    its initializer's, its length's, or its first log parameter <= 0.
+    """
+    n_par = model.n_parameters()
+    p0 = np.empty((len(y), n_par))
+    for i, init in enumerate(inits):
+        try:
+            start = np.asarray(init, dtype=float) if init is not None else _auto_init(model, x, y[i])
+            if len(start) != n_par:
+                raise ValueError(f"{model.family} expects {n_par} parameters, got {len(start)}")
+        except (ValueError, DegenerateDataError):
+            _to_internal(model, p0[:i])  # an earlier row's start <= 0 raises first
+            raise
+        p0[i] = start
     return _to_internal(model, p0)
 
 
@@ -340,9 +417,10 @@ def fit_curve(
     x, y : ndarray
         Sample locations and values, one-dimensional and finite.
     y_err : ndarray, optional
-        Per-point standard errors. When given, residuals are weighted by
-        1/y_err**2 and the covariance treats the errors as absolute; when
-        omitted, the covariance is scaled by the residual variance rss/dof.
+        Per-point standard errors, each > 0; an infinite one gives its point
+        no weight. When given, residuals are weighted by 1/y_err**2 and the
+        covariance treats the errors as absolute; when omitted, the
+        covariance is scaled by the residual variance rss/dof.
     init : ndarray, optional
         Starting parameters in natural units; defaults to the automatic
         initializer for the family.
@@ -369,7 +447,9 @@ def fit_rows(
     Every row runs its own Levenberg-Marquardt iteration (damping factor,
     acceptance, convergence test and messages exactly as :func:`fit_curve`
     documents), but all rows still iterating advance in lockstep, so each
-    iteration costs a handful of array operations for the whole batch.
+    iteration costs a handful of array operations for the whole batch: one
+    closed-form Jacobian per row and a batched solve per damping factor
+    tried. The iterations and the covariance use the same Jacobian.
 
     Parameters
     ----------
@@ -423,7 +503,7 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     for iteration in range(1, MAX_ITERATIONS + 1):
         if not len(active):
             break
-        jac = _jacobian(model, theta[active], x, y[active], sw[active])
+        jac = _jacobian(model, theta[active], x, sw[active])
         hess, grad = _normal_equations(jac, r[active])
         finite = np.all(np.isfinite(hess), axis=(1, 2)) & np.all(np.isfinite(grad), axis=1)
         for i in active[~finite]:
@@ -461,7 +541,7 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
         messages[i] = f"no convergence within {MAX_ITERATIONS} iterations"
 
     params = _from_internal(model, theta)
-    jac = _jacobian(model, theta, x, y, sw)
+    jac = _jacobian(model, theta, x, sw)
     normal = np.swapaxes(jac, 1, 2) @ jac
     dof = max(len(x) - theta.shape[1], 1)
     scale = np.where(absolute, 1.0, rss / dof)[:, None, None]
@@ -477,6 +557,13 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     if model.family in ("sinusoid", "damped-sinusoid"):
         params, cov = _canonicalize_sinusoid(model, params, cov)
+    # a parameter the data do not determine is flagged, whatever its rss
+    rows, ks = np.nonzero(np.isinf(np.diagonal(inverse, axis1=1, axis2=2)))
+    cov[rows, ks, ks] = np.inf
+    for i in dict.fromkeys(rows.tolist()):
+        names = ", ".join(model.parameter_names()[k] for k in ks[rows == i])
+        converged[i] = False
+        messages[i] = "; ".join(filter(None, (messages[i], f"undetermined parameters: {names}")))
     return [
         FitResult(
             model=model,
@@ -494,11 +581,31 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
 
 
 def _inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of one normal matrix, or its pseudo-inverse when singular."""
+    """Inverse of one normal matrix, with infinite variance where it is singular.
+
+    A singular matrix, scaled to a unit diagonal, is inverted on its
+    eigenvectors above ``matrix_rank``'s tolerance. A parameter with a zero
+    column, or a component along the remaining null space, is undetermined:
+    its variance is infinite, and its covariances are 0.
+    """
     try:
         return np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(matrix)
+        pass
+    scale = np.sqrt(np.diagonal(matrix))
+    live = scale > 0
+    block = np.ix_(live, live)
+    outer = np.outer(scale[live], scale[live])
+    values, vectors = np.linalg.eigh(matrix[block] / outer)
+    null = values <= values.max(initial=0.0) * len(values) * np.finfo(float).eps
+    kept = vectors[:, ~null]
+    inverse = np.zeros_like(matrix)
+    inverse[block] = (kept / values[~null]) @ kept.T / outer
+    undetermined = ~live
+    # a component above sqrt(eps) is no rounding error of an eigenvector
+    undetermined[live] = np.sum(vectors[:, null] ** 2, axis=1) > np.sqrt(np.finfo(float).eps)
+    inverse[undetermined, undetermined] = np.inf
+    return inverse
 
 
 def _damped_steps(model, x, y, sw, theta, rss, lam, hess, grad):

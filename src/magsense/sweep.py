@@ -55,6 +55,8 @@ _NPY_HEADERS = {
 }
 # the leading bytes by which np.load tells a zip archive
 _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
+# the characters of the table cells np.loadtxt parses exactly as float() does
+_DECIMAL_CHARS = b"0123456789+-.eE,\n"
 
 
 @dataclass(frozen=True)
@@ -339,6 +341,29 @@ def _read_sidecar(sidecar: Path, grid: tuple, threshold: float | None) -> tuple:
     return shape[-1], clicks
 
 
+def _parse_rows(path: Path, rows: list, row_lines: list) -> np.ndarray:
+    """The table rows' comma-separated cells as ``float()`` reads each one.
+
+    Rows of plain ASCII decimals, which ``float()`` and numpy's text reader
+    both round correctly, go through one ``np.loadtxt`` call. Any other
+    cell (``nan``, ``1_0``, a blank) sends the rows through ``float()``
+    one at a time, which raises naming the line of the first cell that is
+    not a number.
+    """
+    if rows and not "\n".join(rows).encode("ascii", "replace").translate(None, _DECIMAL_CHARS):
+        try:
+            return np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    cells = []
+    for number, line in zip(row_lines, rows):
+        try:
+            cells.append([float(part) for part in line.split(",")])
+        except ValueError as exc:
+            raise SchemaError(f"{path.name}, line {number}: {exc}") from exc
+    return np.asarray(cells, dtype=float)
+
+
 def read_dataset(path) -> SweepDataset:
     """Read a dataset table written by write_dataset (or hand-built to match).
 
@@ -363,7 +388,7 @@ def read_dataset(path) -> SweepDataset:
     header: dict[str, str] = {}
     warnings: list[str] = []
     columns: list[tuple[str, str]] | None = None
-    rows: list[list[float]] = []
+    rows: list[str] = []
     row_lines: list[int] = []
     try:
         text = path.read_text(encoding="utf-8")
@@ -386,17 +411,16 @@ def read_dataset(path) -> SweepDataset:
         if columns is None:
             columns = [_parse_column_label(part) for part in line.split(",")]
             continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
+        n_fields = line.count(",") + 1
+        if n_fields != len(columns):
+            _parse_rows(path, rows, row_lines)  # a bad cell above raises first
             raise SchemaError(
-                f"{path.name}, line {number}: row has {len(parts)} fields, "
+                f"{path.name}, line {number}: row has {n_fields} fields, "
                 f"expected {len(columns)}"
             )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise SchemaError(f"{path.name}, line {number}: {exc}") from exc
+        rows.append(line)
         row_lines.append(number)
+    data = _parse_rows(path, rows, row_lines)
     if columns is None or not rows:
         raise SchemaError("dataset table has no column header or no rows")
     names = [c[0] for c in columns]
@@ -406,7 +430,6 @@ def read_dataset(path) -> SweepDataset:
     n_axes = names.index("p_e")
     if n_axes < 1:
         raise SchemaError("dataset table has no sweep axis columns")
-    data = np.asarray(rows, dtype=float)
     finite = np.all(np.isfinite(data), axis=1)
     if not np.all(finite):
         number = row_lines[int(np.argmin(finite))]

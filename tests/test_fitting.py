@@ -1,6 +1,10 @@
 """Tests for the damped least-squares fitting engine."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,15 +309,81 @@ def test_result_accessors():
     assert len(result.predict(x)) == len(x)
 
 
+# -- closed-form Jacobian against central differences -----------------------
+
+ZERO_NOISE_BY_FAMILY = {case[0].family: case for case in ZERO_NOISE_CASES}
+
+
+def _central_difference_jacobian(model, theta, x, y, sw):
+    """Central differences of the rows' residuals, shape (rows, n, k).
+
+    The engine's Jacobian before it took the closed form: 2k probes per
+    row, through one broadcast model evaluation.
+    """
+    n_par = theta.shape[1]
+    h = 1e-6 * np.maximum(1.0, np.abs(theta))
+    shifts = h[:, :, None] * np.eye(n_par)
+    probes = np.concatenate((theta[:, None, :] + shifts, theta[:, None, :] - shifts), axis=1)
+    r = fitting._residuals(model, probes, x, y[:, None, :], sw[:, None, :])
+    jac = (r[:, :n_par] - r[:, n_par:]) / (2.0 * h[:, :, None])
+    return np.swapaxes(jac, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "family", [family for family in fitting._FAMILIES if family != "polynomial"]
+)
+def test_jacobian_matches_central_differences(family):
+    # every fitted family needs a closed form, and a case here to check it
+    model, x, truth = ZERO_NOISE_BY_FAMILY[family]
+    rng = np.random.default_rng(sum(map(ord, family)))
+    n_rows = 6
+    p = np.asarray(truth) * (1.0 + 0.2 * rng.standard_normal((n_rows, len(truth))))
+    positive = list(model._positive_indices())
+    p[:, positive] = np.abs(p[:, positive])
+    y = model.evaluate(x, np.asarray(truth)) + 0.05 * rng.standard_normal((n_rows, len(x)))
+    sw = np.ones((n_rows, len(x)))
+    sw[::2] = rng.uniform(0.5, 30.0, (len(sw[::2]), len(x)))  # weighted rows
+    theta = fitting._to_internal(model, p)
+    jac = fitting._jacobian(model, theta, x, sw)
+    assert jac.shape == (n_rows, len(x), len(truth)) and jac.flags.c_contiguous
+    oracle = _central_difference_jacobian(model, theta, x, y, sw)
+    scale = np.max(np.abs(oracle), axis=1, keepdims=True)
+    assert np.all(np.abs(jac - oracle) <= 1e-6 * scale)
+    for i in range(n_rows):
+        alone = fitting._jacobian(model, theta[i : i + 1], x, sw[i : i + 1])[0]
+        assert alone.tobytes() == jac[i].tobytes()
+
+
+def test_a_clamped_log_parameter_has_a_zero_jacobian_column():
+    # past 700 the internal frequency no longer moves the model at all
+    model, x, truth = ZERO_NOISE_BY_FAMILY["sinusoid"]
+    theta = fitting._to_internal(model, np.array([truth, truth]))
+    theta[1, 1] = 720.0
+    y = np.tile(model.evaluate(x, np.asarray(truth)), (2, 1))
+    sw = np.full(y.shape, 2.0)
+    jac = fitting._jacobian(model, theta, x, sw)
+    oracle = _central_difference_jacobian(model, theta, x, y, sw)
+    assert np.all(jac[1, :, 1] == 0.0) and np.all(oracle[1, :, 1] == 0.0)
+    assert np.all(np.isfinite(jac))
+    # at a frequency near 1e304 the phase probes vanish in rounding, so
+    # only the row beside it is compared whole
+    scale = np.max(np.abs(oracle[0]), axis=0)
+    assert np.all(np.abs(jac[0] - oracle[0]) <= 1e-6 * scale)
+
+
 # -- lockstep engine against the scalar Levenberg-Marquardt loop ------------
 
 
 def _reference_fit(model, x, y, y_err=None, init=None, exp=np.exp):
     """The scalar one-row Levenberg-Marquardt loop the lockstep engine replaced.
 
-    Kept verbatim as an oracle, except that ``exp`` maps log parameters back
-    to natural ones: the engine uses np.exp, while the scalar loop used
-    math.exp, which differs in the last bit for some arguments.
+    Kept verbatim as an oracle, except in two places. ``exp`` maps log
+    parameters back to natural ones: the engine uses np.exp, while the scalar
+    loop used math.exp, which differs in the last bit for some arguments.
+    And the Jacobian is the engine's closed form, which
+    ``test_jacobian_matches_central_differences`` checks against the central
+    differences this loop took; a difference quotient would move every
+    iteration's step by about 1e-7 relative.
     """
     positive = model._positive_indices()
 
@@ -327,15 +397,7 @@ def _reference_fit(model, x, y, y_err=None, init=None, exp=np.exp):
         return (y - model.evaluate(x, natural(theta))) * np.sqrt(weights)
 
     def jacobian(theta):
-        jac = np.empty((len(x), len(theta)))
-        for k in range(len(theta)):
-            h = 1e-6 * max(1.0, abs(theta[k]))
-            up = theta.copy()
-            dn = theta.copy()
-            up[k] += h
-            dn[k] -= h
-            jac[:, k] = (residuals(up) - residuals(dn)) / (2.0 * h)
-        return jac
+        return fitting._jacobian(model, theta[None], x, np.sqrt(weights)[None])[0]
 
     weights = np.ones_like(y) if y_err is None else 1.0 / y_err**2
     p0 = fitting._auto_init(model, x, y) if init is None else np.asarray(init, dtype=float)
@@ -496,6 +558,27 @@ def test_mixed_batch_converged_exact_and_capped(monkeypatch):
     assert results[2].message == "no convergence within 6 iterations"
 
 
+def test_fits_leave_numpy_ma_unimported():
+    # importing numpy.ma adds about 10 ms and 0.8 MB to every command that
+    # fits; np.unique and np.median import it on first use
+    code = """
+import sys
+import numpy as np
+from magsense.fitting import FitModel, fit_rows
+x = np.linspace(0.0, 6.0, 41)
+model = FitModel("gaussian")
+y = model.evaluate(x, np.array([1.0, 3.0, 0.5, 0.0])) + 0.01 * np.sin(7.0 * x)
+fits = fit_rows(model, x, [y, y], [None, np.full(41, 0.01)], [None, [1.0, 1e4, 0.1, 0.0]])
+assert not fits[1].converged
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(fitting.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_singular_damped_system_fails_only_its_row():
     system = np.array([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
     grad = np.array([[1.0, -2.0], [1.0, 1.0], [4.0, 2.0]])
@@ -530,6 +613,25 @@ def test_fit_rows_checks_every_row_before_iterating():
     assert fitting.fit_rows(model, x, []) == []
 
 
+def test_the_first_invalid_start_raises_its_first_error():
+    model = FitModel("double-gaussian")
+    x = np.linspace(-2.0, 4.0, 101)
+    good = model.evaluate(x, np.array([1.0, 0.1, 0.35, 0.6, 1.9, 0.4, 0.02]))
+    rows = [good, 0.5 * good, 2.0 * good]
+    both_bad = np.array([1.0, 0.1, -0.35, 0.6, 1.9, 0.0, 0.02])
+    with pytest.raises(ValueError, match="parameter sigma_1 must be > 0"):
+        fitting.fit_rows(model, x, rows, None, [None, both_bad, np.ones(3)])
+    with pytest.raises(ValueError, match="expects 7 parameters"):
+        fitting.fit_rows(model, x, rows, None, [None, np.ones(3), both_bad])
+    both_bad[2] = 0.35
+    with pytest.raises(ValueError, match="parameter sigma_2 must be > 0"):
+        fitting.fit_rows(model, x, rows, None, [None, None, both_bad])
+    theta = fitting._internal_starts(model, x, np.array(rows), [None] * 3)
+    for row, start in zip(rows, theta):
+        alone = fitting._internal_starts(model, x, row[None], [None])
+        assert alone[0].tobytes() == start.tobytes()
+
+
 def test_singular_normal_matrix_takes_the_pseudo_inverse_for_its_row_only():
     # a start far off the grid leaves the peak's columns of J exactly zero
     model = FitModel("gaussian")
@@ -541,6 +643,47 @@ def test_singular_normal_matrix_takes_the_pseudo_inverse_for_its_row_only():
         alone = fit_curve(model, x, y, init=init)
         np.testing.assert_allclose(fit.parameters, alone.parameters, rtol=1e-12)
         np.testing.assert_allclose(fit.covariance, alone.covariance, rtol=1e-12)
-    assert np.all(np.diag(batch[0].covariance) > 0)
-    assert np.diag(batch[1].covariance)[:3].tolist() == [0.0, 0.0, 0.0]
-    assert batch[1].stderr("offset") > 0
+        assert (fit.converged, fit.message) == (alone.converged, alone.message)
+    assert np.all(np.diag(batch[0].covariance) > 0) and batch[0].converged
+    assert np.diag(batch[1].covariance)[:3].tolist() == [np.inf, np.inf, np.inf]
+    assert np.isfinite(batch[1].covariance[3, 3]) and batch[1].stderr("offset") > 0
+    assert not batch[1].converged
+    assert batch[1].message.endswith("undetermined parameters: amplitude, center, sigma")
+
+
+def test_collinear_columns_leave_their_parameters_undetermined():
+    # a line that only one grid point samples: its amplitude, center and
+    # width columns are parallel, so the data fix one combination of them,
+    # while the offset, orthogonal to that null space, stays determined
+    jac = np.zeros((8, 4))
+    jac[3, :3] = [1.0, 0.25, 0.0625]
+    jac[:, 3] = 1.0
+    normal = jac.T @ jac
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(normal)
+    inverse = fitting._inverse(normal)
+    assert np.diag(inverse)[:3].tolist() == [np.inf, np.inf, np.inf]
+    assert inverse[3, 3] == pytest.approx(1.0 / 7.0, rel=1e-12)
+
+
+def test_an_infinite_error_gives_its_point_no_weight():
+    model = FitModel("polynomial", order=1)
+    x = np.arange(6.0)
+    y = 2.0 * x + 1.0
+    y[2] = 50.0
+    err = np.full(6, 0.1)
+    err[2] = np.inf
+    fit = fit_curve(model, x, y, y_err=err)
+    assert fit.parameters == pytest.approx([1.0, 2.0], abs=1e-9)
+    line = FitModel("exponential-decay")
+    t = np.linspace(0.0, 5.0, 30)
+    clean = line.evaluate(t, np.array([1.0, 1.3, 0.2]))
+    spoiled = clean.copy()
+    spoiled[7] += 3.0
+    err = np.full(30, 0.01)
+    err[7] = np.inf
+    fit = fit_curve(line, t, spoiled, y_err=err)
+    assert fit.converged and fit.parameters == pytest.approx([1.0, 1.3, 0.2], rel=1e-6)
+    err[7] = np.nan
+    with pytest.raises(ValueError, match="y_err must be > 0"):
+        fit_curve(line, t, spoiled, y_err=err)

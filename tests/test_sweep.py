@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
+from magsense.cli import main
 from magsense.errors import SchemaError
 from magsense.readout import click_estimates
 from magsense import sweep
@@ -457,3 +458,69 @@ def test_values_round_trip_exactly(tmp_path):
     assert np.array_equal(loaded.p_e, ds.p_e)
     assert np.array_equal(loaded.axes[0].values, axes[0].values)
     assert loaded.shot_duration == ds.shot_duration
+
+
+def _data_lines(path):
+    """The line numbers and text of a table's data rows."""
+    lines = [
+        (number, line.strip())
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    return [number for number, _ in lines[1:]], [line for _, line in lines[1:]]
+
+
+def test_bundled_tables_parse_as_float_does(tmp_path):
+    assert main(["run", "decay-tracking", "--output", str(tmp_path / "run")]) == 0
+    tables = sorted((tmp_path / "run").glob("*.csv"))
+    assert len(tables) == 2
+    for table in tables:
+        numbers, rows = _data_lines(table)
+        oracle = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        # as written (shortest reprs) and with every cell at 17 digits
+        for cells in (rows, [",".join(f"{v:.17g}" for v in values) for values in oracle]):
+            assert sweep._parse_rows(table, cells, numbers).tobytes() == oracle.tobytes()
+        read_dataset(table)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["nan", "1_0", "", " ", "1e-320", "-0.0", "+.5", "1e400", "\x1f0.5", "\u0661", "0x10", "1e"],
+)
+def test_a_cell_reads_as_float_reads_it(tmp_path, cell):
+    path = tmp_path / "scan.csv"
+    write_dataset(make_dataset(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[-2].split(",")
+    fields[-2] = cell  # a stderr cell, which no other check reads
+    lines[-2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    line = rf"scan\.csv, line {len(lines) - 1}: "
+    try:
+        value = float(cell)
+    except ValueError:
+        with pytest.raises(SchemaError, match=line + "could not convert"):
+            read_dataset(path)
+        return
+    if not np.isfinite(value):
+        with pytest.raises(SchemaError, match=line + "values must be finite"):
+            read_dataset(path)
+        return
+    stderr = read_dataset(path).stderr
+    assert stderr[-1, -2].tobytes() == np.float64(value).tobytes()
+    assert np.array_equal(stderr.reshape(-1)[:-2], make_dataset().stderr.reshape(-1)[:-2])
+
+
+def test_a_bad_cell_above_a_short_row_raises_first(tmp_path):
+    path = tmp_path / "scan.csv"
+    write_dataset(make_dataset(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-3] = lines[-3].replace(",", ",x", 1)
+    lines[-1] = lines[-1][: lines[-1].rindex(",")]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"scan\.csv, line {len(lines) - 2}: could not convert"):
+        read_dataset(path)
+    lines[-3] = lines[-3].replace(",x", ",", 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=rf"scan\.csv, line {len(lines)}: row has 4 fields"):
+        read_dataset(path)
