@@ -241,20 +241,17 @@ def _jacobian(model: FitModel, theta, x, sw) -> np.ndarray:
     row alone, whatever batch the row is in.
     """
     p = _from_internal(model, theta)
-    chain = np.ones_like(p)
-    positive = list(model._positive_indices())
-    chain[:, positive] = p[:, positive]
+    positive = model._positive_indices()
+    scale = -sw
     # C order (rows, n, k): each row's J^T J and J^T r then go through the
     # same BLAS calls, with the same rounding, whatever batch it is in
     jac = np.empty(sw.shape + theta.shape[1:])
     with np.errstate(all="ignore"):
         for k, partial in enumerate(model._partials(x, np.moveaxis(p, -1, 0)[..., None])):
-            jac[:, :, k] = partial
-        jac *= -sw[:, :, None] * chain[:, None, :]
-    clamped = np.zeros(theta.shape, dtype=bool)
-    clamped[:, positive] = theta[:, positive] > 700.0
-    if clamped.any():
-        np.copyto(jac, 0.0, where=clamped[:, None, :])
+            weight = scale * p[:, k, None] if k in positive else scale
+            np.multiply(partial, weight, out=jac[:, :, k])
+    for k in positive:
+        jac[theta[:, k] > 700.0, :, k] = 0.0
     return jac
 
 
@@ -345,7 +342,7 @@ def _internal_starts(model: FitModel, x: np.ndarray, y: np.ndarray, inits) -> np
     p0 = np.empty((len(y), n_par))
     for i, init in enumerate(inits):
         try:
-            start = np.asarray(init, dtype=float) if init is not None else _auto_init(model, x, y[i])
+            start = _auto_init(model, x, y[i]) if init is None else np.asarray(init, dtype=float)
             if len(start) != n_par:
                 raise ValueError(f"{model.family} expects {n_par} parameters, got {len(start)}")
         except (ValueError, DegenerateDataError):
