@@ -7,6 +7,8 @@ saturating exponentials, sinusoidal fringes (plain and damped), and
 least-squares polynomials. Families with a width, rate, or frequency
 parameter fit its logarithm internally so those parameters stay positive;
 reported parameters and covariances are in the natural parameterization.
+A polynomial's linear least-squares solution enters the engine as its
+minimum, so its covariance and flags come from the same code as the rest.
 
 ``fit_rows`` fits many data rows on one abscissa in lockstep: each row keeps
 its own damping factor and stopping state, and the Jacobians and trial steps
@@ -93,14 +95,13 @@ class FitModel:
 
         Each ``parameters[k]`` may be an array broadcasting against ``x``
         (shape ``(rows, 1)`` for one-dimensional ``x``), which evaluates a
-        batch of parameter vectors at once; the polynomial family takes one
-        coefficient vector.
+        batch of parameter vectors at once.
         """
         x = np.asarray(x, dtype=float)
         p = np.asarray(parameters, dtype=float)
         fam = self.family
         if fam == "polynomial":
-            return np.polynomial.polynomial.polyval(x, p)
+            return _horner(x, p)
         if fam == "gaussian":
             return p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2) + p[3]
         if fam == "lorentzian":
@@ -131,10 +132,11 @@ class FitModel:
 
         Takes ``x`` and ``p`` as :meth:`evaluate` does, branch for branch,
         and returns one array (or scalar) per parameter, broadcasting like
-        the model value. The polynomial family is solved directly and has
-        no entry.
+        the model value; a polynomial's are the powers of ``x``.
         """
         fam = self.family
+        if fam == "polynomial":
+            return tuple(x**k for k in range(len(p)))
         if fam == "gaussian":
             u = (x - p[1]) / p[2]
             bump = np.exp(-0.5 * u**2)
@@ -170,6 +172,34 @@ class FitModel:
         slope1 = p[0] * bump1 * u1 / p[2]
         slope2 = p[3] * bump2 * u2 / p[5]
         return bump1, slope1, slope1 * u1, bump2, slope2, slope2 * u2, 1.0
+
+
+def _horner(x, c):
+    """Polynomial with ascending coefficients ``c[k]`` at ``x``, by Horner's rule.
+
+    numpy's ``polyval`` on one coefficient vector, operation for operation;
+    each ``c[k]`` may also be an array broadcasting against ``x``, which
+    evaluates a batch of coefficient vectors.
+    """
+    value = c[-1] + x * 0
+    for coefficient in c[-2::-1]:
+        value = coefficient + value * x
+    return value
+
+
+def _polynomial_lstsq(x, y, order: int, sw=None) -> np.ndarray:
+    """Ascending coefficients of the least-squares polynomial through (x, y).
+
+    Residuals are weighted by ``sw``, the square roots of the weights, when
+    given; a design matrix of rank below ``order + 1`` raises FitRankError.
+    """
+    design = np.vander(x, order + 1, increasing=True)
+    if sw is not None:
+        design, y = design * sw[:, None], y * sw
+    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < order + 1:
+        raise FitRankError(f"polynomial design matrix has rank {rank} < {order + 1}")
+    return coeffs
 
 
 @dataclass
@@ -352,32 +382,6 @@ def _internal_starts(model: FitModel, x: np.ndarray, y: np.ndarray, inits) -> np
     return _to_internal(model, p0)
 
 
-def _fit_polynomial(model, x, y, weights) -> FitResult:
-    order = model.order
-    design = np.vander(x, order + 1, increasing=True)
-    sw = np.sqrt(weights)
-    coeffs, _, rank, _ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-    if rank < order + 1:
-        raise FitRankError(
-            f"polynomial design matrix has rank {rank} < {order + 1}"
-        )
-    resid = (y - design @ coeffs) * sw
-    rss = float(resid @ resid)
-    dof = max(len(x) - (order + 1), 1)
-    normal = design.T @ (weights[:, None] * design)
-    cov = (rss / dof) * np.linalg.inv(normal)
-    return FitResult(
-        model=model,
-        parameter_names=model.parameter_names(),
-        parameters=coeffs,
-        covariance=cov,
-        rss=rss,
-        n_iter=0,
-        converged=True,
-        rss_trace=[rss],
-    )
-
-
 def _canonicalize_sinusoid(model: FitModel, p: np.ndarray, cov: np.ndarray):
     """Fold amplitude sign into the phase and reduce it to [0, 2pi).
 
@@ -409,8 +413,7 @@ def fit_curve(
     Parameters
     ----------
     model : FitModel
-        Family selector; the polynomial family is solved directly by linear
-        least squares.
+        Family selector.
     x, y : ndarray
         Sample locations and values, one-dimensional and finite.
     y_err : ndarray, optional
@@ -446,7 +449,8 @@ def fit_rows(
     documents), but all rows still iterating advance in lockstep, so each
     iteration costs a handful of array operations for the whole batch: one
     closed-form Jacobian per row and a batched solve per damping factor
-    tried. The iterations and the covariance use the same Jacobian.
+    tried. The iterations and the covariance use the same Jacobian. A
+    polynomial row starts at its linear least-squares solution and takes none.
 
     Parameters
     ----------
@@ -477,26 +481,31 @@ def fit_rows(
     if not n_rows:
         return []
     y, weights, absolute, theta = _prepare_rows(model, x, y_rows, y_err_rows, inits)
+    sw = np.sqrt(weights)
     if model.family == "polynomial":
-        return [_fit_polynomial(model, x, row, w) for row, w in zip(y, weights)]
-    return _levenberg_marquardt(model, x, y, np.sqrt(weights), absolute, theta)
+        theta = np.array([_polynomial_lstsq(x, row, model.order, s) for row, s in zip(y, sw)])
+    return _levenberg_marquardt(model, x, y, sw, absolute, theta)
 
 
 def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     """Lockstep damped least squares over rows ``y`` from internal starts ``theta``.
 
     Each row keeps its own damping factor and leaves the batch when it
-    converges, stalls, or meets non-finite derivatives.
+    converges, stalls, or meets non-finite derivatives. The covariance
+    inverts J^T J of the weighted residuals, scaled by rss/dof for an
+    unweighted row only: a weighted row's errors are absolute.
     """
     n_rows = len(theta)
     r = _residuals(model, theta, x, y, sw)
     rss = _sum_squares(r)
     lam = np.full(n_rows, LAMBDA_INIT)
     traces = [[value] for value in rss.tolist()]
-    converged = np.zeros(n_rows, dtype=bool)
+    # a polynomial row starts at its least-squares minimum: no iteration
+    linear = model.family == "polynomial"
+    converged = np.full(n_rows, linear)
     messages = [""] * n_rows
-    n_iter = np.full(n_rows, MAX_ITERATIONS)
-    active = np.arange(n_rows)
+    n_iter = np.full(n_rows, 0 if linear else MAX_ITERATIONS)
+    active = np.arange(0 if linear else n_rows)
     for iteration in range(1, MAX_ITERATIONS + 1):
         if not len(active):
             break
@@ -764,51 +773,46 @@ def usable_errors(stderr):
 def _log_linear_rate(x, w):
     """Decay time from a log-linear regression on the dominant-sign part."""
     mask = w > 1e-3 * np.max(w)
-    if int(np.sum(mask)) < 2:
+    try:
+        coef = _polynomial_lstsq(x[mask], np.log(w[mask]), 1)
+    except FitRankError:  # fewer than two distinct abscissas
         return None
-    coef = np.polynomial.polynomial.polyfit(x[mask], np.log(w[mask]), 1)
     slope = coef[1]
     if slope >= 0:
         return None
     return float(np.exp(coef[0])), float(-1.0 / slope)
 
 
-def _init_exponential(x, y):
+def _exponential_start(x, y, rising: bool):
+    """Tail mean, amplitude and time of ``y`` decaying to its tail mean.
+
+    With ``rising``, of ``y`` rising to it; both by log-linear regression.
+    """
     order = np.argsort(x)
     xs, ys = x[order], y[order]
     n_tail = max(3, len(xs) // 10)
-    c0 = float(np.mean(ys[-n_tail:]))
-    w = ys - c0
+    tail = float(np.mean(ys[-n_tail:]))
+    w = tail - ys if rising else ys - tail
     sign = 1.0 if abs(np.max(w)) >= abs(np.min(w)) else -1.0
     span = float(xs[-1] - xs[0]) or 1.0
     est = _log_linear_rate(xs - xs[0], sign * w)
     if est is None:
-        a0, tau0 = float(ys[0] - c0), span / 2.0
+        a0, tau0 = float(w[0]), span / 2.0
     else:
         a0, tau0 = sign * est[0], est[1]
         a0 *= math.exp(xs[0] / tau0) if xs[0] / tau0 < 50 else 1.0
     if a0 == 0.0:
         a0 = float(np.ptp(ys)) or 1.0
-    return np.array([a0, max(tau0, 1e-3 * span), c0])
+    return tail, a0, max(tau0, 1e-3 * span)
+
+
+def _init_exponential(x, y):
+    c0, a0, tau0 = _exponential_start(x, y, rising=False)
+    return np.array([a0, tau0, c0])
 
 
 def _init_saturating(x, y):
-    order = np.argsort(x)
-    xs, ys = x[order], y[order]
-    n_tail = max(3, len(xs) // 10)
-    y_inf0 = float(np.mean(ys[-n_tail:]))
-    w = y_inf0 - ys
-    sign = 1.0 if abs(np.max(w)) >= abs(np.min(w)) else -1.0
-    span = float(xs[-1] - xs[0]) or 1.0
-    est = _log_linear_rate(xs - xs[0], sign * w)
-    if est is None:
-        a0, tau0 = float(y_inf0 - ys[0]), span / 2.0
-    else:
-        a0, tau0 = sign * est[0], est[1]
-        a0 *= math.exp(xs[0] / tau0) if xs[0] / tau0 < 50 else 1.0
-    if a0 == 0.0:
-        a0 = float(np.ptp(ys)) or 1.0
-    return np.array([y_inf0, a0, max(tau0, 1e-3 * span)])
+    return np.array(_exponential_start(x, y, rising=True))
 
 
 def _init_sinusoid_core(x, y):
@@ -904,7 +908,7 @@ class PolyInterpolant:
     def evaluate(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Value and per-point extrapolation flag (True outside the hull)."""
         x = np.asarray(x, dtype=float)
-        value = np.polynomial.polynomial.polyval(x, self.coefficients)
+        value = _horner(x, self.coefficients)
         outside = (x < self.x_min) | (x > self.x_max)
         return value, outside
 
@@ -919,10 +923,5 @@ def interpolate_poly(x: np.ndarray, y: np.ndarray, order: int = 2) -> PolyInterp
     y = np.asarray(y, dtype=float)
     if len(x) < order + 1:
         raise ValueError(f"order-{order} interpolation needs >= {order + 1} points")
-    design = np.vander(x, order + 1, increasing=True)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < order + 1:
-        raise FitRankError(f"interpolation design matrix has rank {rank} < {order + 1}")
-    return PolyInterpolant(
-        coefficients=coeffs, x_min=float(np.min(x)), x_max=float(np.max(x))
-    )
+    coeffs = _polynomial_lstsq(x, y, order)
+    return PolyInterpolant(coeffs, float(np.min(x)), float(np.max(x)))

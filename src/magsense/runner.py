@@ -32,7 +32,7 @@ from .config import (
     resolved_hash,
 )
 from .errors import ConfigError, MagsenseError, SchemaError
-from .fitting import FitModel, fit_curve, fit_rows, usable_errors
+from .fitting import LADDER_RUNGS, FitModel, fit_curve, fit_rows, usable_errors
 from .lifetimes import (
     extract_kappa_m_from_scan,
     frequency_lifetimes,
@@ -43,7 +43,6 @@ from .lifetimes import (
 from .params import SystemParams
 from .protocols import (
     GRIDS,
-    PROTOCOLS,
     dataset_meta,
     grid_axes,
     relaxation_delays,
@@ -303,20 +302,21 @@ def _lifetime_keys(estimate) -> dict:
     return keys
 
 
-def _check_subsample_count(dataset: SweepDataset, row_fit: FitModel, count: int) -> None:
-    """Reject a draw count whose row-fit Jacobian probes overflow the buffer.
+def _check_subsample_count(dataset: SweepDataset, count: int) -> None:
+    """Reject a draw count whose row fits' trial residuals overflow the buffer.
 
-    The largest array of a subsample report is the row fit's float64
-    Jacobian probes: 2k model evaluations of every grid point of each of
-    the ``count + 1`` stacked draws, for a k-parameter row model.
+    The largest array of a subsample report is the row fits' float64 trial
+    residuals on the damping ladder: LADDER_RUNGS values for every grid
+    point of each of the ``count + 1`` stacked draws (a lifetime row fit's
+    Jacobian holds 4).
     """
-    per_draw = 8 * 2 * row_fit.n_parameters() * dataset.p_e.size
+    per_draw = 8 * LADDER_RUNGS * dataset.p_e.size
     max_count = MAX_SHOT_BUFFER_BYTES // per_draw - 1
     if count > max_count:
         raise ConfigError(
             f"--subsample-count {count} needs {(count + 1) * per_draw} bytes of fit "
-            f"probes on a {dataset.p_e.size}-point grid; at most {max_count} draws fit "
-            f"the {MAX_SHOT_BUFFER_BYTES}-byte buffer"
+            f"trial residuals on a {dataset.p_e.size}-point grid; at most {max_count} "
+            f"draws fit the {MAX_SHOT_BUFFER_BYTES}-byte buffer"
         )
 
 
@@ -333,12 +333,11 @@ def _lifetime_report(node, datasets, subsample, estimate, stack):
         full = estimate(dataset)
         return _lifetime_keys(full), full.fits, {}
     budget, count = subsample
-    protocol, grid_fits = ANALYSES[node.kind]["dataset"]
+    protocol, _ = ANALYSES[node.kind]["dataset"]
     # the kind check comes before the draw, so a wrong-kind dataset is
     # reported as such and not as one the draw cannot use
     require_protocol(dataset, protocol)
-    # the row fit runs along the protocol's last axis
-    _check_subsample_count(dataset, grid_fits[PROTOCOLS[protocol][0][-1]], count)
+    _check_subsample_count(dataset, count)
     p_e = np.empty((count + 1,) + dataset.grid_shape)
     stderr = np.empty_like(p_e)
     p_e[0], stderr[0] = dataset.p_e, dataset.stderr

@@ -163,15 +163,17 @@ def fit_noise_profile(
 def build_response_model(
     spectro_fits: list[tuple[float, FitResult]], calibration: CalibrationResult
 ) -> ResponseModel:
-    """Interpolate peak height and width over the calibrated populations."""
-    if len(spectro_fits) < 3:
-        raise EstimationError("response model needs fits at >= 3 pump powers")
-    powers = np.array([p for p, _ in spectro_fits])
+    """Interpolate peak height and width over the converged rows' populations."""
+    kept = [(power, fit) for power, fit in spectro_fits if fit.converged]
+    if len(kept) < 3:
+        raise EstimationError(
+            f"response model needs >= 3 converged line fits; "
+            f"{len(kept)} of {len(spectro_fits)} converged"
+        )
+    powers = np.array([p for p, _ in kept])
     n_grid = calibration.c_pump * powers
-    peaks = np.array([fit.parameter("amplitude") for _, fit in spectro_fits])
-    widths = np.array(
-        [fit.parameter("sigma") / calibration.chi_qm for _, fit in spectro_fits]
-    )
+    peaks = np.array([fit.parameter("amplitude") for _, fit in kept])
+    widths = np.array([fit.parameter("sigma") / calibration.chi_qm for _, fit in kept])
     return ResponseModel(
         peak=interpolate_poly(n_grid, peaks, order=2),
         width=interpolate_poly(n_grid, widths, order=2),

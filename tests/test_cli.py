@@ -1,8 +1,12 @@
 """End-to-end tests for the command line: verbs, exit codes, artifacts."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,6 @@ from magsense import runner
 from magsense.cli import bundled_configs, main
 from magsense.config import MAX_SHOT_BUFFER_BYTES
 from magsense.errors import ConfigError
-from magsense.fitting import FitModel
 from magsense.runner import read_report
 from magsense.sweep import read_dataset
 
@@ -276,6 +279,29 @@ class TestRun:
         ), err
         assert not out.exists()
 
+    def test_run_and_report_leave_numpy_polynomial_unloaded(self, work):
+        # the fits solve and evaluate their polynomials themselves, so no
+        # command pays for loading numpy.polynomial
+        config = yaml.safe_load(bundled_configs()["parametric-scan"].read_text(encoding="utf-8"))
+        config["protocols"][0]["deltas"]["count"] = 9
+        config["protocols"][0]["durations"]["count"] = 9
+        path = work / "parametric-9x9.yaml"
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = work / "parametric-9x9"
+        code = (
+            "import sys\n"
+            "from magsense.cli import main\n"
+            f"assert main(['run', {str(path)!r}, '--output', {str(out)!r}]) == 0\n"
+            f"assert main(['report', {str(out)!r}]) == 0\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+        )
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_coherence_report_contents(self, coherence_artifact):
         report = read_report(coherence_artifact / "coherence.txt")
         t1 = float(report["t1_s"])
@@ -461,13 +487,14 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--subsample-count 1000000000" in err
         assert "Traceback" not in err
-        # sinusoid row fits: 2 x 4 probes of the 13 x 13 grid per draw, plus the full data
+        # float64 trial residuals of an 8-rung (2 x 4) damping ladder at each
+        # point of the 13 x 13 grid per draw, plus the full data
         largest = MAX_SHOT_BUFFER_BYTES // (8 * 2 * 4 * 13 * 13) - 1
         assert f"at most {largest} draws" in err
         dataset = read_dataset(decay_artifact / "decay-phase.csv")
-        runner._check_subsample_count(dataset, FitModel("sinusoid"), largest)
+        runner._check_subsample_count(dataset, largest)
         with pytest.raises(ConfigError):
-            runner._check_subsample_count(dataset, FitModel("sinusoid"), largest + 1)
+            runner._check_subsample_count(dataset, largest + 1)
 
     @pytest.mark.parametrize(
         "flags",

@@ -208,6 +208,64 @@ def test_peak_row_starts_equal_the_per_row_oracle_bit_for_bit():
     assert np.all(starts[43:47, 1] == x[2])
 
 
+def _exponential_decay_start(x, y):
+    """Oracle: the exponential-decay initializer as written on its own."""
+    order = np.argsort(x)
+    xs, ys = x[order], y[order]
+    n_tail = max(3, len(xs) // 10)
+    c0 = float(np.mean(ys[-n_tail:]))
+    w = ys - c0
+    sign = 1.0 if abs(np.max(w)) >= abs(np.min(w)) else -1.0
+    span = float(xs[-1] - xs[0]) or 1.0
+    est = fitting._log_linear_rate(xs - xs[0], sign * w)
+    if est is None:
+        a0, tau0 = float(ys[0] - c0), span / 2.0
+    else:
+        a0, tau0 = sign * est[0], est[1]
+        a0 *= math.exp(xs[0] / tau0) if xs[0] / tau0 < 50 else 1.0
+    if a0 == 0.0:
+        a0 = float(np.ptp(ys)) or 1.0
+    return np.array([a0, max(tau0, 1e-3 * span), c0])
+
+
+def _saturating_start(x, y):
+    """Oracle: the saturating-exponential initializer as written on its own."""
+    order = np.argsort(x)
+    xs, ys = x[order], y[order]
+    n_tail = max(3, len(xs) // 10)
+    y_inf0 = float(np.mean(ys[-n_tail:]))
+    w = y_inf0 - ys
+    sign = 1.0 if abs(np.max(w)) >= abs(np.min(w)) else -1.0
+    span = float(xs[-1] - xs[0]) or 1.0
+    est = fitting._log_linear_rate(xs - xs[0], sign * w)
+    if est is None:
+        a0, tau0 = float(y_inf0 - ys[0]), span / 2.0
+    else:
+        a0, tau0 = sign * est[0], est[1]
+        a0 *= math.exp(xs[0] / tau0) if xs[0] / tau0 < 50 else 1.0
+    if a0 == 0.0:
+        a0 = float(np.ptp(ys)) or 1.0
+    return np.array([y_inf0, a0, max(tau0, 1e-3 * span)])
+
+
+def test_exponential_starts_equal_their_own_initializers_bit_for_bit():
+    rng = np.random.default_rng(23)
+    x = rng.permutation(np.linspace(0.5, 6.0, 30))  # unsorted, not from 0
+    decay = FitModel("exponential-decay")
+    rising = FitModel("saturating-exponential")
+    rows = []
+    for _ in range(60):
+        noise = 10.0 ** rng.uniform(-4.0, 0.0) * rng.standard_normal(len(x))
+        truth = [rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0), rng.uniform(0.2, 4.0), 0.3]
+        rows.append(decay.evaluate(x, np.array(truth)) + noise)
+        rows.append(rising.evaluate(x, np.array([0.3, truth[0], truth[1]])) + noise)
+    # growth (no log-linear decay), a single step, and data at its tail level
+    rows += [np.exp(x / 3.0), np.where(x < 1.0, 2.0, 0.0), np.full(len(x), 0.3)]
+    for y in rows:
+        assert fitting._init_exponential(x, y).tobytes() == _exponential_decay_start(x, y).tobytes()
+        assert fitting._init_saturating(x, y).tobytes() == _saturating_start(x, y).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 121, 350, 351])
 def test_median_is_numpy_median_bit_for_bit(n):
     rng = np.random.default_rng(n)
@@ -247,6 +305,43 @@ def test_polynomial_family_exact():
     assert result.converged
     assert result.parameters == pytest.approx(truth, rel=1e-12, abs=1e-12)
     assert result.parameter_names == ("c0", "c1", "c2")
+
+
+def test_a_weighted_line_takes_its_errors_as_absolute():
+    # (A^T W A)^-1 with no chi-square rescaling: the slope's error scales
+    # with the given errors, whatever the scatter about the line
+    model = FitModel("polynomial", order=1)
+    x = np.linspace(0.0, 4.0, 21)
+    y = 1.0 + 2.0 * x + 0.05 * np.random.default_rng(2).standard_normal(len(x))
+    spread = math.sqrt(np.sum((x - np.mean(x)) ** 2))
+    for s in (0.1, 1.0, 10.0):
+        fit = fit_curve(model, x, y, y_err=np.full(len(x), s))
+        assert fit.stderr("c1") == pytest.approx(s / spread, rel=1e-12)
+    # unweighted, the residual variance stands in for the errors
+    fit = fit_curve(model, x, y)
+    assert fit.stderr("c1") == pytest.approx(math.sqrt(fit.rss / 19) / spread, rel=1e-12)
+
+
+def test_polynomials_evaluate_as_numpy_polyval_bit_for_bit():
+    from numpy.polynomial import polynomial as oracle
+
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        c = rng.standard_normal(rng.integers(1, 7)) * 10.0 ** rng.integers(-6, 7)
+        x = rng.standard_normal(rng.integers(1, 40)) * 10.0 ** rng.integers(-3, 4)
+        model = FitModel("polynomial", order=len(c) - 1)
+        interpolant = fitting.PolyInterpolant(c, -1.0, 1.0)
+        for at in (x, x[0]):
+            expected = oracle.polyval(np.asarray(at), c)
+            assert model.evaluate(at, c).tobytes() == expected.tobytes()
+            assert interpolant.evaluate(at)[0].tobytes() == expected.tobytes()
+    # a batch of coefficient vectors, as the residuals evaluate one
+    batch = rng.standard_normal((5, 4))
+    model = FitModel("polynomial", order=3)
+    rows = model.evaluate(x, batch.T[..., None])
+    assert rows.shape == (len(batch), len(x))
+    for row, c in zip(rows, batch):
+        assert row.tobytes() == oracle.polyval(x, c).tobytes()
 
 
 def test_weighted_fit_covariance_uses_absolute_errors():
@@ -298,6 +393,8 @@ def test_interpolate_poly_rank_deficiency():
     y = np.array([0.0, 1.0, 2.0])
     with pytest.raises(FitRankError):
         interpolate_poly(x, y, order=2)
+    with pytest.raises(FitRankError):
+        fit_curve(FitModel("polynomial", order=2), np.ones(4), np.arange(4.0))
 
 
 def test_result_accessors():
@@ -311,7 +408,11 @@ def test_result_accessors():
 
 # -- closed-form Jacobian against central differences -----------------------
 
-ZERO_NOISE_BY_FAMILY = {case[0].family: case for case in ZERO_NOISE_CASES}
+ZERO_NOISE_BY_FAMILY = {
+    case[0].family: case
+    for case in ZERO_NOISE_CASES
+    + [(FitModel("polynomial", order=3), np.linspace(-1.0, 2.0, 25), [0.5, -1.0, 2.0, 0.3])]
+}
 
 
 def _central_difference_jacobian(model, theta, x, y, sw):
@@ -329,9 +430,7 @@ def _central_difference_jacobian(model, theta, x, y, sw):
     return np.swapaxes(jac, 1, 2)
 
 
-@pytest.mark.parametrize(
-    "family", [family for family in fitting._FAMILIES if family != "polynomial"]
-)
+@pytest.mark.parametrize("family", list(fitting._FAMILIES))
 def test_jacobian_matches_central_differences(family):
     # every fitted family needs a closed form, and a case here to check it
     model, x, truth = ZERO_NOISE_BY_FAMILY[family]

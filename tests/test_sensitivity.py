@@ -5,6 +5,7 @@ the full pipeline (shot-sampled spectroscopy, line fits, empirical noise
 profile, calibrated magnon coordinates) checks the end-to-end figures.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -414,6 +415,27 @@ class TestSpectralFits:
         fits = fit_power_spectra(dataset)
         with pytest.raises(EstimationError):
             build_response_model(fits[:2], reference_calibration(params))
+
+    def test_response_model_leaves_out_unconverged_rows(self):
+        params = SystemParams.reference()
+        readout = ReadoutModel.for_qubit(params.t1)
+        dataset = spectroscopy_dataset(params, readout, mode="expectation")
+        fits = fit_power_spectra(dataset)
+        calibration = reference_calibration(params)
+        power, fit = fits[-1]
+        absurd = fit.parameters.copy()
+        absurd[2] *= 1e3  # the width
+        undetermined = dataclasses.replace(
+            fit, parameters=absurd, converged=False, message="undetermined parameters: sigma"
+        )
+        model = build_response_model(fits[:-1] + [(power, undetermined)], calibration)
+        clean = build_response_model(fits[:-1], calibration)
+        assert model.hull == clean.hull
+        assert model.n_grid.tobytes() == clean.n_grid.tobytes()
+        for got, want in ((model.peak, clean.peak), (model.width, clean.width)):
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        with pytest.raises(EstimationError, match="2 of 3 converged"):
+            build_response_model(fits[:2] + [(power, undetermined)], calibration)
 
     def test_noise_profile_requires_sampled_errors(self):
         params = SystemParams.reference()
