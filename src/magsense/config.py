@@ -113,7 +113,7 @@ ANALYSES = {
             "decay-phase",
             {
                 "sense_times": FitModel("saturating-exponential"),
-                "second_pulse_phases": FitModel("sinusoid"),
+                "second_pulse_phases": FitModel("fringe"),
             },
         )
     },

@@ -3,12 +3,14 @@
 A small Levenberg-Marquardt engine with a fixed set of model families covers
 every fit in the analysis chain: Gaussian and Lorentzian lines and
 double-Gaussian histograms, each over a constant offset, exponential decays,
-saturating exponentials, sinusoidal fringes (plain and damped), and
-least-squares polynomials. Families with a width, rate, or frequency
-parameter fit its logarithm internally so those parameters stay positive;
-reported parameters and covariances are in the natural parameterization.
-A polynomial's linear least-squares solution enters the engine as its
-minimum, so its covariance and flags come from the same code as the rest.
+saturating exponentials, sinusoidal fringes (plain, damped, and of a known
+period), and least-squares polynomials. Families with a width, rate, or
+frequency parameter fit its logarithm internally so those parameters stay
+positive; reported parameters and covariances are in the natural
+parameterization. The linear families, polynomials and known-period fringes,
+are solved by one weighted least-squares routine on their partial
+derivatives; the solution enters the engine as its minimum, so their
+covariance and flags come from the same code as the rest.
 
 ``fit_rows`` fits many data rows on one abscissa in lockstep: each row keeps
 its own damping factor and stopping state, and the Jacobians and trial steps
@@ -30,7 +32,7 @@ canonicalized to amplitude >= 0 and phase in [0, 2pi). A row is weighted by
 its errors only when ``usable_errors`` finds every one > 0.
 
 ``_FAMILIES`` declares each family once: its parameter names, the indices
-fitted as logarithms, and its automatic initializer.
+fitted as logarithms, and its automatic initializer; a linear family has none.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class FitModel:
     family : str
         One of gaussian, lorentzian, exponential-decay,
         saturating-exponential, sinusoid, damped-sinusoid, double-gaussian,
-        polynomial.
+        fringe, polynomial. A fringe is offset + in_phase cos(x) +
+        quadrature sin(x): one period per 2 pi of ``x``.
     order : int, optional
         Polynomial order; required for the polynomial family.
     """
@@ -90,6 +93,10 @@ class FitModel:
     def _positive_indices(self) -> tuple[int, ...]:
         return _FAMILIES[self.family][1]
 
+    def _linear(self) -> bool:
+        """Whether the model is linear in its parameters, so solved directly."""
+        return _FAMILIES[self.family][2] is None
+
     def evaluate(self, x: np.ndarray, parameters: np.ndarray) -> np.ndarray:
         """Model prediction at ``x`` for natural-space parameters.
 
@@ -102,6 +109,8 @@ class FitModel:
         fam = self.family
         if fam == "polynomial":
             return _horner(x, p)
+        if fam == "fringe":
+            return p[0] + p[1] * np.cos(x) + p[2] * np.sin(x)
         if fam == "gaussian":
             return p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2) + p[3]
         if fam == "lorentzian":
@@ -132,11 +141,14 @@ class FitModel:
 
         Takes ``x`` and ``p`` as :meth:`evaluate` does, branch for branch,
         and returns one array (or scalar) per parameter, broadcasting like
-        the model value; a polynomial's are the powers of ``x``.
+        the model value. A linear family's do not depend on ``p``: a
+        polynomial's are the powers of ``x``, a fringe's 1, cos x and sin x.
         """
         fam = self.family
         if fam == "polynomial":
             return tuple(x**k for k in range(len(p)))
+        if fam == "fringe":
+            return 1.0, np.cos(x), np.sin(x)
         if fam == "gaussian":
             u = (x - p[1]) / p[2]
             bump = np.exp(-0.5 * u**2)
@@ -187,18 +199,23 @@ def _horner(x, c):
     return value
 
 
-def _polynomial_lstsq(x, y, order: int, sw=None) -> np.ndarray:
-    """Ascending coefficients of the least-squares polynomial through (x, y).
+def _design(model: FitModel, x: np.ndarray) -> np.ndarray:
+    """Design matrix (n, k) of a linear family: its partial derivatives at ``x``."""
+    columns = model._partials(x, np.zeros(model.n_parameters()))
+    return np.column_stack([np.broadcast_to(column, x.shape) for column in columns])
+
+
+def _lstsq(design: np.ndarray, y: np.ndarray, sw=None) -> np.ndarray:
+    """Coefficients of the least-squares combination of ``design``'s columns.
 
     Residuals are weighted by ``sw``, the square roots of the weights, when
-    given; a design matrix of rank below ``order + 1`` raises FitRankError.
+    given; a design matrix of rank below its column count raises FitRankError.
     """
-    design = np.vander(x, order + 1, increasing=True)
     if sw is not None:
         design, y = design * sw[:, None], y * sw
     coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < order + 1:
-        raise FitRankError(f"polynomial design matrix has rank {rank} < {order + 1}")
+    if rank < design.shape[1]:
+        raise FitRankError(f"design matrix has rank {rank} < {design.shape[1]}")
     return coeffs
 
 
@@ -351,7 +368,7 @@ def _prepare_rows(model: FitModel, x: np.ndarray, y_rows, y_err_rows, inits):
         checked = int(np.argmax(failing.any(axis=0)))
         error = checks[int(np.argmax(failing[:, checked]))][1]
     starts = None
-    if model.family != "polynomial":
+    if not model._linear():
         starts = _internal_starts(model, x, y[:checked], inits[:checked])
     if error is not None:
         raise error
@@ -449,8 +466,9 @@ def fit_rows(
     documents), but all rows still iterating advance in lockstep, so each
     iteration costs a handful of array operations for the whole batch: one
     closed-form Jacobian per row and a batched solve per damping factor
-    tried. The iterations and the covariance use the same Jacobian. A
-    polynomial row starts at its linear least-squares solution and takes none.
+    tried. The iterations and the covariance use the same Jacobian. A row of
+    a linear family (polynomial, fringe) starts at its linear least-squares
+    solution and takes none; its ``inits`` entry is not read.
 
     Parameters
     ----------
@@ -482,8 +500,9 @@ def fit_rows(
         return []
     y, weights, absolute, theta = _prepare_rows(model, x, y_rows, y_err_rows, inits)
     sw = np.sqrt(weights)
-    if model.family == "polynomial":
-        theta = np.array([_polynomial_lstsq(x, row, model.order, s) for row, s in zip(y, sw)])
+    if model._linear():
+        design = _design(model, x)
+        theta = np.array([_lstsq(design, row, s) for row, s in zip(y, sw)])
     return _levenberg_marquardt(model, x, y, sw, absolute, theta)
 
 
@@ -500,8 +519,8 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     rss = _sum_squares(r)
     lam = np.full(n_rows, LAMBDA_INIT)
     traces = [[value] for value in rss.tolist()]
-    # a polynomial row starts at its least-squares minimum: no iteration
-    linear = model.family == "polynomial"
+    # a linear family's row starts at its least-squares minimum: no iteration
+    linear = model._linear()
     converged = np.full(n_rows, linear)
     messages = [""] * n_rows
     n_iter = np.full(n_rows, 0 if linear else MAX_ITERATIONS)
@@ -774,7 +793,7 @@ def _log_linear_rate(x, w):
     """Decay time from a log-linear regression on the dominant-sign part."""
     mask = w > 1e-3 * np.max(w)
     try:
-        coef = _polynomial_lstsq(x[mask], np.log(w[mask]), 1)
+        coef = _lstsq(_design(FitModel("polynomial", order=1), x[mask]), np.log(w[mask]))
     except FitRankError:  # fewer than two distinct abscissas
         return None
     slope = coef[1]
@@ -872,7 +891,8 @@ def _init_double_gaussian(x, y):
 
 
 # family -> (parameter names, indices fitted as logarithms, initializer);
-# the polynomial's names follow its order, and it is solved directly
+# a family with no initializer is linear and solved directly, and the
+# polynomial's names follow its order
 _FAMILIES = {
     "gaussian": (("amplitude", "center", "sigma", "offset"), (2,), _init_gaussian),
     "lorentzian": (("amplitude", "center", "fwhm", "offset"), (2,), _init_lorentzian),
@@ -889,6 +909,7 @@ _FAMILIES = {
         (2, 5),
         _init_double_gaussian,
     ),
+    "fringe": (("offset", "in_phase", "quadrature"), (), None),
     "polynomial": ((), (), None),
 }
 
@@ -923,5 +944,5 @@ def interpolate_poly(x: np.ndarray, y: np.ndarray, order: int = 2) -> PolyInterp
     y = np.asarray(y, dtype=float)
     if len(x) < order + 1:
         raise ValueError(f"order-{order} interpolation needs >= {order + 1} points")
-    coeffs = _polynomial_lstsq(x, y, order)
+    coeffs = _lstsq(_design(FitModel("polynomial", order=order), x), y)
     return PolyInterpolant(coeffs, float(np.min(x)), float(np.max(x)))

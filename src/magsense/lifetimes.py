@@ -100,32 +100,6 @@ def parametric_qubit_decay(delta: float, omega_qm: float, kappa_m: float):
     return rate, evaluator
 
 
-def _fringe_starts(phases: np.ndarray, rows: np.ndarray) -> list[list[float]]:
-    """Sinusoid starts of fringe rows from their quadrature sums.
-
-    A row follows 0.5 + 0.5 C cos(phi - theta), so the fitted sinusoid
-    a sin(theta/(2 pi) ... ) carries phi as pi/2 minus its phase parameter.
-    The sums run along the rows; the seeds are scalar math per row.
-    """
-    means = np.mean(rows, axis=1)
-    centered = rows - means[:, None]
-    in_phase = np.sum(centered * np.cos(phases), axis=1)
-    quadrature = np.sum(centered * np.sin(phases), axis=1)
-    starts = []
-    for mean, i_sum, q_sum in zip(means.tolist(), in_phase.tolist(), quadrature.tolist()):
-        phi_seed = math.atan2(q_sum, i_sum)
-        amp_seed = 2.0 * math.hypot(i_sum, q_sum) / len(phases)
-        starts.append(
-            [
-                max(amp_seed, 1e-6),
-                1.0 / (2.0 * math.pi),
-                (math.pi / 2.0 - phi_seed) % (2.0 * math.pi),
-                mean,
-            ]
-        )
-    return starts
-
-
 def _convergence_flags(fits: tuple) -> list[str]:
     """The fit-not-converged flag when any of ``fits`` stopped unconverged."""
     return [] if all(fit.converged for fit in fits) else ["fit-not-converged"]
@@ -146,14 +120,17 @@ def _draw_stacks(dataset: SweepDataset, p_e, stderr) -> tuple[np.ndarray, np.nda
 def lifetime_from_phase(dataset: SweepDataset) -> LifetimeEstimate:
     """Magnon lifetime from the fringe phase accumulated during decay.
 
-    Each sense-time row is fit with a sinusoid in the second-pulse phase;
-    the fitted fringe phases are unwrapped over time and fit with a
-    saturating exponential phi_inf - A e^(-t/tau). The first sample is
-    assigned its principal branch. True phase steps beyond pi alias through
-    the unwrap and cannot be undone, but they leave the series visibly
-    non-exponential, so radian-scale lack of fit raises the
-    unwrap-ambiguity flag. A row or final fit that stopped without
-    converging raises the fit-not-converged flag.
+    Each sense-time row follows 0.5 + 0.5 C cos(phi - theta) in the
+    second-pulse phase theta, a fringe of known period: it is fit by linear
+    least squares as c + a cos(theta) + b sin(theta), so phi = atan2(b, a),
+    with its error from the (a, b) covariance by the delta method. The
+    phases are unwrapped over time and fit with a saturating exponential
+    phi_inf - A e^(-t/tau). The first sample is assigned its principal
+    branch. True phase steps beyond pi alias through the unwrap and cannot
+    be undone, but they leave the series visibly non-exponential, so
+    radian-scale lack of fit raises the unwrap-ambiguity flag. A row or
+    final fit that stopped without converging raises the fit-not-converged
+    flag.
 
     This is the one-draw case of :func:`phase_lifetimes`.
     """
@@ -164,33 +141,30 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
     """Phase-method lifetimes of a stack of draws on ``dataset``'s grid.
 
     ``p_e`` and ``stderr`` have shape ``(draws,) + dataset.grid_shape``.
-    The fringe rows of every draw go through one sinusoid ``fit_rows``
-    call and the phase series through one saturating-exponential call; a
-    row fits as it would alone, so each estimate equals
-    :func:`lifetime_from_phase` on a dataset holding that draw.
+    The fringe rows of every draw go through one linear ``fringe``
+    ``fit_rows`` call, which takes no iteration, and the phase series
+    through one saturating-exponential call; a row fits as it would alone,
+    so each estimate equals :func:`lifetime_from_phase` on a dataset holding
+    that draw.
     """
     require_protocol(dataset, "decay-phase")
     times, thetas = (axis.values for axis in dataset.axes)
     if len(times) < 6:
         raise EstimationError("phase extraction needs >= 6 sense times")
     p_e, stderr = _draw_stacks(dataset, p_e, stderr)
-    n_draws = len(p_e)
-    rows = p_e.reshape(-1, len(thetas))
     row_fits = fit_rows(
-        FitModel("sinusoid"),
+        FitModel("fringe"),
         thetas,
-        rows,
+        p_e.reshape(-1, len(thetas)),
         [usable_errors(err) for err in stderr.reshape(-1, len(thetas))],
-        _fringe_starts(thetas, rows),
     )
-    wrapped = np.array(
-        [(math.pi / 2.0 - fit.parameter("phase")) % (2.0 * math.pi) for fit in row_fits]
-    ).reshape(n_draws, len(times))
-    phase_err = np.array([fit.stderr("phase") for fit in row_fits]).reshape(
-        n_draws, len(times)
-    )
-    wrapped[:, 0] = ((wrapped[:, 0] + math.pi) % (2.0 * math.pi)) - math.pi
-    phi = np.unwrap(wrapped)
+    a, b = np.array([fit.parameters[1:] for fit in row_fits]).T
+    # delta method on phi = atan2(b, a) over the (in_phase, quadrature) block
+    grad = np.stack((-b, a), axis=1) / (a**2 + b**2)[:, None]
+    block = np.array([fit.covariance[1:, 1:] for fit in row_fits])
+    variance = np.einsum("ri,rij,rj->r", grad, block, grad)
+    phase_err = np.sqrt(np.maximum(variance, 0.0)).reshape(len(p_e), len(times))
+    phi = np.unwrap(np.arctan2(b, a).reshape(len(p_e), len(times)))
     fits = fit_rows(
         FitModel("saturating-exponential"),
         times,

@@ -487,9 +487,9 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--subsample-count 1000000000" in err
         assert "Traceback" not in err
-        # float64 trial residuals of an 8-rung (2 x 4) damping ladder at each
-        # point of the 13 x 13 grid per draw, plus the full data
-        largest = MAX_SHOT_BUFFER_BYTES // (8 * 2 * 4 * 13 * 13) - 1
+        # 232 bytes, the measured peak per point and draw, at each point of
+        # the 13 x 13 grid per draw, plus the full data
+        largest = MAX_SHOT_BUFFER_BYTES // (232 * 13 * 13) - 1
         assert f"at most {largest} draws" in err
         dataset = read_dataset(decay_artifact / "decay-phase.csv")
         runner._check_subsample_count(dataset, largest)

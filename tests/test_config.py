@@ -343,12 +343,14 @@ class TestFittedGrids:
             (0, "pump_powers", 2, "polynomial", 3),
             (1, "delays", 3, "damped-sinusoid", 6),
             (1, "delays", 5, "damped-sinusoid", 6),
+            (0, "second_pulse_phases", 3, "fringe", 4),
         ],
     )
     def test_a_grid_too_short_for_its_fit_exits_2(
         self, protocol, key, count, family, n_min, tmp_path, capsys
     ):
-        config = yaml.safe_load(bundled_configs()["sensitivity-scan"].read_text(encoding="utf-8"))
+        name = "decay-tracking" if key == "second_pulse_phases" else "sensitivity-scan"
+        config = yaml.safe_load(bundled_configs()[name].read_text(encoding="utf-8"))
         path = tmp_path / "short.yaml"
         config["protocols"][protocol][key]["count"] = n_min
         path.write_text(yaml.safe_dump(config), encoding="utf-8")
@@ -362,7 +364,8 @@ class TestFittedGrids:
             f"needs at least {n_min} points, got {count}"
         ) in err, err
         # with no analysis to read it, the grid is only sampled
-        del config["analyses"], config["sensing"]
+        del config["analyses"]
+        config.pop("sensing", None)
         path.write_text(yaml.safe_dump(config), encoding="utf-8")
         assert main(["validate", str(path)]) == 0
 

@@ -23,6 +23,7 @@ ZERO_NOISE_CASES = [
     (FitModel("exponential-decay"), np.linspace(0.0, 5.0, 30), [1.0, 1.3, 0.2]),
     (FitModel("saturating-exponential"), np.linspace(0.0, 5.0, 30), [2.0, 1.5, 0.8]),
     (FitModel("sinusoid"), np.linspace(0.0, 2.0, 80), [0.4, 2.3, 1.0, 0.5]),
+    (FitModel("fringe"), np.linspace(0.0, 2.0 * math.pi, 13), [0.5, 0.3, -0.2]),
     (
         FitModel("double-gaussian"),
         np.linspace(-2.0, 4.0, 101),
@@ -141,7 +142,7 @@ def test_unwrap_phase_series_continuity():
 def test_constant_data_is_degenerate():
     x = np.linspace(0.0, 1.0, 20)
     y = np.full(20, 0.3)
-    for family in ("gaussian", "lorentzian", "sinusoid", "exponential-decay"):
+    for family in ("gaussian", "lorentzian", "sinusoid", "exponential-decay", "fringe"):
         with pytest.raises(DegenerateDataError):
             fit_curve(FitModel(family), x, y)
 
@@ -594,9 +595,13 @@ def _assert_matches_reference(result, reference):
     assert result.converged == reference.converged
 
 
+# a linear family's rows take no iteration: the normal equations check them
+ITERATED_CASES = [case for case in ZERO_NOISE_CASES if not case[0]._linear()]
+
+
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize(
-    "model,x,truth", ZERO_NOISE_CASES, ids=[c[0].family for c in ZERO_NOISE_CASES]
+    "model,x,truth", ITERATED_CASES, ids=[c[0].family for c in ITERATED_CASES]
 )
 def test_lockstep_rows_match_the_scalar_loop(model, x, truth, weighted):
     rows, errs = _noisy_rows(model, x, truth, weighted, seed=len(x) + weighted)
@@ -611,6 +616,24 @@ def test_lockstep_rows_match_the_scalar_loop(model, x, truth, weighted):
         # flip a converged fit's stop message between the step test and a
         # stall, but cannot move its fitted values by 1e-6
         _assert_matches_reference(result, _reference_fit(model, x, y, y_err, exp=math.exp))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_fringe_rows_solve_the_normal_equations(weighted):
+    model, x, truth = ZERO_NOISE_BY_FAMILY["fringe"]
+    rows, errs = _noisy_rows(model, x, truth, weighted, seed=3)
+    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    for fit, y, y_err in zip(fitting.fit_rows(model, x, rows, errs), rows, errs):
+        w = np.ones_like(x) if y_err is None else 1.0 / y_err**2
+        normal = design.T @ (w[:, None] * design)
+        coeffs = np.linalg.solve(normal, design.T @ (w * y))
+        rss = float(np.sum(w * (y - design @ coeffs) ** 2))
+        # absolute errors when weighted, the residual variance otherwise
+        cov = (1.0 if weighted else rss / (len(x) - 3)) * np.linalg.inv(normal)
+        np.testing.assert_allclose(fit.parameters, coeffs, rtol=1e-10)
+        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-9, atol=1e-12 * np.max(cov))
+        assert fit.rss == pytest.approx(rss, rel=1e-10)
+        assert (fit.n_iter, fit.converged, fit.message, fit.rss_trace) == (0, True, "", [fit.rss])
 
 
 def test_rows_do_not_depend_on_their_batch():
