@@ -31,6 +31,10 @@ to be upward lines from their maximum. Fitted sinusoid phases are
 canonicalized to amplitude >= 0 and phase in [0, 2pi). A row is weighted by
 its errors only when ``usable_errors`` finds every one > 0.
 
+``fit_rows`` checks a stack in one pass, one check at a time over all rows
+(shape, finite data, enough points, non-constant rows, errors > 0, then the
+starts), so the first check that any row fails decides the error raised.
+
 ``_FAMILIES`` declares each family once: its parameter names, the indices
 fitted as logarithms, and its automatic initializer; a linear family has none.
 """
@@ -312,89 +316,56 @@ def _sum_squares(r: np.ndarray) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
+def _stack(rows, x: np.ndarray, name: str) -> np.ndarray:
+    """``rows`` as a (rows, len(x)) float array; ragged or mismatched rows raise."""
+    try:
+        stack = np.asarray(rows, dtype=float)
+    except ValueError:  # rows of different lengths
+        stack = None
+    if x.ndim != 1 or stack is None or stack.shape != (len(rows), len(x)):
+        raise ValueError(f"x and {name} must be matching one-dimensional arrays")
+    return stack
+
+
 def _prepare_rows(model: FitModel, x: np.ndarray, y_rows, y_err_rows, inits):
     """Stacked rows, weights, absolute-error flags and internal starts.
 
-    Each data check runs once on the whole stack. The first invalid row
-    raises the error of the first check it fails, after the starts of the
-    rows before it, which can raise first.
+    Each check runs once over the whole stack, in the order :func:`fit_rows`
+    documents, and the first check that any row fails raises.
     """
-    shape_error = ValueError("x and y must be matching one-dimensional arrays")
-    if x.ndim != 1:
-        raise shape_error
-    try:
-        y = np.asarray(y_rows, dtype=float)
-    except ValueError:  # rows of different lengths
-        y = None
-    checked = len(y_rows)
-    if y is None or y.shape[1:] != x.shape:
-        checked = next(i for i, row in enumerate(y_rows) if np.shape(row) != x.shape)
-        y = np.asarray(y_rows[:checked], dtype=float).reshape(checked, len(x))
-    else:
-        shape_error = None
-    weighted = [i for i, y_err in enumerate(y_err_rows[:checked]) if y_err is not None]
-    errors = np.asarray([y_err_rows[i] for i in weighted], dtype=float)
-    errors = errors.reshape(len(weighted), len(x))
+    y = _stack(y_rows, x, "y")
+    unit = np.ones(len(x))
+    errors = _stack([unit if y_err is None else y_err for y_err in y_err_rows], x, "y_err")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DegenerateDataError("fit data must be finite")
     n_min = model.n_parameters() + 1
-    # (failing rows, error) in the order the checks apply to one row
-    checks = [
-        (
-            ~np.all(np.isfinite(y), axis=1) | (not np.all(np.isfinite(x))),
-            DegenerateDataError("fit data must be finite"),
-        ),
-        (
-            np.full(checked, len(x) < n_min),
-            DegenerateDataError(f"{model.family} fit needs at least {n_min} points"),
-        ),
-    ]
-    if model.family != "polynomial" and len(x) >= n_min:
-        with np.errstate(invalid="ignore"):
-            spread = np.ptp(y, axis=1)
-        scale = np.max(np.abs(y), axis=1)
-        checks.append(
-            (
-                (spread == 0.0) | (spread < 1e-14 * np.maximum(scale, 1e-300)),
-                DegenerateDataError(
-                    f"constant data carries no information for a {model.family} fit"
-                ),
+    if len(x) < n_min:
+        raise DegenerateDataError(f"{model.family} fit needs at least {n_min} points")
+    if model.family != "polynomial":
+        spread = np.ptp(y, axis=1)
+        if np.any(spread < 1e-14 * np.maximum(np.max(np.abs(y), axis=1), 1e-300)):
+            raise DegenerateDataError(
+                f"constant data carries no information for a {model.family} fit"
             )
-        )
-    bad_errors = np.zeros(checked, dtype=bool)
-    bad_errors[weighted] = ~np.all(errors > 0, axis=1)  # inf: a point of no weight
-    checks.append((bad_errors, ValueError("y_err must be > 0")))
-    failing = np.array([rows for rows, _ in checks])
-    error = shape_error
-    if failing.any():
-        checked = int(np.argmax(failing.any(axis=0)))
-        error = checks[int(np.argmax(failing[:, checked]))][1]
-    starts = None
-    if not model._linear():
-        starts = _internal_starts(model, x, y[:checked], inits[:checked])
-    if error is not None:
-        raise error
-    weights = np.ones_like(y)
-    weights[weighted] = 1.0 / errors**2
-    absolute = np.zeros(checked, dtype=bool)
-    absolute[weighted] = True
-    return y, weights, absolute, starts
+    if not np.all(errors > 0):  # inf: a point of no weight
+        raise ValueError("y_err must be > 0")
+    absolute = np.array([y_err is not None for y_err in y_err_rows])
+    starts = None if model._linear() else _internal_starts(model, x, y, inits)
+    return y, 1.0 / errors**2, absolute, starts
 
 
 def _internal_starts(model: FitModel, x: np.ndarray, y: np.ndarray, inits) -> np.ndarray:
     """Checked internal starting parameters of rows ``y``, shape (rows, k).
 
-    The first row whose start is invalid raises its start's first error:
-    its initializer's, its length's, or its first log parameter <= 0.
+    Rows are started in order, so an initializer's or a length error raises
+    at its row; then the first start with a log parameter <= 0 raises.
     """
     n_par = model.n_parameters()
     p0 = np.empty((len(y), n_par))
     for i, init in enumerate(inits):
-        try:
-            start = _auto_init(model, x, y[i]) if init is None else np.asarray(init, dtype=float)
-            if len(start) != n_par:
-                raise ValueError(f"{model.family} expects {n_par} parameters, got {len(start)}")
-        except (ValueError, DegenerateDataError):
-            _to_internal(model, p0[:i])  # an earlier row's start <= 0 raises first
-            raise
+        start = _auto_init(model, x, y[i]) if init is None else np.asarray(init, dtype=float)
+        if len(start) != n_par:
+            raise ValueError(f"{model.family} expects {n_par} parameters, got {len(start)}")
         p0[i] = start
     return _to_internal(model, p0)
 
@@ -487,8 +458,20 @@ def fit_rows(
     Returns
     -------
     list of FitResult
-        One result per row, in row order. Checks run on all rows before
-        any iteration, and the first invalid row raises.
+        One result per row, in row order.
+
+    Raises
+    ------
+    ValueError, DegenerateDataError
+        Checks run on the whole stack before any iteration, and the first
+        check that any row fails raises. ``x`` must be one-dimensional, and
+        ``y_rows`` and the given ``y_err_rows`` must stack to (rows, len(x)):
+        ragged or mismatched rows raise at once. Then, over all rows: the
+        data are finite; there are at least k + 1 points for k parameters;
+        no row is constant (polynomials excepted); every y_err is > 0. Last,
+        the rows' starts are taken in order, and an initializer's or a
+        length error raises at its row, before the first start with a log
+        parameter <= 0 does.
     """
     x = np.asarray(x, dtype=float)
     n_rows = len(y_rows)

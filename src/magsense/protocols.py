@@ -36,7 +36,7 @@ from .hamiltonians import parametric_interaction
 from .lindblad import CollapseTerm, evolve_lindblad
 from .params import PumpSpec, SystemParams
 # sample_readout is not called here; the benchmark's tracer wraps it under
-# this name (perfbench/layers.py:186), so the name stays bound
+# this name (perfbench/layers.py, Tracer.install), so the name stays bound
 from .readout import ReadoutModel, click_estimates, sample_grid, sample_readout  # noqa: F401
 from .spaces import ModeSpace, build_mode_operators, fock_state
 from .sweep import Axis, SweepDataset, stream_seed

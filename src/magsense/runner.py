@@ -61,16 +61,20 @@ from .sensitivity import (
     sensitivity_curve,
 )
 # subsample_time_budget is not called here; the benchmark's tracer wraps it
-# under this name (perfbench/layers.py:194), so the name stays bound
+# under this name (perfbench/layers.py, Tracer.install), so the name stays bound
 from .subsample import subsample_draws, subsample_time_budget  # noqa: F401
 from .sweep import SweepDataset, read_dataset, write_dataset
 
 MANIFEST_NAME = "manifest.json"
 
-# Peak memory of a subsample report per grid point and stacked draw, from
-# tracemalloc at 20, 80 and 320 draws: 231 B on a 13 x 41 decay-spectroscopy
-# artifact, 139 B on a 13 x 13 decay-phase one (numpy 2.4, Python 3.11).
-SUBSAMPLE_BYTES_PER_POINT = 232
+# Peak memory of a subsample report per stacked draw: bytes per grid point
+# plus bytes per fit row. Slopes of tracemalloc peaks at 20, 80 and 320 draws
+# gave 64 B a point and 978 B a row on 41 x 4 and 41 x 25 decay-phase
+# artifacts, and 213 B a point and 1895 B a row on 21 x 81 and 41 x 11
+# decay-spectroscopy ones; each constant is the larger of its kind (numpy
+# 2.4, Python 3.11).
+SUBSAMPLE_BYTES_PER_POINT = 214
+SUBSAMPLE_BYTES_PER_ROW = 1896
 
 
 @dataclass(frozen=True)
@@ -311,14 +315,16 @@ def _check_subsample_count(dataset: SweepDataset, count: int) -> None:
     """Reject a draw count whose estimates would overflow the buffer.
 
     A report of ``count`` draws holds ``count + 1`` stacked draws, each
-    taking SUBSAMPLE_BYTES_PER_POINT bytes for every grid point.
+    taking SUBSAMPLE_BYTES_PER_POINT bytes for every grid point and
+    SUBSAMPLE_BYTES_PER_ROW for every row of the grid's last axis.
     """
-    per_draw = SUBSAMPLE_BYTES_PER_POINT * dataset.p_e.size
+    rows = dataset.p_e.size // dataset.grid_shape[-1]
+    per_draw = SUBSAMPLE_BYTES_PER_POINT * dataset.p_e.size + SUBSAMPLE_BYTES_PER_ROW * rows
     max_count = MAX_SHOT_BUFFER_BYTES // per_draw - 1
     if count > max_count:
         raise ConfigError(
             f"--subsample-count {count} needs {(count + 1) * per_draw} bytes of draws "
-            f"and fits on a {dataset.p_e.size}-point grid; at most {max_count} "
+            f"and fits on a {dataset.p_e.size}-point grid of {rows} rows; at most {max_count} "
             f"draws fit the {MAX_SHOT_BUFFER_BYTES}-byte buffer"
         )
 

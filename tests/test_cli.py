@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -487,14 +488,28 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--subsample-count 1000000000" in err
         assert "Traceback" not in err
-        # 232 bytes, the measured peak per point and draw, at each point of
-        # the 13 x 13 grid per draw, plus the full data
-        largest = MAX_SHOT_BUFFER_BYTES // (232 * 13 * 13) - 1
+        # 214 bytes per point and 1896 per row, the measured peaks per draw,
+        # over the 13 x 13 grid per draw, plus the full data
+        largest = MAX_SHOT_BUFFER_BYTES // (214 * 13 * 13 + 1896 * 13) - 1
         assert f"at most {largest} draws" in err
         dataset = read_dataset(decay_artifact / "decay-phase.csv")
         runner._check_subsample_count(dataset, largest)
         with pytest.raises(ConfigError):
             runner._check_subsample_count(dataset, largest + 1)
+        # short rows: 41 sense times of 4 phases, the fewest a fringe fit takes,
+        # where the bytes per row outweigh those per point; such an artifact's
+        # measured 50.6 kB a draw puts the largest count's peak near 241 MB
+        axes = tuple(
+            replace(axis, values=np.linspace(axis.values[0], axis.values[-1], n))
+            for axis, n in zip(dataset.axes, (41, 4))
+        )
+        full = np.full((41, 4), 0.5)
+        short = replace(dataset, axes=axes, p_e=full, stderr=full, n_shots=300, clicks=None)
+        largest = MAX_SHOT_BUFFER_BYTES // (214 * 41 * 4 + 1896 * 41) - 1
+        assert largest == 4757
+        runner._check_subsample_count(short, largest)
+        with pytest.raises(ConfigError, match=f"164-point grid of 41 rows; at most {largest}"):
+            runner._check_subsample_count(short, largest + 1)
 
     @pytest.mark.parametrize(
         "flags",

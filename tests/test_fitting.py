@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -720,19 +721,59 @@ def test_fit_rows_checks_every_row_before_iterating():
         fitting.fit_rows(model, x, [good, good], [None, np.zeros(41)])
     with pytest.raises(ValueError, match="one entry per data row"):
         fitting.fit_rows(model, x, [good, good], [None])
-    # the first invalid row raises, whichever check it fails
-    flat = np.full(41, 0.3)
-    with pytest.raises(ValueError, match="y_err"):
-        fitting.fit_rows(model, x, [good, flat], [np.zeros(41), None])
     with pytest.raises(ValueError, match="expects 4 parameters"):
-        fitting.fit_rows(model, x, [good, flat], None, [np.ones(2), None])
-    with pytest.raises(DegenerateDataError):
-        fitting.fit_rows(model, x, [good, flat, good[:-1]])
-    with pytest.raises(ValueError, match="matching one-dimensional"):
-        fitting.fit_rows(model, x, [good, good[:-1], flat])
+        fitting.fit_rows(model, x, [good, good], None, [None, np.ones(2)])
+    with pytest.raises(ValueError, match="x and y must be matching one-dimensional"):
+        fitting.fit_rows(model, x, [good, good[:-1], good])
     poly = fitting.fit_rows(FitModel("polynomial", order=1), x, [x, 2.0 * x])
     assert [fit.parameter("c1") for fit in poly] == pytest.approx([1.0, 2.0])
     assert fitting.fit_rows(model, x, []) == []
+
+
+def test_y_err_rows_of_the_wrong_shape_raise_naming_y_err():
+    model = FitModel("gaussian")
+    x = np.linspace(0.0, 6.0, 41)
+    good = model.evaluate(x, np.array([1.0, 3.0, 0.5, 0.0]))
+    message = "x and y_err must be matching one-dimensional"
+    with pytest.raises(ValueError, match=message):
+        fitting.fit_rows(model, x, [good, good], [None, np.ones(40)])
+    with pytest.raises(ValueError, match=message):
+        fitting.fit_rows(model, x, [good, good], [np.ones(41), np.ones((2, 41))])
+    with pytest.raises(ValueError, match=message):
+        fit_curve(model, x, good, y_err=np.ones(40))
+
+
+def test_the_first_check_that_any_row_fails_raises():
+    # one row per check, the last check's row first: the check order, not
+    # the row order, decides which error a stack raises
+    model = FitModel("gaussian")
+    x = np.linspace(0.0, 6.0, 41)
+    good = model.evaluate(x, np.array([1.0, 3.0, 0.5, 0.0]))
+    nan_row = good.copy()
+    nan_row[5] = np.nan
+    failing = [  # (row, y_err, init, error, message)
+        (good, None, np.ones(2), ValueError, "expects 4 parameters"),
+        (good, np.zeros(41), None, ValueError, "y_err must be > 0"),
+        (np.full(41, 0.3), None, None, DegenerateDataError, "constant data"),
+        (nan_row, None, None, DegenerateDataError, "fit data must be finite"),
+        (good[:-1], None, None, ValueError, "x and y must be matching"),
+    ]
+    for k, (*_, error, message) in enumerate(failing):
+        rows, errs, inits = zip(*(case[:3] for case in failing[: k + 1]))
+        with pytest.raises(error, match=message):
+            fitting.fit_rows(model, x, [good, *rows], [None, *errs], [None, *inits])
+    # too few points for every row comes before constant rows and errors
+    with pytest.raises(DegenerateDataError, match="needs at least 5 points"):
+        fitting.fit_rows(model, x[:4], [np.full(4, 0.3)], [np.zeros(4)])
+    # every start is taken before any log parameter is checked
+    model = FitModel("double-gaussian")
+    x = np.linspace(-2.0, 4.0, 101)
+    good = model.evaluate(x, np.array([1.0, 0.1, 0.35, 0.6, 1.9, 0.4, 0.02]))
+    rows = [good, 0.5 * good, 2.0 * good]
+    both_bad = np.array([1.0, 0.1, -0.35, 0.6, 1.9, 0.0, 0.02])
+    for inits in ([None, both_bad, np.ones(3)], [None, np.ones(3), both_bad]):
+        with pytest.raises(ValueError, match="expects 7 parameters"):
+            fitting.fit_rows(model, x, rows, None, inits)
 
 
 def test_the_first_invalid_start_raises_its_first_error():
@@ -742,9 +783,9 @@ def test_the_first_invalid_start_raises_its_first_error():
     rows = [good, 0.5 * good, 2.0 * good]
     both_bad = np.array([1.0, 0.1, -0.35, 0.6, 1.9, 0.0, 0.02])
     with pytest.raises(ValueError, match="parameter sigma_1 must be > 0"):
-        fitting.fit_rows(model, x, rows, None, [None, both_bad, np.ones(3)])
+        fitting.fit_rows(model, x, rows, None, [None, both_bad, None])
     with pytest.raises(ValueError, match="expects 7 parameters"):
-        fitting.fit_rows(model, x, rows, None, [None, np.ones(3), both_bad])
+        fitting.fit_rows(model, x, rows, None, [None, np.ones(3), None])
     both_bad[2] = 0.35
     with pytest.raises(ValueError, match="parameter sigma_2 must be > 0"):
         fitting.fit_rows(model, x, rows, None, [None, None, both_bad])
@@ -752,6 +793,17 @@ def test_the_first_invalid_start_raises_its_first_error():
     for row, start in zip(rows, theta):
         alone = fitting._internal_starts(model, x, row[None], [None])
         assert alone[0].tobytes() == start.tobytes()
+
+
+def test_a_non_finite_row_raises_without_a_warning():
+    model = FitModel("gaussian")
+    x = np.linspace(0.0, 6.0, 41)
+    good = model.evaluate(x, np.array([1.0, 3.0, 0.5, 0.0]))
+    rows = [good, np.full(41, np.inf), np.full(41, np.nan), np.where(x > 3.0, -np.inf, good)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError, match="fit data must be finite"):
+            fitting.fit_rows(model, x, rows)
 
 
 def test_singular_normal_matrix_takes_the_pseudo_inverse_for_its_row_only():
