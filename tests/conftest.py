@@ -68,3 +68,37 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def binomial_band(trials: int, p: float, level: float = 0.999) -> tuple[int, int]:
+    """The central ``level`` band of a Binomial(trials, p) count.
+
+    Each tail outside [low, high] holds at most (1 - level) / 2, from the
+    exact pmf.
+    """
+    tail = 0.5 * (1.0 - level)
+    pmf = [math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k) for k in range(trials + 1)]
+    low, below = 0, pmf[0]
+    while below <= tail:
+        low += 1
+        below += pmf[low]
+    high, above = trials, pmf[trials]
+    while above <= tail:
+        high -= 1
+        above += pmf[high]
+    return low, high
+
+
+def check_pulls(pulls) -> None:
+    """Assert that pulls z = (estimate - truth) / quoted error look standard normal.
+
+    Over K pulls, |mean z| <= 3 / sqrt(K), and the count with |z| < 2 lies
+    in the binomial 99.9 % band around P(|Z| < 2) = 0.954.
+    """
+    pulls = list(pulls)
+    count = len(pulls)
+    mean = sum(pulls) / count
+    assert abs(mean) <= 3.0 / math.sqrt(count), f"mean pull {mean:.3f} over {count}"
+    inside = sum(abs(z) < 2.0 for z in pulls)
+    low, high = binomial_band(count, 0.954)
+    assert low <= inside <= high, f"{inside} of {count} pulls inside |z| < 2, band [{low}, {high}]"

@@ -68,6 +68,10 @@ protocols:
     probe_freqs: {around: omega_q, start: -48 MHz, stop: 4 MHz, count: 27}
 """
 
+# The spectroscopy probe grid steps 1 MHz, the width of the narrowest line
+# (the probe's own at zero pump power). At a 2.5 MHz step that line covers
+# one or two points, and its Gaussian fit can trade amplitude for width
+# along a flat valley without converging.
 FITS_YAML = """\
 name: fit-status
 seed: 17
@@ -83,7 +87,7 @@ protocols:
     pump:
       c_pump: 2.3e9 1/W
     pump_powers: {start: 0 W, stop: 1 uW, count: 5}
-    probe_freqs: {around: omega_q, start: -165 MHz, stop: 10 MHz, count: 71}
+    probe_freqs: {around: omega_q, start: -165 MHz, stop: 10 MHz, count: 176}
   - kind: ramsey-series
     pump:
       c_pump: 2.3e9 1/W
