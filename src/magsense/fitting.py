@@ -273,14 +273,14 @@ def _from_internal(model: FitModel, theta: np.ndarray) -> np.ndarray:
 
 
 def _residuals(model: FitModel, theta, x, y, sw) -> np.ndarray:
-    """Weighted residuals of parameter vectors ``theta[..., k]`` against ``y``.
+    """Weighted residuals of the rows' parameter vectors ``theta[row, k]`` against ``y``.
 
     A trial step can overflow or divide by a vanishing width; the engine
     rejects its non-finite residuals, so numpy's warnings are silenced here.
     """
     p = _from_internal(model, theta)
     with np.errstate(all="ignore"):
-        return (y - model.evaluate(x, np.moveaxis(p, -1, 0)[..., None])) * sw
+        return (y - model.evaluate(x, p.T[..., None])) * sw
 
 
 def _jacobian(model: FitModel, theta, x, sw) -> np.ndarray:
@@ -298,7 +298,7 @@ def _jacobian(model: FitModel, theta, x, sw) -> np.ndarray:
     # same BLAS calls, with the same rounding, whatever batch it is in
     jac = np.empty(sw.shape + theta.shape[1:])
     with np.errstate(all="ignore"):
-        for k, partial in enumerate(model._partials(x, np.moveaxis(p, -1, 0)[..., None])):
+        for k, partial in enumerate(model._partials(x, p.T[..., None])):
             weight = scale * p[:, k, None] if k in positive else scale
             np.multiply(partial, weight, out=jac[:, :, k])
     for k in positive:

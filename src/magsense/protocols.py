@@ -7,11 +7,14 @@ enters as the dephasing rate from the analysis module. The parametric
 conversion scan is the exception: it runs the full Lindblad evolution of the
 exchange Hamiltonian with magnon and qubit collapse.
 
-Every protocol samples its whole grid in one ``readout.sample_grid`` pass.
-Each point draws from its own readout stream, seeded by (master seed,
-protocol tag, flat point index) as ``sweep.point_seed`` spells it, so
-datasets are reproducible and independent of evaluation order. Every
-protocol returns through ``_dataset``: a shot lasts the sequence before
+Every protocol samples its whole grid in one draw, reproducibly. A grid
+whose shots are kept draws them in one ``readout.sample_grid`` pass, each
+point from its own readout stream, seeded by (master seed, protocol tag,
+flat point index) as ``sweep.point_seed`` spells it, so its shots are
+independent of evaluation order. Any other grid draws its click counts
+from their binomial law in one ``readout.sample_clicks`` call on the stream
+``sweep.stream_seed(master seed, protocol tag)``. Every protocol returns
+through ``_dataset``: a shot lasts the sequence before
 readout, plus the readout window, plus the dead time, every dataset
 records the acquisition mode, master seed and readout threshold
 (``dataset_meta``), and a true probability clipped into [0, 1] is named in
@@ -37,7 +40,13 @@ from .lindblad import CollapseTerm, evolve_lindblad
 from .params import PumpSpec, SystemParams
 # sample_readout is not called here; the benchmark's tracer wraps it under
 # this name (perfbench/layers.py, Tracer.install), so the name stays bound
-from .readout import ReadoutModel, click_estimates, sample_grid, sample_readout  # noqa: F401
+from .readout import (  # noqa: F401
+    ReadoutModel,
+    click_estimates,
+    sample_clicks,
+    sample_grid,
+    sample_readout,
+)
 from .spaces import ModeSpace, build_mode_operators, fock_state
 from .sweep import Axis, SweepDataset, stream_seed
 
@@ -142,10 +151,13 @@ def _measure_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Sample (or pass through) true excited-state probabilities on a grid.
 
-    One ``sample_grid`` call draws every point, each from the stream of its
-    ``point_seed(master_seed, tag, flat index)``, and counts its clicks;
-    the fractions and their errors follow from the counts. The
-    (points, shots) voltages are returned only with ``keep_shots``.
+    Without ``keep_shots``, one ``sample_clicks`` call draws every point's
+    clicks from their binomial law on the stream of
+    ``stream_seed(master_seed, tag)``: no shot is drawn. With
+    ``keep_shots``, one ``sample_grid`` call draws every point's voltages,
+    each from the stream of its ``point_seed(master_seed, tag, flat index)``,
+    and they are returned as a (grid, shots) array. The fractions and their
+    errors follow from the click counts.
     """
     shape = p_true.shape
     flat = np.clip(p_true.reshape(-1), 0.0, 1.0)
@@ -153,16 +165,14 @@ def _measure_grid(
         return flat.reshape(shape), np.zeros(shape), None
 
     n_shots = config.n_shots
-    clicks, shots = sample_grid(
-        flat,
-        config.readout,
-        n_shots,
-        stream_seed(config.master_seed, tag),
-        config.keep_shots,
-    )
-    p_hat, stderr = click_estimates(clicks, n_shots)
-    if shots is not None:
+    stream = stream_seed(config.master_seed, tag)
+    shots = None
+    if config.keep_shots:
+        clicks, shots = sample_grid(flat, config.readout, n_shots, stream)
         shots = shots.reshape(shape + (n_shots,))
+    else:
+        clicks = sample_clicks(flat, config.readout, n_shots, stream)
+    p_hat, stderr = click_estimates(clicks, n_shots)
     return p_hat.reshape(shape), stderr.reshape(shape), shots
 
 

@@ -8,11 +8,15 @@ are thresholded to bits; excited-state probabilities are estimated as
 thresholded fractions with a Laplace-smoothed binomial standard error so
 error bars stay positive at the extremes.
 
-``sample_readout`` draws one point from a numpy ``default_rng(seed)``
-stream. ``sample_grid`` draws a whole grid in one pass, point j from the
-stream ``sample_readout`` would draw for seed ``stream + (j,)``, bit for
-bit: it derives every point's PCG64 state with numpy's seeding arithmetic
-over arrays, then reseeds one reused generator per point.
+Each shot is one Bernoulli trial that clicks with probability
+q = ``click_probability(p_e)``, so a point of n shots has Binomial(n, q)
+clicks. ``sample_clicks`` draws the counts of a grid whose shots are not
+kept from that law alone, in one call on one stream. ``sample_readout``
+draws one point's voltages from a numpy ``default_rng(seed)`` stream.
+``sample_grid`` draws the voltages of a grid whose shots are kept, point j
+from the stream ``sample_readout`` would draw for seed ``stream + (j,)``,
+bit for bit: it derives every point's PCG64 state with numpy's seeding
+arithmetic over arrays, then reseeds one reused generator per point.
 """
 
 from __future__ import annotations
@@ -97,8 +101,8 @@ class ReadoutModel:
         """P(V > threshold) for a qubit prepared in the ground state."""
         return _upper_tail((self.threshold - self.mu_g) / self.sigma_g)
 
-    def click_probability(self, p_e: float) -> float:
-        """P(V > threshold) for excited-state probability ``p_e``."""
+    def click_probability(self, p_e):
+        """P(V > threshold) for excited-state probability ``p_e``, elementwise."""
         return (
             p_e * self.excited_click_probability()
             + (1.0 - p_e) * self.ground_click_probability()
@@ -233,28 +237,43 @@ def _seed_words(stream: tuple, count: int) -> np.ndarray:
     return np.stack([state[2 * k] | state[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1)
 
 
-def sample_grid(
-    p_e: np.ndarray,
-    model: ReadoutModel,
-    n_shots: int,
-    stream: tuple,
-    keep_shots: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Click counts of every point of a flat grid, and its shots if kept.
-
-    Point j draws what ``sample_readout(p_e[j], model, n_shots, stream + (j,))``
-    draws, bit for bit: that call's two uniform and two normal draws of
-    ``n_shots`` are one ``random`` and one ``standard_normal`` draw of
-    ``2 * n_shots`` from the same generator state. Points are thresholded
-    in blocks of ``SAMPLE_BLOCK``; the (points, shots) voltage array exists
-    only with ``keep_shots``.
-    """
+def _grid_probabilities(p_e, n_shots: int) -> np.ndarray:
+    """``p_e`` as a float array, checked to lie in [0, 1] with n_shots >= 1."""
     p_e = np.asarray(p_e, dtype=float)
     outside = ~((p_e >= 0.0) & (p_e <= 1.0))
     if outside.any():
         raise ValueError(f"excited-state probability {p_e[outside][0]} outside [0, 1]")
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    return p_e
+
+
+def sample_clicks(p_e: np.ndarray, model: ReadoutModel, n_shots: int, stream: tuple) -> np.ndarray:
+    """Click counts of every point of a flat grid, drawn without shots.
+
+    One ``binomial`` call on ``default_rng(stream)`` draws point j's count
+    from Binomial(n_shots, ``model.click_probability(p_e[j])``), the law of
+    the clicks among n_shots ``sample_readout`` shots.
+    """
+    p_e = _grid_probabilities(p_e, n_shots)
+    return np.random.default_rng(stream).binomial(n_shots, model.click_probability(p_e))
+
+
+def sample_grid(
+    p_e: np.ndarray,
+    model: ReadoutModel,
+    n_shots: int,
+    stream: tuple,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Click counts and (points, shots) voltages of every point of a flat grid.
+
+    Point j draws what ``sample_readout(p_e[j], model, n_shots, stream + (j,))``
+    draws, bit for bit: that call's two uniform and two normal draws of
+    ``n_shots`` are one ``random`` and one ``standard_normal`` draw of
+    ``2 * n_shots`` from the same generator state. Points are thresholded
+    in blocks of ``SAMPLE_BLOCK``.
+    """
+    p_e = _grid_probabilities(p_e, n_shots)
     count = len(p_e)
     seeds = _seed_words(stream, count).tolist()
     bit_generator = np.random.PCG64()
@@ -265,7 +284,7 @@ def sample_grid(
     uniform = np.empty((SAMPLE_BLOCK, 2 * n_shots))
     normal = np.empty((SAMPLE_BLOCK, 2 * n_shots))
     clicks = np.empty(count, dtype=np.intp)
-    shots = np.empty((count, n_shots)) if keep_shots else None
+    shots = np.empty((count, n_shots))
     for start in range(0, count, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, count)
         for row, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(seeds[start:stop]):
@@ -280,12 +299,10 @@ def sample_grid(
         u, z = uniform[: stop - start], normal[: stop - start]
         excited = u[:, :n_shots] < p_e[start:stop, None]
         survived = u[:, n_shots:] < model.decay_weight
-        values = np.where(
+        shots[start:stop] = np.where(
             excited & survived,
             model.mu_e + model.sigma_e * z[:, :n_shots],
             model.mu_g + model.sigma_g * z[:, n_shots:],
         )
-        clicks[start:stop] = np.count_nonzero(values > model.threshold, axis=1)
-        if keep_shots:
-            shots[start:stop] = values
+        clicks[start:stop] = np.count_nonzero(shots[start:stop] > model.threshold, axis=1)
     return clicks, shots

@@ -145,7 +145,9 @@ def stream_seed(master_seed: int, tag: str) -> tuple:
 def point_seed(master_seed: int, protocol: str, index: int) -> tuple:
     """Seed material for one grid point, stable across execution order.
 
-    ``readout.sample_grid`` draws grid point ``index`` from this stream.
+    ``readout.sample_grid`` draws the shots of point ``index`` of a grid
+    whose shots are kept from this stream; a grid without kept shots draws
+    its click counts from ``stream_seed(master_seed, protocol)`` alone.
     """
     return stream_seed(master_seed, protocol) + (int(index),)
 

@@ -5,6 +5,8 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from magsense.config import REMOVED_FIELDS, resolved_hash
 
 # a value that earlier versions recorded, or could have, for each removed
@@ -102,3 +104,87 @@ def check_pulls(pulls) -> None:
     inside = sum(abs(z) < 2.0 for z in pulls)
     low, high = binomial_band(count, 0.954)
     assert low <= inside <= high, f"{inside} of {count} pulls inside |z| < 2, band [{low}, {high}]"
+
+
+# a seeded statistic is rejected below this upper-tail probability
+MIN_P_VALUE = 1e-4
+
+
+def chi2_upper_tail(chi2: float, dof: int) -> float:
+    """P(X > chi2) for X ~ chi-square(dof), Wilson-Hilferty approximation."""
+    if dof < 1:
+        return 1.0
+    scale = 2.0 / (9.0 * dof)
+    z = ((chi2 / dof) ** (1.0 / 3.0) - (1.0 - scale)) / math.sqrt(scale)
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _pooled_bins(weights: np.ndarray, minimum: float) -> list:
+    """Consecutive index ranges whose summed weight is at least ``minimum``.
+
+    An underweight remainder joins the last range.
+    """
+    bins, start, total = [], 0, 0.0
+    for k, weight in enumerate(weights):
+        total += weight
+        if total >= minimum:
+            bins.append((start, k + 1))
+            start, total = k + 1, 0.0
+    if start < len(weights):
+        if bins:
+            bins[-1] = (bins[-1][0], len(weights))
+        else:
+            bins.append((start, len(weights)))
+    return bins
+
+
+def goodness_of_fit(counts: np.ndarray, pmf: np.ndarray) -> tuple[float, int]:
+    """Chi-square of observed counts against a pmf, bins pooled to >= 5 expected."""
+    expected = pmf * counts.sum()
+    bins = _pooled_bins(expected, 5.0)
+    observed = np.array([counts[a:b].sum() for a, b in bins])
+    wanted = np.array([expected[a:b].sum() for a, b in bins])
+    return float(np.sum((observed - wanted) ** 2 / wanted)), len(bins) - 1
+
+
+def homogeneity(first: np.ndarray, second: np.ndarray) -> tuple[float, int]:
+    """Two-sample chi-square of equal-size integer samples, bins pooled to >= 10."""
+    top = int(max(first.max(), second.max())) + 1
+    a = np.bincount(first, minlength=top)
+    b = np.bincount(second, minlength=top)
+    bins = _pooled_bins(a + b, 10.0)
+    a = np.array([a[lo:hi].sum() for lo, hi in bins])
+    b = np.array([b[lo:hi].sum() for lo, hi in bins])
+    expected = 0.5 * (a + b)
+    chi2 = float(np.sum((a - expected) ** 2 / expected + (b - expected) ** 2 / expected))
+    return chi2, len(bins) - 1
+
+
+def binomial_pmf(trials: int, p: float) -> np.ndarray:
+    """P(k successes), k = 0..trials, of a Binomial(trials, p) count."""
+    return np.array([math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k) for k in range(trials + 1)])
+
+
+def check_binomial_counts(draws: np.ndarray, oracle: np.ndarray, trials: int, probabilities) -> None:
+    """Assert that click counts follow Binomial(trials, p) at each point.
+
+    ``draws`` and ``oracle`` are (draws, points) counts. Each point's
+    histogram of draws is tested against the exact pmf, and against the
+    oracle's counts by a two-sample test. The points are independent, so
+    each test sums its chi-square and degrees of freedom over the points and
+    is rejected once, below ``MIN_P_VALUE``.
+    """
+    assert draws.shape == oracle.shape
+    assert np.issubdtype(draws.dtype, np.integer)
+    assert np.all((draws >= 0) & (draws <= trials))
+    fit, two_sample = [0.0, 0], [0.0, 0]
+    for point, p in enumerate(probabilities):
+        counts = np.bincount(draws[:, point], minlength=trials + 1)
+        for total, (chi2, dof) in (
+            (fit, goodness_of_fit(counts, binomial_pmf(trials, p))),
+            (two_sample, homogeneity(draws[:, point], oracle[:, point])),
+        ):
+            total[0] += chi2
+            total[1] += dof
+    assert chi2_upper_tail(*fit) > MIN_P_VALUE, ("binomial pmf", fit)
+    assert chi2_upper_tail(*two_sample) > MIN_P_VALUE, ("per-shot oracle", two_sample)

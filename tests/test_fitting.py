@@ -427,7 +427,13 @@ def _central_difference_jacobian(model, theta, x, y, sw):
     h = 1e-6 * np.maximum(1.0, np.abs(theta))
     shifts = h[:, :, None] * np.eye(n_par)
     probes = np.concatenate((theta[:, None, :] + shifts, theta[:, None, :] - shifts), axis=1)
-    r = fitting._residuals(model, probes, x, y[:, None, :], sw[:, None, :])
+    r = fitting._residuals(
+        model,
+        probes.reshape(-1, n_par),
+        x,
+        np.repeat(y, 2 * n_par, axis=0),
+        np.repeat(sw, 2 * n_par, axis=0),
+    ).reshape(len(theta), 2 * n_par, len(x))
     jac = (r[:, :n_par] - r[:, n_par:]) / (2.0 * h[:, :, None])
     return np.swapaxes(jac, 1, 2)
 

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import check_pulls
+from conftest import check_binomial_counts, check_pulls, traced_peak
 
+from magsense import protocols
 from magsense.analysis import magnon_dephasing_rate
 from magsense.config import parse_config
 from magsense.errors import EstimationError
@@ -27,10 +28,10 @@ from magsense.protocols import (
     run_relaxation,
     require_protocol,
 )
-from magsense.readout import ReadoutModel, sample_readout
+from magsense.readout import ReadoutModel, click_estimates, sample_readout
 from magsense.spaces import DensityMatrix, ModeSpace, build_mode_operators
 from magsense.runner import execute_protocol
-from magsense.sweep import point_seed
+from magsense.sweep import point_seed, stream_seed
 
 
 def reference_config(**overrides) -> ProtocolConfig:
@@ -128,9 +129,15 @@ def _measure_grid_oracle(p_true, config, tag, order_seed):
     return p_hat, stderr, shots
 
 
+# master seeds per law check of a grid without kept shots, fixed in advance
+LAW_DRAWS = 200
+
+
 @pytest.mark.parametrize("keep_shots", [True, False])
 @pytest.mark.parametrize("order_seed", [None, 4])
 def test_measure_grid_matches_per_point_sampling(keep_shots, order_seed):
+    # kept shots are the per-point draws bit for bit, in any visiting order;
+    # without kept shots the estimates match theirs in law
     params = SystemParams.reference()
     grid = np.linspace(-0.1, 1.1, 7 * 9).reshape(7, 9)  # clipped at both ends
     grid[3, 4] = 0.5
@@ -141,14 +148,68 @@ def test_measure_grid_matches_per_point_sampling(keep_shots, order_seed):
         keep_shots=keep_shots,
     )
     p_hat, stderr, shots = _measure_grid(grid, config, "oracle")
-    ref_p, ref_err, ref_shots = _measure_grid_oracle(grid, config, "oracle", order_seed)
-    assert np.array_equal(p_hat, ref_p)
-    assert np.array_equal(stderr, ref_err)
     if keep_shots:
+        ref_p, ref_err, ref_shots = _measure_grid_oracle(grid, config, "oracle", order_seed)
+        assert np.array_equal(p_hat, ref_p)
+        assert np.array_equal(stderr, ref_err)
         assert shots.shape == (7, 9, 101)
         assert np.array_equal(shots, ref_shots)
-    else:
-        assert shots is None
+        return
+    assert shots is None
+    n = config.n_shots
+    clicks = np.rint(p_hat * n).astype(int)
+    assert np.array_equal((p_hat, stderr), click_estimates(clicks, n))
+
+    def counts(estimates):
+        return np.rint(estimates * n).astype(int).reshape(-1)
+
+    draws = np.array(
+        [
+            counts(_measure_grid(grid, dataclasses.replace(config, master_seed=5 + k), "oracle")[0])
+            for k in range(LAW_DRAWS)
+        ]
+    )
+    oracle = np.array(
+        [
+            counts(
+                _measure_grid_oracle(
+                    grid,
+                    dataclasses.replace(config, master_seed=5 + LAW_DRAWS + k),
+                    "oracle",
+                    order_seed,
+                )[0]
+            )
+            for k in range(LAW_DRAWS)
+        ]
+    )
+    q = config.readout.click_probability(np.clip(grid, 0.0, 1.0).reshape(-1))
+    check_binomial_counts(draws, oracle, n, q)
+
+
+def test_a_grid_without_kept_shots_draws_no_shots(monkeypatch):
+    # the calibration-sweep spectroscopy grid: 3546 points of 400 shots
+    params = SystemParams.reference()
+    config = ProtocolConfig(readout=ReadoutModel.for_qubit(params.t1), n_shots=400)
+    grid = np.linspace(0.0, 1.0, 3546)
+
+    def no_per_point_streams(*args):
+        raise AssertionError("a grid without kept shots drew per-point streams")
+
+    generators = []
+
+    def counted_rng(seed):
+        generators.append(seed)
+        return default_rng(seed)
+
+    default_rng = np.random.default_rng
+    # a process's first draw imports modules; only the second is measured
+    _measure_grid(grid, config, "spectroscopy")
+    monkeypatch.setattr(protocols, "sample_grid", no_per_point_streams)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    peak = traced_peak(lambda: _measure_grid(grid, config, "spectroscopy"))
+    assert generators == [stream_seed(config.master_seed, "spectroscopy")]
+    # any (points, shots) array takes at least a byte a shot
+    assert peak < grid.size * config.n_shots, peak
 
 
 def test_ramsey_pump_off_envelope_is_t2r():

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import check_binomial_counts
 
 from magsense.readout import (
     SAMPLE_BLOCK,
     ReadoutModel,
     ShotRecord,
     _seed_words,
+    sample_clicks,
     sample_grid,
     sample_readout,
 )
@@ -94,13 +96,14 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         ShotRecord(values=np.array([]), threshold=0.5)
     stream = stream_seed(0, "grid")
-    for bad in (1.2, -0.1, np.nan):
-        with pytest.raises(ValueError, match="outside"):
-            sample_grid(np.array([0.5, bad]), model, 100, stream, False)
-    with pytest.raises(ValueError):
-        sample_grid(np.array([0.5]), model, 0, stream, False)
-    with pytest.raises(ValueError):
-        sample_grid(np.array([0.5]), model, 10, stream_seed(-1, "grid"), False)
+    for sample in (sample_grid, sample_clicks):
+        for bad in (1.2, -0.1, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                sample(np.array([0.5, bad]), model, 100, stream)
+        with pytest.raises(ValueError, match="n_shots"):
+            sample(np.array([0.5]), model, 0, stream)
+        with pytest.raises(ValueError):
+            sample(np.array([0.5]), model, 10, stream_seed(-1, "grid"))
 
 
 def test_idealized_model_contrast():
@@ -133,27 +136,54 @@ def test_seed_words_are_numpy_seed_sequence_states(master, tag):
     assert np.array_equal(words, expected)
 
 
+# master seeds per law check of a grid without kept shots, fixed in advance
+LAW_DRAWS = 200
+
+
 @pytest.mark.parametrize("keep_shots", [True, False])
 @pytest.mark.parametrize("n_shots", [1, 57])
 @pytest.mark.parametrize(
     "size", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3]
 )
 def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots):
+    # kept shots are sample_readout's, bit for bit; a grid without kept
+    # shots draws click counts that match its clicks in law
     model = default_model()
     p = np.random.default_rng(size).random(size)
     p[1::4] = 0.0
     p[2::4] = 1.0
     master = 2**32 + 11
-    clicks, shots = sample_grid(p, model, n_shots, stream_seed(master, "grid"), keep_shots)
-    expected = np.stack(
-        [
-            sample_readout(float(p[j]), model, n_shots, point_seed(master, "grid", j)).values
-            for j in range(size)
-        ]
-    )
-    assert np.array_equal(clicks, np.count_nonzero(expected > model.threshold, axis=1))
+
+    def per_point(master):
+        return np.stack(
+            [
+                sample_readout(float(p[j]), model, n_shots, point_seed(master, "grid", j)).values
+                for j in range(size)
+            ]
+        )
+
     if keep_shots:
+        clicks, shots = sample_grid(p, model, n_shots, stream_seed(master, "grid"))
+        expected = per_point(master)
+        assert np.array_equal(clicks, np.count_nonzero(expected > model.threshold, axis=1))
         assert shots.shape == (size, n_shots)
         assert np.array_equal(shots, expected)
-    else:
-        assert shots is None
+        return
+    stream = stream_seed(master, "grid")
+    clicks = sample_clicks(p, model, n_shots, stream)
+    # one binomial call on the grid's stream, at the model's click probability
+    binomial = np.random.default_rng(stream).binomial(n_shots, model.click_probability(p))
+    assert np.array_equal(clicks, binomial)
+    draws = np.array(
+        [
+            sample_clicks(p, model, n_shots, stream_seed(master + k, "grid"))
+            for k in range(LAW_DRAWS)
+        ]
+    )
+    oracle = np.array(
+        [
+            np.count_nonzero(per_point(master + LAW_DRAWS + k) > model.threshold, axis=1)
+            for k in range(LAW_DRAWS)
+        ]
+    )
+    check_binomial_counts(draws, oracle, n_shots, [model.click_probability(q) for q in p])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import MIN_P_VALUE, chi2_upper_tail, goodness_of_fit, homogeneity
 
 from magsense.errors import BudgetError, EstimationError
 from magsense.fitting import FitModel, fit_curve
@@ -18,10 +19,6 @@ from magsense.subsample import (
     subsample_time_budget,
 )
 from magsense.sweep import Axis, SweepDataset, read_dataset, stream_seed, write_dataset
-
-# a seeded statistic is rejected below this upper-tail probability
-MIN_P_VALUE = 1e-4
-
 
 @pytest.fixture(scope="module")
 def relaxation_dataset():
@@ -73,34 +70,6 @@ def _laplace_stderr(k: int, n: int) -> float:
     return math.sqrt(p_smooth * (1.0 - p_smooth) / n)
 
 
-def _chi2_upper_tail(chi2: float, dof: int) -> float:
-    """P(X > chi2) for X ~ chi-square(dof), Wilson-Hilferty approximation."""
-    if dof < 1:
-        return 1.0
-    scale = 2.0 / (9.0 * dof)
-    z = ((chi2 / dof) ** (1.0 / 3.0) - (1.0 - scale)) / math.sqrt(scale)
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def _pooled_bins(weights: np.ndarray, minimum: float) -> list:
-    """Consecutive index ranges whose summed weight is at least ``minimum``.
-
-    An underweight remainder joins the last range.
-    """
-    bins, start, total = [], 0, 0.0
-    for k, weight in enumerate(weights):
-        total += weight
-        if total >= minimum:
-            bins.append((start, k + 1))
-            start, total = k + 1, 0.0
-    if start < len(weights):
-        if bins:
-            bins[-1] = (bins[-1][0], len(weights))
-        else:
-            bins.append((start, len(weights)))
-    return bins
-
-
 def _hypergeometric_pmf(n_recorded: int, n_clicks: int, n_keep: int) -> np.ndarray:
     """P(k kept clicks), k = 0..n_keep, for an n_keep-subset of n_recorded shots."""
     total = math.comb(n_recorded, n_keep)
@@ -110,28 +79,6 @@ def _hypergeometric_pmf(n_recorded: int, n_clicks: int, n_keep: int) -> np.ndarr
             for k in range(n_keep + 1)
         ]
     )
-
-
-def _goodness_of_fit(counts: np.ndarray, pmf: np.ndarray) -> tuple[float, int]:
-    """Chi-square of observed counts against a pmf, bins pooled to >= 5 expected."""
-    expected = pmf * counts.sum()
-    bins = _pooled_bins(expected, 5.0)
-    observed = np.array([counts[a:b].sum() for a, b in bins])
-    wanted = np.array([expected[a:b].sum() for a, b in bins])
-    return float(np.sum((observed - wanted) ** 2 / wanted)), len(bins) - 1
-
-
-def _homogeneity(first: np.ndarray, second: np.ndarray) -> tuple[float, int]:
-    """Two-sample chi-square of equal-size integer samples, bins pooled to >= 10."""
-    top = int(max(first.max(), second.max())) + 1
-    a = np.bincount(first, minlength=top)
-    b = np.bincount(second, minlength=top)
-    bins = _pooled_bins(a + b, 10.0)
-    a = np.array([a[lo:hi].sum() for lo, hi in bins])
-    b = np.array([b[lo:hi].sum() for lo, hi in bins])
-    expected = 0.5 * (a + b)
-    chi2 = float(np.sum((a - expected) ** 2 / expected + (b - expected) ** 2 / expected))
-    return chi2, len(bins) - 1
 
 
 def _reference_draw(dataset: SweepDataset, budget: float, seed: int) -> np.ndarray:
@@ -261,13 +208,13 @@ def test_click_counts_follow_the_hypergeometric_law():
         [_clicks(subsample_time_budget(dataset, budget, seed=seed)) for seed in range(100)]
     )
     pmf = _hypergeometric_pmf(n_recorded, n_clicks, n_keep)
-    chi2, dof = _goodness_of_fit(np.bincount(draws, minlength=n_keep + 1), pmf)
+    chi2, dof = goodness_of_fit(np.bincount(draws, minlength=n_keep + 1), pmf)
     assert dof > 20
-    assert _chi2_upper_tail(chi2, dof) > MIN_P_VALUE, (chi2, dof)
+    assert chi2_upper_tail(chi2, dof) > MIN_P_VALUE, (chi2, dof)
     # the same test rejects a with-replacement (binomial) draw of that size
     binomial = np.random.default_rng(0).binomial(n_keep, n_clicks / n_recorded, len(draws))
-    chi2, dof = _goodness_of_fit(np.bincount(binomial, minlength=n_keep + 1), pmf)
-    assert _chi2_upper_tail(chi2, dof) < MIN_P_VALUE, (chi2, dof)
+    chi2, dof = goodness_of_fit(np.bincount(binomial, minlength=n_keep + 1), pmf)
+    assert chi2_upper_tail(chi2, dof) < MIN_P_VALUE, (chi2, dof)
 
 
 def test_click_counts_match_the_explicit_shot_draw(relaxation_dataset):
@@ -282,11 +229,11 @@ def test_click_counts_match_the_explicit_shot_draw(relaxation_dataset):
     )
     total_chi2, total_dof = 0.0, 0
     for point in range(drawn.shape[1]):
-        chi2, dof = _homogeneity(drawn[:, point], oracle[:, point])
-        assert _chi2_upper_tail(chi2, dof) > MIN_P_VALUE, (point, chi2, dof)
+        chi2, dof = homogeneity(drawn[:, point], oracle[:, point])
+        assert chi2_upper_tail(chi2, dof) > MIN_P_VALUE, (point, chi2, dof)
         total_chi2, total_dof = total_chi2 + chi2, total_dof + dof
     # the points' draws are independent, so their statistics add up
-    assert _chi2_upper_tail(total_chi2, total_dof) > MIN_P_VALUE, (total_chi2, total_dof)
+    assert chi2_upper_tail(total_chi2, total_dof) > MIN_P_VALUE, (total_chi2, total_dof)
 
 
 def test_estimates_are_recomputed_from_the_draw(relaxation_dataset):

@@ -64,9 +64,6 @@ ORACLES = {
     # run telemetry is to record these two
     "lindblad.Trajectory.n_steps": "tests/test_lindblad.py::test_record_times_subset",
     "lindblad.Trajectory.stiffness_margin": "tests/test_lindblad.py::test_record_times_subset",
-    "readout.ReadoutModel.click_probability": (
-        "tests/test_readout.py::test_click_probabilities_against_tail_integrals"
-    ),
     "readout.ReadoutModel.contrast": "tests/test_readout.py::test_idealized_model_contrast",
     # the per-point oracle for _measure_grid's buffered click count
     "readout.ShotRecord.excited_fraction": (
