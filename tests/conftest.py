@@ -72,6 +72,11 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def binomial_pmf(trials: int, p: float) -> np.ndarray:
+    """P(k successes), k = 0..trials, of a Binomial(trials, p) count."""
+    return np.array([math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k) for k in range(trials + 1)])
+
+
 def binomial_band(trials: int, p: float, level: float = 0.999) -> tuple[int, int]:
     """The central ``level`` band of a Binomial(trials, p) count.
 
@@ -79,7 +84,7 @@ def binomial_band(trials: int, p: float, level: float = 0.999) -> tuple[int, int
     exact pmf.
     """
     tail = 0.5 * (1.0 - level)
-    pmf = [math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k) for k in range(trials + 1)]
+    pmf = binomial_pmf(trials, p)
     low, below = 0, pmf[0]
     while below <= tail:
         low += 1
@@ -158,11 +163,6 @@ def homogeneity(first: np.ndarray, second: np.ndarray) -> tuple[float, int]:
     expected = 0.5 * (a + b)
     chi2 = float(np.sum((a - expected) ** 2 / expected + (b - expected) ** 2 / expected))
     return chi2, len(bins) - 1
-
-
-def binomial_pmf(trials: int, p: float) -> np.ndarray:
-    """P(k successes), k = 0..trials, of a Binomial(trials, p) count."""
-    return np.array([math.comb(trials, k) * p**k * (1.0 - p) ** (trials - k) for k in range(trials + 1)])
 
 
 def check_binomial_counts(draws: np.ndarray, oracle: np.ndarray, trials: int, probabilities) -> None:
