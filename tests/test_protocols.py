@@ -157,12 +157,11 @@ def test_measure_grid_matches_per_point_sampling(keep_shots, order_seed):
         return
     assert shots is None
     n = config.n_shots
-    clicks = np.rint(p_hat * n).astype(int)
-    assert np.array_equal((p_hat, stderr), click_estimates(clicks, n))
 
     def counts(estimates):
         return np.rint(estimates * n).astype(int).reshape(-1)
 
+    assert np.array_equal((p_hat, stderr), click_estimates(counts(p_hat).reshape(7, 9), n))
     draws = np.array(
         [
             counts(_measure_grid(grid, dataclasses.replace(config, master_seed=5 + k), "oracle")[0])
