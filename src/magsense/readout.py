@@ -12,11 +12,13 @@ Each shot is one Bernoulli trial that clicks with probability
 q = ``click_probability(p_e)``, so a point of n shots has Binomial(n, q)
 clicks. ``sample_clicks`` draws the counts of a grid whose shots are not
 kept from that law alone, in one call on one stream. ``sample_readout``
-draws one point's voltages from a numpy ``default_rng(seed)`` stream.
-``sample_grid`` draws the voltages of a grid whose shots are kept, point j
-from the stream ``sample_readout`` would draw for seed ``stream + (j,)``,
-bit for bit: it derives every point's PCG64 state with numpy's seeding
-arithmetic over arrays, then reseeds one reused generator per point.
+draws one point's voltages from a numpy ``default_rng(seed)`` stream, a
+shot being one uniform u and one normal z: the excited distribution's
+voltage from z if u < p_e w, else the ground one's. ``sample_grid`` draws
+the voltages of a grid whose shots are kept, point j from the stream
+``sample_readout`` would draw for seed ``stream + (j,)``, bit for bit: it
+derives every point's PCG64 state with numpy's seeding arithmetic over
+arrays, then reseeds one reused generator per point.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 DEFAULT_SIGMA = 0.35
 DEFAULT_WINDOW = 2e-6
 # points thresholded together by sample_grid; its two draw buffers hold
-# 2 * n_shots values per point, so a small block stays in cache
+# n_shots values per point, so a small block stays in cache
 SAMPLE_BLOCK = 16
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size and hash
@@ -155,20 +157,20 @@ def sample_readout(p_e: float, model: ReadoutModel, n_shots: int, seed) -> ShotR
     """Draw analog readout voltages for a given excited-state probability.
 
     Deterministic for a fixed seed; the seed may be anything accepted by
-    numpy's default_rng (int or sequence of ints).
+    numpy's default_rng (int or sequence of ints). Draws one ``random`` and
+    then one ``standard_normal`` of ``n_shots``, in that order.
     """
     if not 0.0 <= p_e <= 1.0:
         raise ValueError(f"excited-state probability {p_e} outside [0, 1]")
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     rng = np.random.default_rng(seed)
-    excited = rng.random(n_shots) < p_e
-    survived = rng.random(n_shots) < model.decay_weight
-    use_excited_dist = excited & survived
+    u = rng.random(n_shots)
+    z = rng.standard_normal(n_shots)
     values = np.where(
-        use_excited_dist,
-        model.mu_e + model.sigma_e * rng.standard_normal(n_shots),
-        model.mu_g + model.sigma_g * rng.standard_normal(n_shots),
+        u < p_e * model.decay_weight,
+        model.mu_e + model.sigma_e * z,
+        model.mu_g + model.sigma_g * z,
     )
     return ShotRecord(values=values, threshold=model.threshold)
 
@@ -268,10 +270,9 @@ def sample_grid(
     """Click counts and (points, shots) voltages of every point of a flat grid.
 
     Point j draws what ``sample_readout(p_e[j], model, n_shots, stream + (j,))``
-    draws, bit for bit: that call's two uniform and two normal draws of
-    ``n_shots`` are one ``random`` and one ``standard_normal`` draw of
-    ``2 * n_shots`` from the same generator state. Points are thresholded
-    in blocks of ``SAMPLE_BLOCK``.
+    draws, bit for bit: one ``random`` and one ``standard_normal`` draw of
+    ``n_shots`` from the same generator state. Points are thresholded in
+    blocks of ``SAMPLE_BLOCK``.
     """
     p_e = _grid_probabilities(p_e, n_shots)
     count = len(p_e)
@@ -281,8 +282,8 @@ def sample_grid(
     # a fresh generator's state; random and standard_normal draw whole
     # 64-bit words, so its buffered-uint32 fields stay 0 as default_rng's do
     state = bit_generator.state
-    uniform = np.empty((SAMPLE_BLOCK, 2 * n_shots))
-    normal = np.empty((SAMPLE_BLOCK, 2 * n_shots))
+    uniform = np.empty((SAMPLE_BLOCK, n_shots))
+    normal = np.empty((SAMPLE_BLOCK, n_shots))
     clicks = np.empty(count, dtype=np.intp)
     shots = np.empty((count, n_shots))
     for start in range(0, count, SAMPLE_BLOCK):
@@ -296,13 +297,11 @@ def sample_grid(
             bit_generator.state = state
             rng.random(out=uniform[row])
             rng.standard_normal(out=normal[row])
-        u, z = uniform[: stop - start], normal[: stop - start]
-        excited = u[:, :n_shots] < p_e[start:stop, None]
-        survived = u[:, n_shots:] < model.decay_weight
+        z = normal[: stop - start]
         shots[start:stop] = np.where(
-            excited & survived,
-            model.mu_e + model.sigma_e * z[:, :n_shots],
-            model.mu_g + model.sigma_g * z[:, n_shots:],
+            uniform[: stop - start] < p_e[start:stop, None] * model.decay_weight,
+            model.mu_e + model.sigma_e * z,
+            model.mu_g + model.sigma_g * z,
         )
         clicks[start:stop] = np.count_nonzero(shots[start:stop] > model.threshold, axis=1)
     return clicks, shots

@@ -1,10 +1,11 @@
 """Tests for the readout voltage model and shot sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import check_binomial_counts
+from conftest import binomial_band, check_binomial_counts
 
 from magsense.readout import (
     SAMPLE_BLOCK,
@@ -187,3 +188,61 @@ def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots):
         ]
     )
     check_binomial_counts(draws, oracle, n_shots, [model.click_probability(q) for q in p])
+
+
+# kept-shot grids: a grid spanning p_e = 0..1 under the finite-T1 model
+# (w < 1), drawn at master seeds KEPT_LAW_SEED + k, k < LAW_DRAWS, fixed in
+# advance; the oracle's seeds follow them
+KEPT_LAW_SEED = 3000
+KEPT_LAW_P = np.linspace(0.0, 1.0, 9)
+KEPT_LAW_SHOTS = 5
+
+
+def _kept_law_grids(model):
+    return [
+        sample_grid(KEPT_LAW_P, model, KEPT_LAW_SHOTS, stream_seed(KEPT_LAW_SEED + k, "law"))
+        for k in range(LAW_DRAWS)
+    ]
+
+
+def test_kept_shot_clicks_follow_their_binomial_law():
+    model = default_model()
+    assert model.decay_weight < 1.0
+    draws = np.array([clicks for clicks, _ in _kept_law_grids(model)])
+    oracle = np.array(
+        [
+            sample_clicks(
+                KEPT_LAW_P, model, KEPT_LAW_SHOTS, stream_seed(KEPT_LAW_SEED + LAW_DRAWS + k, "law")
+            )
+            for k in range(LAW_DRAWS)
+        ]
+    )
+    check_binomial_counts(draws, oracle, KEPT_LAW_SHOTS, model.click_probability(KEPT_LAW_P))
+
+
+def test_kept_shots_take_the_excited_voltage_with_probability_p_e_w():
+    # readout widths so narrow that each voltage names the branch it came
+    # from; per point, the excited share of all its shots over the draws
+    width = 1e-3
+    model = replace(default_model(), sigma_g=width, sigma_e=width)
+    shots = np.stack([shots for _, shots in _kept_law_grids(model)], axis=1)
+    excited = np.abs(shots - model.mu_e) < 10 * width
+    ground = np.abs(shots - model.mu_g) < 10 * width
+    assert np.all(excited ^ ground)
+    trials = LAW_DRAWS * KEPT_LAW_SHOTS
+    for p, count in zip(KEPT_LAW_P, np.count_nonzero(excited.reshape(len(KEPT_LAW_P), -1), axis=1)):
+        low, high = binomial_band(trials, p * model.decay_weight)
+        assert low <= count <= high, (p, count, (low, high))
+
+
+def test_kept_shot_stream_is_pinned():
+    # the first 3 shots of 3 points at one stream seed; a change of the
+    # kept-shot stream changes every kept-shot artifact and must edit these
+    _, shots = sample_grid(
+        np.array([0.0, 0.5, 1.0]), default_model(), 8, stream_seed(2024, "pinned")
+    )
+    assert [[repr(v) for v in row] for row in shots[:3, :3].tolist()] == [
+        ["0.22725550605119968", "0.2556885774294369", "-0.2620074715124492"],
+        ["0.1572475611038704", "-0.0007439391864037159", "1.72512451798108"],
+        ["0.9034998257559964", "0.08450839656134301", "1.666221498298341"],
+    ]
