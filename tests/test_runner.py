@@ -273,10 +273,11 @@ analyses:
 """
 
 # DECAY_YAML's grids at the bundled 800 shots, its probe grid stepped 1 MHz.
-# At t = 0 the spectroscopy line is a Gaussian of sigma about 12 MHz, 0.03
-# high in click probability; at 200 shots a point's error is 0.02, and at
-# many seeds that row's least-squares optimum is a flat line (sigma without
-# bound).
+# At 200 shots and a 2 MHz step the spectroscopy rows fail at many seeds in
+# two ways. The t = 0 line (sigma about 12 MHz, 0.03 high in click
+# probability) sits at a point's error of 0.02, and its least-squares
+# optimum is a flat line of unbounded sigma. The later lines (sigma about
+# 1 MHz) cover one or two points and can collapse to a one-point spike.
 LIFETIMES_YAML = """\
 name: lifetime-fits
 seed: 41
