@@ -17,7 +17,16 @@ its own damping factor and stopping state, and the Jacobians and trial steps
 of all rows still iterating go through one broadcast evaluation. Jacobians
 are closed-form: each family declares its partial derivatives next to its
 model, so no fit takes a finite difference. ``fit_curve`` is its one-row
-case.
+case. The rows of a linear family are solved together, by one stacked SVD
+of their weighted design matrices with ``np.linalg.lstsq``'s rank rule.
+
+A row converges once an accepted step moves every internal parameter by less
+than ``RELATIVE_STEP_TOL`` = sqrt(eps) of its value, MINPACK's recommended
+``xtol``: finer steps than that cannot lower a residual sum of squares that
+is resolved to eps. A row where no damped step up to ``LAMBDA_MAX`` lowers
+the residual stops as stalled, also counted converged. There is no stop on
+the decrease of the residual alone, which would call a slow crawl along a
+flat valley converged.
 
 A parameter the data do not determine (its column of the Jacobian is zero,
 or it moves along the null space of a singular normal matrix) gets infinite
@@ -49,7 +58,8 @@ import numpy as np
 from .errors import DegenerateDataError, FitRankError
 
 MAX_ITERATIONS = 500
-RELATIVE_STEP_TOL = 1e-10
+# MINPACK's xtol (More, Garbow & Hillstrom, User Guide for MINPACK-1, 1980)
+RELATIVE_STEP_TOL = math.sqrt(np.finfo(float).eps)
 LAMBDA_INIT = 1e-3
 LAMBDA_UP = 4.0
 LAMBDA_DOWN = 3.0
@@ -210,17 +220,27 @@ def _design(model: FitModel, x: np.ndarray) -> np.ndarray:
 
 
 def _lstsq(design: np.ndarray, y: np.ndarray, sw=None) -> np.ndarray:
-    """Coefficients of the least-squares combination of ``design``'s columns.
+    """Coefficients, (rows, k), of the least-squares fits of ``design``'s columns to ``y``.
 
-    Residuals are weighted by ``sw``, the square roots of the weights, when
-    given; a design matrix of rank below its column count raises FitRankError.
+    Each of the rows of ``y`` (rows, n) is fit on its own, its residuals
+    weighted by its row of ``sw``, the square roots of the weights, when
+    given. One stacked SVD solves every row, and a row's rank counts, as
+    ``np.linalg.lstsq`` does, its singular values above eps * max(n, k) times
+    its largest. The first row whose weighted design matrix has rank below
+    its k columns raises FitRankError.
     """
+    n, k = design.shape
+    stack = np.broadcast_to(design, (len(y), n, k))
     if sw is not None:
-        design, y = design * sw[:, None], y * sw
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise FitRankError(f"design matrix has rank {rank} < {design.shape[1]}")
-    return coeffs
+        stack, y = stack * sw[:, :, None], y * sw
+    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    floor = np.finfo(float).eps * max(n, k) * np.max(s, axis=1, initial=0.0)
+    rank = np.count_nonzero(s > floor[:, None], axis=1)
+    deficient = np.flatnonzero(rank < k)
+    if len(deficient):
+        raise FitRankError(f"design matrix has rank {rank[deficient[0]]} < {k}")
+    projections = (np.swapaxes(u, 1, 2) @ y[:, :, None])[:, :, 0] / s
+    return (np.swapaxes(vt, 1, 2) @ projections[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -484,8 +504,7 @@ def fit_rows(
     y, weights, absolute, theta = _prepare_rows(model, x, y_rows, y_err_rows, inits)
     sw = np.sqrt(weights)
     if model._linear():
-        design = _design(model, x)
-        theta = np.array([_lstsq(design, row, s) for row, s in zip(y, sw)])
+        theta = _lstsq(_design(model, x), y, sw)
     return _levenberg_marquardt(model, x, y, sw, absolute, theta)
 
 
@@ -775,8 +794,9 @@ def usable_errors(stderr):
 def _log_linear_rate(x, w):
     """Decay time from a log-linear regression on the dominant-sign part."""
     mask = w > 1e-3 * np.max(w)
+    design = _design(FitModel("polynomial", order=1), x[mask])
     try:
-        coef = _lstsq(_design(FitModel("polynomial", order=1), x[mask]), np.log(w[mask]))
+        coef = _lstsq(design, np.log(w[mask])[None])[0]
     except FitRankError:  # fewer than two distinct abscissas
         return None
     slope = coef[1]
@@ -927,5 +947,5 @@ def interpolate_poly(x: np.ndarray, y: np.ndarray, order: int = 2) -> PolyInterp
     y = np.asarray(y, dtype=float)
     if len(x) < order + 1:
         raise ValueError(f"order-{order} interpolation needs >= {order + 1} points")
-    coeffs = _lstsq(_design(FitModel("polynomial", order=order), x), y)
+    coeffs = _lstsq(_design(FitModel("polynomial", order=order), x), y[None])[0]
     return PolyInterpolant(coeffs, float(np.min(x)), float(np.max(x)))
