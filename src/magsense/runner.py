@@ -26,6 +26,7 @@ from .analysis import calibrate_magnon_number, linear_slope
 from .config import (
     ANALYSES,
     MAX_SHOT_BUFFER_BYTES,
+    SUBSAMPLE_BYTES,
     ExperimentConfig,
     ProtocolNode,
     from_resolved,
@@ -66,15 +67,6 @@ from .subsample import subsample_draws, subsample_time_budget  # noqa: F401
 from .sweep import SweepDataset, read_dataset, write_dataset
 
 MANIFEST_NAME = "manifest.json"
-
-# Peak memory of a subsample report per stacked draw: bytes per grid point
-# plus bytes per fit row. Slopes of tracemalloc peaks at 20, 80 and 320 draws
-# gave 64 B a point and 978 B a row on 41 x 4 and 41 x 25 decay-phase
-# artifacts, and 213 B a point and 1895 B a row on 21 x 81 and 41 x 11
-# decay-spectroscopy ones; each constant is the larger of its kind (numpy
-# 2.4, Python 3.11).
-SUBSAMPLE_BYTES_PER_POINT = 214
-SUBSAMPLE_BYTES_PER_ROW = 1896
 
 
 @dataclass(frozen=True)
@@ -311,15 +303,16 @@ def _lifetime_keys(estimate) -> dict:
     return keys
 
 
-def _check_subsample_count(dataset: SweepDataset, count: int) -> None:
+def _check_subsample_count(dataset: SweepDataset, count: int, kind: str) -> None:
     """Reject a draw count whose estimates would overflow the buffer.
 
     A report of ``count`` draws holds ``count + 1`` stacked draws, each
-    taking SUBSAMPLE_BYTES_PER_POINT bytes for every grid point and
-    SUBSAMPLE_BYTES_PER_ROW for every row of the grid's last axis.
+    taking the bytes ``config.SUBSAMPLE_BYTES`` charges the analysis
+    ``kind`` for every grid point and for every row of the grid's last axis.
     """
+    per_point, per_row = SUBSAMPLE_BYTES[kind]
     rows = dataset.p_e.size // dataset.grid_shape[-1]
-    per_draw = SUBSAMPLE_BYTES_PER_POINT * dataset.p_e.size + SUBSAMPLE_BYTES_PER_ROW * rows
+    per_draw = per_point * dataset.p_e.size + per_row * rows
     max_count = MAX_SHOT_BUFFER_BYTES // per_draw - 1
     if count > max_count:
         raise ConfigError(
@@ -346,7 +339,7 @@ def _lifetime_report(node, datasets, subsample, estimate, stack):
     # the kind check comes before the draw, so a wrong-kind dataset is
     # reported as such and not as one the draw cannot use
     require_protocol(dataset, protocol)
-    _check_subsample_count(dataset, count)
+    _check_subsample_count(dataset, count, node.kind)
     p_e = np.empty((count + 1,) + dataset.grid_shape)
     stderr = np.empty_like(p_e)
     p_e[0], stderr[0] = dataset.p_e, dataset.stderr
@@ -394,7 +387,7 @@ def _parametric_report(node, datasets, system, sensing, subsample):
 
 
 # analysis kind -> its report builder, for each kind of config.ANALYSES; the
-# kinds of _SUBSAMPLED fit a subsample request's draws
+# kinds of config.SUBSAMPLE_BYTES fit a subsample request's draws
 REPORTS = {
     "coherence": _coherence_report,
     "calibration": _calibration_report,
@@ -403,7 +396,6 @@ REPORTS = {
     "lifetime-frequency": _frequency_lifetime_report,
     "parametric": _parametric_report,
 }
-_SUBSAMPLED = ("lifetime-phase", "lifetime-frequency")
 
 
 def run_analyses(
@@ -426,7 +418,7 @@ def run_analyses(
     is written; so is a ``subsample`` request that no analysis run can use.
     """
     runs = [(k, node) for k, node in enumerate(analyses) if only in (None, node.kind)]
-    if subsample is not None and runs and not any(n.kind in _SUBSAMPLED for _, n in runs):
+    if subsample is not None and runs and not any(n.kind in SUBSAMPLE_BYTES for _, n in runs):
         raise ConfigError("--subsample-budget applies only to a lifetime analysis")
     built = {}
     for k, node in runs:

@@ -488,28 +488,36 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--subsample-count 1000000000" in err
         assert "Traceback" not in err
-        # 214 bytes per point and 1896 per row, the measured peaks per draw,
-        # over the 13 x 13 grid per draw, plus the full data
-        largest = MAX_SHOT_BUFFER_BYTES // (214 * 13 * 13 + 1896 * 13) - 1
+        # lifetime-phase's 64 bytes per point and 979 per row, the measured
+        # peaks per draw, over the 13 x 13 grid per draw, plus the full data
+        largest = MAX_SHOT_BUFFER_BYTES // (64 * 13 * 13 + 979 * 13) - 1
+        assert largest == 22802
         assert f"at most {largest} draws" in err
         dataset = read_dataset(decay_artifact / "decay-phase.csv")
-        runner._check_subsample_count(dataset, largest)
+        runner._check_subsample_count(dataset, largest, "lifetime-phase")
         with pytest.raises(ConfigError):
-            runner._check_subsample_count(dataset, largest + 1)
+            runner._check_subsample_count(dataset, largest + 1, "lifetime-phase")
         # short rows: 41 sense times of 4 phases, the fewest a fringe fit takes,
         # where the bytes per row outweigh those per point; such an artifact's
-        # measured 50.6 kB a draw puts the largest count's peak near 241 MB
+        # measured 50.6 kB a draw puts the largest count's peak near 537 MB
         axes = tuple(
             replace(axis, values=np.linspace(axis.values[0], axis.values[-1], n))
             for axis, n in zip(dataset.axes, (41, 4))
         )
         full = np.full((41, 4), 0.5)
         short = replace(dataset, axes=axes, p_e=full, stderr=full, n_shots=300, clicks=None)
-        largest = MAX_SHOT_BUFFER_BYTES // (214 * 41 * 4 + 1896 * 41) - 1
-        assert largest == 4757
-        runner._check_subsample_count(short, largest)
+        largest = MAX_SHOT_BUFFER_BYTES // (64 * 41 * 4 + 979 * 41) - 1
+        assert largest == 10601
+        runner._check_subsample_count(short, largest, "lifetime-phase")
         with pytest.raises(ConfigError, match=f"164-point grid of 41 rows; at most {largest}"):
-            runner._check_subsample_count(short, largest + 1)
+            runner._check_subsample_count(short, largest + 1, "lifetime-phase")
+        # each kind has its own charge: a Gaussian row of lifetime-frequency
+        # takes 126 bytes per point and 3868 per row
+        largest = MAX_SHOT_BUFFER_BYTES // (126 * 41 * 4 + 3868 * 41) - 1
+        assert largest == 2994
+        runner._check_subsample_count(short, largest, "lifetime-frequency")
+        with pytest.raises(ConfigError, match=f"at most {largest} draws"):
+            runner._check_subsample_count(short, largest + 1, "lifetime-frequency")
 
     @pytest.mark.parametrize(
         "flags",
