@@ -22,11 +22,11 @@ of their weighted design matrices with ``np.linalg.lstsq``'s rank rule.
 
 A row converges once an accepted step moves every internal parameter by less
 than ``RELATIVE_STEP_TOL`` = sqrt(eps) of its value, MINPACK's recommended
-``xtol``: finer steps than that cannot lower a residual sum of squares that
-is resolved to eps. A row where no damped step up to ``LAMBDA_MAX`` lowers
-the residual stops as stalled, also counted converged. There is no stop on
-the decrease of the residual alone, which would call a slow crawl along a
-flat valley converged.
+``xtol``: near a minimum the residual sum of squares changes with the square
+of the step, so a finer step moves it by less than it resolves. A row where
+no damped step up to ``LAMBDA_MAX`` lowers the residual stops as stalled,
+also counted converged. There is no stop on the decrease of the residual
+alone, which would call a slow crawl along a flat valley converged.
 
 A parameter the data do not determine (its column of the Jacobian is zero,
 or it moves along the null space of a singular normal matrix) gets infinite
@@ -416,7 +416,11 @@ def fit_curve(
 ) -> FitResult:
     """Fit ``model`` to data with damped (Levenberg-Marquardt) least squares.
 
-    This is the one-row case of :func:`fit_rows`.
+    This is the one-row case of :func:`fit_rows`. The fit converges once an
+    accepted step moves every internal parameter by less than
+    ``RELATIVE_STEP_TOL`` = sqrt(eps) of its value, or stalls, also
+    converged, when no damping factor up to ``LAMBDA_MAX`` gives a step that
+    lowers the residual; it reads not converged after ``MAX_ITERATIONS``.
 
     Parameters
     ----------
@@ -457,9 +461,11 @@ def fit_rows(
     documents), but all rows still iterating advance in lockstep, so each
     iteration costs a handful of array operations for the whole batch: one
     closed-form Jacobian per row and a batched solve per damping factor
-    tried. The iterations and the covariance use the same Jacobian. A row of
-    a linear family (polynomial, fringe) starts at its linear least-squares
-    solution and takes none; its ``inits`` entry is not read.
+    tried. The iterations and the covariance use the same Jacobian. The rows
+    of a linear family (polynomial, fringe) start at their linear
+    least-squares solutions, all found by one stacked SVD of the rows'
+    weighted design matrices, and take no iteration; their ``inits`` are
+    not read.
 
     Parameters
     ----------
@@ -492,6 +498,10 @@ def fit_rows(
         the rows' starts are taken in order, and an initializer's or a
         length error raises at its row, before the first start with a log
         parameter <= 0 does.
+    FitRankError
+        For a linear family, the first row whose weighted design matrix has
+        rank below its parameter count, rank counted by
+        ``np.linalg.lstsq``'s rule.
     """
     x = np.asarray(x, dtype=float)
     n_rows = len(y_rows)
