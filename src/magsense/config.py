@@ -79,11 +79,13 @@ REMOVED_FIELDS = {
 }
 
 # A protocol with keep_shots samples its grid into one (points, shots)
-# float64 buffer, which its sidecar is written from without a copy. A run
+# buffer of readout.SHOT_DTYPE shots, which its sidecar is written from
+# without a copy. The bound charges each kept shot 8 bytes, the float64
+# width its voltage is computed at, twice what it is stored in. A run
 # holds one protocol's shots at a time: they are dropped once written. Its
-# peak RSS rose 8.3 bytes a shot, plus about 4 MiB, above start-up (4e6 and
+# peak RSS rose 4.5 bytes a shot, plus about 4 MiB, above start-up (4e6 and
 # 8e6 kept shots in one protocol; two protocols of 8e6 each peaked as one;
-# numpy 2.4, 2-vCPU Linux VM), so at the bound a run peaks about 0.56 GB
+# numpy 2.4, 2-vCPU Linux VM), so at the bound a run peaks about 0.3 GB
 # above start-up however many protocols it has. A report reads each
 # sidecar a block at a time and holds none of its shots. The
 # largest bundled protocol with kept shots (decay-tracking's
@@ -492,7 +494,7 @@ def _read_protocol(block: _Block, anchors: dict, n_shots: int) -> tuple[Protocol
     name = block.get("name", "string", kind)
     keys, optional, needs_n0, pump_required = PROTOCOLS[kind]
     grid_block = block.child("grids") if block.recorded else block
-    # grid points that still fit in the (points, shots) float64 buffer
+    # grid points whose kept shots fit the buffer at 8 bytes a shot
     capacity = MAX_SHOT_BUFFER_BYTES // (8 * max(n_shots, 1))
     grids = {}
     for key in keys:
@@ -631,8 +633,8 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
         if acquisition["n_shots"] > max_shots:
             raise ConfigError(
                 f"{source}.acquisition.n_shots: {acquisition['n_shots']} shots exceed "
-                f"the {max_shots} float64 values of the {MAX_SHOT_BUFFER_BYTES}-byte "
-                "shot buffer"
+                f"the {max_shots} shots, at 8 bytes each, of the "
+                f"{MAX_SHOT_BUFFER_BYTES}-byte shot buffer"
             )
     anchors = {key: getattr(system, key) for key in ("omega_q", "omega_c", "omega_m")}
     raw_protocols = block.get("protocols", "list")

@@ -19,6 +19,13 @@ the voltages of a grid whose shots are kept, point j from the stream
 ``sample_readout`` would draw for seed ``stream + (j,)``, bit for bit: it
 derives every point's PCG64 state with numpy's seeding arithmetic over
 arrays, then reseeds one reused generator per point.
+
+A kept shot is stored as ``SHOT_DTYPE``: each voltage is computed in float64
+and rounded once to float32, whose 6e-8 relative resolution is far finer
+than the readout noise or any digitizer. Clicks are counted from the stored
+values by one rule, ``clicked``; a float64 voltage within half a float32 ulp
+above the threshold can round onto it and lose its click, about 1.2e-8 of
+the shots at the default readout.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import numpy as np
 
 DEFAULT_SIGMA = 0.35
 DEFAULT_WINDOW = 2e-6
+# the dtype of every kept shot, sampled, held or written to a sidecar
+SHOT_DTYPE = np.float32
 # points thresholded together by sample_grid; its two draw buffers hold
 # n_shots values per point, so a small block stays in cache
 SAMPLE_BLOCK = 16
@@ -118,6 +127,16 @@ class ReadoutModel:
         return replace(self, decay_weight=1.0)
 
 
+def clicked(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Which shots click: ``values > float(threshold)``.
+
+    numpy compares an array with a Python float at the array's precision,
+    so ``SHOT_DTYPE`` shots click above the threshold rounded to that dtype,
+    and float64 shots of older sidecars above the threshold itself.
+    """
+    return values > float(threshold)
+
+
 def click_estimates(clicks, n_shots):
     """Excited fraction ``clicks / n_shots`` and its standard error.
 
@@ -145,11 +164,11 @@ class ShotRecord:
         return len(self.values)
 
     def excited_fraction(self) -> float:
-        return float(np.mean(self.values > self.threshold))
+        return float(np.mean(clicked(self.values, self.threshold)))
 
     def excited_stderr(self) -> float:
         """Laplace-smoothed binomial standard error of the fraction."""
-        k = int(np.sum(self.values > self.threshold))
+        k = int(np.sum(clicked(self.values, self.threshold)))
         return float(click_estimates(k, self.n_shots)[1])
 
 
@@ -158,7 +177,8 @@ def sample_readout(p_e: float, model: ReadoutModel, n_shots: int, seed) -> ShotR
 
     Deterministic for a fixed seed; the seed may be anything accepted by
     numpy's default_rng (int or sequence of ints). Draws one ``random`` and
-    then one ``standard_normal`` of ``n_shots``, in that order.
+    then one ``standard_normal`` of ``n_shots``, in that order, and stores
+    each float64 voltage as ``SHOT_DTYPE``.
     """
     if not 0.0 <= p_e <= 1.0:
         raise ValueError(f"excited-state probability {p_e} outside [0, 1]")
@@ -172,7 +192,7 @@ def sample_readout(p_e: float, model: ReadoutModel, n_shots: int, seed) -> ShotR
         model.mu_e + model.sigma_e * z,
         model.mu_g + model.sigma_g * z,
     )
-    return ShotRecord(values=values, threshold=model.threshold)
+    return ShotRecord(values=values.astype(SHOT_DTYPE), threshold=model.threshold)
 
 
 def _uint32_words(n: int) -> list:
@@ -267,12 +287,13 @@ def sample_grid(
     n_shots: int,
     stream: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Click counts and (points, shots) voltages of every point of a flat grid.
+    """Click counts and (points, shots) ``SHOT_DTYPE`` voltages of a flat grid.
 
     Point j draws what ``sample_readout(p_e[j], model, n_shots, stream + (j,))``
     draws, bit for bit: one ``random`` and one ``standard_normal`` draw of
-    ``n_shots`` from the same generator state. Points are thresholded in
-    blocks of ``SAMPLE_BLOCK``.
+    ``n_shots`` from the same generator state, computed in float64 and
+    stored rounded. Points are stored and their clicks counted in blocks of
+    ``SAMPLE_BLOCK``.
     """
     p_e = _grid_probabilities(p_e, n_shots)
     count = len(p_e)
@@ -285,7 +306,7 @@ def sample_grid(
     uniform = np.empty((SAMPLE_BLOCK, n_shots))
     normal = np.empty((SAMPLE_BLOCK, n_shots))
     clicks = np.empty(count, dtype=np.intp)
-    shots = np.empty((count, n_shots))
+    shots = np.empty((count, n_shots), dtype=SHOT_DTYPE)
     for start in range(0, count, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, count)
         for row, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(seeds[start:stop]):
@@ -303,5 +324,5 @@ def sample_grid(
             model.mu_e + model.sigma_e * z,
             model.mu_g + model.sigma_g * z,
         )
-        clicks[start:stop] = np.count_nonzero(shots[start:stop] > model.threshold, axis=1)
+        clicks[start:stop] = np.count_nonzero(clicked(shots[start:stop], model.threshold), axis=1)
     return clicks, shots

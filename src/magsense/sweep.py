@@ -7,9 +7,10 @@ read back from them (either serves time-budget subsampling). Datasets
 serialize to comma-separated tables with a commented header that records the
 manifest hash and per-column units; raw shots go to a companion ``.npz`` file
 referenced from the header. The sidecar's member is stored, not deflated:
-float64 readout noise does not compress, so zlib would spend most of a run's
-write time to save a few percent of the bytes. The member is written straight
-from the shots array's buffer, so writing a sidecar copies no shot.
+float32 readout noise (``readout.SHOT_DTYPE``) deflates to about 92 %, so
+zlib would spend most of a run's write time to save under a tenth of the
+bytes. The member is written straight from the shots array's buffer, so
+writing a sidecar copies no shot. Sidecars of float64 shots load alike.
 
 Reading a table checks its sidecar in one pass over the member, in blocks of
 ``SIDECAR_BLOCK_BYTES``: the ``.npy`` header, the CRC and each point's clicks
@@ -33,14 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .readout import click_estimates
+from .readout import click_estimates, clicked
 
 UNMANAGED_HASH = "unmanaged"
 
 # Bytes of a sidecar's shots read, checked and counted at a time. Reading a
 # sidecar holds two blocks at most (the next is read before the last is
 # freed) besides its grid's counts, so 64 KiB keeps ``report`` on the
-# benchmark's smoke artifact, 3.6 MB of shots, under an eighth of them.
+# benchmark's smoke artifact, 1.8 MB of shots, under an eighth of them.
 SIDECAR_BLOCK_BYTES = 64 * 1024
 
 # The ``.npz`` member spellings ``np.load`` resolves for the key ``shots``,
@@ -237,8 +238,8 @@ def count_clicks(blocks, shape: tuple, fortran_order: bool, threshold: float) ->
     ``blocks`` yields the flat values of a ``shape`` array, a grid and then
     a shot axis, in C order or with ``fortran_order`` in Fortran order; a
     block may end anywhere. Returns the counts on the grid, those of
-    ``np.count_nonzero(shots > threshold, axis=-1)``. Both the shots a run
-    holds and a sidecar read back are counted here.
+    ``np.count_nonzero(readout.clicked(shots, threshold), axis=-1)``. Both
+    the shots a run holds and a sidecar read back are counted here.
     """
     grid, n_shots = shape[:-1], shape[-1]
     n_points = math.prod(grid)
@@ -246,10 +247,9 @@ def count_clicks(blocks, shape: tuple, fortran_order: bool, threshold: float) ->
     # C order, a row per shot, across the points, in Fortran order
     width = n_points if fortran_order else n_shots
     counts = np.zeros(n_points, dtype=np.int64)
-    threshold = float(threshold)
     start = 0
     for block in blocks:
-        above = block > threshold
+        above = clicked(block, threshold)
         row, col = divmod(start, width)
         start += len(above)
         # the values that finish row ``row``, then whole rows, then the rest
@@ -423,7 +423,9 @@ def read_dataset(path) -> SweepDataset:
         rows.append(line)
         row_lines.append(number)
     data = _parse_rows(path, rows, row_lines)
-    if columns is None or not rows:
+    # the text and its row strings are not held while the sidecar streams
+    del text, rows
+    if columns is None or not len(data):
         raise SchemaError("dataset table has no column header or no rows")
     names = [c[0] for c in columns]
     for required in ("p_e", "stderr", "n_shots"):
@@ -449,9 +451,9 @@ def read_dataset(path) -> SweepDataset:
         values = data[np.sort(first), k]
         axes.append(Axis(name=names[k], unit=columns[k][1], values=values))
         shape.append(len(values))
-    if int(np.prod(shape)) != len(rows):
+    if int(np.prod(shape)) != len(data):
         raise SchemaError(
-            f"coordinate block is not a full cartesian grid: {shape} vs {len(rows)} rows"
+            f"coordinate block is not a full cartesian grid: {shape} vs {len(data)} rows"
         )
     shape = tuple(shape)
     expected = np.meshgrid(*[ax.values for ax in axes], indexing="ij")

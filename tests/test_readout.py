@@ -9,6 +9,7 @@ from conftest import binomial_band, check_binomial_counts
 
 from magsense.readout import (
     SAMPLE_BLOCK,
+    SHOT_DTYPE,
     ReadoutModel,
     ShotRecord,
     _seed_words,
@@ -168,6 +169,7 @@ def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots):
         expected = per_point(master)
         assert np.array_equal(clicks, np.count_nonzero(expected > model.threshold, axis=1))
         assert shots.shape == (size, n_shots)
+        assert shots.dtype == expected.dtype == SHOT_DTYPE
         assert np.array_equal(shots, expected)
         return
     stream = stream_seed(master, "grid")
@@ -235,14 +237,27 @@ def test_kept_shots_take_the_excited_voltage_with_probability_p_e_w():
         assert low <= count <= high, (p, count, (low, high))
 
 
+# the first 3 float64 voltages of 3 points at one stream seed, as the
+# stream draws them, and the SHOT_DTYPE shots they are stored as
+PINNED_VOLTAGES = [
+    ["0.22725550605119968", "0.2556885774294369", "-0.2620074715124492"],
+    ["0.1572475611038704", "-0.0007439391864037159", "1.72512451798108"],
+    ["0.9034998257559964", "0.08450839656134301", "1.666221498298341"],
+]
+PINNED_SHOTS = [
+    ["0.22725551", "0.25568858", "-0.26200747"],
+    ["0.15724756", "-0.0007439392", "1.7251245"],
+    ["0.90349984", "0.0845084", "1.6662215"],
+]
+
+
 def test_kept_shot_stream_is_pinned():
-    # the first 3 shots of 3 points at one stream seed; a change of the
-    # kept-shot stream changes every kept-shot artifact and must edit these
+    # a change of the kept-shot stream changes every kept-shot artifact and
+    # must edit these; the stored shots are the voltages rounded once
     _, shots = sample_grid(
         np.array([0.0, 0.5, 1.0]), default_model(), 8, stream_seed(2024, "pinned")
     )
-    assert [[repr(v) for v in row] for row in shots[:3, :3].tolist()] == [
-        ["0.22725550605119968", "0.2556885774294369", "-0.2620074715124492"],
-        ["0.1572475611038704", "-0.0007439391864037159", "1.72512451798108"],
-        ["0.9034998257559964", "0.08450839656134301", "1.666221498298341"],
-    ]
+    assert shots.dtype == SHOT_DTYPE
+    assert [[str(v) for v in row] for row in shots[:3, :3]] == PINNED_SHOTS
+    rounded = np.array(PINNED_VOLTAGES, dtype=float).astype(SHOT_DTYPE)
+    assert np.array_equal(rounded, np.array(PINNED_SHOTS, dtype=SHOT_DTYPE))

@@ -12,6 +12,7 @@ from magsense.config import ANALYSES, AnalysisNode, load_config
 from magsense.errors import DegenerateDataError, EstimationError, MagsenseError
 from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase
 from magsense.protocols import run_ramsey
+from magsense.readout import SHOT_DTYPE
 from magsense.runner import (
     REPORTS,
     _fit_status,
@@ -128,7 +129,7 @@ def test_recorded_shots_regenerate_from_the_manifest(tmp_path):
             regenerated = execute_protocol(node, config)
             with np.load(artifact.path / f"{node.name}_shots.npz") as payload:
                 recorded_shots = payload["shots"]
-            assert regenerated.shots.dtype == recorded_shots.dtype
+            assert recorded_shots.dtype == regenerated.shots.dtype == SHOT_DTYPE
             assert np.array_equal(regenerated.shots, recorded_shots)
             threshold = recorded.meta["readout_threshold"]
             clicks = np.count_nonzero(regenerated.shots > threshold, axis=-1)
@@ -481,32 +482,52 @@ def test_a_run_holds_one_protocols_kept_shots_at_a_time(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def smoke_decay_artifact(tmp_path_factory):
-    work = tmp_path_factory.mktemp("smoke-decay")
-    source = work / "config.yaml"
-    source.write_text(SMOKE_DECAY_YAML, encoding="utf-8")
-    return run_experiment(load_config(source), work / "artifact").path
+def smoke_decay_artifacts(tmp_path_factory):
+    """The smoke artifact at 800 kept shots a point, and at 1600."""
+    artifacts = []
+    for n_shots in (800, 1600):
+        work = tmp_path_factory.mktemp(f"smoke-decay-{n_shots}")
+        source = work / "config.yaml"
+        text = SMOKE_DECAY_YAML.replace("n_shots: 800", f"n_shots: {n_shots}")
+        source.write_text(text, encoding="utf-8")
+        artifacts.append(run_experiment(load_config(source), work / "artifact").path)
+    return artifacts
 
 
-def test_loading_an_artifact_holds_no_sidecars_shots(smoke_decay_artifact):
+def _assert_peak_grows_by_no_shots(artifacts, peaks):
+    # the table and fit memory is fixed, so a call that held the sidecars'
+    # shots would grow by the shot bytes that doubling the shots adds
+    small, large = (sum(_sidecar_shot_bytes(artifact)) for artifact in artifacts)
+    assert large == 2 * small
+    assert peaks[1] - peaks[0] < (large - small) / 8
+
+
+def test_loading_an_artifact_holds_no_sidecars_shots(smoke_decay_artifacts):
     loaded = []
-    peak = traced_peak(lambda: loaded.append(load_artifact(smoke_decay_artifact)))
+    peaks = [
+        traced_peak(lambda: loaded.append(load_artifact(artifact)))
+        for artifact in smoke_decay_artifacts
+    ]
     # the sidecars are checked a block at a time, not held
-    assert peak < sum(_sidecar_shot_bytes(smoke_decay_artifact)) / 8
-    _, _, datasets = loaded[0]
-    assert all(dataset.clicks is not None for dataset in datasets.values())
+    _assert_peak_grows_by_no_shots(smoke_decay_artifacts, peaks)
+    for _, _, datasets in loaded:
+        assert all(dataset.clicks is not None for dataset in datasets.values())
 
 
-def test_a_subsample_report_holds_no_sidecars_shots(smoke_decay_artifact, tmp_path):
-    def report():
-        manifest, config, datasets = load_artifact(smoke_decay_artifact)
+def test_a_subsample_report_holds_no_sidecars_shots(smoke_decay_artifacts, tmp_path):
+    def report(artifact, output):
+        manifest, config, datasets = load_artifact(artifact)
         # the stacked fits grow with the draw count, and not with the shots;
-        # two draws keep them under the bound, so the shots are what it tests
+        # two draws keep them small, so the shots are what it tests
         reports = run_analyses(
-            config.analyses, datasets, tmp_path, manifest["hash"], subsample=(1.0, 2)
+            config.analyses, datasets, output, manifest["hash"], subsample=(1.0, 2)
         )
         assert set(reports) == {"lifetime-phase", "lifetime-frequency"}
 
-    peak = traced_peak(report)
-    assert (tmp_path / "lifetime-phase-subsample.csv").exists()
-    assert peak < sum(_sidecar_shot_bytes(smoke_decay_artifact)) / 8
+    peaks = []
+    for k, artifact in enumerate(smoke_decay_artifacts):
+        output = tmp_path / str(k)
+        output.mkdir()
+        peaks.append(traced_peak(lambda: report(artifact, output)))
+        assert (output / "lifetime-phase-subsample.csv").exists()
+    _assert_peak_grows_by_no_shots(smoke_decay_artifacts, peaks)

@@ -11,14 +11,27 @@ from magsense.errors import BudgetError, EstimationError
 from magsense.fitting import FitModel, fit_curve
 from magsense.params import SystemParams
 from magsense.protocols import ProtocolConfig, run_relaxation
-from magsense.readout import ReadoutModel
+from magsense.readout import (
+    SHOT_DTYPE,
+    ReadoutModel,
+    click_estimates,
+    sample_grid,
+    sample_readout,
+)
 from magsense.subsample import (
     SUBSAMPLE_TAG,
     shots_per_point,
     subsample_draws,
     subsample_time_budget,
 )
-from magsense.sweep import Axis, SweepDataset, read_dataset, stream_seed, write_dataset
+from magsense.sweep import (
+    Axis,
+    SweepDataset,
+    point_seed,
+    read_dataset,
+    stream_seed,
+    write_dataset,
+)
 
 @pytest.fixture(scope="module")
 def relaxation_dataset():
@@ -285,3 +298,52 @@ def test_subsampled_relaxation_still_fits_the_lifetime(relaxation_dataset):
     fit = fit_curve(FitModel("exponential-decay"), delays, quarter.p_e, y_err=quarter.stderr)
     assert abs(fit.parameter("tau") - params.t1) < 3.0 * fit.stderr("tau")
     assert fit.stderr("tau") > full.stderr("tau")
+
+
+def test_every_path_counts_clicks_by_one_rule(tmp_path):
+    # ground shots stored as float32(0.3), which a float64 comparison puts
+    # above a threshold of 0.3; sampling, a held record, a sidecar read back
+    # and subsampling held shots all compare at the shots' precision, where
+    # they equal it and do not click
+    threshold = 0.3
+    assert float(SHOT_DTYPE(threshold)) > threshold
+    model = ReadoutModel(
+        mu_g=threshold,
+        sigma_g=1e-12,
+        mu_e=1.0,
+        sigma_e=1e-12,
+        decay_weight=1.0,
+        window=2e-6,
+        threshold=threshold,
+    )
+    p = np.array([0.0, 0.5, 1.0])
+    n_shots = 40
+    clicks, shots = sample_grid(p, model, n_shots, stream_seed(9, "rule"))
+    ground = shots == SHOT_DTYPE(threshold)
+    assert np.all(ground | (shots == 1.0)) and ground[0].all() and not ground[2].any()
+    assert np.array_equal(clicks, n_shots - np.count_nonzero(ground, axis=1))
+    records = [
+        sample_readout(float(q), model, n_shots, point_seed(9, "rule", j)) for j, q in enumerate(p)
+    ]
+    assert [record.excited_fraction() for record in records] == list(clicks / n_shots)
+
+    p_e, stderr = click_estimates(clicks, n_shots)
+    held = SweepDataset(
+        axes=(Axis("x", "s", np.arange(len(p), dtype=float)),),
+        p_e=p_e,
+        stderr=stderr,
+        n_shots=n_shots,
+        shot_duration=1e-6,
+        protocol="rule",
+        shots=shots,
+        meta={"readout_threshold": threshold},
+    )
+    path = tmp_path / "rule.csv"
+    write_dataset(held, path)
+    loaded = read_dataset(path)  # a recount that disagreed would raise SchemaError
+    assert np.array_equal(loaded.clicks, clicks)
+    budget = len(p) * (n_shots // 2) * held.shot_duration
+    drawn = subsample_draws(held, budget, range(5))
+    assert np.array_equal(drawn[0][:, 0], np.zeros(5))
+    for held_draw, read_draw in zip(drawn, subsample_draws(loaded, budget, range(5))):
+        assert np.array_equal(held_draw, read_draw)

@@ -170,8 +170,12 @@ def _assert_sidecar_is_savez(tmp_path, shots):
 @pytest.mark.parametrize("n_shots", [1, 800])
 @pytest.mark.parametrize("grid", [(7,), (3, 5), (2, 3, 4)], ids=["1-axis", "2-axis", "3-axis"])
 def test_sidecar_is_the_file_savez_writes(tmp_path, grid, n_shots):
+    # the float32 shots a run keeps, and the float64 ones older runs kept
     shots = np.random.default_rng(len(grid)).standard_normal(grid + (n_shots,))
-    _assert_sidecar_is_savez(tmp_path, shots)
+    for dtype in (np.float32, np.float64):
+        work = tmp_path / np.dtype(dtype).name
+        work.mkdir()
+        _assert_sidecar_is_savez(work, shots.astype(dtype))
 
 
 def test_sidecar_of_a_view_into_a_larger_buffer_is_the_file_savez_writes(tmp_path):
