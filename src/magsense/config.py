@@ -133,17 +133,6 @@ ANALYSES = {
     },
 }
 
-# subsampled analysis kind -> (bytes per grid point, bytes per fit row): the
-# peak memory a subsample report takes for each stacked draw. Each pair is
-# solved from the per-draw slopes of tracemalloc peaks of `report
-# --subsample-budget 1.0` at 20, 80 and 320 draws on two artifacts of the
-# kind, 41 x 4 and 41 x 25 decay-phase or 21 x 81 and 41 x 11
-# decay-spectroscopy, and rounded up (numpy 2.4, Python 3.11).
-SUBSAMPLE_BYTES = {
-    "lifetime-phase": (64, 979),
-    "lifetime-frequency": (126, 3868),
-}
-
 
 def parse_quantity(value, dimension: str, path: str) -> float:
     """Convert a "value unit" string (or plain number) to SI radian units."""

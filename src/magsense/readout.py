@@ -42,6 +42,9 @@ SHOT_DTYPE = np.float32
 # points thresholded together by sample_grid; its two draw buffers hold
 # n_shots values per point, so a small block stays in cache
 SAMPLE_BLOCK = 16
+# bytes of one sample_grid draw buffer, which caps a block's rows below
+# SAMPLE_BLOCK for wide points; 16 rows of 800 float64 shots take 100 KiB
+SAMPLE_BLOCK_BYTES = 128 * 1024
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size and hash
 # constants, and PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64)
@@ -293,22 +296,23 @@ def sample_grid(
     draws, bit for bit: one ``random`` and one ``standard_normal`` draw of
     ``n_shots`` from the same generator state, computed in float64 and
     stored rounded. Points are stored and their clicks counted in blocks of
-    ``SAMPLE_BLOCK``.
+    ``SAMPLE_BLOCK`` rows, fewer where a block of ``n_shots`` float64 values
+    a row would exceed ``SAMPLE_BLOCK_BYTES``, and at least one.
     """
     p_e = _grid_probabilities(p_e, n_shots)
     count = len(p_e)
+    block = max(1, min(SAMPLE_BLOCK, count, SAMPLE_BLOCK_BYTES // (8 * n_shots)))
     seeds = _seed_words(stream, count).tolist()
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
     # a fresh generator's state; random and standard_normal draw whole
     # 64-bit words, so its buffered-uint32 fields stay 0 as default_rng's do
     state = bit_generator.state
-    uniform = np.empty((SAMPLE_BLOCK, n_shots))
-    normal = np.empty((SAMPLE_BLOCK, n_shots))
+    uniform, normal = np.empty((2, block, n_shots))
     clicks = np.empty(count, dtype=np.intp)
     shots = np.empty((count, n_shots), dtype=SHOT_DTYPE)
-    for start in range(0, count, SAMPLE_BLOCK):
-        stop = min(start + SAMPLE_BLOCK, count)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
         for row, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(seeds[start:stop]):
             # PCG64's seeding: an odd increment, then two LCG steps that
             # add the seed in between

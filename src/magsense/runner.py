@@ -26,7 +26,6 @@ from .analysis import calibrate_magnon_number, linear_slope
 from .config import (
     ANALYSES,
     MAX_SHOT_BUFFER_BYTES,
-    SUBSAMPLE_BYTES,
     ExperimentConfig,
     ProtocolNode,
     from_resolved,
@@ -303,32 +302,25 @@ def _lifetime_keys(estimate) -> dict:
     return keys
 
 
-def _check_subsample_count(dataset: SweepDataset, count: int, kind: str) -> None:
-    """Reject a draw count whose estimates would overflow the buffer.
-
-    A report of ``count`` draws holds ``count + 1`` stacked draws, each
-    taking the bytes ``config.SUBSAMPLE_BYTES`` charges the analysis
-    ``kind`` for every grid point and for every row of the grid's last axis.
-    """
-    per_point, per_row = SUBSAMPLE_BYTES[kind]
-    rows = dataset.p_e.size // dataset.grid_shape[-1]
-    per_draw = per_point * dataset.p_e.size + per_row * rows
-    max_count = MAX_SHOT_BUFFER_BYTES // per_draw - 1
-    if count > max_count:
-        raise ConfigError(
-            f"--subsample-count {count} needs {(count + 1) * per_draw} bytes of draws "
-            f"and fits on a {dataset.p_e.size}-point grid of {rows} rows; at most {max_count} "
-            f"draws fit the {MAX_SHOT_BUFFER_BYTES}-byte buffer"
-        )
+# estimates a subsample report fits as one stack; a stacked fit does not depend
+# on its batch, nor a draw on its chunk, so the chunk size moves no bit
+SUBSAMPLE_CHUNK = 64
+# bytes charged for a subsample table's row, the one part of a report that grows
+# with its draws; derived, not measured: two kinds' tables hold 3 x 8 B cells a row
+# (48 B); writing one builds three <= 24-character cell strings with list slots
+# (3 x 81 B), one column's Python numbers (36 B), the joined row (131 B) and the
+# 75-character file text twice (150 B): 608 B, rounded up to 1 KiB
+SUBSAMPLE_ROW_BYTES = 1024
 
 
 def _lifetime_report(node, datasets, subsample, estimate, stack):
     """A lifetime report from ``estimate``, or from ``stack`` with a subsample.
 
-    With a subsample request, the recorded ``p_e`` and ``stderr`` are draw 0
-    of one stack and the time-budget draws 1..count, all fit in one ``stack``
-    call. Estimate 0 gives the keys the report writes without a request, and
-    the draws' estimates the subsample table.
+    With a subsample request, the recorded ``p_e`` and ``stderr`` are
+    estimate 0 and the time-budget draws of seeds 0..count-1 the rest, fit
+    by ``stack`` in chunks of ``SUBSAMPLE_CHUNK`` estimates, estimate 0 first.
+    Estimate 0 gives the keys the report writes without a request, and the
+    draws' lifetimes and uncertainties the subsample table.
     """
     dataset = datasets[node.inputs["dataset"]]
     if subsample is None:
@@ -339,13 +331,25 @@ def _lifetime_report(node, datasets, subsample, estimate, stack):
     # the kind check comes before the draw, so a wrong-kind dataset is
     # reported as such and not as one the draw cannot use
     require_protocol(dataset, protocol)
-    _check_subsample_count(dataset, count, node.kind)
-    p_e = np.empty((count + 1,) + dataset.grid_shape)
-    stderr = np.empty_like(p_e)
-    p_e[0], stderr[0] = dataset.p_e, dataset.stderr
-    p_e[1:], stderr[1:] = subsample_draws(dataset, budget, range(count))
-    full, *draws = stack(dataset, p_e, stderr)
-    lifetimes = np.array([draw.lifetime for draw in draws])
+    max_count = MAX_SHOT_BUFFER_BYTES // SUBSAMPLE_ROW_BYTES
+    if count > max_count:
+        raise ConfigError(
+            f"--subsample-count {count} needs {count * SUBSAMPLE_ROW_BYTES} bytes of subsample "
+            f"table; at most {max_count} draws fit the {MAX_SHOT_BUFFER_BYTES}-byte buffer"
+        )
+    lifetimes, uncertainties = np.empty(count), np.empty(count)
+    # chunk [a, b) of draw seeds, where seed -1 stands for estimate 0
+    for a in range(-1, count, SUBSAMPLE_CHUNK):
+        b = min(a + SUBSAMPLE_CHUNK, count)
+        p_e, stderr = subsample_draws(dataset, budget, range(max(a, 0), b))
+        if a < 0:
+            p_e = np.concatenate((dataset.p_e[None], p_e))
+            stderr = np.concatenate((dataset.stderr[None], stderr))
+            full, *draws = stack(dataset, p_e, stderr)
+        else:
+            draws = stack(dataset, p_e, stderr)
+        lifetimes[max(a, 0) : b] = [draw.lifetime for draw in draws]
+        uncertainties[max(a, 0) : b] = [draw.uncertainty for draw in draws]
     keys = {
         **_lifetime_keys(full),
         "subsample_budget_s": budget,
@@ -356,7 +360,7 @@ def _lifetime_report(node, datasets, subsample, estimate, stack):
     table = [
         ("subset", "index", np.arange(count)),
         ("lifetime", "s", lifetimes),
-        ("uncertainty", "s", np.array([draw.uncertainty for draw in draws])),
+        ("uncertainty", "s", uncertainties),
     ]
     return keys, full.fits, {f"{node.kind}-subsample.csv": table}
 
@@ -386,8 +390,7 @@ def _parametric_report(node, datasets, system, sensing, subsample):
     }, estimate.fits, {}
 
 
-# analysis kind -> its report builder, for each kind of config.ANALYSES; the
-# kinds of config.SUBSAMPLE_BYTES fit a subsample request's draws
+# analysis kind -> its report builder, for each kind of config.ANALYSES
 REPORTS = {
     "coherence": _coherence_report,
     "calibration": _calibration_report,
@@ -396,6 +399,9 @@ REPORTS = {
     "lifetime-frequency": _frequency_lifetime_report,
     "parametric": _parametric_report,
 }
+
+# the kinds of REPORTS whose builder fits a subsample request's draws
+SUBSAMPLED = frozenset({"lifetime-phase", "lifetime-frequency"})
 
 
 def run_analyses(
@@ -418,7 +424,7 @@ def run_analyses(
     is written; so is a ``subsample`` request that no analysis run can use.
     """
     runs = [(k, node) for k, node in enumerate(analyses) if only in (None, node.kind)]
-    if subsample is not None and runs and not any(n.kind in SUBSAMPLE_BYTES for _, n in runs):
+    if subsample is not None and runs and not any(n.kind in SUBSAMPLED for _, n in runs):
         raise ConfigError("--subsample-budget applies only to a lifetime analysis")
     built = {}
     for k, node in runs:

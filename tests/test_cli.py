@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 import zipfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from conftest import removed_field_edits, rewrite_manifest
 from magsense import runner
 from magsense.cli import bundled_configs, main
 from magsense.config import MAX_SHOT_BUFFER_BYTES
-from magsense.errors import ConfigError
 from magsense.runner import read_report
 from magsense.sweep import read_dataset
 
@@ -488,36 +486,16 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--subsample-count 1000000000" in err
         assert "Traceback" not in err
-        # lifetime-phase's 64 bytes per point and 979 per row, the measured
-        # peaks per draw, over the 13 x 13 grid per draw, plus the full data
-        largest = MAX_SHOT_BUFFER_BYTES // (64 * 13 * 13 + 979 * 13) - 1
-        assert largest == 22802
+        # draws are fit a chunk at a time, so only the table of one row a
+        # draw grows with the count, at a fixed charge a row whatever the data
+        largest = MAX_SHOT_BUFFER_BYTES // runner.SUBSAMPLE_ROW_BYTES
+        assert largest == 524288
         assert f"at most {largest} draws" in err
-        dataset = read_dataset(decay_artifact / "decay-phase.csv")
-        runner._check_subsample_count(dataset, largest, "lifetime-phase")
-        with pytest.raises(ConfigError):
-            runner._check_subsample_count(dataset, largest + 1, "lifetime-phase")
-        # short rows: 41 sense times of 4 phases, the fewest a fringe fit takes,
-        # where the bytes per row outweigh those per point; such an artifact's
-        # measured 50.6 kB a draw puts the largest count's peak near 537 MB
-        axes = tuple(
-            replace(axis, values=np.linspace(axis.values[0], axis.values[-1], n))
-            for axis, n in zip(dataset.axes, (41, 4))
-        )
-        full = np.full((41, 4), 0.5)
-        short = replace(dataset, axes=axes, p_e=full, stderr=full, n_shots=300, clicks=None)
-        largest = MAX_SHOT_BUFFER_BYTES // (64 * 41 * 4 + 979 * 41) - 1
-        assert largest == 10601
-        runner._check_subsample_count(short, largest, "lifetime-phase")
-        with pytest.raises(ConfigError, match=f"164-point grid of 41 rows; at most {largest}"):
-            runner._check_subsample_count(short, largest + 1, "lifetime-phase")
-        # each kind has its own charge: a Gaussian row of lifetime-frequency
-        # takes 126 bytes per point and 3868 per row
-        largest = MAX_SHOT_BUFFER_BYTES // (126 * 41 * 4 + 3868 * 41) - 1
-        assert largest == 2994
-        runner._check_subsample_count(short, largest, "lifetime-frequency")
-        with pytest.raises(ConfigError, match=f"at most {largest} draws"):
-            runner._check_subsample_count(short, largest + 1, "lifetime-frequency")
+        assert main([*argv, "--subsample-count", str(largest + 1)]) == 2
+        assert f"at most {largest} draws" in capsys.readouterr().err
+        # the largest count passes the bound and reaches the draw
+        with pytest.raises(AssertionError, match="drew subsamples"):
+            main([*argv, "--subsample-count", str(largest)])
 
     @pytest.mark.parametrize(
         "flags",

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import binomial_band, check_binomial_counts
+from conftest import binomial_band, check_binomial_counts, traced_peak
 
 from magsense.readout import (
     SAMPLE_BLOCK,
+    SAMPLE_BLOCK_BYTES,
     SHOT_DTYPE,
     ReadoutModel,
     ShotRecord,
@@ -142,14 +143,20 @@ def test_seed_words_are_numpy_seed_sequence_states(master, tag):
 LAW_DRAWS = 200
 
 
-@pytest.mark.parametrize("keep_shots", [True, False])
-@pytest.mark.parametrize("n_shots", [1, 57])
+# shots a point at which sample_grid's byte cap makes blocks of 3 rows
+WIDE_SHOTS = SAMPLE_BLOCK_BYTES // (8 * 3)
+
+
+@pytest.mark.parametrize(
+    ("n_shots", "keep_shots"), [(1, True), (1, False), (57, True), (57, False), (WIDE_SHOTS, True)]
+)
 @pytest.mark.parametrize(
     "size", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3]
 )
 def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots):
-    # kept shots are sample_readout's, bit for bit; a grid without kept
-    # shots draws click counts that match its clicks in law
+    # kept shots are sample_readout's, bit for bit, also in blocks the byte
+    # cap shortens; a grid without kept shots draws click counts that match
+    # its clicks in law
     model = default_model()
     p = np.random.default_rng(size).random(size)
     p[1::4] = 0.0
@@ -190,6 +197,18 @@ def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots):
         ]
     )
     check_binomial_counts(draws, oracle, n_shots, [model.click_probability(q) for q in p])
+
+
+def test_sample_grid_buffers_are_bounded_by_bytes():
+    # 16 points of 100 000 shots are drawn a row at a time, so the draw
+    # buffers and their temporaries take less than the 6.4 MB of stored
+    # shots; blocks of SAMPLE_BLOCK rows would peak at about 72 MB
+    held = []
+    p = np.linspace(0.0, 1.0, 16)
+    peak = traced_peak(lambda: held.append(sample_grid(p, default_model(), 100_000, (5, 1))))
+    _, shots = held[0]
+    assert shots.shape == (16, 100_000)
+    assert peak < 2 * shots.nbytes
 
 
 # kept-shot grids: a grid spanning p_e = 0..1 under the finite-T1 model

@@ -1,5 +1,6 @@
 """Artifact-level tests: shots regenerated from a manifest, fit status keys."""
 
+import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from conftest import removed_field_edits, rewrite_manifest, traced_peak
 from magsense import fitting, runner
 from magsense.config import ANALYSES, AnalysisNode, load_config
 from magsense.errors import DegenerateDataError, EstimationError, MagsenseError
-from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase
+from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase, phase_lifetimes
 from magsense.protocols import run_ramsey
 from magsense.readout import SHOT_DTYPE
 from magsense.runner import (
@@ -24,7 +25,7 @@ from magsense.runner import (
     run_analyses,
     run_experiment,
 )
-from magsense.subsample import subsample_time_budget
+from magsense.subsample import subsample_draws, subsample_time_budget
 from magsense.sweep import Axis
 
 SHOTS_YAML = """\
@@ -148,12 +149,17 @@ def _keep_60_of_200(dataset):
     return 60 * dataset.p_e.size * dataset.shot_duration
 
 
-def test_subsample_table_matches_per_draw_estimates(tmp_path):
+def test_subsample_table_matches_per_draw_estimates(tmp_path, monkeypatch):
     artifact = _run(tmp_path, DECAY_YAML)
     manifest, _, datasets = load_artifact(artifact.path)
     estimators = (lifetime_from_phase, lifetime_from_frequency)
     count = 6
-    for node, estimator in zip(LIFETIME_NODES, estimators):
+    # the default chunk fits every estimate in one stack; chunks of 4 cross
+    # a boundary, with estimate 0 and draws 0-2 first, then draws 3-5
+    for chunk, (node, estimator) in itertools.product(
+        (runner.SUBSAMPLE_CHUNK, 4), zip(LIFETIME_NODES, estimators)
+    ):
+        monkeypatch.setattr(runner, "SUBSAMPLE_CHUNK", chunk)
         dataset = datasets[node.inputs["dataset"]]
         budget = _keep_60_of_200(dataset)
         reports = run_analyses(
@@ -169,6 +175,27 @@ def test_subsample_table_matches_per_draw_estimates(tmp_path):
         assert float(keys["lifetime_s"]) == estimator(dataset).lifetime
         assert float(keys["subsample_lifetime_mean_s"]) == np.mean(rows[:, 1])
         assert len(set(rows[:, 1])) == count
+
+
+def test_a_subsample_reports_memory_does_not_grow_with_its_draws(tmp_path, monkeypatch):
+    artifact = _run(tmp_path, DECAY_YAML)
+    manifest, _, datasets = load_artifact(artifact.path)
+    node = LIFETIME_NODES[0]
+    dataset = datasets[node.inputs["dataset"]]
+    budget = _keep_60_of_200(dataset)
+    chunk = 4
+    monkeypatch.setattr(runner, "SUBSAMPLE_CHUNK", chunk)
+    # one chunk's worth: the peak of fitting one chunk of draws as a stack
+    p_e, stderr = subsample_draws(dataset, budget, range(chunk))
+    chunk_peak = traced_peak(lambda: phase_lifetimes(dataset, p_e, stderr))
+    peaks = []
+    for count in (8, 80):
+        output = tmp_path / str(count)
+        output.mkdir()
+        report = (node,), datasets, output, manifest["hash"]
+        peaks.append(traced_peak(lambda: run_analyses(*report, subsample=(budget, count))))
+    # fitting the 81 estimates as one stack would grow by 18 chunks' worth
+    assert abs(peaks[1] - peaks[0]) < chunk_peak
 
 
 def test_subsample_request_keeps_the_lifetime_report_keys(tmp_path):
@@ -517,8 +544,8 @@ def test_loading_an_artifact_holds_no_sidecars_shots(smoke_decay_artifacts):
 def test_a_subsample_report_holds_no_sidecars_shots(smoke_decay_artifacts, tmp_path):
     def report(artifact, output):
         manifest, config, datasets = load_artifact(artifact)
-        # the stacked fits grow with the draw count, and not with the shots;
-        # two draws keep them small, so the shots are what it tests
+        # draws are fit a chunk at a time, and two draws keep the one chunk
+        # small, so the shots are what it tests
         reports = run_analyses(
             config.analyses, datasets, output, manifest["hash"], subsample=(1.0, 2)
         )
