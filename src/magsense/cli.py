@@ -233,6 +233,3 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,7 +43,8 @@ SHOT_DTYPE = np.float32
 # n_shots values per point, so a small block stays in cache
 SAMPLE_BLOCK = 16
 # bytes of one sample_grid draw buffer, which caps a block's rows below
-# SAMPLE_BLOCK for wide points; 16 rows of 800 float64 shots take 100 KiB
+# SAMPLE_BLOCK for wide points and a point wider than it to column slices;
+# 16 rows of 800 float64 shots take 100 KiB
 SAMPLE_BLOCK_BYTES = 128 * 1024
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size and hash
@@ -297,29 +298,55 @@ def sample_grid(
     ``n_shots`` from the same generator state, computed in float64 and
     stored rounded. Points are stored and their clicks counted in blocks of
     ``SAMPLE_BLOCK`` rows, fewer where a block of ``n_shots`` float64 values
-    a row would exceed ``SAMPLE_BLOCK_BYTES``, and at least one.
+    a row would exceed ``SAMPLE_BLOCK_BYTES``. A point wider than that is
+    drawn alone in column slices of ``SAMPLE_BLOCK_BYTES``: all its uniforms
+    first, kept as excited flags, then its normals, so its stream is the
+    same.
     """
     p_e = _grid_probabilities(p_e, n_shots)
     count = len(p_e)
-    block = max(1, min(SAMPLE_BLOCK, count, SAMPLE_BLOCK_BYTES // (8 * n_shots)))
+    block = min(SAMPLE_BLOCK, count, SAMPLE_BLOCK_BYTES // (8 * n_shots))
+    width = n_shots if block else SAMPLE_BLOCK_BYTES // 8
     seeds = _seed_words(stream, count).tolist()
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
     # a fresh generator's state; random and standard_normal draw whole
     # 64-bit words, so its buffered-uint32 fields stay 0 as default_rng's do
     state = bit_generator.state
-    uniform, normal = np.empty((2, block, n_shots))
+
+    def reseed(seed_hi, seed_lo, seq_hi, seq_lo):
+        # PCG64's seeding: an odd increment, then two LCG steps that add the
+        # seed in between
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        seeded = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        state["state"] = {"state": seeded, "inc": inc}
+        bit_generator.state = state
+
+    uniform, normal = np.empty((2, max(block, 1), width))
     clicks = np.empty(count, dtype=np.intp)
     shots = np.empty((count, n_shots), dtype=SHOT_DTYPE)
+    if not block:
+        excited = np.empty(n_shots, dtype=bool)
+        slices = [slice(a, min(a + width, n_shots)) for a in range(0, n_shots, width)]
+        for j, seed in enumerate(seeds):
+            reseed(*seed)
+            for cols in slices:
+                u = uniform[0, : cols.stop - cols.start]
+                rng.random(out=u)
+                np.less(u, p_e[j] * model.decay_weight, out=excited[cols])
+            clicks[j] = 0
+            for cols in slices:
+                z = normal[0, : cols.stop - cols.start]
+                rng.standard_normal(out=z)
+                shots[j, cols] = np.where(
+                    excited[cols], model.mu_e + model.sigma_e * z, model.mu_g + model.sigma_g * z
+                )
+                clicks[j] += np.count_nonzero(clicked(shots[j, cols], model.threshold))
+        return clicks, shots
     for start in range(0, count, block):
         stop = min(start + block, count)
-        for row, (seed_hi, seed_lo, seq_hi, seq_lo) in enumerate(seeds[start:stop]):
-            # PCG64's seeding: an odd increment, then two LCG steps that
-            # add the seed in between
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            seeded = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-            state["state"] = {"state": seeded, "inc": inc}
-            bit_generator.state = state
+        for row, seed in enumerate(seeds[start:stop]):
+            reseed(*seed)
             rng.random(out=uniform[row])
             rng.standard_normal(out=normal[row])
         z = normal[: stop - start]

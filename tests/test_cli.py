@@ -1,5 +1,8 @@
 """End-to-end tests for the command line: verbs, exit codes, artifacts."""
 
+import ast
+import gc
+import importlib
 import json
 import os
 import shutil
@@ -95,6 +98,23 @@ def _write_zip_member(path, name, data):
 
 def artifact_files(path):
     return sorted(p.name for p in path.iterdir())
+
+
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def artifact_contents(path):
+    """Each file of an artifact by name; the manifest parsed, without ``created``."""
+    files = {}
+    for file in sorted(path.rglob("*")):
+        if file.is_file():
+            files[str(file.relative_to(path))] = file.read_bytes()
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["created"]
+    return files | {"manifest.json": manifest}
 
 
 class TestValidate:
@@ -294,10 +314,8 @@ class TestRun:
             f"assert main(['report', {str(out)!r}]) == 0\n"
             "print('numpy.polynomial' in sys.modules)\n"
         )
-        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True
         )
         assert done.stdout.splitlines()[-1] == "False"
 
@@ -643,3 +661,69 @@ class TestImport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--subsample-budget" in err
         assert "Traceback" not in err
+
+
+class TestProcessEntry:
+    def test_module_entry_writes_what_in_process_main_writes(self, work):
+        # python3 -m magsense runs its command with the imported module state
+        # frozen; its run and report write what cli.main writes in-process
+        config = str(work / "decay.yaml")
+        in_process, module = work / "entry-in-process", work / "entry-module"
+        assert main(["run", config, "--output", str(in_process)]) == 0
+        assert main(["report", str(in_process)]) == 0
+        for argv in (["run", config, "--output", str(module)], ["report", str(module)]):
+            subprocess.run(
+                [sys.executable, "-m", "magsense", *argv],
+                env=source_env(),
+                capture_output=True,
+                check=True,
+            )
+        assert artifact_contents(module) == artifact_contents(in_process)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_in_process_main_leaves_the_collector_as_it_was(self, work, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(["validate", str(work / "coherence.yaml")]) == 0
+            assert main(["run", str(work / "coherence.yaml"), "--output", str(work / "gc")]) == 0
+            assert main(["report", str(work / "gc")]) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+            shutil.rmtree(work / "gc", ignore_errors=True)
+
+    def test_script_target_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = target["magsense"].partition(":")
+        assert module == "magsense.__main__"
+        # the one call under the module's __main__ guard, which python3 -m
+        # magsense runs, is the script's function
+        entry = importlib.import_module(module)
+        tree = ast.parse(Path(entry.__file__).read_text(encoding="utf-8"))
+        guards = [
+            node.body
+            for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [[ast.unparse(line) for line in body] for body in guards] == [
+            [f"sys.exit({name}())"]
+        ]
+        # that function freezes the imported state before cli.main runs
+        code = (
+            "import gc, importlib, sys\n"
+            "import magsense.cli\n"
+            "magsense.cli.main = lambda: print(gc.get_freeze_count() > 1000) or 0\n"
+            f"sys.exit(getattr(importlib.import_module({module!r}), {name!r})())\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=source_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "True"

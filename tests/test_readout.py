@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import binomial_band, check_binomial_counts, traced_peak
 
+from magsense import readout
 from magsense.readout import (
     SAMPLE_BLOCK,
     SAMPLE_BLOCK_BYTES,
@@ -209,6 +210,40 @@ def test_sample_grid_buffers_are_bounded_by_bytes():
     _, shots = held[0]
     assert shots.shape == (16, 100_000)
     assert peak < 2 * shots.nbytes
+
+
+@pytest.mark.parametrize("n_shots", [6, 57, 60])
+def test_sample_grid_draws_a_wide_point_in_column_slices(n_shots, monkeypatch):
+    # a point wider than the byte cap is drawn in slices of 5 columns, its
+    # uniforms all before its normals, so it still draws sample_readout's
+    # shots bit for bit, also in a last slice narrower than the rest
+    monkeypatch.setattr(readout, "SAMPLE_BLOCK_BYTES", 8 * 5)
+    model = default_model()
+    p = np.array([0.0, 0.3, 1.0, 0.7])
+    master = 2**32 + 7
+    clicks, shots = sample_grid(p, model, n_shots, stream_seed(master, "wide"))
+    expected = np.stack(
+        [
+            sample_readout(float(p[j]), model, n_shots, point_seed(master, "wide", j)).values
+            for j in range(len(p))
+        ]
+    )
+    assert shots.dtype == SHOT_DTYPE
+    assert np.array_equal(shots, expected)
+    assert np.array_equal(clicks, np.count_nonzero(expected > model.threshold, axis=1))
+
+
+def test_sample_grid_bounds_a_wide_point_by_its_stored_shots():
+    # one point of 1 000 000 shots holds its float32 shots, one excited flag
+    # a shot and slice-sized buffers, not full-row float64 draws
+    held = []
+    n_shots = 1_000_000
+    peak = traced_peak(
+        lambda: held.append(sample_grid(np.array([0.4]), default_model(), n_shots, (5, 2)))
+    )
+    _, shots = held[0]
+    assert shots.shape == (1, n_shots)
+    assert peak < shots.nbytes + n_shots + 16 * SAMPLE_BLOCK_BYTES
 
 
 # kept-shot grids: a grid spanning p_e = 0..1 under the finite-T1 model

@@ -285,6 +285,9 @@ def test_fit_status_names_each_failing_message_once():
     assert _fit_status(fits[:1]) == {"fit_converged": True, "fit_message": "none"}
 
 
+# 13 durations a detuning, so that every rate fit of the clean case converges
+# at seeds 0-159; with 9, seeds 28, 44, 135 and 153 ended in "no convergence
+# within 500 iterations" and seed 139 in a ZeroDivisionError
 PARAMETRIC_YAML = """\
 name: parametric-fits
 seed: 5
@@ -295,7 +298,7 @@ protocols:
     pump:
       omega_qm: 0.66 MHz
     deltas: {start: -7.215 MHz, stop: 7.215 MHz, count: 9}
-    durations: {start: 0 us, stop: 4 us, count: 9}
+    durations: {start: 0 us, stop: 4 us, count: 13}
 analyses:
   - kind: parametric
 """
