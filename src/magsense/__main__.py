@@ -1,21 +1,25 @@
 """Process entry point: ``python3 -m magsense`` and the ``magsense`` script.
 
-Importing numpy and magsense leaves about 22 000 objects that live as long
-as the process. ``main`` moves them to the collector's permanent generation
-before the command runs, so neither a full collection during the command nor
-the final collection at exit traces them again. Objects the command creates
-stay collectable, so a file left in a reference cycle is still finalized at
-exit. ``cli.main`` called in-process freezes nothing.
+``main`` runs numpy's OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS``
+is set: magsense's largest BLAS operand, a 64 x 64 mat-vec, gains nothing
+from a second thread, whose worker would busy-wait in every command. It then
+freezes the about 22 000 objects that importing numpy and magsense leaves,
+so no collection during the command or at exit traces them again; objects
+the command creates stay collectable. Importing this module, or calling
+``cli.main`` in-process, does neither.
 """
 
 import gc
+import os
 import sys
-
-from . import cli
 
 
 def main() -> int:
-    """Run one command from ``sys.argv`` with the imported module state frozen."""
+    """Run one command from ``sys.argv`` on one BLAS thread, module state frozen."""
+    # OpenBLAS reads the variable once, when numpy loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import cli
+
     gc.freeze()
     return cli.main()
 

@@ -285,8 +285,10 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
     hybridization transient leaves it below the slow-pole envelope. The
     rates follow a Lorentzian of FWHM kappa_m on top of the intrinsic rate,
     with peak height omega_qm^2/kappa_m; the amplitude is solved for
-    omega_qm with the fit covariance propagated through. A rate or profile
-    fit that stopped without converging raises the fit-not-converged flag.
+    omega_qm with the fit covariance propagated through. An undetermined
+    omega_qm is NaN, with infinite stderr and the omega-qm-undetermined flag.
+    A rate or profile fit that stopped without converging raises the
+    fit-not-converged flag.
     """
     require_protocol(dataset, "parametric-scan")
     deltas, durations = (axis.values for axis in dataset.axes)
@@ -309,13 +311,16 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
     amp = profile.parameter("amplitude")
     fwhm = profile.parameter("fwhm")
     omega = math.sqrt(max(amp, 0.0) * fwhm)
-    # delta method on omega = sqrt(amplitude * fwhm) with the fit covariance
+    # delta method on omega = sqrt(amplitude * fwhm) with the fit covariance;
+    # at omega = 0 (infinite slope) or from an undetermined profile parameter
+    # omega is undetermined
+    determined = omega > 0 and np.isfinite(profile.covariance).all()
     grad = np.zeros(len(names))
-    if omega > 0:
+    if determined:
         grad[names.index("amplitude")] = 0.5 * omega / amp
         grad[names.index("fwhm")] = 0.5 * omega / fwhm
-    omega_var = float(grad @ profile.covariance @ grad)
-    flags = []
+    omega_var = float(grad @ profile.covariance @ grad) if determined else math.inf
+    flags = [] if determined else ["omega-qm-undetermined"]
     span = float(np.max(deltas) - np.min(deltas))
     if span <= fwhm:
         flags.append("scan-narrower-than-fwhm")
@@ -326,7 +331,7 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
     return ParametricScanEstimate(
         kappa_m=fwhm,
         kappa_m_stderr=profile.stderr("fwhm"),
-        omega_qm=omega,
+        omega_qm=omega if determined else math.nan,
         omega_qm_stderr=math.sqrt(max(omega_var, 0.0)),
         center=profile.parameter("center"),
         rate_offset=profile.parameter("offset"),

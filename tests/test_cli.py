@@ -106,6 +106,16 @@ def source_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
+def parametric_9x9(work):
+    """The bundled parametric-scan config on a 9 x 9 grid, written under ``work``."""
+    config = yaml.safe_load(bundled_configs()["parametric-scan"].read_text(encoding="utf-8"))
+    config["protocols"][0]["deltas"]["count"] = 9
+    config["protocols"][0]["durations"]["count"] = 9
+    path = work / "parametric-9x9.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return path
+
+
 def artifact_contents(path):
     """Each file of an artifact by name; the manifest parsed, without ``created``."""
     files = {}
@@ -301,11 +311,7 @@ class TestRun:
     def test_run_and_report_leave_numpy_polynomial_unloaded(self, work):
         # the fits solve and evaluate their polynomials themselves, so no
         # command pays for loading numpy.polynomial
-        config = yaml.safe_load(bundled_configs()["parametric-scan"].read_text(encoding="utf-8"))
-        config["protocols"][0]["deltas"]["count"] = 9
-        config["protocols"][0]["durations"]["count"] = 9
-        path = work / "parametric-9x9.yaml"
-        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        path = parametric_9x9(work)
         out = work / "parametric-9x9"
         code = (
             "import sys\n"
@@ -680,16 +686,83 @@ class TestProcessEntry:
             )
         assert artifact_contents(module) == artifact_contents(in_process)
 
+    def test_package_import_loads_no_numpy_yaml_or_submodule(self):
+        # the process entry sets its policy before numpy loads, so the
+        # package import must not load numpy
+        code = (
+            "import sys\n"
+            "import magsense\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name in ('numpy', 'yaml') or name.startswith('magsense.')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("threads, expected", [(None, "1"), ("2", "2")])
+    def test_entry_runs_openblas_on_one_thread_unless_set(self, work, threads, expected):
+        env = source_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        code = (
+            "import os, sys\n"
+            f"sys.argv = ['magsense', 'validate', {str(work / 'coherence.yaml')!r}]\n"
+            "from magsense.__main__ import main\n"
+            "assert main() == 0\n"
+            "threads = None\n"
+            "if sys.platform == 'linux':\n"
+            "    with open('/proc/self/status', encoding='utf-8') as status:\n"
+            "        threads = next(int(line.split()[1]) for line in status if line.startswith('Threads:'))\n"
+            "print(repr((os.environ['OPENBLAS_NUM_THREADS'], threads)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        variable, count = ast.literal_eval(done.stdout.splitlines()[-1])
+        assert variable == expected
+        if threads is None and count is not None:
+            # numpy loaded after the entry set the variable: no BLAS worker
+            assert count == 1
+
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, work):
+        # the largest BLAS operand is the d = 8 Lindblad 64 x 64 mat-vec; a
+        # second thread must not move a bit of a Lindblad or a sampled run
+        for config in (parametric_9x9(work), work / "decay.yaml"):
+            contents = []
+            for threads in ("1", "2"):
+                out = work / f"blas-{config.stem}-{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "magsense", "run", str(config), "--output", str(out)],
+                    env={**source_env(), "OPENBLAS_NUM_THREADS": threads},
+                    capture_output=True,
+                    check=True,
+                )
+                contents.append(artifact_contents(out))
+            assert contents[0] == contents[1], config.stem
+
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_in_process_main_leaves_the_collector_as_it_was(self, work, enabled):
+    def test_in_process_main_leaves_the_collector_as_it_was(
+        self, work, enabled, monkeypatch
+    ):
+        # neither importing the process entry nor calling cli.main sets the
+        # entry's process-wide policy: the collector and the environment
+        # stay as the caller had them
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
             frozen = gc.get_freeze_count()
+            monkeypatch.delitem(sys.modules, "magsense.__main__", raising=False)
+            importlib.import_module("magsense.__main__")
+            assert dict(os.environ) == environ
             assert main(["validate", str(work / "coherence.yaml")]) == 0
             assert main(["run", str(work / "coherence.yaml"), "--output", str(work / "gc")]) == 0
             assert main(["report", str(work / "gc")]) == 0
             assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+            assert dict(os.environ) == environ
         finally:
             (gc.enable if was_enabled else gc.disable)()
             shutil.rmtree(work / "gc", ignore_errors=True)

@@ -1,6 +1,7 @@
 """Artifact-level tests: shots regenerated from a manifest, fit status keys."""
 
 import itertools
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -386,6 +387,18 @@ def test_reports_say_when_a_fit_did_not_converge(kind_artifacts, tmp_path, monke
             report = read_report(path)
             assert report["fit_converged"] == "False"
             assert report["fit_message"] == "no convergence within 1 iterations"
+
+
+def test_parametric_report_flags_an_undetermined_omega_qm(tmp_path):
+    # at 9 durations a detuning and seed 139 the profile amplitude fits below
+    # 0, so omega_qm = sqrt(amplitude * fwhm) sits where sqrt has no slope; the
+    # report flags it, with no RuntimeWarning and no division by omega_qm = 0
+    text = PARAMETRIC_YAML.replace("seed: 5", "seed: 139").replace("count: 13}", "count: 9}")
+    report = read_report(_run(tmp_path, text).reports["parametric"])
+    assert "omega-qm-undetermined" in report["flags"].split(";")
+    assert report["fit_converged"] == "False"
+    for key in ("omega_qm_stderr", "resonant_induced_lifetime_s"):
+        assert not math.isfinite(float(report[key])), key
 
 
 # the estimators the benchmark's tracer (perfbench/layers.py) wraps by their
