@@ -342,13 +342,10 @@ class ExperimentConfig:
     sensing: SensingConfig | None
     resolved: dict
 
-    def protocol_config(self, pump: PumpSpec, master_seed: int | None = None) -> ProtocolConfig:
+    def protocol_config(self, pump: PumpSpec) -> ProtocolConfig:
         """ProtocolConfig for one protocol run, with the shared acquisition."""
         return ProtocolConfig(
-            readout=self.readout,
-            pump=pump,
-            master_seed=self.seed if master_seed is None else master_seed,
-            **self.acquisition,
+            readout=self.readout, pump=pump, master_seed=self.seed, **self.acquisition
         )
 
     @property

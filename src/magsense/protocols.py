@@ -16,14 +16,13 @@ from their binomial law in one ``readout.sample_clicks`` call on the stream
 ``sweep.stream_seed(master seed, protocol tag)``. Every protocol returns
 through ``_dataset``: a shot lasts the sequence before
 readout, plus the readout window, plus the dead time, every dataset
-records the acquisition mode, master seed and readout threshold
-(``dataset_meta``), and a true probability clipped into [0, 1] is named in
-a dataset warning.
+records the acquisition mode, master seed and readout threshold, and a
+true probability clipped into [0, 1] is named in a dataset warning.
 
 ``PROTOCOLS`` declares each kind's grids in axis order, the grids it may
 leave out, whether it takes n0, and the pump fields it needs. Config
-parsing, the dataset axes (``grid_axes``) and the estimators' input check
-(``require_protocol``) all read it.
+parsing, the dataset axes ``_dataset`` builds and the estimators' input
+check (``require_protocol``) all read it.
 """
 
 from __future__ import annotations
@@ -81,17 +80,6 @@ PROTOCOLS = {
     "decay-spectroscopy": (("sense_times", "probe_freqs"), (), True, ()),
     "parametric-scan": (("deltas", "durations"), (), False, ("omega_qm",)),
 }
-
-
-def grid_axes(kind: str, values) -> tuple:
-    """The dataset axes of protocol ``kind``, sampling its grids at ``values``.
-
-    ``values`` holds one grid per key of ``PROTOCOLS[kind]``, in axis order.
-    """
-    return tuple(
-        Axis(GRIDS[key][0], GRIDS[key][1], grid)
-        for key, grid in zip(PROTOCOLS[kind][0], values, strict=True)
-    )
 
 
 def require_protocol(dataset: SweepDataset, kind: str) -> None:
@@ -176,16 +164,6 @@ def _measure_grid(
     return p_hat.reshape(shape), stderr.reshape(shape), shots
 
 
-def dataset_meta(config: ProtocolConfig, meta: dict | None = None) -> dict:
-    """The acquisition mode, master seed and readout threshold, then ``meta``."""
-    return {
-        "mode": config.mode,
-        "master_seed": config.master_seed,
-        "readout_threshold": config.readout.threshold,
-        **(meta or {}),
-    }
-
-
 def _clip_warnings(p_true: np.ndarray) -> tuple:
     """A warning that counts the probabilities outside [0, 1], if any."""
     excursion = np.maximum(p_true - 1.0, -p_true)
@@ -209,14 +187,22 @@ def _dataset(config, protocol, grids, p_true, sequence, meta=None, warnings=()):
     """
     p_hat, stderr, shots = _measure_grid(p_true, config, protocol)
     return SweepDataset(
-        axes=grid_axes(protocol, grids),
+        axes=tuple(
+            Axis(GRIDS[key][0], GRIDS[key][1], grid)
+            for key, grid in zip(PROTOCOLS[protocol][0], grids, strict=True)
+        ),
         p_e=p_hat,
         stderr=stderr,
         n_shots=config.n_shots,
         shot_duration=sequence + config.readout.window + config.dead_time,
         protocol=protocol,
         shots=shots,
-        meta=dataset_meta(config, meta),
+        meta={
+            "mode": config.mode,
+            "master_seed": config.master_seed,
+            "readout_threshold": config.readout.threshold,
+            **(meta or {}),
+        },
         warnings=tuple(warnings) + _clip_warnings(p_true),
     )
 
@@ -287,6 +273,17 @@ def run_qubit_spectroscopy(
     )
 
 
+def _ramsey_fringe(
+    params: SystemParams, config: ProtocolConfig, n_mean: float, delays: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The Ramsey fringe P_e(delays) at magnon occupation n_mean, and its envelope rate."""
+    detuning = config.artificial_detuning + stark_shift(n_mean, params.chi_qm)
+    relax = 0.0 if math.isinf(params.t1) else 0.5 / params.t1
+    envelope_rate = relax + dephasing_rate(n_mean, params)
+    contrast = np.exp(-delays * envelope_rate)
+    return 0.5 + 0.5 * contrast * np.cos(detuning * delays), envelope_rate
+
+
 def run_ramsey(
     params: SystemParams,
     pump: PumpSpec,
@@ -301,11 +298,7 @@ def run_ramsey(
     """
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     n_mean = pump.n_mean
-    detuning = config.artificial_detuning + stark_shift(n_mean, params.chi_qm)
-    relax = 0.0 if math.isinf(params.t1) else 0.5 / params.t1
-    envelope_rate = relax + dephasing_rate(n_mean, params)
-    contrast = np.exp(-delays * envelope_rate)
-    p_true = 0.5 + 0.5 * contrast * np.cos(detuning * delays)
+    p_true, envelope_rate = _ramsey_fringe(params, config, n_mean, delays)
     return _dataset(
         config,
         "ramsey",
@@ -317,6 +310,33 @@ def run_ramsey(
             "artificial_detuning": config.artificial_detuning,
             "envelope_rate": envelope_rate,
         },
+    )
+
+
+def run_ramsey_series(
+    params: SystemParams,
+    pump_powers: np.ndarray,
+    delays: np.ndarray,
+    config: ProtocolConfig,
+) -> SweepDataset:
+    """Ramsey fringes versus magnon pump power.
+
+    Row i is ``run_ramsey``'s fringe with the pump at power P_i, i.e. the
+    magnon mode at its steady occupation n = c_pump * P_i.
+    """
+    pump_powers = np.atleast_1d(np.asarray(pump_powers, dtype=float))
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    p_true = np.empty((len(pump_powers), len(delays)))
+    for i, power in enumerate(pump_powers):
+        n_mean = config.pump.c_pump * power
+        p_true[i] = _ramsey_fringe(params, config, n_mean, delays)[0]
+    return _dataset(
+        config,
+        "ramsey-series",
+        (pump_powers, delays),
+        p_true,
+        2 * config.half_pi_duration + float(np.max(delays)),
+        {"c_pump": config.pump.c_pump, "artificial_detuning": config.artificial_detuning},
     )
 
 
@@ -468,12 +488,6 @@ def _lindblad_excited_population(
     target = 0.02 / rate_scale
     substeps = max(1, math.ceil(spacing / target))
     dt = spacing / substeps
-    for d in durations:
-        ratio = d / dt
-        if abs(ratio - round(ratio)) > 1e-6:
-            raise ValueError(
-                "duration grid must be uniform (each point a multiple of the step)"
-            )
     traj = evolve_lindblad(
         fock_state(space, {"q": 1, "m": 0}),
         h,

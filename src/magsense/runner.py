@@ -43,8 +43,6 @@ from .lifetimes import (
 from .params import SystemParams
 from .protocols import (
     GRIDS,
-    dataset_meta,
-    grid_axes,
     relaxation_delays,
     require_protocol,
     run_decay_phase_sense,
@@ -52,6 +50,7 @@ from .protocols import (
     run_parametric_decay_scan,
     run_qubit_spectroscopy,
     run_ramsey,
+    run_ramsey_series,
     run_relaxation,
 )
 from .sensitivity import (
@@ -77,11 +76,6 @@ class RunArtifact:
     reports: dict
 
 
-def _series_seed(master_seed: int, index: int) -> int:
-    """Independent per-series master seed, stable across runs."""
-    return int(np.random.SeedSequence((master_seed, index)).generate_state(1)[0])
-
-
 def _protocol_params(config: ExperimentConfig) -> SystemParams:
     """The device parameters the protocols run with."""
     return config.system.with_ideal_qubit() if config.ideal_qubit else config.system
@@ -99,7 +93,9 @@ def execute_protocol(node: ProtocolNode, config: ExperimentConfig) -> SweepDatas
     if node.kind == "ramsey":
         return run_ramsey(params, node.pump, grids["delays"], protocol_config)
     if node.kind == "ramsey-series":
-        return _run_ramsey_series(params, node, config)
+        return run_ramsey_series(
+            params, grids["pump_powers"], grids["delays"], protocol_config
+        )
     if node.kind == "relaxation":
         return run_relaxation(params, protocol_config, grids.get("delays"))
     if node.kind == "decay-phase":
@@ -119,53 +115,6 @@ def execute_protocol(node: ProtocolNode, config: ExperimentConfig) -> SweepDatas
             params, node.pump, grids["deltas"], grids["durations"], protocol_config
         )
     raise ConfigError(f"unknown protocol kind {node.kind!r}")
-
-
-def _run_ramsey_series(params, node: ProtocolNode, config: ExperimentConfig) -> SweepDataset:
-    """Ramsey fringes repeated over a pump-power grid, stacked on one grid.
-
-    Each power gets an independent master seed derived from the run seed, so
-    rows are statistically independent while the whole series stays
-    reproducible. Kept shots are copied into the series' stack as each row
-    is sampled, so no row holds its own past the copy.
-    """
-    powers = node.grids["pump_powers"]
-    delays = node.grids["delays"]
-    rows = []
-    shots = None
-    for k, power in enumerate(powers):
-        pump = replace(node.pump, power_w=float(power))
-        row = run_ramsey(
-            params,
-            pump,
-            delays,
-            config.protocol_config(pump, master_seed=_series_seed(config.seed, k)),
-        )
-        if row.shots is not None:
-            if shots is None:
-                shots = np.empty((len(powers),) + row.shots.shape, dtype=row.shots.dtype)
-            shots[k] = row.shots
-            row = replace(row, shots=None)
-        rows.append(row)
-    first = rows[0]
-    warnings = tuple(dict.fromkeys(w for row in rows for w in row.warnings))
-    return SweepDataset(
-        axes=grid_axes("ramsey-series", (powers, delays)),
-        p_e=np.stack([row.p_e for row in rows]),
-        stderr=np.stack([row.stderr for row in rows]),
-        n_shots=np.stack([row.n_shots for row in rows]),
-        shot_duration=first.shot_duration,
-        protocol="ramsey-series",
-        shots=shots,
-        meta=dataset_meta(
-            config.protocol_config(node.pump),
-            {
-                "c_pump": node.pump.c_pump,
-                "artificial_detuning": first.meta["artificial_detuning"],
-            },
-        ),
-        warnings=warnings,
-    )
 
 
 def _fit_status(fits) -> dict:

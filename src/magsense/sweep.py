@@ -370,8 +370,9 @@ def read_dataset(path) -> SweepDataset:
     """Read a dataset table written by write_dataset (or hand-built to match).
 
     Raises SchemaError on text that is not UTF-8, malformed headers,
-    missing unit tags, a cell that is not a finite number or an ``n_shots``
-    cell that is not a whole number (naming the file and line), a
+    missing unit tags, a cell that is not a finite number, an ``n_shots``
+    cell that is not a whole number >= 1, a ``p_e`` cell outside [0, 1] or a
+    negative ``stderr`` cell (each naming the file and line), a
     non-cartesian coordinate block, an ``n_shots`` cell that differs from the
     sidecar's shots per point, a ``p_e`` or ``stderr`` cell that is not the
     sidecar's click count above the recorded ``meta_readout_threshold``
@@ -438,11 +439,16 @@ def read_dataset(path) -> SweepDataset:
     if not np.all(finite):
         number = row_lines[int(np.argmin(finite))]
         raise SchemaError(f"{path.name}, line {number}: values must be finite")
-    n_shots = data[:, n_axes + 2]
-    whole = n_shots == np.round(n_shots)
-    if not np.all(whole):
-        number = row_lines[int(np.argmin(whole))]
-        raise SchemaError(f"{path.name}, line {number}: n_shots must be a whole number")
+    p_e, stderr, n_shots = data[:, n_axes], data[:, n_axes + 1], data[:, n_axes + 2]
+    for bad, rule in (
+        (n_shots != np.round(n_shots), "n_shots must be a whole number"),
+        (n_shots < 1, "n_shots must be >= 1"),
+        ((p_e < 0.0) | (p_e > 1.0), "p_e must lie in [0, 1]"),
+        (stderr < 0.0, "stderr must be >= 0"),
+    ):
+        if np.any(bad):
+            number = row_lines[int(np.argmax(bad))]
+            raise SchemaError(f"{path.name}, line {number}: {rule}")
     axes = []
     shape = []
     for k in range(n_axes):
@@ -491,8 +497,8 @@ def read_dataset(path) -> SweepDataset:
             )
         if clicks is not None:
             # p_e and stderr must be the sidecar's clicks, counted as sampled
-            p_e, stderr = click_estimates(clicks.reshape(-1), n_per_point)
-            agree = (p_e == data[:, n_axes]) & (stderr == data[:, n_axes + 1])
+            counted_p_e, counted_stderr = click_estimates(clicks.reshape(-1), n_per_point)
+            agree = (counted_p_e == p_e) & (counted_stderr == stderr)
             if not np.all(agree):
                 number = row_lines[int(np.argmin(agree))]
                 raise SchemaError(
@@ -501,8 +507,8 @@ def read_dataset(path) -> SweepDataset:
                 )
     dataset = SweepDataset(
         axes=tuple(axes),
-        p_e=data[:, n_axes].reshape(shape),
-        stderr=data[:, n_axes + 1].reshape(shape),
+        p_e=p_e.reshape(shape),
+        stderr=stderr.reshape(shape),
         n_shots=n_shots.astype(int).reshape(shape),
         shot_duration=duration,
         protocol=header.get("protocol", "imported"),

@@ -587,7 +587,6 @@ class TestConfigValidation:
         assert protocol_config.master_seed == 9
         assert protocol_config.n_shots == 123
         assert protocol_config.dead_time == pytest.approx(30e-6)
-        assert config.protocol_config(config.protocols[0].pump, master_seed=5).master_seed == 5
 
 
 class TestResolvedManifest:

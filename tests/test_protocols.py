@@ -25,6 +25,7 @@ from magsense.protocols import (
     run_parametric_decay_scan,
     run_qubit_spectroscopy,
     run_ramsey,
+    run_ramsey_series,
     run_relaxation,
     require_protocol,
 )
@@ -237,6 +238,21 @@ def test_ramsey_pump_on_adds_dephasing_and_stark_shift():
     assert fit.parameter("frequency") == pytest.approx(1.30e6, rel=1e-3)
 
 
+def test_ramsey_series_rows_are_ramsey_fringes():
+    params = SystemParams.reference()
+    powers = np.array([0.0, 2e-9, 7e-9])
+    pump = PumpSpec(c_pump=2.3e9)
+    config = reference_config(pump=pump, artificial_detuning=2 * math.pi * 4e6)
+    delays = np.linspace(0.0, 2e-6, 40)
+    series = run_ramsey_series(params, powers, delays, config)
+    assert series.p_e.shape == (3, 40)
+    for power, row in zip(powers, series.p_e):
+        ramsey = run_ramsey(params, dataclasses.replace(pump, power_w=power), delays, config)
+        assert np.array_equal(row, ramsey.p_e), power
+    assert series.meta["c_pump"] == pump.c_pump
+    assert series.meta["artificial_detuning"] == config.artificial_detuning
+
+
 def test_relaxation_readout_limited_start_and_1_over_e_ratio():
     params = SystemParams.reference()
     readout = ReadoutModel.for_qubit(params.t1)
@@ -432,12 +448,13 @@ def test_every_protocol_records_mode_seed_and_threshold(mode):
     datasets = [
         run_qubit_spectroscopy(params, np.array([0.0, 1.0]), freqs, config),
         run_ramsey(params, pump, delays, config),
+        run_ramsey_series(params, np.array([0.0, 1.0]), delays, config),
         run_relaxation(params, config, delays),
         run_decay_phase_sense(params, 10.0, delays, phases, config),
         run_decay_spectroscopy(params, 10.0, delays, freqs, config),
         run_parametric_decay_scan(params, pump, np.array([0.0]), delays, config),
     ]
-    assert len({data.protocol for data in datasets}) == 6
+    assert len({data.protocol for data in datasets}) == len(PROTOCOLS)
     for data in datasets:
         assert data.meta["mode"] == mode, data.protocol
         assert data.meta["master_seed"] == 29, data.protocol
@@ -485,6 +502,10 @@ def test_shot_duration_bookkeeping():
             config.probe_duration + window + dead,
         ),
         (run_ramsey(params, pump, delays, config), 2 * half + 240e-9 + window + dead),
+        (
+            run_ramsey_series(params, np.array([0.0, 1.0]), delays, config),
+            2 * half + 240e-9 + window + dead,
+        ),
         (run_relaxation(params, config, delays), pi + 240e-9 + window + dead),
         (
             run_decay_phase_sense(params, 10.0, delays, phases, config),
@@ -499,7 +520,7 @@ def test_shot_duration_bookkeeping():
             pi + 0.4e-6 + window + dead,
         ),
     ]
-    assert len({data.protocol for data, _ in cases}) == 6
+    assert len({data.protocol for data, _ in cases}) == len(PROTOCOLS)
     for data, expected in cases:
         assert data.shot_duration == expected, data.protocol
         assert data.total_time() == float(np.sum(data.n_shots)) * expected

@@ -14,12 +14,11 @@ from magsense.config import ANALYSES, AnalysisNode, load_config
 from magsense.errors import DegenerateDataError, EstimationError, MagsenseError
 from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase, phase_lifetimes
 from magsense.protocols import run_ramsey
-from magsense.readout import SHOT_DTYPE
+from magsense.readout import SHOT_DTYPE, sample_readout
 from magsense.runner import (
     REPORTS,
     _fit_status,
     _protocol_params,
-    _series_seed,
     execute_protocol,
     load_artifact,
     read_report,
@@ -27,7 +26,7 @@ from magsense.runner import (
     run_experiment,
 )
 from magsense.subsample import subsample_draws, subsample_time_budget
-from magsense.sweep import Axis
+from magsense.sweep import Axis, point_seed
 
 SHOTS_YAML = """\
 name: regenerate-shots
@@ -469,15 +468,25 @@ def test_ramsey_series_holds_one_copy_of_its_kept_shots(tmp_path):
     assert peak < 1.5 * shots.nbytes
     powers = node.grids["pump_powers"]
     assert shots.shape == (len(powers), len(node.grids["delays"]), 1200)
-    for k, power in enumerate(powers):
-        pump = replace(node.pump, power_w=float(power))
-        row = run_ramsey(
-            _protocol_params(config),
-            pump,
-            node.grids["delays"],
-            config.protocol_config(pump, master_seed=_series_seed(config.seed, k)),
+    # the whole grid is one stream: flat point j draws from its point seed
+    expectation = replace(config.protocol_config(node.pump), mode="expectation")
+    p_true = np.concatenate(
+        [
+            run_ramsey(
+                _protocol_params(config),
+                replace(node.pump, power_w=float(power)),
+                node.grids["delays"],
+                expectation,
+            ).p_e
+            for power in powers
+        ]
+    )
+    readout = config.protocol_config(node.pump).readout
+    for j, (p, row) in enumerate(zip(p_true, shots.reshape(-1, 1200))):
+        record = sample_readout(
+            float(p), readout, 1200, seed=point_seed(config.seed, "ramsey-series", j)
         )
-        assert np.array_equal(shots[k], row.shots)
+        assert np.array_equal(row, record.values), j
 
 
 # decay-tracking at the benchmark's smoke grids, with its 800 kept shots

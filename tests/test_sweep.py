@@ -361,11 +361,20 @@ def test_one_byte_substitutions_load_or_raise_schema_error(tmp_path):
     assert outcomes["loaded"] and outcomes["rejected"]
     # a cell that is not a finite number names the file and its line
     lines = good.decode("utf-8").splitlines()
-    for column, cell in ((2, "0.x44375"), (0, "1e999")):
+    # and so does a cell outside its column's range
+    for column, cell, rule in (
+        (2, "0.x44375", "could not convert"),
+        (0, "1e999", "values must be finite"),
+        (2, "1.5", r"p_e must lie in \[0, 1\]"),
+        (2, "-0.25", r"p_e must lie in \[0, 1\]"),
+        (3, "-0.01", "stderr must be >= 0"),
+        (4, "-5", "n_shots must be >= 1"),
+        (4, "0", "n_shots must be >= 1"),
+    ):
         fields = lines[-1].split(",")
         fields[column] = cell
         path.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n", encoding="utf-8")
-        with pytest.raises(SchemaError, match=rf"scan\.csv, line {len(lines)}: "):
+        with pytest.raises(SchemaError, match=rf"scan\.csv, line {len(lines)}: {rule}"):
             read_dataset(path)
 
 
@@ -375,8 +384,18 @@ def test_one_byte_substitutions_load_or_raise_schema_error(tmp_path):
         (False, "2.5", "n_shots must be a whole number"),
         (True, "2.5", "n_shots must be a whole number"),
         (True, "24", "n_shots differs from the 25 shots per point in scan_shots.npz"),
+        (False, "-5", "n_shots must be >= 1"),
+        (False, "0", "n_shots must be >= 1"),
+        (True, "0", "n_shots must be >= 1"),
     ],
-    ids=["fraction", "fraction-with-sidecar", "sidecar-mismatch"],
+    ids=[
+        "fraction",
+        "fraction-with-sidecar",
+        "sidecar-mismatch",
+        "negative",
+        "zero",
+        "zero-with-sidecar",
+    ],
 )
 def test_n_shots_cell_is_whole_and_matches_the_sidecar(tmp_path, with_shots, cell, message):
     path = tmp_path / "scan.csv"
