@@ -38,7 +38,8 @@ max/centroid/second-moment estimates, exponentials from log-linear regression,
 sinusoids from the discrete Fourier peak; ``peak_row_starts`` seeds rows known
 to be upward lines from their maximum. Fitted sinusoid phases are
 canonicalized to amplitude >= 0 and phase in [0, 2pi). A row is weighted by
-its errors only when ``usable_errors`` finds every one > 0.
+its errors only when ``usable_errors`` finds every one > 0;
+``usable_error_rows`` checks the rows of a stack in one pass.
 
 ``fit_rows`` checks a stack in one pass, one check at a time over all rows
 (shape, finite data, enough points, non-constant rows, errors > 0, then the
@@ -292,31 +293,44 @@ def _from_internal(model: FitModel, theta: np.ndarray) -> np.ndarray:
     return p
 
 
-def _residuals(model: FitModel, theta, x, y, sw) -> np.ndarray:
-    """Weighted residuals of the rows' parameter vectors ``theta[row, k]`` against ``y``.
+def _residuals(model: FitModel, theta, x, y, sw, owner=None) -> np.ndarray:
+    """Weighted residuals of the parameter vectors ``theta[i, k]`` against ``y``.
+
+    Vector i is taken against row i of ``y`` and weighted by row i of
+    ``sw``, or against and by their rows ``owner[i]`` when ``owner`` is
+    given. Each residual is weighted in its model value's own buffer, and
+    owned rows are gathered ``len(y)`` vectors at a time, so a call holds
+    at most one batch's worth of gathered data.
 
     A trial step can overflow or divide by a vanishing width; the engine
     rejects its non-finite residuals, so numpy's warnings are silenced here.
     """
     p = _from_internal(model, theta)
     with np.errstate(all="ignore"):
-        return (y - model.evaluate(x, p.T[..., None])) * sw
+        r = model.evaluate(x, p.T[..., None])
+        for a in range(0, len(r), max(len(y), 1)):  # an empty batch: no block
+            block = r[a : a + len(y)]
+            rows = slice(None) if owner is None else owner[a : a + len(y)]
+            np.subtract(y[rows], block, out=block)
+            np.multiply(block, sw[rows], out=block)
+    return r
 
 
-def _jacobian(model: FitModel, theta, x, sw) -> np.ndarray:
+def _jacobian(model: FitModel, theta, x, sw, out=None) -> np.ndarray:
     """Jacobians of the rows' residuals by their internal parameters, (rows, n, k).
 
     Closed form: minus the weight times the model's partial derivatives,
     times d p / d theta = p for a log parameter, whose column is exactly 0
     where ``_from_internal`` clamps it. Every element depends on its own
-    row alone, whatever batch the row is in.
+    row alone, whatever batch the row is in. Written into ``out``, a C-order
+    (rows, n, k) array, when given.
     """
     p = _from_internal(model, theta)
     positive = model._positive_indices()
     scale = -sw
     # C order (rows, n, k): each row's J^T J and J^T r then go through the
     # same BLAS calls, with the same rounding, whatever batch it is in
-    jac = np.empty(sw.shape + theta.shape[1:])
+    jac = np.empty(sw.shape + theta.shape[1:]) if out is None else out
     with np.errstate(all="ignore"):
         for k, partial in enumerate(model._partials(x, p.T[..., None])):
             weight = scale * p[:, k, None] if k in positive else scale
@@ -348,7 +362,7 @@ def _stack(rows, x: np.ndarray, name: str) -> np.ndarray:
 
 
 def _prepare_rows(model: FitModel, x: np.ndarray, y_rows, y_err_rows, inits):
-    """Stacked rows, weights, absolute-error flags and internal starts.
+    """Stacked rows, square roots of the weights, absolute-error flags and internal starts.
 
     Each check runs once over the whole stack, in the order :func:`fit_rows`
     documents, and the first check that any row fails raises.
@@ -371,7 +385,10 @@ def _prepare_rows(model: FitModel, x: np.ndarray, y_rows, y_err_rows, inits):
         raise ValueError("y_err must be > 0")
     absolute = np.array([y_err is not None for y_err in y_err_rows])
     starts = None if model._linear() else _internal_starts(model, x, y, inits)
-    return y, 1.0 / errors**2, absolute, starts
+    # sqrt(1 / y_err**2), in the errors' own buffer: the weights are not kept
+    sw = np.square(errors, out=errors)
+    np.divide(1.0, sw, out=sw)
+    return y, np.sqrt(sw, out=sw), absolute, starts
 
 
 def _internal_starts(model: FitModel, x: np.ndarray, y: np.ndarray, inits) -> np.ndarray:
@@ -511,8 +528,7 @@ def fit_rows(
         raise ValueError("y_err_rows and inits need one entry per data row")
     if not n_rows:
         return []
-    y, weights, absolute, theta = _prepare_rows(model, x, y_rows, y_err_rows, inits)
-    sw = np.sqrt(weights)
+    y, sw, absolute, theta = _prepare_rows(model, x, y_rows, y_err_rows, inits)
     if model._linear():
         theta = _lstsq(_design(model, x), y, sw)
     return _levenberg_marquardt(model, x, y, sw, absolute, theta)
@@ -525,6 +541,11 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     converges, stalls, or meets non-finite derivatives. The covariance
     inverts J^T J of the weighted residuals, scaled by rss/dof for an
     unweighted row only: a weighted row's errors are absolute.
+
+    A fit holds one working set: the rows' grids, one Jacobian buffer that
+    every iteration reuses through its leading rows, and the trial
+    residuals. While every row still iterates, its grids are passed as they
+    are, not gathered.
     """
     n_rows = len(theta)
     r = _residuals(model, theta, x, y, sw)
@@ -537,19 +558,24 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     messages = [""] * n_rows
     n_iter = np.full(n_rows, 0 if linear else MAX_ITERATIONS)
     active = np.arange(0 if linear else n_rows)
+    # freeing and allocating it every iteration would return and re-fault
+    # its pages each time
+    jac_buffer = np.empty(sw.shape + theta.shape[1:])
     for iteration in range(1, MAX_ITERATIONS + 1):
         if not len(active):
             break
-        jac = _jacobian(model, theta[active], x, sw[active])
-        hess, grad = _normal_equations(jac, r[active])
+        rows = slice(None) if len(active) == n_rows else active
+        jac = _jacobian(model, theta[rows], x, sw[rows], jac_buffer[: len(active)])
+        hess, grad = _normal_equations(jac, r[rows])
         finite = np.all(np.isfinite(hess), axis=(1, 2)) & np.all(np.isfinite(grad), axis=1)
         for i in active[~finite]:
             messages[i] = "non-finite model derivatives"
         n_iter[active[~finite]] = iteration
         active, hess, grad = active[finite], hess[finite], grad[finite]
+        rows = slice(None) if len(active) == n_rows else active
         row_lam = lam[active]
         accepted, step, r_trial, rss_trial = _damped_steps(
-            model, x, y[active], sw[active], theta[active], rss[active], row_lam, hess, grad
+            model, x, y[rows], sw[rows], theta[rows], rss[active], row_lam, hess, grad
         )
         lam[active] = row_lam
         # no damped step lowers the residual: stationary to machine
@@ -566,6 +592,7 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
         rel = np.max(np.abs(step) / np.maximum(np.abs(trial), 1e-12), axis=1)
         theta[moved] = trial
         r[moved] = r_trial[accepted]
+        del r_trial  # not held through the next iteration's Jacobian
         rss[moved] = rss_trial[accepted]
         for i, value in zip(moved, rss_trial[accepted].tolist()):
             traces[i].append(value)
@@ -577,8 +604,9 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     for i in active:
         messages[i] = f"no convergence within {MAX_ITERATIONS} iterations"
 
+    del r
     params = _from_internal(model, theta)
-    jac = _jacobian(model, theta, x, sw)
+    jac = _jacobian(model, theta, x, sw, jac_buffer)
     normal = np.swapaxes(jac, 1, 2) @ jac
     dof = max(len(x) - theta.shape[1], 1)
     scale = np.where(absolute, 1.0, rss / dof)[:, None, None]
@@ -590,7 +618,10 @@ def _levenberg_marquardt(model, x, y, sw, absolute, theta) -> list[FitResult]:
     deriv = np.ones_like(params)
     positive = list(model._positive_indices())
     deriv[:, positive] = params[:, positive]
-    cov = scale * inverse * (deriv[:, :, None] * deriv[:, None, :])
+    # past about 1e154 a log parameter's p**2 overflows: a variance beyond
+    # the float range reads inf
+    with np.errstate(over="ignore"):
+        cov = scale * inverse * (deriv[:, :, None] * deriv[:, None, :])
     cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     if model.family in ("sinusoid", "damped-sinusoid"):
         params, cov = _canonicalize_sinusoid(model, params, cov)
@@ -678,7 +709,7 @@ def _damped_steps(model, x, y, sw, theta, rss, lam, hess, grad):
         system = hess[owner]
         system[:, diag, diag] += ladder[row, rung][:, None] * damping[owner]
         solved, steps = _solve_rows(system, grad[owner])
-        r_new = _residuals(model, theta[owner] + steps, x, y[owner], sw[owner])
+        r_new = _residuals(model, theta[owner] + steps, x, y, sw, owner)
         rss_new = _sum_squares(r_new)
         good = np.zeros(tried.shape, dtype=bool)
         good[row, rung] = solved & np.isfinite(rss_new) & (rss_new < rss[owner])
@@ -799,6 +830,13 @@ def usable_errors(stderr):
     """
     err = np.asarray(stderr, dtype=float)
     return err if np.all(err > 0) else None
+
+
+def usable_error_rows(stderr) -> list:
+    """:func:`usable_errors` of each row of ``stderr``, checked in one pass."""
+    err = np.asarray(stderr, dtype=float)
+    usable = np.all(err > 0, axis=1).tolist()
+    return [row if ok else None for row, ok in zip(err, usable)]
 
 
 def _log_linear_rate(x, w):

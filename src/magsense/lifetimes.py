@@ -23,6 +23,7 @@ from .fitting import (
     fit_curve,
     fit_rows,
     peak_row_starts,
+    usable_error_rows,
     usable_errors,
 )
 from .protocols import require_protocol
@@ -156,7 +157,7 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
         FitModel("fringe"),
         thetas,
         p_e.reshape(-1, len(thetas)),
-        [usable_errors(err) for err in stderr.reshape(-1, len(thetas))],
+        usable_error_rows(stderr.reshape(-1, len(thetas))),
     )
     a, b = np.array([fit.parameters[1:] for fit in row_fits]).T
     # delta method on phi = atan2(b, a) over the (in_phase, quadrature) block
@@ -169,7 +170,7 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
         FitModel("saturating-exponential"),
         times,
         phi,
-        [usable_errors(err) for err in phase_err],
+        usable_error_rows(phase_err),
     )
     estimates = []
     for k, fit in enumerate(fits):
@@ -228,7 +229,7 @@ def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEsti
         FitModel("gaussian"),
         freqs,
         rows,
-        [usable_errors(err) for err in stderr.reshape(-1, len(freqs))],
+        usable_error_rows(stderr.reshape(-1, len(freqs))),
         peak_row_starts(freqs, rows),
     )
     centers = np.array([fit.parameter("center") for fit in row_fits]).reshape(
@@ -243,7 +244,7 @@ def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEsti
         FitModel("exponential-decay"),
         times,
         shifted,
-        [usable_errors(err) for err in center_err],
+        usable_error_rows(center_err),
     )
     estimates = []
     for k, fit in enumerate(fits):
@@ -299,7 +300,7 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
         FitModel("exponential-decay"),
         durations[start:],
         dataset.p_e[:, start:],
-        [usable_errors(err) for err in dataset.stderr[:, start:]],
+        usable_error_rows(dataset.stderr[:, start:]),
     )
     taus = np.array([fit.parameter("tau") for fit in row_fits])
     rates = 1.0 / taus

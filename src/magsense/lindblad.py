@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, SpaceMismatchError, ValidityError
 from .spaces import DensityMatrix, Operator
 
 # The generator on a d-dim space is a d^2 x d^2 complex128 matrix of 16*d^4
@@ -133,6 +133,18 @@ def evolve_lindblad(
     -------
     Trajectory
         ``final_state`` is the state at t1, also when the last record is earlier.
+
+    Raises
+    ------
+    ValidityError
+        The state's dimension exceeds ``MAX_TOTAL_DIM``.
+    SpaceMismatchError
+        The Hamiltonian, a collapse operator or an observable acts on
+        another space than the state.
+    IntegrationError
+        ``dt`` is too coarse for the fastest rate.
+    ValueError
+        ``dt``, ``tspan`` or ``record_times`` is malformed.
     """
     t0, t1 = tspan
     if dt <= 0:
@@ -141,22 +153,22 @@ def evolve_lindblad(
         raise ValueError("tspan must be increasing")
     dim = rho0.space.dim
     if dim > MAX_TOTAL_DIM:
-        raise ValueError(f"total dimension {dim} beyond supported ~{MAX_TOTAL_DIM}")
+        raise ValidityError(f"total dimension {dim} beyond supported ~{MAX_TOTAL_DIM}")
 
     if hamiltonian is None:
         h = np.zeros((dim, dim), dtype=complex)
     else:
         hamiltonian.require_hermitian("Hamiltonian")
         if hamiltonian.space != rho0.space:
-            raise ValueError("Hamiltonian space does not match the state")
+            raise SpaceMismatchError("Hamiltonian space does not match the state")
         h = hamiltonian.matrix
     for c in collapses:
         if c.operator.space != rho0.space:
-            raise ValueError("collapse operator space does not match the state")
+            raise SpaceMismatchError("collapse operator space does not match the state")
     obs_mats = []
     for op in observables:
         if op.space != rho0.space:
-            raise ValueError("observable space does not match the state")
+            raise SpaceMismatchError("observable space does not match the state")
         obs_mats.append(op.matrix)
 
     bound = _stiffness_bound(h, collapses)

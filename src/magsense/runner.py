@@ -32,7 +32,7 @@ from .config import (
     resolved_hash,
 )
 from .errors import ConfigError, MagsenseError, SchemaError
-from .fitting import FitModel, fit_curve, fit_rows, usable_errors
+from .fitting import FitModel, fit_curve, fit_rows, usable_error_rows, usable_errors
 from .lifetimes import (
     extract_kappa_m_from_scan,
     frequency_lifetimes,
@@ -162,7 +162,7 @@ def _fit_series_rates(series: SweepDataset) -> tuple[np.ndarray, np.ndarray, lis
         FitModel("damped-sinusoid"),
         delays,
         series.p_e,
-        [usable_errors(err) for err in series.stderr],
+        usable_error_rows(series.stderr),
     )
     taus = np.array([fit.parameter("tau") for fit in fits])
     return 1.0 / taus, np.array([fit.stderr("tau") for fit in fits]) / taus**2, fits

@@ -28,7 +28,7 @@ from .fitting import (  # noqa: F401
     fit_rows,
     interpolate_poly,
     peak_row_starts,
-    usable_errors,
+    usable_error_rows,
 )
 from .protocols import require_protocol
 from .sweep import SweepDataset
@@ -117,7 +117,7 @@ def fit_power_spectra(dataset: SweepDataset) -> list[tuple[float, FitResult]]:
         FitModel("gaussian"),
         freqs,
         dataset.p_e,
-        [usable_errors(err) for err in dataset.stderr],
+        usable_error_rows(dataset.stderr),
         peak_row_starts(freqs, dataset.p_e),
     )
     return [(float(power), fit) for power, fit in zip(powers, fits)]

@@ -288,6 +288,12 @@ def test_usable_errors_needs_every_error_above_zero(bad):
     assert usable.dtype == float and np.array_equal(usable, errors)
     errors[1] = bad
     assert fitting.usable_errors(errors) is None
+    # a stack's rows, checked in one pass, read as they would one at a time
+    stack = np.array([[0.1, 0.2, 0.3], errors, [0.4, bad, bad], [0.5, 0.6, 0.7]])
+    rows = fitting.usable_error_rows(stack)
+    assert [row is None for row in rows] == [False, True, True, False]
+    for row, alone in zip(rows, map(fitting.usable_errors, stack)):
+        assert row is alone is None or row.tobytes() == alone.tobytes()
 
 
 def test_fit_model_validation():
@@ -676,9 +682,10 @@ def test_the_first_rank_deficient_linear_row_raises():
 
 def test_rows_do_not_depend_on_their_batch():
     def assert_same_fit(fit, expected):
-        np.testing.assert_allclose(fit.parameters, expected.parameters, rtol=1e-12)
-        np.testing.assert_allclose(fit.covariance, expected.covariance, rtol=1e-12)
-        assert (fit.n_iter, fit.converged, fit.message) == (
+        assert fit.parameters.tobytes() == expected.parameters.tobytes()
+        assert fit.covariance.tobytes() == expected.covariance.tobytes()
+        assert (fit.rss_trace, fit.n_iter, fit.converged, fit.message) == (
+            expected.rss_trace,
             expected.n_iter,
             expected.converged,
             expected.message,
@@ -688,11 +695,21 @@ def test_rows_do_not_depend_on_their_batch():
         model, x, truth = ZERO_NOISE_BY_FAMILY[family]
         rows, errs = _noisy_rows(model, x, truth, True, seed=8, n_rows=6)
         errs[2] = None
-        batch = fitting.fit_rows(model, x, rows, errs)
-        for y, y_err, expected in zip(rows, errs, batch):
-            assert_same_fit(fit_curve(model, x, y, y_err=y_err), expected)
-        for fit, expected in zip(fitting.fit_rows(model, x, rows[3:], errs[3:]), batch[3:]):
+        # an exact row started at its truth climbs the damping ladder to
+        # LAMBDA_MAX in its first iteration, while the batch still iterates
+        rows.append(model.evaluate(x, np.asarray(truth)))
+        errs.append(errs[0])
+        inits = [None] * 6 + [truth]
+        batch = fitting.fit_rows(model, x, rows, errs, inits)
+        # one row alone always passes its grids by slice
+        for y, y_err, init, expected in zip(rows, errs, inits, batch):
+            assert_same_fit(fit_curve(model, x, y, y_err=y_err, init=init), expected)
+        tail = fitting.fit_rows(model, x, rows[3:], errs[3:], inits[3:])
+        for fit, expected in zip(tail, batch[3:]):
             assert_same_fit(fit, expected)
+        if not model._linear():
+            climbed = [fit for fit in batch if fit.rss == 0.0 or fit.message.startswith("stalled")]
+            assert len(climbed) == 2
 
 
 def test_noisy_gaussian_rows_seldom_stall():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magsense.errors import IntegrationError
+from magsense.errors import IntegrationError, SpaceMismatchError, ValidityError
 from magsense.lindblad import MAX_TOTAL_DIM, CollapseTerm, evolve_lindblad
 from magsense.spaces import (
     DensityMatrix,
@@ -280,5 +280,19 @@ def test_record_times_do_not_import_numpy_ma():
 def test_dimension_cap_rejects_before_building_the_generator():
     space = ModeSpace(("m",), (MAX_TOTAL_DIM + 1,))
     rho0 = fock_state(space, {"m": 0})
-    with pytest.raises(ValueError, match="total dimension"):
+    with pytest.raises(ValidityError, match="total dimension"):
         evolve_lindblad(rho0, None, [], (0.0, 1e-6), 1e-9)
+
+
+@pytest.mark.parametrize("part", ["Hamiltonian", "collapse operator", "observable"])
+def test_an_operator_on_another_space_is_a_space_mismatch(part):
+    space = ModeSpace(("q",), (2,))
+    _, n = build_mode_operators(space, "q")
+    b, m = build_mode_operators(ModeSpace(("q",), (3,)), "q")
+    arguments = {
+        "Hamiltonian": {"hamiltonian": m},
+        "collapse operator": {"hamiltonian": n, "collapses": [CollapseTerm(b, 1e5)]},
+        "observable": {"hamiltonian": n, "observables": [m]},
+    }[part]
+    with pytest.raises(SpaceMismatchError, match=f"^{part} space does not match the state$"):
+        evolve_lindblad(fock_state(space, {"q": 1}), tspan=(0.0, 1e-8), dt=1e-9, **arguments)

@@ -12,7 +12,12 @@ from conftest import removed_field_edits, rewrite_manifest, traced_peak
 from magsense import fitting, runner
 from magsense.config import ANALYSES, AnalysisNode, load_config
 from magsense.errors import DegenerateDataError, EstimationError, MagsenseError
-from magsense.lifetimes import lifetime_from_frequency, lifetime_from_phase, phase_lifetimes
+from magsense.lifetimes import (
+    frequency_lifetimes,
+    lifetime_from_frequency,
+    lifetime_from_phase,
+    phase_lifetimes,
+)
 from magsense.protocols import run_ramsey
 from magsense.readout import SHOT_DTYPE, sample_readout
 from magsense.runner import (
@@ -175,6 +180,21 @@ def test_subsample_table_matches_per_draw_estimates(tmp_path, monkeypatch):
         assert float(keys["lifetime_s"]) == estimator(dataset).lifetime
         assert float(keys["subsample_lifetime_mean_s"]) == np.mean(rows[:, 1])
         assert len(set(rows[:, 1])) == count
+
+
+def test_a_frequency_stack_fits_in_a_fixed_number_of_row_grids(tmp_path):
+    # a report's chunk of draws: 448 spectroscopy rows of 27 points. The
+    # estimates' own fits (rss traces and covariances) hold about 16 grids;
+    # the engine's working set, data, weights, residuals and a 4-column
+    # Jacobian among it, must fit in the other 9
+    artifact = _run(tmp_path, DECAY_YAML)
+    _, _, datasets = load_artifact(artifact.path)
+    dataset = datasets["decay-spectroscopy"]
+    draws = range(runner.SUBSAMPLE_CHUNK)
+    p_e, stderr = subsample_draws(dataset, _keep_60_of_200(dataset), draws)
+    grid = p_e.size * 8  # one row grid, rows x points x 8 B
+    peak = traced_peak(lambda: frequency_lifetimes(dataset, p_e, stderr))
+    assert peak < 25 * grid, f"{peak / grid:.2f} row grids"
 
 
 def test_a_subsample_reports_memory_does_not_grow_with_its_draws(tmp_path, monkeypatch):
