@@ -13,12 +13,14 @@ Parsing produces a fully resolved mapping (every default materialized, all
 values in SI radian units) whose canonical JSON is hashed into the run
 manifest. ``from_resolved`` reads that recorded mapping back through the same
 field tables, checks and constructors. A recorded quantity is an SI number
-rather than a "value unit" string, every field must be present, and three
+rather than a "value unit" string, every field must be present, and four
 keys sit where the mapping puts them: the pump's ``power_w``, a protocol's
-``grids`` and an analysis's ``inputs`` and ``options``. A manifest written
-by an earlier version may still record a field since removed from the
-schema (``REMOVED_FIELDS``); it is dropped where its recorded value is one
-the current code reproduces, and rejected where it is not.
+``grids`` and an analysis's ``inputs`` and ``options``. A protocol records
+every grid it runs on and only the ``n0`` and pump fields its kind reads. A
+manifest written by an earlier version may record a field since removed
+(``REMOVED_FIELDS``) or one its kind never read; it is dropped where the
+current code reproduces its recorded value (any value, for a field never
+read), and rejected where it does not. A missing relaxation grid is derived.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +39,6 @@ from .params import PumpSpec, SystemParams, gamma2_from_coherence
 from .protocols import (
     BLUR_PHASE_LIMIT,
     DEFAULT_PROBE_DURATION,
-    DEFAULT_RELAXATION_POINTS,
     GRIDS,
     PROTOCOLS,
     ProtocolConfig,
@@ -247,6 +249,11 @@ class _Block:
                     f"{reproduced!r} is reproduced, not the recorded {value!r}"
                 )
 
+    def drop_unread(self, keys) -> None:
+        """Take ``keys``, which a manifest may record but no code reads."""
+        if self.recorded:
+            self.seen.update(keys)
+
     def finish(self) -> None:
         unknown = sorted(set(self.raw) - self.seen)
         if unknown:
@@ -396,11 +403,8 @@ _ACQUISITION_FIELDS = (
     ("artificial_detuning", "frequency", 0.0),
     ("dead_time", "time", 0.0),
 )
-# the pump's power_w is written "power" in YAML
-_PUMP_FIELDS = (
-    ("c_pump", "inverse-power", 0.0),
-    ("omega_qm", "frequency", 0.0),
-)
+# PumpSpec field -> its quantity; the pump's power_w is written "power" in YAML
+_PUMP_FIELDS = {"power_w": "power", "c_pump": "inverse-power", "omega_qm": "frequency"}
 _SENSING_FIELDS = (
     ("tau", "time", _REQUIRED),
     ("n_shots", "integer", _REQUIRED),
@@ -461,13 +465,18 @@ def _read_acquisition(block: _Block) -> dict:
     return values
 
 
-def _read_pump(block: _Block, required: tuple = ()) -> tuple[PumpSpec, dict]:
-    values = {"power_w": block.get("power_w" if block.recorded else "power", "power", 0.0)}
-    values.update(block.read(_PUMP_FIELDS))
+def _read_pump(block: _Block, reads: dict) -> tuple[PumpSpec, dict]:
+    """The pump fields of ``reads``, a ``PROTOCOLS`` entry's pump column."""
+    values = {
+        key: block.get("power" if key == "power_w" and not block.recorded else key, kind, 0.0)
+        for key, kind in _PUMP_FIELDS.items()
+        if key in reads
+    }
+    block.drop_unread(set(_PUMP_FIELDS) - set(reads))
     block.drop_removed("pump")
     block.finish()
-    for key in required:
-        if values[key] <= 0:
+    for key, positive in reads.items():
+        if positive and values[key] <= 0:
             raise ConfigError(f"{block.path}.{key}: must be > 0 for this protocol")
     try:
         return PumpSpec(**values), values
@@ -475,10 +484,14 @@ def _read_pump(block: _Block, required: tuple = ()) -> tuple[PumpSpec, dict]:
         raise ConfigError(f"{block.path}: {exc}") from exc
 
 
-def _read_protocol(block: _Block, anchors: dict, n_shots: int) -> tuple[ProtocolNode, dict]:
+def _read_protocol(block: _Block, device: SystemParams, n_shots: int) -> tuple[ProtocolNode, dict]:
     kind = block.get("kind", tuple(PROTOCOLS))
     name = block.get("name", "string", kind)
-    keys, optional, needs_n0, pump_required = PROTOCOLS[kind]
+    # the name is the file name of the protocol's dataset in the artifact
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"{block.path}.name: {name!r} is not a single path component")
+    keys, defaults, takes_n0, pump_reads = PROTOCOLS[kind]
+    anchors = {key: getattr(device, key) for key in ("omega_q", "omega_c", "omega_m")}
     grid_block = block.child("grids") if block.recorded else block
     # grid points whose kept shots fit the buffer at 8 bytes a shot
     capacity = MAX_SHOT_BUFFER_BYTES // (8 * max(n_shots, 1))
@@ -486,28 +499,31 @@ def _read_protocol(block: _Block, anchors: dict, n_shots: int) -> tuple[Protocol
     for key in keys:
         path = f"{grid_block.path}.{key}"
         value = grid_block.take(key)
-        if value is None:
-            if key not in optional:
-                raise ConfigError(f"{path}: required grid is missing")
-            # the protocol falls back to its default grid
-            _check_points(DEFAULT_RELAXATION_POINTS, capacity, path)
-            continue
-        grids[key] = parse_grid(
-            value, GRIDS[key][2], path, anchors, capacity, block.recorded
-        )
-        capacity //= len(grids[key])
-    n0 = block.get("n0", "dimensionless", 0.0)
-    pump, pump_resolved = _read_pump(block.child("pump"), pump_required)
+        if value is not None:
+            grid = parse_grid(value, GRIDS[key][2], path, anchors, capacity, block.recorded)
+        elif key in defaults:
+            try:
+                grid = defaults[key](device)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+            _check_points(len(grid), capacity, path)
+        else:
+            raise ConfigError(f"{path}: required grid is missing")
+        grids[key] = grid
+        capacity //= len(grid)
+    n0 = block.get("n0", "dimensionless", 0.0) if takes_n0 else 0.0
+    block.drop_unread(() if takes_n0 else ("n0",))
+    pump, pump_resolved = _read_pump(block.child("pump"), pump_reads)
     grid_block.finish()
     block.finish()
-    if needs_n0 and n0 < 0:
+    if n0 < 0:
         raise ConfigError(f"{block.path}.n0: must be >= 0")
     node = ProtocolNode(name=name, kind=kind, grids=grids, pump=pump, n0=n0)
     resolved = {
         "name": name,
         "kind": kind,
-        "n0": n0,
-        "pump": pump_resolved,
+        **({"n0": n0} if takes_n0 else {}),
+        **({"pump": pump_resolved} if pump_reads else {}),
         "grids": {key: [float(v) for v in grid] for key, grid in sorted(grids.items())},
     }
     return node, resolved
@@ -622,7 +638,7 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
                 f"the {max_shots} shots, at 8 bytes each, of the "
                 f"{MAX_SHOT_BUFFER_BYTES}-byte shot buffer"
             )
-    anchors = {key: getattr(system, key) for key in ("omega_q", "omega_c", "omega_m")}
+    device = system.with_ideal_qubit() if ideal else system
     raw_protocols = block.get("protocols", "list")
     if not raw_protocols:
         raise ConfigError(f"{source}.protocols: expected a non-empty list")
@@ -632,7 +648,7 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
     for k, raw_protocol in enumerate(raw_protocols):
         path = f"{source}.protocols[{k}]"
         node, resolved = _read_protocol(
-            _Block(raw_protocol, path, recorded), anchors, acquisition["n_shots"]
+            _Block(raw_protocol, path, recorded), device, acquisition["n_shots"]
         )
         if node.name in kinds_by_name:
             raise ConfigError(f"{path}.name: duplicate name {node.name!r}")

@@ -19,10 +19,10 @@ readout, plus the readout window, plus the dead time, every dataset
 records the acquisition mode, master seed and readout threshold, and a
 true probability clipped into [0, 1] is named in a dataset warning.
 
-``PROTOCOLS`` declares each kind's grids in axis order, the grids it may
-leave out, whether it takes n0, and the pump fields it needs. Config
-parsing, the dataset axes ``_dataset`` builds and the estimators' input
-check (``require_protocol``) all read it.
+``PROTOCOLS`` declares each kind's grids in axis order, the default of a
+grid it may leave out, whether it takes n0, and the pump fields it reads.
+Config parsing, the dataset axes ``_dataset`` builds and the estimators'
+input check (``require_protocol``) all read it.
 """
 
 from __future__ import annotations
@@ -69,16 +69,24 @@ GRIDS = {
 }
 
 
-# protocol kind -> (grid keys in axis order, grid keys it may leave out,
-# whether it takes n0, pump fields that must be > 0)
+def relaxation_delays(params: SystemParams) -> np.ndarray:
+    """The default relaxation grid: DEFAULT_RELAXATION_POINTS delays over [0, 4 T1]."""
+    if math.isinf(params.t1):
+        raise ValueError("relaxation scan needs an explicit grid for infinite T1")
+    return np.linspace(0.0, 4.0 * params.t1, DEFAULT_RELAXATION_POINTS)
+
+
+# protocol kind -> (grid keys in axis order, {grid key it may leave out: its
+# default grid from the device}, whether it takes n0, {PumpSpec field it
+# reads: whether it must be > 0})
 PROTOCOLS = {
-    "spectroscopy": (("pump_powers", "probe_freqs"), (), False, ("c_pump",)),
-    "ramsey": (("delays",), (), False, ()),
-    "ramsey-series": (("pump_powers", "delays"), (), False, ("c_pump",)),
-    "relaxation": (("delays",), ("delays",), False, ()),
-    "decay-phase": (("sense_times", "second_pulse_phases"), (), True, ()),
-    "decay-spectroscopy": (("sense_times", "probe_freqs"), (), True, ()),
-    "parametric-scan": (("deltas", "durations"), (), False, ("omega_qm",)),
+    "spectroscopy": (("pump_powers", "probe_freqs"), {}, False, {"c_pump": True}),
+    "ramsey": (("delays",), {}, False, {"power_w": False, "c_pump": False}),
+    "ramsey-series": (("pump_powers", "delays"), {}, False, {"c_pump": True}),
+    "relaxation": (("delays",), {"delays": relaxation_delays}, False, {}),
+    "decay-phase": (("sense_times", "second_pulse_phases"), {}, True, {}),
+    "decay-spectroscopy": (("sense_times", "probe_freqs"), {}, True, {}),
+    "parametric-scan": (("deltas", "durations"), {}, False, {"omega_qm": True}),
 }
 
 
@@ -340,24 +348,12 @@ def run_ramsey_series(
     )
 
 
-def relaxation_delays(params: SystemParams) -> np.ndarray:
-    """The default relaxation grid: DEFAULT_RELAXATION_POINTS delays over [0, 4 T1]."""
-    if math.isinf(params.t1):
-        raise ValueError("relaxation scan needs an explicit grid for infinite T1")
-    return np.linspace(0.0, 4.0 * params.t1, DEFAULT_RELAXATION_POINTS)
-
-
 def run_relaxation(
     params: SystemParams,
     config: ProtocolConfig,
-    delays: np.ndarray | None = None,
+    delays: np.ndarray,
 ) -> SweepDataset:
-    """Excited-state decay P_e(t) = exp(-t/T1) after a pi pulse.
-
-    The default grid is ``relaxation_delays(params)``.
-    """
-    if delays is None:
-        delays = relaxation_delays(params)
+    """Excited-state decay P_e(t) = exp(-t/T1) after a pi pulse."""
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     p_true = np.ones_like(delays) if math.isinf(params.t1) else np.exp(-delays / params.t1)
     return _dataset(

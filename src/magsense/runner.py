@@ -43,7 +43,6 @@ from .lifetimes import (
 from .params import SystemParams
 from .protocols import (
     GRIDS,
-    relaxation_delays,
     require_protocol,
     run_decay_phase_sense,
     run_decay_spectroscopy,
@@ -97,7 +96,7 @@ def execute_protocol(node: ProtocolNode, config: ExperimentConfig) -> SweepDatas
             params, grids["pump_powers"], grids["delays"], protocol_config
         )
     if node.kind == "relaxation":
-        return run_relaxation(params, protocol_config, grids.get("delays"))
+        return run_relaxation(params, protocol_config, grids["delays"])
     if node.kind == "decay-phase":
         return run_decay_phase_sense(
             params,
@@ -445,6 +444,9 @@ def run_experiment(
     """
     config.system.dispersive_guard()
     output = Path(output)
+    # --force replaces an artifact directory, never another kind of file
+    if output.exists() and not output.is_dir():
+        raise ConfigError(f"output {output} exists and is not a directory")
     if output.exists() and not force:
         raise ConfigError(f"output directory {output} already exists (use force)")
     staging = output.with_name(output.name + ".partial")
@@ -494,9 +496,9 @@ def run_experiment(
 def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
     """Load a run artifact's manifest, config, and datasets from disk.
 
-    Each dataset must carry the manifest's hash, and each axis the grid the
-    manifest records for it; relaxation's default delays, which the manifest
-    leaves out, are derived from the recorded system.
+    Each dataset must carry the manifest's hash, and each axis the grid its
+    protocol ran on: the recorded one, or the default relaxation grid that
+    the config parser derives where an earlier version's manifest omits it.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
@@ -526,20 +528,11 @@ def load_artifact(path) -> tuple[dict, ExperimentConfig, dict]:
                 f"{dataset_path.name}: embedded manifest hash does not match"
             )
         axes = {axis.name: axis.values for axis in dataset.axes}
-        grids = dict(node.grids)
-        if node.kind == "relaxation" and "delays" not in grids:
-            try:
-                grids["delays"] = relaxation_delays(_protocol_params(config))
-            except ValueError as exc:
-                raise SchemaError(
-                    f"{manifest_path}: config.protocols[{k}].grids.delays: {exc}"
-                ) from exc
-        for key, grid in grids.items():
+        for key, grid in node.grids.items():
             axis = GRIDS[key][0]
             if axis not in axes or not np.array_equal(axes[axis], grid):
-                source = "" if key in node.grids else " (default, from config.system.t1)"
                 raise SchemaError(
-                    f"{manifest_path}: config.protocols[{k}].grids.{key}{source} does "
+                    f"{manifest_path}: config.protocols[{k}].grids.{key} does "
                     f"not match axis {axis!r} of {dataset_path.name}"
                 )
         datasets[node.name] = dataset

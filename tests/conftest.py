@@ -8,15 +8,21 @@ from pathlib import Path
 import numpy as np
 
 from magsense.config import REMOVED_FIELDS, resolved_hash
+from magsense.protocols import PROTOCOLS
 
-# a value that earlier versions recorded, or could have, for each removed
-# field that changed no output at any value
+# a value that earlier versions recorded, or could have, for each field that
+# changed no output at any value: a removed field, or an n0 or pump field of
+# a protocol whose kind does not read it
 _ANY_RECORDED = {
     "chi_mc": 0.0,
     "t2e": 5e-6,
     "workers": 0,
     "drive_frequency": 2 * math.pi * 4.74e9,
     "delta": 2 * math.pi * 1e6,
+    "n0": 5.0,
+    "power_w": 1e-6,
+    "c_pump": 2.3e9,
+    "omega_qm": 2 * math.pi * 0.66e6,
 }
 
 
@@ -41,10 +47,13 @@ def rewrite_manifest(artifact, edit) -> tuple[str, str]:
 
 
 def removed_field_edits():
-    """(label, edit) that records one removed field at a reproduced value.
+    """(label, edit) that records one field an earlier version could record.
 
-    Each ``edit`` suits ``rewrite_manifest``; a pump field goes into every
-    protocol's pump.
+    That is a removed field at a reproduced value, or an n0 or pump field
+    that a protocol's kind does not read, at any value. Each ``edit`` suits
+    ``rewrite_manifest``. A removed pump field goes into every protocol's
+    pump, and an unread field into every protocol whose kind does not read
+    it; a protocol that records no pump is given one.
     """
     edits = []
     for block, table in sorted(REMOVED_FIELDS.items()):
@@ -54,12 +63,53 @@ def removed_field_edits():
             def edit(config, block=block, key=key, value=value):
                 if block == "pump":
                     for protocol in config["protocols"]:
-                        protocol["pump"][key] = value
+                        protocol.setdefault("pump", {})[key] = value
                 else:
                     config[block][key] = value
 
             edits.append((f"{block}.{key}", edit))
+    for key in ("n0", "power_w", "c_pump", "omega_qm"):
+
+        def edit(config, key=key):
+            for protocol in config["protocols"]:
+                _, _, takes_n0, pump_reads = PROTOCOLS[protocol["kind"]]
+                if key == "n0" and not takes_n0:
+                    protocol["n0"] = _ANY_RECORDED[key]
+                elif key != "n0" and key not in pump_reads:
+                    protocol.setdefault("pump", {})[key] = _ANY_RECORDED[key]
+
+        label = key if key == "n0" else f"pump.{key}"
+        edits.append((f"protocols[*].{label} where the kind does not read it", edit))
     return edits
+
+
+# a small config grid for each protocol grid key
+SMALL_GRIDS = {
+    "pump_powers": {"start": "0 uW", "stop": "1 uW", "count": 2},
+    "probe_freqs": {"start": "-2 MHz", "stop": "2 MHz", "count": 3, "around": "omega_q"},
+    "delays": {"start": "0 us", "stop": "1 us", "count": 3},
+    "sense_times": {"start": "0 ns", "stop": "200 ns", "count": 3},
+    "second_pulse_phases": {"start": "0 rad", "stop": "3 rad", "count": 4},
+    "deltas": {"start": "-1 MHz", "stop": "1 MHz", "count": 2},
+    "durations": {"start": "0 us", "stop": "0.2 us", "count": 3},
+}
+SMALL_PUMP = {"c_pump": "100 1/uW", "omega_qm": "0.66 MHz"}
+
+
+def kind_blocks() -> list:
+    """One small YAML protocol block of each kind, in ``PROTOCOLS`` order.
+
+    A block sets its kind's grids, ``n0`` if it takes one, and the pump
+    fields it needs > 0, and nothing else.
+    """
+    blocks = []
+    for kind, (keys, _, takes_n0, pump_reads) in PROTOCOLS.items():
+        block = {"kind": kind, **{key: SMALL_GRIDS[key] for key in keys}}
+        block["pump"] = {key: SMALL_PUMP[key] for key, positive in pump_reads.items() if positive}
+        if takes_n0:
+            block["n0"] = 10.0
+        blocks.append(block)
+    return blocks
 
 
 def traced_peak(call) -> int:

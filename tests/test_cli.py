@@ -261,6 +261,17 @@ class TestRun:
         assert "already exists" in capsys.readouterr().err
         assert main(argv + ["--force"]) == 0
 
+    def test_force_onto_a_regular_file_exits_2_before_sampling(self, work, capsys):
+        # --force replaces an artifact directory; onto a file, run used to
+        # sample and fit everything, exit 3 and leave its staging directory
+        target = work / "outfile"
+        target.write_text("not an artifact\n", encoding="utf-8")
+        argv = ["run", str(work / "parametric.yaml"), "--output", str(target), "--force"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: output {target} exists and is not a directory\n"
+        assert target.read_text(encoding="utf-8") == "not an artifact\n"
+        assert not (work / "outfile.partial").exists()
+
     def test_rerun_is_byte_identical(self, work, coherence_artifact):
         out2 = work / "coh-twin"
         assert main(["run", str(work / "coherence.yaml"), "--output", str(out2)]) == 0
@@ -382,19 +393,23 @@ class TestReport:
         assert "hash does not match" in capsys.readouterr().err
 
     def test_relaxation_default_grid_is_checked_against_t1(self, work, capsys):
-        # the manifest leaves relaxation's default delays out; they follow
-        # from system.t1, so a recorded t1 that no longer gives them fails
+        # a manifest written by an earlier version leaves relaxation's default
+        # delays out; they follow from system.t1, so such a manifest still
+        # reports, and a recorded t1 that no longer gives them fails
         out = work / "baseline-t1"
         assert main(["run", "coherence-baseline", "--output", str(out)]) == 0
+        # every line but the first, which holds the manifest hash
+        before = (out / "coherence.txt").read_text(encoding="utf-8").split("\n", 1)[1]
+        rewrite_manifest(out, lambda config: config["protocols"][1]["grids"].clear())
         assert main(["report", str(out)]) == 0
+        assert (out / "coherence.txt").read_text(encoding="utf-8").split("\n", 1)[1] == before
         rewrite_manifest(out, lambda config: config["system"].update(t1=2 * config["system"]["t1"]))
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert (
-            "config.protocols[1].grids.delays (default, from config.system.t1) does not "
-            "match axis 'delay' of relaxation.csv"
+            "config.protocols[1].grids.delays does not match axis 'delay' of relaxation.csv"
         ) in err
 
     def test_manifest_with_a_removed_acquisition_field_still_reports(self, work, capsys):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import kind_blocks
 
 from magsense.cli import bundled_configs, main
 from magsense.config import (
@@ -439,6 +440,59 @@ class TestConfigValidation:
             parse_config(raw)
 
     @pytest.mark.parametrize(
+        "protocol, message",
+        [
+            (
+                {"kind": "ramsey", "delays": ["0 us", "1 us"], "n0": 5},
+                "protocols[0]: unknown field 'n0'",
+            ),
+            (
+                {"kind": "relaxation", "pump": {"c_pump": "2.3e9 1/W"}},
+                "protocols[0].pump: unknown field 'c_pump'",
+            ),
+            (
+                {
+                    "kind": "parametric-scan",
+                    "deltas": ["0 MHz"],
+                    "durations": ["0 us", "1 us"],
+                    "pump": {"omega_qm": "0.66 MHz", "power": "1 uW"},
+                },
+                "protocols[0].pump: unknown field 'power'",
+            ),
+        ],
+        ids=["n0-on-ramsey", "c_pump-on-relaxation", "power-on-parametric-scan"],
+    )
+    def test_a_field_the_kind_does_not_read_is_unknown(self, protocol, message, tmp_path, capsys):
+        # such a field used to validate, and to change the manifest hash
+        # while changing no output
+        path = tmp_path / "unread.yaml"
+        path.write_text(yaml.safe_dump(base_config(protocols=[protocol])), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}.{message}\n"
+
+    def test_relaxation_default_grid_is_resolved_at_parse_time(self, tmp_path, capsys):
+        raw = base_config(protocols=[{"kind": "relaxation"}])
+        config = parse_config(raw)
+        t1 = SystemParams.reference().t1
+        assert np.array_equal(config.protocols[0].grids["delays"], np.linspace(0.0, 4 * t1, 20))
+        assert config.resolved["protocols"][0]["grids"]["delays"] == list(
+            np.linspace(0.0, 4 * t1, 20)
+        )
+        # an ideal qubit's T1 is infinite: validate used to accept the block,
+        # and run failed after sampling, with an untyped error (exit 3)
+        raw["system"] = {"ideal_qubit": True}
+        path = tmp_path / "ideal.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}.protocols[0].delays: relaxation scan needs an explicit "
+            "grid for infinite T1\n"
+        )
+        raw["protocols"][0]["delays"] = ["0 us", "1 us"]
+        assert parse_config(raw).protocols[0].grids["delays"].tolist() == [0.0, 1e-6]
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             ({"system": {"t2r": "0 us"}}, r"config\.system\.t2r: must be > 0"),
@@ -604,16 +658,22 @@ class TestResolvedManifest:
         assert json.loads(payload) == config.resolved
 
     def test_resolved_acquisition_holds_the_protocol_knobs(self):
-        # every recorded acquisition, pump and system field has a constructor
-        # field behind it: a manifest records nothing that no code reads
-        resolved = parse_config(base_config()).resolved
+        # every recorded acquisition and system field has a constructor field
+        # behind it, and each protocol records the n0 and pump fields its
+        # kind reads and no other: a manifest records nothing that no code reads
+        resolved = parse_config(base_config(protocols=kind_blocks())).resolved
         shared = {"readout", "master_seed", "pump"}
         for recorded, names in (
             (resolved["acquisition"], {f.name for f in fields(ProtocolConfig)} - shared),
-            (resolved["protocols"][0]["pump"], {f.name for f in fields(PumpSpec)}),
             (resolved["system"], {f.name for f in fields(SystemParams)} | {"ideal_qubit"}),
         ):
             assert sorted(recorded) == sorted(names)
+        pump_fields = {f.name for f in fields(PumpSpec)}
+        assert [protocol["kind"] for protocol in resolved["protocols"]] == list(PROTOCOLS)
+        for protocol in resolved["protocols"]:
+            _, _, takes_n0, pump_reads = PROTOCOLS[protocol["kind"]]
+            assert ("n0" in protocol) == takes_n0, protocol["kind"]
+            assert set(protocol.get("pump", {})) == set(pump_reads) <= pump_fields
 
     def test_from_resolved_does_not_revalidate_acquisition(self):
         # an artifact's manifest loads as recorded, even with values that
@@ -651,12 +711,12 @@ class TestResolvedManifest:
 
 
 BUNDLED_HASHES = {
-    "coherence-baseline": "b4fec8d7f2b659caff8ad85e0c4b7498766ca44b789314c6d9d7ed012e32d91f",
-    "decay-tracking": "1709a8e39f7f06fcb09c2618a6b7878d2a6c69b48e4a240c8e1ec03a4e8e7597",
-    "magnon-counting": "2241ba6f7da0a48fe9a5798dac81a43acfae2487d1dfdbc53766070aa4eea815",
-    "parametric-scan": "3e602da48848f5c800aea9fdeedffde0f7f7621d4034304c2ad2301e97d3554e",
-    "sensitivity-scan-ideal": "f2e2a9c645651d39240184a7f1b4c6b182984db726ab30e86f29b6aa2e825a40",
-    "sensitivity-scan": "b5f226f2ebe7fc793a7d4d6a34e0e02479fa0773bd23616af82fe40748c567ac",
+    "coherence-baseline": "86e7e5ce2523e1bdcce7fd372ff2031331bd9d74b8044f75e5ce266c13fc4195",
+    "decay-tracking": "91e301894165178f2435ea9624febeeadfe29f0b25d0e1d664a6a05abd0ac58d",
+    "magnon-counting": "0eb3f80a9363643d60fa8192f276969214dd6cbbe602083504c70f6fcfa3dbca",
+    "parametric-scan": "10681c4dcc8ef8355cad8de5cfd26bf339007f1fcf33f6bf216661b1642a52ea",
+    "sensitivity-scan-ideal": "76ed2feafcbf2afed365a522db9866a4b0b340942b583958554ce7069a22cbca",
+    "sensitivity-scan": "75b9cb9c544f8114a51c7e1e856d85bd75e79331fa9810e4f192b192957441fc",
 }
 
 

@@ -38,6 +38,15 @@ protocols:
       c_pump: 2.3e9 1/W
     pump_powers: {start: 0 W, stop: 17.4 nW, count: 5}
     delays: {start: 0 us, stop: 3 us, count: 41}
+  - kind: decay-phase
+    n0: 650
+    sense_times: {start: 0 ns, stop: 240 ns, count: 5}
+    second_pulse_phases: {start: 0 rad, stop: 6.2832 rad, count: 5}
+  - kind: parametric-scan
+    pump:
+      omega_qm: 0.66 MHz
+    deltas: {start: -2 MHz, stop: 2 MHz, count: 3}
+    durations: {start: 0 us, stop: 1 us, count: 5}
 analyses:
   - kind: coherence
   - kind: calibration
@@ -134,8 +143,8 @@ HAND_CASES = {
         "config.system: t1 must be > 0",
     ),
     "negative-pump-power": (
-        _edit_config(_set("protocols", 2, "pump", "power_w", value=-1.0)),
-        "config.protocols[2].pump: pump power must be >= 0",
+        _edit_config(_set("protocols", 0, "pump", "power_w", value=-1.0)),
+        "config.protocols[0].pump: pump power must be >= 0",
     ),
     "bogus-protocol-kind": (
         _edit_config(_set("protocols", 0, "kind", value="teleport")),
@@ -168,9 +177,15 @@ HAND_CASES = {
         _edit_config(_set("acquisition", "blur_phase_limit", value=1.0)),
         "config.acquisition.blur_phase_limit: the field was removed",
     ),
-    # relaxation's default delays follow from system.t1, which an ideal qubit lacks
+    # an earlier version's manifest leaves relaxation's default delays out;
+    # they follow from system.t1, which an ideal qubit lacks
     "ideal-qubit-without-relaxation-grid": (
-        _edit_config(_set("system", "ideal_qubit", value=True)),
+        _edit_config(
+            lambda config: (
+                _delete("protocols", 1, "grids", "delays")(config),
+                _set("system", "ideal_qubit", value=True)(config),
+            )
+        ),
         "config.protocols[1].grids.delays: relaxation scan needs an explicit grid "
         "for infinite T1",
     ),
@@ -187,6 +202,29 @@ def test_malformed_manifest_exits_2_naming_the_field(artifact, tmp_path, case, c
     assert code == 2, err
     assert err.startswith("error:") and "manifest.json" in err and message in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["../escaped", "runs/t1", "..", ".", ""])
+def test_a_protocol_name_is_one_path_component(artifact, tmp_path, name, capsys):
+    # a protocol's dataset is written to, and read from, the file named
+    # after it: "../escaped" used to validate, and run wrote escaped.csv
+    # beside the artifact rather than in it
+    message = f"protocols[1].name: {name!r} is not a single path component"
+    source = tmp_path / "config.yaml"
+    source.write_text(
+        ARTIFACT_YAML.replace("    name: t1\n", f"    name: {json.dumps(name)}\n"),
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["run", str(source), "--output", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}.{message}"), err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.yaml"]
+    twin = tmp_path / "twin"
+    shutil.copytree(artifact, twin)
+    rewrite_manifest(twin, _set("protocols", 1, "name", value=name))
+    code, err = _report(twin, capsys)
+    assert code == 2 and f"manifest.json: config.{message}" in err, err
 
 
 # Values that replace a field; a number never stands in for another number.

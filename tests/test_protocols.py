@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import check_binomial_counts, check_pulls, traced_peak
+from conftest import check_binomial_counts, check_pulls, kind_blocks, traced_peak
 
 from magsense import protocols
 from magsense.analysis import magnon_dephasing_rate
@@ -26,6 +26,7 @@ from magsense.protocols import (
     run_qubit_spectroscopy,
     run_ramsey,
     run_ramsey_series,
+    relaxation_delays,
     run_relaxation,
     require_protocol,
 )
@@ -280,7 +281,7 @@ def test_relaxation_t1_fit_within_quoted_uncertainty():
     pulls = []
     for seed in RELAXATION_SEEDS:
         config = ProtocolConfig(readout=readout, n_shots=10_000, master_seed=seed)
-        data = run_relaxation(params, config)
+        data = run_relaxation(params, config, relaxation_delays(params))
         delays = data.axis("delay").values
         assert len(delays) == 20 and delays[-1] == pytest.approx(4 * params.t1)
         fit = fit_curve(
@@ -526,29 +527,9 @@ def test_shot_duration_bookkeeping():
         assert data.total_time() == float(np.sum(data.n_shots)) * expected
 
 
-# a small config grid for each protocol grid key
-SMALL_GRIDS = {
-    "pump_powers": {"start": "0 uW", "stop": "1 uW", "count": 2},
-    "probe_freqs": {"start": "-2 MHz", "stop": "2 MHz", "count": 3, "around": "omega_q"},
-    "delays": {"start": "0 us", "stop": "1 us", "count": 3},
-    "sense_times": {"start": "0 ns", "stop": "200 ns", "count": 3},
-    "second_pulse_phases": {"start": "0 rad", "stop": "3 rad", "count": 4},
-    "deltas": {"start": "-1 MHz", "stop": "1 MHz", "count": 2},
-    "durations": {"start": "0 us", "stop": "0.2 us", "count": 3},
-}
-SMALL_PUMP = {"c_pump": "100 1/uW", "omega_qm": "0.66 MHz"}
-
-
 def test_every_protocol_kind_has_the_axes_its_table_entry_declares():
-    blocks = []
-    for kind, (keys, _, takes_n0, pump_keys) in PROTOCOLS.items():
-        block = {"kind": kind, **{key: SMALL_GRIDS[key] for key in keys}}
-        block["pump"] = {key: SMALL_PUMP[key] for key in pump_keys}
-        if takes_n0:
-            block["n0"] = 10.0
-        blocks.append(block)
     config = parse_config(
-        {"name": "kinds", "acquisition": {"mode": "expectation"}, "protocols": blocks}
+        {"name": "kinds", "acquisition": {"mode": "expectation"}, "protocols": kind_blocks()}
     )
     assert [node.kind for node in config.protocols] == list(PROTOCOLS)
     for node in config.protocols:

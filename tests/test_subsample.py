@@ -10,7 +10,7 @@ from conftest import MIN_P_VALUE, chi2_upper_tail, goodness_of_fit, homogeneity
 from magsense.errors import BudgetError, EstimationError
 from magsense.fitting import FitModel, fit_curve
 from magsense.params import SystemParams
-from magsense.protocols import ProtocolConfig, run_relaxation
+from magsense.protocols import ProtocolConfig, relaxation_delays, run_relaxation
 from magsense.readout import (
     SHOT_DTYPE,
     ReadoutModel,
@@ -43,7 +43,7 @@ def relaxation_dataset():
         mode="shots",
         keep_shots=True,
     )
-    return params, run_relaxation(params, config)
+    return params, run_relaxation(params, config, relaxation_delays(params))
 
 
 def _dataset_of(shots: np.ndarray) -> SweepDataset:
