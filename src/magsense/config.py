@@ -340,8 +340,7 @@ class ExperimentConfig:
     description: str
     seed: int
     output: str | None
-    system: SystemParams
-    ideal_qubit: bool
+    system: SystemParams  # the device the protocols and analyses run on
     readout: ReadoutModel
     acquisition: dict
     protocols: tuple
@@ -484,13 +483,33 @@ def _read_pump(block: _Block, reads: dict) -> tuple[PumpSpec, dict]:
         raise ConfigError(f"{block.path}: {exc}") from exc
 
 
+def _check_file_name(name: str, path: str) -> None:
+    """Reject a protocol name that its files in the artifact cannot take.
+
+    A protocol writes ``<name>.csv`` and, with kept shots, the longer
+    ``<name>_shots.npz``: each must be one path component, with no NUL, of
+    at most 255 bytes.
+    """
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"{path}: {name!r} is not a single path component")
+    if "\0" in name:
+        raise ConfigError(f"{path}: {name!r} holds a NUL character")
+    try:
+        size = len(os.fsencode(f"{name}_shots.npz"))
+    except UnicodeError:
+        raise ConfigError(f"{path}: {name!r} cannot be encoded as a file name") from None
+    if size > 255:
+        raise ConfigError(
+            f"{path}: {name!r} is too long: its shots file name takes {size} > 255 bytes"
+        )
+
+
 def _read_protocol(block: _Block, device: SystemParams, n_shots: int) -> tuple[ProtocolNode, dict]:
     kind = block.get("kind", tuple(PROTOCOLS))
     name = block.get("name", "string", kind)
-    # the name is the file name of the protocol's dataset in the artifact
-    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
-        raise ConfigError(f"{block.path}.name: {name!r} is not a single path component")
-    keys, defaults, takes_n0, pump_reads = PROTOCOLS[kind]
+    _check_file_name(name, f"{block.path}.name")
+    _, keys, defaults, lead, pump_reads = PROTOCOLS[kind]
+    takes_n0 = lead == "n0"
     anchors = {key: getattr(device, key) for key in ("omega_q", "omega_c", "omega_m")}
     grid_block = block.child("grids") if block.recorded else block
     # grid points whose kept shots fit the buffer at 8 bytes a shot
@@ -638,7 +657,8 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
                 f"the {max_shots} shots, at 8 bytes each, of the "
                 f"{MAX_SHOT_BUFFER_BYTES}-byte shot buffer"
             )
-    device = system.with_ideal_qubit() if ideal else system
+    if ideal:
+        system = system.with_ideal_qubit()
     raw_protocols = block.get("protocols", "list")
     if not raw_protocols:
         raise ConfigError(f"{source}.protocols: expected a non-empty list")
@@ -648,7 +668,7 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
     for k, raw_protocol in enumerate(raw_protocols):
         path = f"{source}.protocols[{k}]"
         node, resolved = _read_protocol(
-            _Block(raw_protocol, path, recorded), device, acquisition["n_shots"]
+            _Block(raw_protocol, path, recorded), system, acquisition["n_shots"]
         )
         if node.name in kinds_by_name:
             raise ConfigError(f"{path}.name: duplicate name {node.name!r}")
@@ -699,7 +719,6 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
         seed=seed,
         output=output,
         system=system,
-        ideal_qubit=ideal,
         readout=readout,
         acquisition=acquisition,
         protocols=tuple(protocol_nodes),

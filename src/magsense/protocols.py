@@ -16,13 +16,16 @@ from their binomial law in one ``readout.sample_clicks`` call on the stream
 ``sweep.stream_seed(master seed, protocol tag)``. Every protocol returns
 through ``_dataset``: a shot lasts the sequence before
 readout, plus the readout window, plus the dead time, every dataset
-records the acquisition mode, master seed and readout threshold, and a
-true probability clipped into [0, 1] is named in a dataset warning.
+records the master seed and readout threshold, and a true probability
+clipped into [0, 1] is named in a dataset warning.
 
-``PROTOCOLS`` declares each kind's grids in axis order, the default of a
-grid it may leave out, whether it takes n0, and the pump fields it reads.
-Config parsing, the dataset axes ``_dataset`` builds and the estimators'
-input check (``require_protocol``) all read it.
+Every run function takes the device, then its leading argument if it has
+one, then its grids in axis order, then its ``ProtocolConfig``.
+``PROTOCOLS`` declares each kind's run function, its grids in axis order,
+the default of a grid it may leave out, its leading argument (n0 or the
+pump), and the pump fields it reads. Config parsing, the runner's one call
+per protocol block, the dataset axes ``_dataset`` builds and the
+estimators' input check (``require_protocol``) all read it.
 """
 
 from __future__ import annotations
@@ -76,20 +79,6 @@ def relaxation_delays(params: SystemParams) -> np.ndarray:
     return np.linspace(0.0, 4.0 * params.t1, DEFAULT_RELAXATION_POINTS)
 
 
-# protocol kind -> (grid keys in axis order, {grid key it may leave out: its
-# default grid from the device}, whether it takes n0, {PumpSpec field it
-# reads: whether it must be > 0})
-PROTOCOLS = {
-    "spectroscopy": (("pump_powers", "probe_freqs"), {}, False, {"c_pump": True}),
-    "ramsey": (("delays",), {}, False, {"power_w": False, "c_pump": False}),
-    "ramsey-series": (("pump_powers", "delays"), {}, False, {"c_pump": True}),
-    "relaxation": (("delays",), {"delays": relaxation_delays}, False, {}),
-    "decay-phase": (("sense_times", "second_pulse_phases"), {}, True, {}),
-    "decay-spectroscopy": (("sense_times", "probe_freqs"), {}, True, {}),
-    "parametric-scan": (("deltas", "durations"), {}, False, {"omega_qm": True}),
-}
-
-
 def require_protocol(dataset: SweepDataset, kind: str) -> None:
     """Raise ``EstimationError`` unless ``dataset`` is a ``kind`` dataset.
 
@@ -98,7 +87,7 @@ def require_protocol(dataset: SweepDataset, kind: str) -> None:
     """
     if dataset.protocol != kind:
         raise EstimationError(f"expected a {kind} dataset, got {dataset.protocol!r}")
-    axes = tuple(GRIDS[key][0] for key in PROTOCOLS[kind][0])
+    axes = tuple(GRIDS[key][0] for key in PROTOCOLS[kind][1])
     names = tuple(axis.name for axis in dataset.axes)
     if names != axes:
         raise EstimationError(f"expected axes {axes}, got {names}")
@@ -190,14 +179,14 @@ def _dataset(config, protocol, grids, p_true, sequence, meta=None, warnings=()):
     ``grids`` holds the protocol's grid values in ``PROTOCOLS`` order, and
     the dataset's axes sample them. A shot lasts ``sequence`` (the pulses
     before readout), plus the readout window, plus the dead time. The
-    acquisition mode, master seed and readout threshold lead the protocol's
-    own ``meta``. A probability clipped into [0, 1] adds a warning.
+    master seed and readout threshold lead the protocol's own ``meta``. A
+    probability clipped into [0, 1] adds a warning.
     """
     p_hat, stderr, shots = _measure_grid(p_true, config, protocol)
     return SweepDataset(
         axes=tuple(
             Axis(GRIDS[key][0], GRIDS[key][1], grid)
-            for key, grid in zip(PROTOCOLS[protocol][0], grids, strict=True)
+            for key, grid in zip(PROTOCOLS[protocol][1], grids, strict=True)
         ),
         p_e=p_hat,
         stderr=stderr,
@@ -206,7 +195,6 @@ def _dataset(config, protocol, grids, p_true, sequence, meta=None, warnings=()):
         protocol=protocol,
         shots=shots,
         meta={
-            "mode": config.mode,
             "master_seed": config.master_seed,
             "readout_threshold": config.readout.threshold,
             **(meta or {}),
@@ -294,18 +282,17 @@ def _ramsey_fringe(
 
 def run_ramsey(
     params: SystemParams,
-    pump: PumpSpec,
     delays: np.ndarray,
     config: ProtocolConfig,
 ) -> SweepDataset:
-    """Ramsey fringes with the magnon pump applied during the evolution time.
+    """Ramsey fringes with the config's magnon pump on during the evolution time.
 
     The fringe frequency is the artificial detuning plus the Stark shift
     chi_qm * n; the envelope decays at 1/(2 T1) + gamma_2^0 plus the
     magnon-induced dephasing, i.e. at 1/T2R for pump off.
     """
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
-    n_mean = pump.n_mean
+    n_mean = config.pump.n_mean
     p_true, envelope_rate = _ramsey_fringe(params, config, n_mean, delays)
     return _dataset(
         config,
@@ -350,8 +337,8 @@ def run_ramsey_series(
 
 def run_relaxation(
     params: SystemParams,
-    config: ProtocolConfig,
     delays: np.ndarray,
+    config: ProtocolConfig,
 ) -> SweepDataset:
     """Excited-state decay P_e(t) = exp(-t/T1) after a pi pulse."""
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
@@ -530,3 +517,28 @@ def run_parametric_decay_scan(
         config.pi_duration + float(durations[-1]),
         {"omega_qm": omega_qm},
     )
+
+
+# protocol kind -> (its run function, its grid keys in axis order, {grid key it
+# may leave out: its default grid from the device}, the argument the run
+# function takes before its grids: None, "n0" or "pump", {PumpSpec field it
+# reads: whether it must be > 0})
+PROTOCOLS = {
+    "spectroscopy": (
+        run_qubit_spectroscopy, ("pump_powers", "probe_freqs"), {}, None, {"c_pump": True}
+    ),
+    "ramsey": (run_ramsey, ("delays",), {}, None, {"power_w": False, "c_pump": False}),
+    "ramsey-series": (
+        run_ramsey_series, ("pump_powers", "delays"), {}, None, {"c_pump": True}
+    ),
+    "relaxation": (run_relaxation, ("delays",), {"delays": relaxation_delays}, None, {}),
+    "decay-phase": (
+        run_decay_phase_sense, ("sense_times", "second_pulse_phases"), {}, "n0", {}
+    ),
+    "decay-spectroscopy": (
+        run_decay_spectroscopy, ("sense_times", "probe_freqs"), {}, "n0", {}
+    ),
+    "parametric-scan": (
+        run_parametric_decay_scan, ("deltas", "durations"), {}, "pump", {"omega_qm": True}
+    ),
+}

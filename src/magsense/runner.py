@@ -4,7 +4,8 @@ A run artifact is a directory holding ``manifest.json`` (the fully resolved
 config, its hash, the seed, and timestamps), one CSV dataset per protocol
 block, and one report per attached analysis. The whole run is assembled in a
 sibling ``.partial`` directory and renamed into place only once complete, so
-an interrupted run never leaves a directory containing a manifest.
+an interrupted run never leaves a directory containing a manifest; a run
+that raises removes the ``.partial`` directory too.
 
 Reports are key-value text with the input manifest hash on the first line;
 curve-like results (sensitivity, subsample ensembles) additionally emit
@@ -41,17 +42,7 @@ from .lifetimes import (
     phase_lifetimes,
 )
 from .params import SystemParams
-from .protocols import (
-    GRIDS,
-    require_protocol,
-    run_decay_phase_sense,
-    run_decay_spectroscopy,
-    run_parametric_decay_scan,
-    run_qubit_spectroscopy,
-    run_ramsey,
-    run_ramsey_series,
-    run_relaxation,
-)
+from .protocols import GRIDS, PROTOCOLS, require_protocol
 from .sensitivity import (
     SensingConfig,
     fit_noise_profile,
@@ -75,45 +66,12 @@ class RunArtifact:
     reports: dict
 
 
-def _protocol_params(config: ExperimentConfig) -> SystemParams:
-    """The device parameters the protocols run with."""
-    return config.system.with_ideal_qubit() if config.ideal_qubit else config.system
-
-
 def execute_protocol(node: ProtocolNode, config: ExperimentConfig) -> SweepDataset:
-    """Run one protocol block and return its dataset."""
-    params = _protocol_params(config)
-    protocol_config = config.protocol_config(node.pump)
-    grids = node.grids
-    if node.kind == "spectroscopy":
-        return run_qubit_spectroscopy(
-            params, grids["pump_powers"], grids["probe_freqs"], protocol_config
-        )
-    if node.kind == "ramsey":
-        return run_ramsey(params, node.pump, grids["delays"], protocol_config)
-    if node.kind == "ramsey-series":
-        return run_ramsey_series(
-            params, grids["pump_powers"], grids["delays"], protocol_config
-        )
-    if node.kind == "relaxation":
-        return run_relaxation(params, protocol_config, grids["delays"])
-    if node.kind == "decay-phase":
-        return run_decay_phase_sense(
-            params,
-            node.n0,
-            grids["sense_times"],
-            grids["second_pulse_phases"],
-            protocol_config,
-        )
-    if node.kind == "decay-spectroscopy":
-        return run_decay_spectroscopy(
-            params, node.n0, grids["sense_times"], grids["probe_freqs"], protocol_config
-        )
-    if node.kind == "parametric-scan":
-        return run_parametric_decay_scan(
-            params, node.pump, grids["deltas"], grids["durations"], protocol_config
-        )
-    raise ConfigError(f"unknown protocol kind {node.kind!r}")
+    """Run one protocol block on the config's device and return its dataset."""
+    run, keys, _, lead, _ = PROTOCOLS[node.kind]
+    leading = {None: (), "n0": (node.n0,), "pump": (node.pump,)}[lead]
+    grids = (node.grids[key] for key in keys)
+    return run(config.system, *leading, *grids, config.protocol_config(node.pump))
 
 
 def _fit_status(fits) -> dict:
@@ -440,7 +398,8 @@ def run_experiment(
 
     The artifact is staged in ``<output>.partial`` and renamed into place
     after the manifest is written, so a crash mid-run cannot leave a
-    directory that looks complete.
+    directory that looks complete; a run that raises removes its staging
+    directory.
     """
     config.system.dispersive_guard()
     output = Path(output)
@@ -453,36 +412,41 @@ def run_experiment(
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
-    manifest_hash = config.manifest_hash
-    datasets = {}
-    dataset_paths = {}
-    for node in config.protocols:
-        dataset = execute_protocol(node, config).with_manifest(manifest_hash)
-        path = staging / f"{node.name}.csv"
-        write_dataset(dataset, path)
-        # the analyses read no shots: once in their sidecar, a protocol's
-        # shots are not held while the next protocol samples its own
-        datasets[node.name] = replace(dataset, shots=None)
-        del dataset
-        dataset_paths[node.name] = path
-    reports = run_analyses(
-        config.analyses,
-        datasets,
-        staging,
-        manifest_hash,
-        system=config.system,
-        sensing=config.sensing,
-    )
-    manifest = {
-        "version": __version__,
-        "name": config.name,
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "hash": manifest_hash,
-        "config": config.resolved,
-    }
-    (staging / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        manifest_hash = config.manifest_hash
+        datasets = {}
+        dataset_paths = {}
+        for node in config.protocols:
+            dataset = execute_protocol(node, config).with_manifest(manifest_hash)
+            path = staging / f"{node.name}.csv"
+            write_dataset(dataset, path)
+            # the analyses read no shots: once in their sidecar, a protocol's
+            # shots are not held while the next protocol samples its own
+            datasets[node.name] = replace(dataset, shots=None)
+            del dataset
+            dataset_paths[node.name] = path
+        reports = run_analyses(
+            config.analyses,
+            datasets,
+            staging,
+            manifest_hash,
+            system=config.system,
+            sensing=config.sensing,
+        )
+        manifest = {
+            "version": __version__,
+            "name": config.name,
+            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "hash": manifest_hash,
+            "config": config.resolved,
+        }
+        (staging / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except BaseException:
+        # a failed run leaves no staging directory behind
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     if output.exists():
         shutil.rmtree(output)
     staging.rename(output)

@@ -72,8 +72,8 @@ def removed_field_edits():
 
         def edit(config, key=key):
             for protocol in config["protocols"]:
-                _, _, takes_n0, pump_reads = PROTOCOLS[protocol["kind"]]
-                if key == "n0" and not takes_n0:
+                _, _, _, lead, pump_reads = PROTOCOLS[protocol["kind"]]
+                if key == "n0" and lead != "n0":
                     protocol["n0"] = _ANY_RECORDED[key]
                 elif key != "n0" and key not in pump_reads:
                     protocol.setdefault("pump", {})[key] = _ANY_RECORDED[key]
@@ -103,10 +103,10 @@ def kind_blocks() -> list:
     fields it needs > 0, and nothing else.
     """
     blocks = []
-    for kind, (keys, _, takes_n0, pump_reads) in PROTOCOLS.items():
+    for kind, (_, keys, _, lead, pump_reads) in PROTOCOLS.items():
         block = {"kind": kind, **{key: SMALL_GRIDS[key] for key in keys}}
         block["pump"] = {key: SMALL_PUMP[key] for key, positive in pump_reads.items() if positive}
-        if takes_n0:
+        if lead == "n0":
             block["n0"] = 10.0
         blocks.append(block)
     return blocks

@@ -287,6 +287,23 @@ class TestRun:
         assert main(["run", str(work / "parametric.yaml"), "--output", str(out)]) == 3
         assert capsys.readouterr().err.startswith("runtime error:")
         assert not out.exists()
+        assert not (work / "pf.partial").exists()
+
+    def test_a_failed_dataset_write_exits_3_leaving_nothing(self, work, capsys, monkeypatch):
+        # the first protocol's dataset is staged before the second one's write fails
+        write = runner.write_dataset
+
+        def write_but_t1(dataset, path):
+            if path.name == "t1.csv":
+                raise OSError(f"{path.name}: no space left")
+            write(dataset, path)
+
+        monkeypatch.setattr(runner, "write_dataset", write_but_t1)
+        out = work / "unwritten"
+        assert main(["run", str(work / "coherence.yaml"), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime error: t1.csv: no space left\n"
+        assert not out.exists()
+        assert not (work / "unwritten.partial").exists()
 
     def test_analysis_failure_names_the_analysis_and_its_input(self, work, capsys):
         # no magnons and no shot noise: the line centers cannot decay
@@ -304,6 +321,7 @@ class TestRun:
             "dataset=decay-spectroscopy: constant data carries no information"
         ), err
         assert not out.exists()
+        assert not (work / "no-magnons.partial").exists()
 
     def test_too_short_fit_grid_exits_2_before_sampling(self, work, capsys):
         config = yaml.safe_load(bundled_configs()["sensitivity-scan"].read_text(encoding="utf-8"))

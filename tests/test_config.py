@@ -374,7 +374,7 @@ class TestFittedGrids:
         read = set()
         for kind, inputs in ANALYSES.items():
             for input_key, (protocol, fits) in inputs.items():
-                assert sorted(fits) == sorted(PROTOCOLS[protocol][0]), (kind, input_key)
+                assert sorted(fits) == sorted(PROTOCOLS[protocol][1]), (kind, input_key)
                 read.add(protocol)
         assert read == set(PROTOCOLS)
 
@@ -613,10 +613,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="non-empty list"):
             parse_config(base_config(protocols=[]))
 
+    def test_a_protocol_name_may_fill_a_file_name(self):
+        # <name>_shots.npz may take exactly 255 bytes once encoded
+        for name in ("x" * 245, "\u00e9" * 122 + "x"):
+            protocol = {**base_config()["protocols"][0], "name": name}
+            assert parse_config(base_config(protocols=[protocol])).protocols[0].name == name
+
     def test_ideal_qubit_flag_idealizes_readout(self):
         plain = parse_config(base_config())
         ideal = parse_config(base_config(system={"ideal_qubit": True}))
-        assert ideal.ideal_qubit and not plain.ideal_qubit
+        assert ideal.system == plain.system.with_ideal_qubit()
         assert ideal.readout.contrast() > plain.readout.contrast()
 
     @pytest.mark.parametrize(
@@ -671,8 +677,8 @@ class TestResolvedManifest:
         pump_fields = {f.name for f in fields(PumpSpec)}
         assert [protocol["kind"] for protocol in resolved["protocols"]] == list(PROTOCOLS)
         for protocol in resolved["protocols"]:
-            _, _, takes_n0, pump_reads = PROTOCOLS[protocol["kind"]]
-            assert ("n0" in protocol) == takes_n0, protocol["kind"]
+            _, _, _, lead, pump_reads = PROTOCOLS[protocol["kind"]]
+            assert ("n0" in protocol) == (lead == "n0"), protocol["kind"]
             assert set(protocol.get("pump", {})) == set(pump_reads) <= pump_fields
 
     def test_from_resolved_does_not_revalidate_acquisition(self):

@@ -204,12 +204,29 @@ def test_malformed_manifest_exits_2_naming_the_field(artifact, tmp_path, case, c
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["../escaped", "runs/t1", "..", ".", ""])
+# a protocol name its files cannot take -> why; <name>_shots.npz, its longest
+# file name, may take 255 bytes once encoded
+NAME_FAULTS = {
+    "nul": ("a\0b", "holds a NUL character"),
+    "long": ("x" * 246, "is too long: its shots file name takes 256 > 255 bytes"),
+    "two-byte": ("\u00e9" * 123, "is too long: its shots file name takes 256 > 255 bytes"),
+    "surrogate": ("\ud800", "cannot be encoded as a file name"),
+}
+NAME_REASONS = dict(NAME_FAULTS.values())
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["../escaped", "runs/t1", "..", ".", ""]
+    + [pytest.param(name, id=key) for key, (name, _) in NAME_FAULTS.items()],
+)
 def test_a_protocol_name_is_one_path_component(artifact, tmp_path, name, capsys):
     # a protocol's dataset is written to, and read from, the file named
     # after it: "../escaped" used to validate, and run wrote escaped.csv
-    # beside the artifact rather than in it
-    message = f"protocols[1].name: {name!r} is not a single path component"
+    # beside the artifact rather than in it; a NUL or an over-long name used
+    # to validate, and run failed at the first write
+    reason = NAME_REASONS.get(name, "is not a single path component")
+    message = f"protocols[1].name: {name!r} {reason}"
     source = tmp_path / "config.yaml"
     source.write_text(
         ARTIFACT_YAML.replace("    name: t1\n", f"    name: {json.dumps(name)}\n"),

@@ -33,7 +33,7 @@ from magsense.protocols import (
 from magsense.readout import ReadoutModel, click_estimates, sample_readout
 from magsense.spaces import DensityMatrix, ModeSpace, build_mode_operators
 from magsense.runner import execute_protocol
-from magsense.sweep import point_seed, stream_seed
+from magsense.sweep import point_seed, read_dataset, stream_seed, write_dataset
 
 
 def reference_config(**overrides) -> ProtocolConfig:
@@ -217,7 +217,7 @@ def test_ramsey_pump_off_envelope_is_t2r():
     params = SystemParams.reference()
     config = reference_config(artificial_detuning=2 * math.pi * 1.5e6)
     delays = np.linspace(0.0, 8e-6, 161)
-    data = run_ramsey(params, PumpSpec(), delays, config)
+    data = run_ramsey(params, delays, config)
     assert data.meta["envelope_rate"] == pytest.approx(1.0 / params.t2r, rel=1e-12)
     fit = fit_curve(FitModel("damped-sinusoid"), delays, data.p_e)
     assert fit.parameter("tau") == pytest.approx(params.t2r, rel=1e-6)
@@ -229,8 +229,8 @@ def test_ramsey_pump_on_adds_dephasing_and_stark_shift():
     config = reference_config(artificial_detuning=2 * math.pi * 8e6)
     pump = PumpSpec(power_w=1.0, c_pump=100.0)
     delays = np.linspace(0.0, 3e-6, 301)
-    off = run_ramsey(params, PumpSpec(), delays, config)
-    on = run_ramsey(params, pump, delays, config)
+    off = run_ramsey(params, delays, config)
+    on = run_ramsey(params, delays, dataclasses.replace(config, pump=pump))
     added = on.meta["envelope_rate"] - off.meta["envelope_rate"]
     assert added == pytest.approx(magnon_dephasing_rate(100.0, params), rel=1e-12)
     assert added == pytest.approx(2 * math.pi * 187e3, rel=0.01)
@@ -248,7 +248,8 @@ def test_ramsey_series_rows_are_ramsey_fringes():
     series = run_ramsey_series(params, powers, delays, config)
     assert series.p_e.shape == (3, 40)
     for power, row in zip(powers, series.p_e):
-        ramsey = run_ramsey(params, dataclasses.replace(pump, power_w=power), delays, config)
+        at_power = dataclasses.replace(config, pump=dataclasses.replace(pump, power_w=power))
+        ramsey = run_ramsey(params, delays, at_power)
         assert np.array_equal(row, ramsey.p_e), power
     assert series.meta["c_pump"] == pump.c_pump
     assert series.meta["artificial_detuning"] == config.artificial_detuning
@@ -258,7 +259,7 @@ def test_relaxation_readout_limited_start_and_1_over_e_ratio():
     params = SystemParams.reference()
     readout = ReadoutModel.for_qubit(params.t1)
     config = ProtocolConfig(readout=readout, n_shots=40_000, master_seed=11)
-    data = run_relaxation(params, config, delays=np.array([0.0, params.t1]))
+    data = run_relaxation(params, np.array([0.0, params.t1]), config)
     # t = 0 estimate is limited by decay during the readout window
     expected0 = readout.click_probability(1.0)
     assert abs(data.p_e[0] - expected0) < 4 * data.stderr[0]
@@ -281,7 +282,7 @@ def test_relaxation_t1_fit_within_quoted_uncertainty():
     pulls = []
     for seed in RELAXATION_SEEDS:
         config = ProtocolConfig(readout=readout, n_shots=10_000, master_seed=seed)
-        data = run_relaxation(params, config, relaxation_delays(params))
+        data = run_relaxation(params, relaxation_delays(params), config)
         delays = data.axis("delay").values
         assert len(delays) == 20 and delays[-1] == pytest.approx(4 * params.t1)
         fit = fit_curve(
@@ -438,28 +439,44 @@ def test_semiclassical_phase_matches_quantum_dispersive_evolution():
     assert err <= 0.02 * np.max(np.abs(semiclassical))
 
 
-@pytest.mark.parametrize("mode", ["shots", "expectation"])
-def test_every_protocol_records_mode_seed_and_threshold(mode):
+def one_dataset_of_each_kind(config: ProtocolConfig) -> list:
+    """A small dataset of every protocol kind, in ``PROTOCOLS`` order."""
     params = SystemParams.reference()
-    config = reference_config(mode=mode, n_shots=16, master_seed=29)
     delays = np.linspace(0.0, 0.4e-6, 3)
     freqs = params.omega_q + 2 * math.pi * np.linspace(-2e6, 2e6, 5)
     phases = np.linspace(0.0, 2 * math.pi, 4)
     pump = PumpSpec(power_w=1.0, c_pump=10.0, omega_qm=2 * math.pi * 0.66e6)
     datasets = [
         run_qubit_spectroscopy(params, np.array([0.0, 1.0]), freqs, config),
-        run_ramsey(params, pump, delays, config),
+        run_ramsey(params, delays, dataclasses.replace(config, pump=pump)),
         run_ramsey_series(params, np.array([0.0, 1.0]), delays, config),
-        run_relaxation(params, config, delays),
+        run_relaxation(params, delays, config),
         run_decay_phase_sense(params, 10.0, delays, phases, config),
         run_decay_spectroscopy(params, 10.0, delays, freqs, config),
         run_parametric_decay_scan(params, pump, np.array([0.0]), delays, config),
     ]
-    assert len({data.protocol for data in datasets}) == len(PROTOCOLS)
-    for data in datasets:
-        assert data.meta["mode"] == mode, data.protocol
+    assert [data.protocol for data in datasets] == list(PROTOCOLS)
+    return datasets
+
+
+@pytest.mark.parametrize("mode", ["shots", "expectation"])
+def test_every_protocol_records_seed_and_threshold(mode):
+    config = reference_config(mode=mode, n_shots=16, master_seed=29)
+    for data in one_dataset_of_each_kind(config):
+        # the manifest records the mode; a CSV header holds numbers only
+        assert "mode" not in data.meta, data.protocol
         assert data.meta["master_seed"] == 29, data.protocol
         assert data.meta["readout_threshold"] == config.readout.threshold, data.protocol
+
+
+@pytest.mark.parametrize("mode", ["shots", "expectation"])
+def test_every_protocol_meta_survives_its_csv(mode, tmp_path):
+    # a meta value the CSV cannot record used to be dropped on the way out
+    config = reference_config(mode=mode, n_shots=16, master_seed=29)
+    for data in one_dataset_of_each_kind(config):
+        path = tmp_path / f"{data.protocol}.csv"
+        write_dataset(data, path)
+        assert read_dataset(path).meta == data.meta, data.protocol
 
 
 @pytest.mark.parametrize("mode", ["shots", "expectation"])
@@ -502,12 +519,15 @@ def test_shot_duration_bookkeeping():
             run_qubit_spectroscopy(params, np.array([0.0, 1.0]), freqs, config),
             config.probe_duration + window + dead,
         ),
-        (run_ramsey(params, pump, delays, config), 2 * half + 240e-9 + window + dead),
+        (
+            run_ramsey(params, delays, dataclasses.replace(config, pump=pump)),
+            2 * half + 240e-9 + window + dead,
+        ),
         (
             run_ramsey_series(params, np.array([0.0, 1.0]), delays, config),
             2 * half + 240e-9 + window + dead,
         ),
-        (run_relaxation(params, config, delays), pi + 240e-9 + window + dead),
+        (run_relaxation(params, delays, config), pi + 240e-9 + window + dead),
         (
             run_decay_phase_sense(params, 10.0, delays, phases, config),
             2 * half + 240e-9 + window + dead,
@@ -527,15 +547,53 @@ def test_shot_duration_bookkeeping():
         assert data.total_time() == float(np.sum(data.n_shots)) * expected
 
 
-def test_every_protocol_kind_has_the_axes_its_table_entry_declares():
+# protocol kind -> its run function called directly on a node's n0 or pump and grids
+DIRECT_RUNS = {
+    "spectroscopy": lambda params, node, config: run_qubit_spectroscopy(
+        params, node.grids["pump_powers"], node.grids["probe_freqs"], config
+    ),
+    "ramsey": lambda params, node, config: run_ramsey(params, node.grids["delays"], config),
+    "ramsey-series": lambda params, node, config: run_ramsey_series(
+        params, node.grids["pump_powers"], node.grids["delays"], config
+    ),
+    "relaxation": lambda params, node, config: run_relaxation(
+        params, node.grids["delays"], config
+    ),
+    "decay-phase": lambda params, node, config: run_decay_phase_sense(
+        params, node.n0, node.grids["sense_times"], node.grids["second_pulse_phases"], config
+    ),
+    "decay-spectroscopy": lambda params, node, config: run_decay_spectroscopy(
+        params, node.n0, node.grids["sense_times"], node.grids["probe_freqs"], config
+    ),
+    "parametric-scan": lambda params, node, config: run_parametric_decay_scan(
+        params, node.pump, node.grids["deltas"], node.grids["durations"], config
+    ),
+}
+
+
+def test_every_protocol_kind_has_the_axes_its_table_entry_declares(tmp_path):
     config = parse_config(
-        {"name": "kinds", "acquisition": {"mode": "expectation"}, "protocols": kind_blocks()}
+        {
+            "name": "kinds",
+            "acquisition": {"n_shots": 8, "keep_shots": True},
+            "protocols": kind_blocks(),
+        }
     )
-    assert [node.kind for node in config.protocols] == list(PROTOCOLS)
+    assert [node.kind for node in config.protocols] == list(PROTOCOLS) == list(DIRECT_RUNS)
     for node in config.protocols:
         dataset = execute_protocol(node, config)
+        # the table-driven call writes what the run function called directly writes
+        direct = DIRECT_RUNS[node.kind](config.system, node, config.protocol_config(node.pump))
+        files = {}
+        for side, data in (("table", dataset), ("direct", direct)):
+            folder = tmp_path / node.name / side
+            folder.mkdir(parents=True)
+            write_dataset(data, folder / "data.csv")
+            files[side] = {path.name: path.read_bytes() for path in folder.iterdir()}
+        assert sorted(files["table"]) == ["data.csv", "data_shots.npz"]
+        assert files["table"] == files["direct"], node.kind
         names = tuple(axis.name for axis in dataset.axes)
-        assert names == tuple(GRIDS[key][0] for key in PROTOCOLS[node.kind][0])
+        assert names == tuple(GRIDS[key][0] for key in PROTOCOLS[node.kind][1])
         require_protocol(dataset, node.kind)
         for other in PROTOCOLS:
             if other != node.kind:
@@ -548,6 +606,7 @@ def test_every_protocol_kind_has_the_axes_its_table_entry_declares():
                 p_e=dataset.p_e.T,
                 stderr=dataset.stderr.T,
                 n_shots=dataset.n_shots.T,
+                shots=None,
             )
             with pytest.raises(EstimationError, match="expected axes"):
                 require_protocol(swapped, node.kind)

@@ -23,7 +23,6 @@ from magsense.readout import SHOT_DTYPE, sample_readout
 from magsense.runner import (
     REPORTS,
     _fit_status,
-    _protocol_params,
     execute_protocol,
     load_artifact,
     read_report,
@@ -493,10 +492,9 @@ def test_ramsey_series_holds_one_copy_of_its_kept_shots(tmp_path):
     p_true = np.concatenate(
         [
             run_ramsey(
-                _protocol_params(config),
-                replace(node.pump, power_w=float(power)),
+                config.system,
                 node.grids["delays"],
-                expectation,
+                replace(expectation, pump=replace(node.pump, power_w=float(power))),
             ).p_e
             for power in powers
         ]

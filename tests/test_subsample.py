@@ -43,7 +43,7 @@ def relaxation_dataset():
         mode="shots",
         keep_shots=True,
     )
-    return params, run_relaxation(params, config, relaxation_delays(params))
+    return params, run_relaxation(params, relaxation_delays(params), config)
 
 
 def _dataset_of(shots: np.ndarray) -> SweepDataset:
