@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fitting import FitModel
+from .lifetimes import GRID_MINIMUMS
 from .params import PumpSpec, SystemParams, gamma2_from_coherence
 from .protocols import (
     BLUR_PHASE_LIMIT,
@@ -95,8 +96,9 @@ REMOVED_FIELDS = {
 MAX_SHOT_BUFFER_BYTES = 512 * 1024**2
 
 # analysis kind -> {input key: (protocol kind, {grid key: the fit the analysis
-# runs along that grid})}. A grid no longer than its fit's parameter count would
-# fail that fit only after every grid was sampled, so validate rejects it.
+# runs along that grid})}. A grid no longer than its fit's parameter count, or
+# shorter than its estimator's ``lifetimes.GRID_MINIMUMS``, would fail only
+# after every grid was sampled, so validate rejects it.
 _SPECTROSCOPY = (
     "spectroscopy",
     {"pump_powers": FitModel("polynomial", order=1), "probe_freqs": FitModel("gaussian")},
@@ -592,17 +594,19 @@ def _read_analysis(block: _Block, protocols: dict) -> tuple[AnalysisNode, dict]:
 
 
 def _check_fitted_grids(analyses: list, protocols: list, source: str) -> None:
-    """Reject a protocol grid too short for the fit an analysis runs along it."""
+    """Reject a protocol grid too short for the fit or estimate an analysis runs along it."""
     for analysis in analyses:
         for input_key, name in analysis.inputs.items():
-            fits = ANALYSES[analysis.kind][input_key][1]
+            kind, fits = ANALYSES[analysis.kind][input_key]
             k = [node.name for node in protocols].index(name)
             for key, grid in protocols[k].grids.items():
-                n_min = fits[key].n_parameters() + 1
+                n_min, step = fits[key].n_parameters() + 1, f"{fits[key].family} fit"
+                if GRID_MINIMUMS.get(kind, {}).get(key, 0) > n_min:
+                    n_min, step = GRID_MINIMUMS[kind][key], f"{analysis.kind} estimate"
                 if len(grid) < n_min:
                     raise ConfigError(
-                        f"{source}.protocols[{k}].{key}: the {fits[key].family} fit "
-                        f"along this grid needs at least {n_min} points, got {len(grid)}"
+                        f"{source}.protocols[{k}].{key}: the {step} along this grid "
+                        f"needs at least {n_min} points, got {len(grid)}"
                     )
 
 

@@ -35,6 +35,14 @@ UNWRAP_RESIDUAL_FLOOR = 0.3
 PHASE_METHOD = "phase"
 FREQUENCY_METHOD = "frequency"
 
+# protocol kind -> {grid key: the fewest points its estimator here accepts
+# along that grid}; config validation rejects a shorter grid before sampling
+GRID_MINIMUMS = {
+    "decay-phase": {"sense_times": 6},
+    "decay-spectroscopy": {"sense_times": 6},
+    "parametric-scan": {"deltas": 7},
+}
+
 
 @dataclass(frozen=True)
 class LifetimeEstimate:
@@ -150,8 +158,9 @@ def phase_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEstimate
     """
     require_protocol(dataset, "decay-phase")
     times, thetas = (axis.values for axis in dataset.axes)
-    if len(times) < 6:
-        raise EstimationError("phase extraction needs >= 6 sense times")
+    n_min = GRID_MINIMUMS["decay-phase"]["sense_times"]
+    if len(times) < n_min:
+        raise EstimationError(f"phase extraction needs >= {n_min} sense times")
     p_e, stderr = _draw_stacks(dataset, p_e, stderr)
     row_fits = fit_rows(
         FitModel("fringe"),
@@ -220,8 +229,9 @@ def frequency_lifetimes(dataset: SweepDataset, p_e, stderr) -> list[LifetimeEsti
     """
     require_protocol(dataset, "decay-spectroscopy")
     times, freqs = (axis.values for axis in dataset.axes)
-    if len(times) < 6:
-        raise EstimationError("frequency extraction needs >= 6 sense times")
+    n_min = GRID_MINIMUMS["decay-spectroscopy"]["sense_times"]
+    if len(times) < n_min:
+        raise EstimationError(f"frequency extraction needs >= {n_min} sense times")
     p_e, stderr = _draw_stacks(dataset, p_e, stderr)
     n_draws = len(p_e)
     rows = p_e.reshape(-1, len(freqs))
@@ -293,8 +303,9 @@ def extract_kappa_m_from_scan(dataset: SweepDataset) -> ParametricScanEstimate:
     """
     require_protocol(dataset, "parametric-scan")
     deltas, durations = (axis.values for axis in dataset.axes)
-    if len(deltas) < 7:
-        raise EstimationError("rate profile needs >= 7 detuning points")
+    n_min = GRID_MINIMUMS["parametric-scan"]["deltas"]
+    if len(deltas) < n_min:
+        raise EstimationError(f"rate profile needs >= {n_min} detuning points")
     start = 1 if len(durations) > 4 else 0
     row_fits = fit_rows(
         FitModel("exponential-decay"),

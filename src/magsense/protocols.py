@@ -133,32 +133,35 @@ def _measure_grid(
     p_true: np.ndarray,
     config: ProtocolConfig,
     tag: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Sample (or pass through) true excited-state probabilities on a grid.
 
+    Returns the fractions, their errors, and with ``keep_shots`` the
+    (grid, shots) voltages and the grid's click counts, else two ``None``.
     Without ``keep_shots``, one ``sample_clicks`` call draws every point's
     clicks from their binomial law on the stream of
     ``stream_seed(master_seed, tag)``: no shot is drawn. With
     ``keep_shots``, one ``sample_grid`` call draws every point's voltages,
     each from the stream of its ``point_seed(master_seed, tag, flat index)``,
-    and they are returned as a (grid, shots) array. The fractions and their
-    errors follow from the click counts.
+    and counts their clicks. The fractions and their errors follow from the
+    click counts.
     """
     shape = p_true.shape
     flat = np.clip(p_true.reshape(-1), 0.0, 1.0)
     if config.mode == "expectation":
-        return flat.reshape(shape), np.zeros(shape), None
+        return flat.reshape(shape), np.zeros(shape), None, None
 
     n_shots = config.n_shots
     stream = stream_seed(config.master_seed, tag)
-    shots = None
+    shots = clicks = None
     if config.keep_shots:
-        clicks, shots = sample_grid(flat, config.readout, n_shots, stream)
+        counts, shots = sample_grid(flat, config.readout, n_shots, stream)
         shots = shots.reshape(shape + (n_shots,))
+        clicks = counts.reshape(shape)
     else:
-        clicks = sample_clicks(flat, config.readout, n_shots, stream)
-    p_hat, stderr = click_estimates(clicks, n_shots)
-    return p_hat.reshape(shape), stderr.reshape(shape), shots
+        counts = sample_clicks(flat, config.readout, n_shots, stream)
+    p_hat, stderr = click_estimates(counts, n_shots)
+    return p_hat.reshape(shape), stderr.reshape(shape), shots, clicks
 
 
 def _clip_warnings(p_true: np.ndarray) -> tuple:
@@ -178,11 +181,12 @@ def _dataset(config, protocol, grids, p_true, sequence, meta=None, warnings=()):
 
     ``grids`` holds the protocol's grid values in ``PROTOCOLS`` order, and
     the dataset's axes sample them. A shot lasts ``sequence`` (the pulses
-    before readout), plus the readout window, plus the dead time. The
-    master seed and readout threshold lead the protocol's own ``meta``. A
-    probability clipped into [0, 1] adds a warning.
+    before readout), plus the readout window, plus the dead time. A grid
+    whose shots are kept holds them and the clicks ``sample_grid`` counted.
+    The master seed and readout threshold lead the protocol's own ``meta``.
+    A probability clipped into [0, 1] adds a warning.
     """
-    p_hat, stderr, shots = _measure_grid(p_true, config, protocol)
+    p_hat, stderr, shots, clicks = _measure_grid(p_true, config, protocol)
     return SweepDataset(
         axes=tuple(
             Axis(GRIDS[key][0], GRIDS[key][1], grid)
@@ -194,6 +198,7 @@ def _dataset(config, protocol, grids, p_true, sequence, meta=None, warnings=()):
         shot_duration=sequence + config.readout.window + config.dead_time,
         protocol=protocol,
         shots=shots,
+        clicks=clicks,
         meta={
             "master_seed": config.master_seed,
             "readout_threshold": config.readout.threshold,

@@ -1,24 +1,26 @@
 """Dispersive-readout voltage model and shot sampling.
 
-Single-shot readout is modeled by state-conditioned voltage distributions:
-the ground state draws from a Gaussian N(mu_g, sigma_g); the excited state
-draws from the mixture w N(mu_e, sigma_e) + (1 - w) N(mu_g, sigma_g), where
-w = exp(-t_ro/T1) accounts for relaxation during the readout window. Shots
-are thresholded to bits; excited-state probabilities are estimated as
-thresholded fractions with a Laplace-smoothed binomial standard error so
-error bars stay positive at the extremes.
+Single-shot readout is modeled by state-conditioned voltage distributions
+of one width sigma: the ground state draws from a Gaussian N(mu_g, sigma);
+the excited state draws from the mixture w N(mu_e, sigma) +
+(1 - w) N(mu_g, sigma), where w = exp(-t_ro/T1) accounts for relaxation
+during the readout window. Shots are thresholded to bits; excited-state
+probabilities are estimated as thresholded fractions with a
+Laplace-smoothed binomial standard error so error bars stay positive at the
+extremes.
 
 Each shot is one Bernoulli trial that clicks with probability
 q = ``click_probability(p_e)``, so a point of n shots has Binomial(n, q)
 clicks. ``sample_clicks`` draws the counts of a grid whose shots are not
 kept from that law alone, in one call on one stream. ``sample_readout``
 draws one point's voltages from a numpy ``default_rng(seed)`` stream, a
-shot being one uniform u and one normal z: the excited distribution's
-voltage from z if u < p_e w, else the ground one's. ``sample_grid`` draws
-the voltages of a grid whose shots are kept, point j from the stream
+shot being one uniform u and one normal z, its voltage mu_e + sigma z if
+u < p_e w, else mu_g + sigma z. ``sample_grid`` draws the voltages of a
+grid whose shots are kept, and counts their clicks, point j from the stream
 ``sample_readout`` would draw for seed ``stream + (j,)``, bit for bit: it
 derives every point's PCG64 state with numpy's seeding arithmetic over
-arrays, then reseeds one reused generator per point.
+arrays, then reseeds one reused generator per point. Its click counts are
+the dataset's record; nothing counts a run's shots again.
 
 A kept shot is stored as ``SHOT_DTYPE``: each voltage is computed in float64
 and rounded once to float32, whose 6e-8 relative resolution is far finer
@@ -39,12 +41,9 @@ DEFAULT_SIGMA = 0.35
 DEFAULT_WINDOW = 2e-6
 # the dtype of every kept shot, sampled, held or written to a sidecar
 SHOT_DTYPE = np.float32
-# points thresholded together by sample_grid; its two draw buffers hold
-# n_shots values per point, so a small block stays in cache
-SAMPLE_BLOCK = 16
-# bytes of one sample_grid draw buffer, which caps a block's rows below
-# SAMPLE_BLOCK for wide points and a point wider than it to column slices;
-# 16 rows of 800 float64 shots take 100 KiB
+# bytes of one sample_grid draw buffer, which sets a block's rows (20 of
+# 800 float64 shots) so a block stays in cache, and cuts a point wider than
+# it into column slices
 SAMPLE_BLOCK_BYTES = 128 * 1024
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size and hash
@@ -68,16 +67,15 @@ class ReadoutModel:
     """State-conditioned readout voltage distributions."""
 
     mu_g: float
-    sigma_g: float
     mu_e: float
-    sigma_e: float
+    sigma: float  # voltage width of either state
     decay_weight: float  # probability the excited state survives the window
     window: float  # readout duration, s
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.sigma_g <= 0 or self.sigma_e <= 0:
-            raise ValueError("readout widths must be > 0")
+        if self.sigma <= 0:
+            raise ValueError("readout width must be > 0")
         if not 0.0 <= self.decay_weight <= 1.0:
             raise ValueError("decay weight must lie in [0, 1]")
         if self.window <= 0:
@@ -97,24 +95,18 @@ class ReadoutModel:
         w = 1.0 if math.isinf(t1) else math.exp(-window / t1)
         thr = 0.5 * (mu_g + mu_e) if threshold is None else threshold
         return cls(
-            mu_g=mu_g,
-            sigma_g=sigma,
-            mu_e=mu_e,
-            sigma_e=sigma,
-            decay_weight=w,
-            window=window,
-            threshold=thr,
+            mu_g=mu_g, mu_e=mu_e, sigma=sigma, decay_weight=w, window=window, threshold=thr
         )
 
     def excited_click_probability(self) -> float:
         """P(V > threshold) for a qubit prepared excited."""
-        tail_e = _upper_tail((self.threshold - self.mu_e) / self.sigma_e)
-        tail_g = _upper_tail((self.threshold - self.mu_g) / self.sigma_g)
+        tail_e = _upper_tail((self.threshold - self.mu_e) / self.sigma)
+        tail_g = _upper_tail((self.threshold - self.mu_g) / self.sigma)
         return self.decay_weight * tail_e + (1.0 - self.decay_weight) * tail_g
 
     def ground_click_probability(self) -> float:
         """P(V > threshold) for a qubit prepared in the ground state."""
-        return _upper_tail((self.threshold - self.mu_g) / self.sigma_g)
+        return _upper_tail((self.threshold - self.mu_g) / self.sigma)
 
     def click_probability(self, p_e):
         """P(V > threshold) for excited-state probability ``p_e``, elementwise."""
@@ -191,11 +183,7 @@ def sample_readout(p_e: float, model: ReadoutModel, n_shots: int, seed) -> ShotR
     rng = np.random.default_rng(seed)
     u = rng.random(n_shots)
     z = rng.standard_normal(n_shots)
-    values = np.where(
-        u < p_e * model.decay_weight,
-        model.mu_e + model.sigma_e * z,
-        model.mu_g + model.sigma_g * z,
-    )
+    values = np.where(u < p_e * model.decay_weight, model.mu_e, model.mu_g) + model.sigma * z
     return ShotRecord(values=values.astype(SHOT_DTYPE), threshold=model.threshold)
 
 
@@ -297,15 +285,14 @@ def sample_grid(
     draws, bit for bit: one ``random`` and one ``standard_normal`` draw of
     ``n_shots`` from the same generator state, computed in float64 and
     stored rounded. Points are stored and their clicks counted in blocks of
-    ``SAMPLE_BLOCK`` rows, fewer where a block of ``n_shots`` float64 values
-    a row would exceed ``SAMPLE_BLOCK_BYTES``. A point wider than that is
-    drawn alone in column slices of ``SAMPLE_BLOCK_BYTES``: all its uniforms
-    first, kept as excited flags, then its normals, so its stream is the
-    same.
+    as many rows of ``n_shots`` float64 values as fit ``SAMPLE_BLOCK_BYTES``.
+    A point wider than that is drawn alone in column slices of
+    ``SAMPLE_BLOCK_BYTES``: all its uniforms first, kept as excited flags,
+    then its normals, so its stream is the same.
     """
     p_e = _grid_probabilities(p_e, n_shots)
     count = len(p_e)
-    block = min(SAMPLE_BLOCK, count, SAMPLE_BLOCK_BYTES // (8 * n_shots))
+    block = min(count, SAMPLE_BLOCK_BYTES // (8 * n_shots))
     width = n_shots if block else SAMPLE_BLOCK_BYTES // 8
     seeds = _seed_words(stream, count).tolist()
     bit_generator = np.random.PCG64()
@@ -338,9 +325,7 @@ def sample_grid(
             for cols in slices:
                 z = normal[0, : cols.stop - cols.start]
                 rng.standard_normal(out=z)
-                shots[j, cols] = np.where(
-                    excited[cols], model.mu_e + model.sigma_e * z, model.mu_g + model.sigma_g * z
-                )
+                shots[j, cols] = np.where(excited[cols], model.mu_e, model.mu_g) + model.sigma * z
                 clicks[j] += np.count_nonzero(clicked(shots[j, cols], model.threshold))
         return clicks, shots
     for start in range(0, count, block):
@@ -350,10 +335,7 @@ def sample_grid(
             rng.random(out=uniform[row])
             rng.standard_normal(out=normal[row])
         z = normal[: stop - start]
-        shots[start:stop] = np.where(
-            uniform[: stop - start] < p_e[start:stop, None] * model.decay_weight,
-            model.mu_e + model.sigma_e * z,
-            model.mu_g + model.sigma_g * z,
-        )
+        excited = uniform[: stop - start] < p_e[start:stop, None] * model.decay_weight
+        shots[start:stop] = np.where(excited, model.mu_e, model.mu_g) + model.sigma * z
         clicks[start:stop] = np.count_nonzero(clicked(shots[start:stop], model.threshold), axis=1)
     return clicks, shots

@@ -65,7 +65,6 @@ class ResponseModel:
 
     peak: PolyInterpolant
     width: PolyInterpolant
-    n_grid: np.ndarray
 
     @property
     def hull(self) -> tuple[float, float]:
@@ -177,7 +176,6 @@ def build_response_model(
     return ResponseModel(
         peak=interpolate_poly(n_grid, peaks, order=2),
         width=interpolate_poly(n_grid, widths, order=2),
-        n_grid=n_grid,
     )
 
 

@@ -10,10 +10,10 @@ quantities are estimated here.
 Every estimate reads only a point's click count, and the clicks among m
 shots drawn without replacement from N, C of which click, follow the
 hypergeometric law Hypergeometric(C, N - C, m) exactly. So each call takes
-the recorded clicks, those a dataset read from disk carries or those
-``sweep.count_clicks`` counts in the shots a run holds, and draws every
-point's kept clicks from that law with one generator per seed, in flat point
-order. The result carries no shots: a click-count draw picks no shot
+the dataset's recorded ``clicks``, those the sampler counted as it drew the
+shots of a run or those ``read_dataset`` counted in their sidecar, and draws
+every point's kept clicks from that law with one generator per seed, in flat
+point order. The result carries no shots: a click-count draw picks no shot
 identities.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, EstimationError
 from .readout import click_estimates
-from .sweep import SweepDataset, count_clicks, stream_seed
+from .sweep import SweepDataset, stream_seed
 
 SUBSAMPLE_TAG = "subsample"
 
@@ -44,18 +44,9 @@ def shots_per_point(dataset: SweepDataset, budget: float) -> int:
 
 def _recorded_clicks(dataset: SweepDataset) -> tuple[np.ndarray, int]:
     """Each point's recorded clicks, flat, and the shots per point they count."""
-    if dataset.clicks is not None:
-        return dataset.clicks.reshape(-1), int(dataset.n_shots.flat[0])
-    if dataset.shots is None:
+    if dataset.clicks is None:
         raise EstimationError("time-budget subsampling needs retained raw shots")
-    threshold = dataset.meta.get("readout_threshold")
-    if threshold is None:
-        raise EstimationError(
-            "dataset meta lacks 'readout_threshold'; cannot re-threshold shots"
-        )
-    shots = dataset.shots
-    clicks = count_clicks([shots.reshape(-1)], shots.shape, False, threshold)
-    return clicks.reshape(-1), shots.shape[-1]
+    return dataset.clicks.reshape(-1), int(dataset.n_shots.flat[0])
 
 
 def _draws(dataset: SweepDataset, budget: float, seeds) -> tuple:
@@ -90,15 +81,13 @@ def subsample_draws(
     recorded shots, drawn directly from their hypergeometric law by a
     generator seeded from ``(seed, SUBSAMPLE_TAG)``, and the excited
     fraction and its smoothed binomial error are recomputed from them. The
-    recorded clicks are the dataset's ``clicks``, as ``read_dataset``
-    counted them in the sidecar; a dataset that holds its shots instead has
-    them counted once, above ``meta["readout_threshold"]``.
+    recorded clicks are the dataset's ``clicks``, as the sampler counted
+    them in a run or ``read_dataset`` in the sidecar.
 
     Parameters
     ----------
     dataset : SweepDataset
-        Must carry recorded ``clicks``, or retain raw shots and record the
-        readout threshold in ``meta["readout_threshold"]``.
+        Must carry recorded ``clicks``: a grid sampled with kept shots.
     budget : float
         Total wall time to emulate, seconds.
     seeds : sequence of int
@@ -114,8 +103,7 @@ def subsample_draws(
     Raises
     ------
     EstimationError
-        If the dataset has neither recorded clicks nor raw shots, or holds
-        shots but no recorded threshold.
+        If the dataset carries no recorded clicks.
     BudgetError
         If the budget is not finite and > 0 or affords no shot per point.
     """
@@ -129,8 +117,8 @@ def subsample_time_budget(
     """Restrict a dataset to the shots affordable in ``budget`` seconds.
 
     This is the one-seed case of :func:`subsample_draws`, as a dataset, so
-    it serves a dataset read from disk, which carries its recorded clicks,
-    and one that holds its shots alike.
+    it serves a dataset read from disk and one a run returns alike: both
+    carry their recorded clicks.
 
     Returns
     -------

@@ -2,11 +2,12 @@
 
 A SweepDataset holds estimates of the excited-state probability on a
 cartesian grid of sweep axes, with standard errors, per-point shot counts,
-and optionally the raw analog shots of a run or the recorded click counts
-read back from them (either serves time-budget subsampling). Datasets
-serialize to comma-separated tables with a commented header that records the
-manifest hash and per-column units; raw shots go to a companion ``.npz`` file
-referenced from the header. The sidecar's member is stored, not deflated:
+and, for a grid whose shots were kept, each point's recorded click count
+(which time-budget subsampling reads) and, while the run that drew them
+holds them, the raw analog shots. Datasets serialize to comma-separated
+tables with a commented header that records the manifest hash and
+per-column units; raw shots go to a companion ``.npz`` file referenced from
+the header. The sidecar's member is stored, not deflated:
 float32 readout noise (``readout.SHOT_DTYPE``) deflates to about 92 %, so
 zlib would spend most of a run's write time to save under a tenth of the
 bytes. The member is written straight from the shots array's buffer, so
@@ -91,8 +92,9 @@ class SweepDataset:
     shot_duration: float  # wall time per shot (full sequence), s
     protocol: str
     shots: np.ndarray | None = None  # analog values, shape grid + (N,)
-    # clicks above meta's readout_threshold per point, read from a sidecar of
-    # the same n_shots at every point; None on a dataset that holds its shots
+    # clicks above meta's readout_threshold per point of a grid whose shots
+    # were kept, as the sampler counted them or a sidecar read back; None
+    # where no shot was kept
     clicks: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     warnings: tuple = ()
@@ -238,8 +240,9 @@ def count_clicks(blocks, shape: tuple, fortran_order: bool, threshold: float) ->
     ``blocks`` yields the flat values of a ``shape`` array, a grid and then
     a shot axis, in C order or with ``fortran_order`` in Fortran order; a
     block may end anywhere. Returns the counts on the grid, those of
-    ``np.count_nonzero(readout.clicked(shots, threshold), axis=-1)``. Both
-    the shots a run holds and a sidecar read back are counted here.
+    ``np.count_nonzero(readout.clicked(shots, threshold), axis=-1)``, the
+    counts ``readout.sample_grid`` gave when it drew them. A sidecar read
+    back is counted here.
     """
     grid, n_shots = shape[:-1], shape[-1]
     n_points = math.prod(grid)

@@ -67,6 +67,22 @@ analyses:
   - kind: parametric
 """
 
+# no magnons: the line centers cannot decay, which only the fit can tell
+FLAT_CENTERS_YAML = """\
+name: cli-flat-centers
+seed: 3
+acquisition:
+  mode: expectation
+  probe_duration: 8 ns
+protocols:
+  - kind: decay-spectroscopy
+    n0: 0
+    sense_times: {start: 0 ns, stop: 240 ns, count: 7}
+    probe_freqs: {around: omega_q, start: -48 MHz, stop: 4 MHz, count: 27}
+analyses:
+  - kind: lifetime-frequency
+"""
+
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
@@ -74,6 +90,7 @@ def work(tmp_path_factory):
     (root / "coherence.yaml").write_text(COHERENCE_YAML, encoding="utf-8")
     (root / "decay.yaml").write_text(DECAY_YAML, encoding="utf-8")
     (root / "parametric.yaml").write_text(PARAMETRIC_SHORT_YAML, encoding="utf-8")
+    (root / "flat-centers.yaml").write_text(FLAT_CENTERS_YAML, encoding="utf-8")
     return root
 
 
@@ -263,10 +280,11 @@ class TestRun:
 
     def test_force_onto_a_regular_file_exits_2_before_sampling(self, work, capsys):
         # --force replaces an artifact directory; onto a file, run used to
-        # sample and fit everything, exit 3 and leave its staging directory
+        # sample and fit everything before failing and leaving its staging
+        # directory
         target = work / "outfile"
         target.write_text("not an artifact\n", encoding="utf-8")
-        argv = ["run", str(work / "parametric.yaml"), "--output", str(target), "--force"]
+        argv = ["run", str(work / "coherence.yaml"), "--output", str(target), "--force"]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: output {target} exists and is not a directory\n"
         assert target.read_text(encoding="utf-8") == "not an artifact\n"
@@ -284,10 +302,22 @@ class TestRun:
 
     def test_runtime_failure_exits_3_without_artifact(self, work, capsys):
         out = work / "pf"
-        assert main(["run", str(work / "parametric.yaml"), "--output", str(out)]) == 3
+        assert main(["run", str(work / "flat-centers.yaml"), "--output", str(out)]) == 3
         assert capsys.readouterr().err.startswith("runtime error:")
         assert not out.exists()
         assert not (work / "pf.partial").exists()
+
+    def test_too_few_detunings_exit_2_before_sampling(self, work, capsys):
+        # the rate profile needs 7 detunings; run used to sample 5 and exit 3
+        out = work / "short"
+        for argv in (["validate"], ["run", "--output", str(out)]):
+            assert main(argv[:1] + [str(work / "parametric.yaml")] + argv[1:]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: {work / 'parametric.yaml'}.protocols[0].deltas: the parametric "
+                "estimate along this grid needs at least 7 points, got 5"
+            )
+        assert not out.exists()
+        assert not (work / "short.partial").exists()
 
     def test_a_failed_dataset_write_exits_3_leaving_nothing(self, work, capsys, monkeypatch):
         # the first protocol's dataset is staged before the second one's write fails

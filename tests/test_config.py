@@ -29,6 +29,7 @@ from magsense.config import (
 from magsense.errors import ConfigError
 from magsense.params import PumpSpec, SystemParams
 from magsense.protocols import PROTOCOLS, ProtocolConfig
+from magsense.readout import ReadoutModel
 
 TWO_PI = 2.0 * math.pi
 
@@ -370,6 +371,33 @@ class TestFittedGrids:
         path.write_text(yaml.safe_dump(config), encoding="utf-8")
         assert main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "name, protocol, key, analysis, n_min",
+        [
+            ("decay-tracking", 0, "sense_times", "lifetime-phase", 6),
+            ("decay-tracking", 1, "sense_times", "lifetime-frequency", 6),
+            ("parametric-scan", 0, "deltas", "parametric", 7),
+        ],
+    )
+    def test_a_grid_too_short_for_its_estimator_exits_2(
+        self, name, protocol, key, analysis, n_min, tmp_path, capsys
+    ):
+        # the estimators need more points than their fits' parameter counts;
+        # validate used to pass such a grid, and run to exit 3 after sampling
+        config = yaml.safe_load(bundled_configs()[name].read_text(encoding="utf-8"))
+        path = tmp_path / "short.yaml"
+        config["protocols"][protocol][key]["count"] = n_min
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        config["protocols"][protocol][key]["count"] = n_min - 1
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"short.yaml.protocols[{protocol}].{key}: the {analysis} estimate along this grid "
+            f"needs at least {n_min} points, got {n_min - 1}"
+        ) in err, err
+
     def test_every_fitted_grid_has_its_fit(self):
         read = set()
         for kind, inputs in ANALYSES.items():
@@ -380,12 +408,22 @@ class TestFittedGrids:
 
 
 class TestConfigValidation:
+    def test_field_tables_repeat_the_model_defaults(self):
+        # the readout and acquisition tables restate the defaults of
+        # ReadoutModel.for_qubit and ProtocolConfig, the threshold midpoint
+        # among them; a default edited on one side only fails here
+        config = parse_config(base_config())
+        assert config.readout == ReadoutModel.for_qubit(config.system.t1)
+        assert config.protocol_config(PumpSpec()) == ProtocolConfig(
+            readout=config.readout, master_seed=config.seed
+        )
+
     def test_minimal_config_gets_reference_defaults(self):
         config = parse_config(base_config())
         reference = SystemParams.reference()
         assert config.seed == 1
         assert config.system == reference
-        assert config.readout.sigma_e == 0.35
+        assert config.readout.sigma == 0.35
         assert config.acquisition["n_shots"] == 400
         assert config.acquisition["mode"] == "shots"
         assert config.sensing is None

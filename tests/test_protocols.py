@@ -149,15 +149,17 @@ def test_measure_grid_matches_per_point_sampling(keep_shots, order_seed):
         master_seed=5,
         keep_shots=keep_shots,
     )
-    p_hat, stderr, shots = _measure_grid(grid, config, "oracle")
+    p_hat, stderr, shots, clicks = _measure_grid(grid, config, "oracle")
     if keep_shots:
         ref_p, ref_err, ref_shots = _measure_grid_oracle(grid, config, "oracle", order_seed)
         assert np.array_equal(p_hat, ref_p)
         assert np.array_equal(stderr, ref_err)
         assert shots.shape == (7, 9, 101)
         assert np.array_equal(shots, ref_shots)
+        threshold = config.readout.threshold
+        assert np.array_equal(clicks, np.count_nonzero(ref_shots > threshold, axis=-1))
         return
-    assert shots is None
+    assert shots is None and clicks is None
     n = config.n_shots
 
     def counts(estimates):
@@ -479,6 +481,28 @@ def test_every_protocol_meta_survives_its_csv(mode, tmp_path):
         assert read_dataset(path).meta == data.meta, data.protocol
 
 
+@pytest.mark.parametrize("run", [run_decay_phase_sense, run_decay_spectroscopy])
+def test_kept_shots_carry_the_clicks_their_sidecar_reads_back(run, tmp_path):
+    # the clicks the sampler counted are the record a subsample draws from:
+    # the counts read_dataset takes from the sidecar; a grid whose shots are
+    # not kept records none
+    params = SystemParams.reference()
+    times = np.linspace(0.0, 240e-9, 7)
+    if run is run_decay_phase_sense:
+        second = np.linspace(0.0, 2 * math.pi, 5)
+    else:
+        second = params.omega_q + 2 * math.pi * np.linspace(-48e6, 4e6, 9)
+    config = reference_config(mode="shots", n_shots=16, keep_shots=True)
+    data = run(params, 650.0, times, second, config)
+    assert data.clicks.shape == (7, len(second))
+    path = tmp_path / "data.csv"
+    write_dataset(data, path)
+    assert np.array_equal(data.clicks, read_dataset(path).clicks)
+    assert np.array_equal(data.p_e, data.clicks / 16)
+    for other in (dataclasses.replace(config, keep_shots=False), reference_config()):
+        assert run(params, 650.0, times, second, other).clicks is None
+
+
 @pytest.mark.parametrize("mode", ["shots", "expectation"])
 def test_clipped_probabilities_are_named_in_a_warning(mode):
     config = reference_config(mode=mode, n_shots=16)
@@ -592,6 +616,8 @@ def test_every_protocol_kind_has_the_axes_its_table_entry_declares(tmp_path):
             files[side] = {path.name: path.read_bytes() for path in folder.iterdir()}
         assert sorted(files["table"]) == ["data.csv", "data_shots.npz"]
         assert files["table"] == files["direct"], node.kind
+        read_back = read_dataset(tmp_path / node.name / "table" / "data.csv")
+        assert np.array_equal(dataset.clicks, read_back.clicks), node.kind
         names = tuple(axis.name for axis in dataset.axes)
         assert names == tuple(GRIDS[key][0] for key in PROTOCOLS[node.kind][1])
         require_protocol(dataset, node.kind)
@@ -607,6 +633,7 @@ def test_every_protocol_kind_has_the_axes_its_table_entry_declares(tmp_path):
                 stderr=dataset.stderr.T,
                 n_shots=dataset.n_shots.T,
                 shots=None,
+                clicks=None,
             )
             with pytest.raises(EstimationError, match="expected axes"):
                 require_protocol(swapped, node.kind)

@@ -9,7 +9,6 @@ from conftest import binomial_band, check_binomial_counts, traced_peak
 
 from magsense import readout
 from magsense.readout import (
-    SAMPLE_BLOCK,
     SAMPLE_BLOCK_BYTES,
     SHOT_DTYPE,
     ReadoutModel,
@@ -40,14 +39,14 @@ def test_ground_preparation_sample_mean():
     model = default_model()
     n = 20000
     record = sample_readout(0.0, model, n, seed=1)
-    assert abs(np.mean(record.values) - model.mu_g) < 3.0 * model.sigma_g / math.sqrt(n)
+    assert abs(np.mean(record.values) - model.mu_g) < 3.0 * model.sigma / math.sqrt(n)
 
 
 def test_excited_preparation_sample_mean_without_decay():
     model = ReadoutModel.for_qubit(t1=math.inf)
     n = 20000
     record = sample_readout(1.0, model, n, seed=2)
-    assert abs(np.mean(record.values) - model.mu_e) < 3.0 * model.sigma_e / math.sqrt(n)
+    assert abs(np.mean(record.values) - model.mu_e) < 3.0 * model.sigma / math.sqrt(n)
 
 
 def test_click_probabilities_against_tail_integrals():
@@ -144,7 +143,10 @@ def test_seed_words_are_numpy_seed_sequence_states(master, tag):
 LAW_DRAWS = 200
 
 
-# shots a point at which sample_grid's byte cap makes blocks of 3 rows
+# rows of a sample_grid block in the cases below: the byte cap is patched to
+# fit BLOCK_ROWS rows of narrower points, and cuts WIDE_SHOTS shots a point
+# into blocks of 3 rows as it stands
+BLOCK_ROWS = 16
 WIDE_SHOTS = SAMPLE_BLOCK_BYTES // (8 * 3)
 
 
@@ -152,12 +154,14 @@ WIDE_SHOTS = SAMPLE_BLOCK_BYTES // (8 * 3)
     ("n_shots", "keep_shots"), [(1, True), (1, False), (57, True), (57, False), (WIDE_SHOTS, True)]
 )
 @pytest.mark.parametrize(
-    "size", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3]
+    "size", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
 )
-def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots):
-    # kept shots are sample_readout's, bit for bit, also in blocks the byte
-    # cap shortens; a grid without kept shots draws click counts that match
-    # its clicks in law
+def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots, monkeypatch):
+    # kept shots are sample_readout's, bit for bit, also across the blocks
+    # the byte cap cuts; a grid without kept shots draws click counts that
+    # match its clicks in law
+    if n_shots < WIDE_SHOTS:
+        monkeypatch.setattr(readout, "SAMPLE_BLOCK_BYTES", 8 * n_shots * BLOCK_ROWS)
     model = default_model()
     p = np.random.default_rng(size).random(size)
     p[1::4] = 0.0
@@ -203,7 +207,7 @@ def test_sample_grid_matches_per_point_sampling(size, n_shots, keep_shots):
 def test_sample_grid_buffers_are_bounded_by_bytes():
     # 16 points of 100 000 shots are drawn a row at a time, so the draw
     # buffers and their temporaries take less than the 6.4 MB of stored
-    # shots; blocks of SAMPLE_BLOCK rows would peak at about 72 MB
+    # shots; blocks of 16 rows would peak at about 72 MB
     held = []
     p = np.linspace(0.0, 1.0, 16)
     peak = traced_peak(lambda: held.append(sample_grid(p, default_model(), 100_000, (5, 1))))
@@ -277,10 +281,10 @@ def test_kept_shot_clicks_follow_their_binomial_law():
 
 
 def test_kept_shots_take_the_excited_voltage_with_probability_p_e_w():
-    # readout widths so narrow that each voltage names the branch it came
+    # a readout width so narrow that each voltage names the branch it came
     # from; per point, the excited share of all its shots over the draws
     width = 1e-3
-    model = replace(default_model(), sigma_g=width, sigma_e=width)
+    model = replace(default_model(), sigma=width)
     shots = np.stack([shots for _, shots in _kept_law_grids(model)], axis=1)
     excited = np.abs(shots - model.mu_e) < 10 * width
     ground = np.abs(shots - model.mu_g) < 10 * width

@@ -92,7 +92,6 @@ class TestQubitResponse:
         self.model = ResponseModel(
             peak=constant(0.4),
             width=constant(15.0),
-            n_grid=np.array([0.0, 2400.0]),
         )
 
     def test_on_peak_returns_peak_height(self):
@@ -146,7 +145,6 @@ class TestSolverOnSyntheticModels:
         return ResponseModel(
             peak=linear(0.45, -1e-4, 0.0, 4000.0),
             width=constant(1e6, 0.0, 4000.0),
-            n_grid=np.array([0.0, 4000.0]),
         )
 
     def noise(self, level: float) -> NoiseProfile:
@@ -288,7 +286,6 @@ def _gaussian_model(lo=0.0, hi=2400.0, gap=None):
     return ResponseModel(
         peak=PolyInterpolant(np.array([0.42, -6e-5, -1e-8]), lo, hi),
         width=width,
-        n_grid=np.array([lo, hi]),
     )
 
 
@@ -431,7 +428,6 @@ class TestSpectralFits:
         model = build_response_model(fits[:-1] + [(power, undetermined)], calibration)
         clean = build_response_model(fits[:-1], calibration)
         assert model.hull == clean.hull
-        assert model.n_grid.tobytes() == clean.n_grid.tobytes()
         for got, want in ((model.peak, clean.peak), (model.width, clean.width)):
             assert got.coefficients.tobytes() == want.coefficients.tobytes()
         with pytest.raises(EstimationError, match="2 of 3 converged"):

@@ -47,17 +47,18 @@ def relaxation_dataset():
 
 
 def _dataset_of(shots: np.ndarray) -> SweepDataset:
-    """A one-axis dataset holding ``shots`` (points, N), read at threshold 0.5."""
+    """A one-axis dataset holding ``shots`` (points, N) and their clicks above 0.5."""
     n_points, n_recorded = shots.shape
-    p_e = np.count_nonzero(shots > 0.5, axis=1) / n_recorded
+    clicks = np.count_nonzero(shots > 0.5, axis=1)
     return SweepDataset(
         axes=(Axis("delay", "s", np.arange(n_points) * 1e-9),),
-        p_e=p_e,
+        p_e=clicks / n_recorded,
         stderr=np.full(n_points, 0.01),
         n_shots=n_recorded,
         shot_duration=1e-6,
         protocol="relaxation",
         shots=shots,
+        clicks=clicks,
         meta={"readout_threshold": 0.5},
     )
 
@@ -179,14 +180,11 @@ def test_underfunded_budget_raises(relaxation_dataset):
 def test_requires_raw_shots_and_threshold(relaxation_dataset):
     _, dataset = relaxation_dataset
     budget = dataset.total_time() / 2.0
-    without_shots = dataclasses.replace(dataset, shots=None)
+    # the recorded clicks are the one source of a draw; held shots are not
+    # counted again
+    without_clicks = dataclasses.replace(dataset, clicks=None)
     with pytest.raises(EstimationError):
-        subsample_time_budget(without_shots, budget, seed=0)
-    meta = dict(dataset.meta)
-    meta.pop("readout_threshold")
-    without_threshold = dataclasses.replace(dataset, meta=meta)
-    with pytest.raises(EstimationError):
-        subsample_time_budget(without_threshold, budget, seed=0)
+        subsample_time_budget(without_clicks, budget, seed=0)
 
 
 def test_draws_are_seeded_and_without_replacement(relaxation_dataset):
@@ -302,16 +300,15 @@ def test_subsampled_relaxation_still_fits_the_lifetime(relaxation_dataset):
 
 def test_every_path_counts_clicks_by_one_rule(tmp_path):
     # ground shots stored as float32(0.3), which a float64 comparison puts
-    # above a threshold of 0.3; sampling, a held record, a sidecar read back
-    # and subsampling held shots all compare at the shots' precision, where
-    # they equal it and do not click
+    # above a threshold of 0.3; sampling, a held record and a sidecar read
+    # back all compare at the shots' precision, where they equal it and do
+    # not click, so a run's dataset and its read-back draw alike
     threshold = 0.3
     assert float(SHOT_DTYPE(threshold)) > threshold
     model = ReadoutModel(
         mu_g=threshold,
-        sigma_g=1e-12,
         mu_e=1.0,
-        sigma_e=1e-12,
+        sigma=1e-12,
         decay_weight=1.0,
         window=2e-6,
         threshold=threshold,
@@ -336,6 +333,7 @@ def test_every_path_counts_clicks_by_one_rule(tmp_path):
         shot_duration=1e-6,
         protocol="rule",
         shots=shots,
+        clicks=clicks,
         meta={"readout_threshold": threshold},
     )
     path = tmp_path / "rule.csv"
