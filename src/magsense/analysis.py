@@ -18,9 +18,6 @@ from .errors import CalibrationError, EstimationError
 from .fitting import FitModel, fit_curve
 from .params import SystemParams
 
-SMALL_CHI = "small-chi"
-LARGE_CHI = "large-chi"
-
 
 def magnon_dephasing_rate(n_m: float, params: SystemParams) -> float:
     """Added qubit dephasing from magnon occupation fluctuations.
@@ -57,13 +54,10 @@ class CalibrationResult:
     c_pump: float  # magnons per W
     gamma2_0: float  # rad/s, input zero-power dephasing rate
     rho: float  # dephasing slope / Stark slope
-    root: str  # SMALL_CHI or LARGE_CHI
 
     def __post_init__(self) -> None:
         if self.chi_qm <= 0 or self.c_pump <= 0:
             raise CalibrationError("calibration must yield chi_qm > 0 and c_pump > 0")
-        if self.root not in (SMALL_CHI, LARGE_CHI):
-            raise CalibrationError(f"unknown root tag {self.root!r}")
 
 
 def calibrate_magnon_number(
@@ -71,7 +65,6 @@ def calibrate_magnon_number(
     dephasing_slope: float,
     kappa_m: float,
     gamma2_0: float,
-    root: str = SMALL_CHI,
 ) -> CalibrationResult:
     """Solve for (chi_qm, c_pump) from power-slope measurements.
 
@@ -79,8 +72,9 @@ def calibrate_magnon_number(
     s2 = c_pump * 2 kappa_m chi_qm^2/(kappa_m^2 + chi_qm^2), so their ratio
     rho = s2/s1 = 2 kappa_m chi/(kappa_m^2 + chi^2) fixes chi independently
     of c_pump. The quadratic has roots chi_pm = kappa_m (1 -+ sqrt(1 -
-    rho^2))/rho with chi_+ chi_- = kappa_m^2; the small root is the
-    dispersive-regime solution and is the default.
+    rho^2))/rho with chi_+ chi_- = kappa_m^2. The dispersive regime has
+    chi <= kappa_m, so the small root chi = kappa_m (1 - sqrt(1 - rho^2))/rho
+    is returned.
 
     Parameters
     ----------
@@ -92,31 +86,19 @@ def calibrate_magnon_number(
         Magnon energy decay rate, rad/s.
     gamma2_0 : float
         Zero-power dephasing rate, recorded in the result.
-    root : str
-        SMALL_CHI (default) or LARGE_CHI.
     """
     if stark_slope <= 0 or dephasing_slope <= 0:
         raise CalibrationError("both slopes must be > 0")
     if kappa_m <= 0:
         raise CalibrationError("kappa_m must be > 0")
-    if root not in (SMALL_CHI, LARGE_CHI):
-        raise CalibrationError(f"unknown root selector {root!r}")
     rho = dephasing_slope / stark_slope
     if rho > 1.0:
         raise CalibrationError(
             f"slope ratio rho = {rho:.4g} > 1: no real chi solves the dephasing model"
         )
-    discriminant = math.sqrt(max(1.0 - rho**2, 0.0))
-    if root == SMALL_CHI:
-        chi = kappa_m * (1.0 - discriminant) / rho
-    else:
-        chi = kappa_m * (1.0 + discriminant) / rho
+    chi = kappa_m * (1.0 - math.sqrt(max(1.0 - rho**2, 0.0))) / rho
     return CalibrationResult(
-        chi_qm=chi,
-        c_pump=stark_slope / chi,
-        gamma2_0=gamma2_0,
-        rho=rho,
-        root=root,
+        chi_qm=chi, c_pump=stark_slope / chi, gamma2_0=gamma2_0, rho=rho
     )
 
 

@@ -15,12 +15,7 @@ from pathlib import Path
 
 from .config import ANALYSES, AnalysisNode, ExperimentConfig, load_config
 from .errors import ConfigError, MagsenseError, SchemaError
-from .runner import (
-    RunArtifact,
-    load_artifact,
-    run_analyses,
-    run_experiment,
-)
+from .runner import load_artifact, run_analyses, run_experiment
 from .sweep import read_dataset
 
 EXIT_OK = 0

@@ -21,6 +21,11 @@ manifest written by an earlier version may record a field since removed
 (``REMOVED_FIELDS``) or one its kind never read; it is dropped where the
 current code reproduces its recorded value (any value, for a field never
 read), and rejected where it does not. A missing relaxation grid is derived.
+
+``system.ideal_qubit: true`` makes the device the protocols and analyses run
+on the measured system's ideal qubit (T1 = T2R = inf, no pure dephasing), and
+the readout model is built from that device's T1, so no excitation decays in
+its window. The manifest records the measured values and the flag.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .protocols import (
     GRIDS,
     PROTOCOLS,
     ProtocolConfig,
+    check_duration_grid,
 )
 from .readout import DEFAULT_SIGMA, DEFAULT_WINDOW, ReadoutModel
 from .sensitivity import DEFAULT_THRESHOLD, SensingConfig
@@ -418,7 +424,7 @@ _SENSITIVITY_OPTIONS = (
 )
 
 
-def _read_system(block: _Block) -> tuple[SystemParams, bool, dict]:
+def _read_system(block: _Block) -> tuple[SystemParams, dict]:
     values = block.read(_SYSTEM_FIELDS)
     ideal = block.get("ideal_qubit", "boolean", False)
     block.drop_removed("system")
@@ -443,10 +449,10 @@ def _read_system(block: _Block) -> tuple[SystemParams, bool, dict]:
         raise ConfigError(f"{block.path}: {exc}") from exc
     resolved = {key: float(values[key]) for key in sorted(values)}
     resolved["ideal_qubit"] = ideal
-    return params, ideal, resolved
+    return (params.with_ideal_qubit() if ideal else params), resolved
 
 
-def _read_readout(block: _Block, t1: float, ideal: bool) -> tuple[ReadoutModel, dict]:
+def _read_readout(block: _Block, t1: float) -> tuple[ReadoutModel, dict]:
     values = block.read(_READOUT_FIELDS)
     values["threshold"] = block.get(
         "threshold", "dimensionless", 0.5 * (values["mu_g"] + values["mu_e"])
@@ -456,7 +462,7 @@ def _read_readout(block: _Block, t1: float, ideal: bool) -> tuple[ReadoutModel, 
         model = ReadoutModel.for_qubit(t1=t1, **values)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{block.path}: {exc}") from exc
-    return (model.idealized() if ideal else model), values
+    return model, values
 
 
 def _read_acquisition(block: _Block) -> dict:
@@ -532,6 +538,11 @@ def _read_protocol(block: _Block, device: SystemParams, n_shots: int) -> tuple[P
             raise ConfigError(f"{path}: required grid is missing")
         grids[key] = grid
         capacity //= len(grid)
+    if "durations" in grids:
+        try:
+            check_duration_grid(grids["durations"])
+        except ValueError as exc:
+            raise ConfigError(f"{grid_block.path}.durations: {exc}") from exc
     n0 = block.get("n0", "dimensionless", 0.0) if takes_n0 else 0.0
     block.drop_unread(() if takes_n0 else ("n0",))
     pump, pump_resolved = _read_pump(block.child("pump"), pump_reads)
@@ -610,6 +621,28 @@ def _check_fitted_grids(analyses: list, protocols: list, source: str) -> None:
                     )
 
 
+def _check_kappa_m(system: SystemParams, protocols: list, analyses: list, source: str) -> None:
+    """Reject kappa_m <= 0 where a protocol or analysis divides by it.
+
+    The protocols led by n0 follow n0 magnons as they decay at kappa_m, and
+    the calibration, which the sensitivity analysis runs too, solves for
+    chi_qm in units of kappa_m.
+    """
+    if system.kappa_m > 0:
+        return
+    users = [
+        f"protocols[{k}] ({node.kind})"
+        for k, node in enumerate(protocols)
+        if PROTOCOLS[node.kind][3] == "n0"
+    ] + [
+        f"analyses[{k}] ({node.kind})"
+        for k, node in enumerate(analyses)
+        if node.kind in ("calibration", "sensitivity")
+    ]
+    if users:
+        raise ConfigError(f"{source}.system.kappa_m: must be > 0 for {users[0]}")
+
+
 def _read_sensing(block: _Block) -> tuple[SensingConfig, dict]:
     values = block.read(_SENSING_FIELDS)
     block.finish()
@@ -643,8 +676,8 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
         # numpy seeds its streams from non-negative integers only
         raise ConfigError(f"{source}.seed: must be >= 0")
     output = block.get("output", "string", None)
-    system, ideal, system_resolved = _read_system(block.child("system"))
-    readout, readout_resolved = _read_readout(block.child("readout"), system.t1, ideal)
+    system, system_resolved = _read_system(block.child("system"))
+    readout, readout_resolved = _read_readout(block.child("readout"), system.t1)
     acquisition = _read_acquisition(block.child("acquisition"))
     if not recorded:
         # only YAML is checked: an artifact keeps the acquisition it ran with,
@@ -661,8 +694,6 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
                 f"the {max_shots} shots, at 8 bytes each, of the "
                 f"{MAX_SHOT_BUFFER_BYTES}-byte shot buffer"
             )
-    if ideal:
-        system = system.with_ideal_qubit()
     raw_protocols = block.get("protocols", "list")
     if not raw_protocols:
         raise ConfigError(f"{source}.protocols: expected a non-empty list")
@@ -692,6 +723,7 @@ def _read_config(raw: dict, source: str, recorded: bool) -> ExperimentConfig:
                 )
         analysis_nodes.append(node)
         analyses_resolved.append(resolved)
+    _check_kappa_m(system, protocol_nodes, analysis_nodes, source)
     if not recorded:
         # like acquisition values, an artifact's grids are not checked again
         _check_fitted_grids(analysis_nodes, protocol_nodes, source)

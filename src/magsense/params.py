@@ -28,8 +28,7 @@ def gamma2_from_coherence(t1: float, t2r: float) -> float:
     1/T2R = 1/(2 T1) + gamma_2^0; the returned rate excludes the relaxation
     contribution. Infinite times are allowed and contribute zero.
     """
-    inv_t2 = 0.0 if math.isinf(t2r) else 1.0 / t2r
-    inv_2t1 = 0.0 if math.isinf(t1) else 0.5 / t1
+    inv_t2, inv_2t1 = 1.0 / t2r, 0.5 / t1
     rate = inv_t2 - inv_2t1
     if rate < -1e-9 * max(inv_t2, inv_2t1, 1.0):
         raise ValueError("T2R exceeds 2*T1; no non-negative dephasing rate exists")

@@ -79,6 +79,25 @@ def relaxation_delays(params: SystemParams) -> np.ndarray:
     return np.linspace(0.0, 4.0 * params.t1, DEFAULT_RELAXATION_POINTS)
 
 
+def check_duration_grid(durations: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the parametric scan can record on ``durations``.
+
+    The grid must start at 0, hold at least 2 points and be uniform.
+    """
+    if len(durations) < 2 or durations[0] != 0.0:
+        raise ValueError("duration grid must start at 0 with >= 2 points")
+    spacings = np.diff(durations)
+    if np.max(np.abs(spacings - spacings[0])) > 1e-9 * spacings[0]:
+        raise ValueError("duration grid must be uniform")
+
+
+def _magnon_decay_rate(params: SystemParams) -> float:
+    """kappa_m, which the decaying magnon occupation divides by."""
+    if params.kappa_m <= 0:
+        raise ValueError("a magnon decay protocol needs kappa_m > 0")
+    return params.kappa_m
+
+
 def require_protocol(dataset: SweepDataset, kind: str) -> None:
     """Raise ``EstimationError`` unless ``dataset`` is a ``kind`` dataset.
 
@@ -279,8 +298,7 @@ def _ramsey_fringe(
 ) -> tuple[np.ndarray, float]:
     """The Ramsey fringe P_e(delays) at magnon occupation n_mean, and its envelope rate."""
     detuning = config.artificial_detuning + stark_shift(n_mean, params.chi_qm)
-    relax = 0.0 if math.isinf(params.t1) else 0.5 / params.t1
-    envelope_rate = relax + dephasing_rate(n_mean, params)
+    envelope_rate = 0.5 / params.t1 + dephasing_rate(n_mean, params)
     contrast = np.exp(-delays * envelope_rate)
     return 0.5 + 0.5 * contrast * np.cos(detuning * delays), envelope_rate
 
@@ -347,7 +365,7 @@ def run_relaxation(
 ) -> SweepDataset:
     """Excited-state decay P_e(t) = exp(-t/T1) after a pi pulse."""
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
-    p_true = np.ones_like(delays) if math.isinf(params.t1) else np.exp(-delays / params.t1)
+    p_true = np.exp(-delays / params.t1)
     return _dataset(
         config,
         "relaxation",
@@ -355,12 +373,6 @@ def run_relaxation(
         p_true,
         config.pi_duration + float(np.max(delays)),
     )
-
-
-def _decayed_phase(params: SystemParams, n0: float, t: np.ndarray) -> np.ndarray:
-    """Ramsey phase accumulated over [0, t] while n(t) = n0 exp(-kappa t)."""
-    kappa = params.kappa_m
-    return params.chi_qm * n0 * -np.expm1(-kappa * t) / kappa
 
 
 def run_decay_phase_sense(
@@ -380,6 +392,7 @@ def run_decay_phase_sense(
     """
     if n0 < 0:
         raise ValueError("initial magnon number must be >= 0")
+    kappa = _magnon_decay_rate(params)
     sense_times = np.atleast_1d(np.asarray(sense_times, dtype=float))
     phases = np.atleast_1d(np.asarray(second_pulse_phases, dtype=float))
     warnings = []
@@ -392,13 +405,12 @@ def run_decay_phase_sense(
                 f"{max_phase_step:.3g} rad > {BLUR_PHASE_LIMIT:.3g} rad; "
                 "the signal blurs out"
             )
-    phi = _decayed_phase(params, n0, sense_times)
-    kappa = params.kappa_m
+    # Ramsey phase accumulated over [0, t] while n(t) = n0 exp(-kappa t)
+    phi = params.chi_qm * n0 * -np.expm1(-kappa * sense_times) / kappa
     deph_integral = (
         magnon_dephasing_rate(1.0, params) * n0 * -np.expm1(-kappa * sense_times) / kappa
     )
-    relax = 0.0 if math.isinf(params.t1) else 0.5 / params.t1
-    contrast = np.exp(-(relax + params.gamma2_0) * sense_times - deph_integral)
+    contrast = np.exp(-(0.5 / params.t1 + params.gamma2_0) * sense_times - deph_integral)
     p_true = 0.5 + 0.5 * contrast[:, None] * np.cos(phi[:, None] - phases[None, :])
     return _dataset(
         config,
@@ -429,7 +441,7 @@ def run_decay_spectroscopy(
         raise ValueError("initial magnon number must be >= 0")
     sense_times = np.atleast_1d(np.asarray(sense_times, dtype=float))
     probe_freqs = np.atleast_1d(np.asarray(probe_freqs, dtype=float))
-    kappa = params.kappa_m
+    kappa = _magnon_decay_rate(params)
     t_p = config.probe_duration
     window_factor = -math.expm1(-kappa * t_p) / (kappa * t_p)
     warnings = []
@@ -465,21 +477,18 @@ def _lindblad_excited_population(
     h = parametric_interaction(omega_qm, delta, space)
     q, n_q = build_mode_operators(space, "q")
     m, _ = build_mode_operators(space, "m")
-    collapses = [CollapseTerm(m, params.kappa_m)]
-    if not math.isinf(params.t1):
-        collapses.append(CollapseTerm(q, 1.0 / params.t1))
+    collapses = (CollapseTerm(m, params.kappa_m), CollapseTerm(q, 1.0 / params.t1))
     t_end = float(durations[-1])
     spacing = float(durations[1] - durations[0])
-    inv_t1 = 0.0 if math.isinf(params.t1) else 1.0 / params.t1
     # keep dt * (fastest rate) well under the integrator budget of 0.1
-    rate_scale = 0.5 * omega_qm + abs(delta) + params.kappa_m + inv_t1
+    rate_scale = 0.5 * omega_qm + abs(delta) + params.kappa_m + 1.0 / params.t1
     target = 0.02 / rate_scale
     substeps = max(1, math.ceil(spacing / target))
     dt = spacing / substeps
     traj = evolve_lindblad(
         fock_state(space, {"q": 1, "m": 0}),
         h,
-        collapses=tuple(collapses),
+        collapses=collapses,
         tspan=(0.0, t_end),
         dt=dt,
         observables=(n_q,),
@@ -506,11 +515,7 @@ def run_parametric_decay_scan(
     omega_qm = pump.omega_qm
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     durations = np.atleast_1d(np.asarray(durations, dtype=float))
-    if len(durations) < 2 or durations[0] != 0.0:
-        raise ValueError("duration grid must start at 0 with >= 2 points")
-    spacings = np.diff(durations)
-    if np.max(np.abs(spacings - spacings[0])) > 1e-9 * spacings[0]:
-        raise ValueError("duration grid must be uniform")
+    check_duration_grid(durations)
     p_true = np.empty((len(deltas), len(durations)))
     for i, delta in enumerate(deltas):
         p_true[i] = _lindblad_excited_population(params, omega_qm, float(delta), durations)

@@ -91,8 +91,8 @@ class ReadoutModel:
         window: float = DEFAULT_WINDOW,
         threshold: float | None = None,
     ) -> "ReadoutModel":
-        """Model with relaxation weight w = exp(-window/T1)."""
-        w = 1.0 if math.isinf(t1) else math.exp(-window / t1)
+        """Model with relaxation weight w = exp(-window/T1), 1 for an infinite T1."""
+        w = math.exp(-window / t1)
         thr = 0.5 * (mu_g + mu_e) if threshold is None else threshold
         return cls(
             mu_g=mu_g, mu_e=mu_e, sigma=sigma, decay_weight=w, window=window, threshold=thr

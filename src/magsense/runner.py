@@ -148,7 +148,6 @@ def _calibrate(system: SystemParams, datasets: dict, inputs: dict):
         "chi_qm_rad_per_s": calibration.chi_qm,
         "c_pump_per_w": calibration.c_pump,
         "slope_ratio_rho": calibration.rho,
-        "root": calibration.root,
         "stark_slope_rad_per_s_per_w": abs(stark_slope),
         "stark_slope_stderr": abs(stark_err),
         "dephasing_slope_rad_per_s_per_w": abs(dephasing_slope),

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from magsense.analysis import (
-    LARGE_CHI,
-    SMALL_CHI,
     CalibrationResult,
     calibrate_magnon_number,
     dephasing_rate,
@@ -74,7 +72,6 @@ def test_calibration_round_trip_noiseless():
     assert result.rho == pytest.approx(0.02785, abs=2e-5)
     assert result.chi_qm == pytest.approx(chi, rel=1e-9)
     assert result.c_pump == pytest.approx(c_pump, rel=1e-9)
-    assert result.root == SMALL_CHI
 
 
 def test_calibration_small_rho_expansion():
@@ -84,14 +81,18 @@ def test_calibration_small_rho_expansion():
         assert result.chi_qm == pytest.approx(kappa * rho / 2.0, rel=0.01)
 
 
-def test_calibration_root_identity():
-    chi = TWO_PI * 200e3
+@pytest.mark.parametrize("chi_over_kappa", [0.014, 0.2, 0.9, 1.0, 1.5, 40.0])
+def test_calibration_returns_the_dispersive_root(chi_over_kappa):
+    # rho = 2 kappa chi/(kappa^2 + chi^2) has the roots chi and kappa^2/chi;
+    # the calibration returns the one with chi <= kappa_m
     kappa = TWO_PI * 4.81e6
-    s1, s2 = make_slopes(chi, kappa, 1e8)
-    small = calibrate_magnon_number(s1, s2, kappa, 0.0, root=SMALL_CHI)
-    large = calibrate_magnon_number(s1, s2, kappa, 0.0, root=LARGE_CHI)
-    assert small.chi_qm * large.chi_qm == pytest.approx(kappa**2, rel=1e-12)
-    assert large.chi_qm > small.chi_qm
+    s1, s2 = make_slopes(chi_over_kappa * kappa, kappa, 1e8)
+    result = calibrate_magnon_number(s1, s2, kappa, 0.0)
+    chi = result.chi_qm
+    assert chi <= kappa * (1.0 + 1e-12)
+    assert 2.0 * kappa * chi / (kappa**2 + chi**2) == pytest.approx(result.rho, rel=1e-9)
+    assert chi == pytest.approx(min(chi_over_kappa, 1.0 / chi_over_kappa) * kappa, rel=1e-6)
+    assert result.c_pump == s1 / chi
 
 
 def test_calibration_error_cases():
@@ -100,8 +101,6 @@ def test_calibration_error_cases():
         calibrate_magnon_number(1.0, 1.5, kappa, 0.0)
     with pytest.raises(CalibrationError):
         calibrate_magnon_number(0.0, 1.0, kappa, 0.0)
-    with pytest.raises(CalibrationError):
-        calibrate_magnon_number(1.0, 0.5, kappa, 0.0, root="median-chi")
     degenerate = calibrate_magnon_number(1.0, 1.0, kappa, 0.0)
     assert degenerate.chi_qm == pytest.approx(kappa, rel=1e-12)
 
@@ -113,7 +112,6 @@ def test_calibration_result_validation():
             c_pump=1.0,
             gamma2_0=0.0,
             rho=0.1,
-            root=SMALL_CHI,
         )
 
 

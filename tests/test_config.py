@@ -661,7 +661,79 @@ class TestConfigValidation:
         plain = parse_config(base_config())
         ideal = parse_config(base_config(system={"ideal_qubit": True}))
         assert ideal.system == plain.system.with_ideal_qubit()
+        # the readout is built from the ideal device's T1: exp(-window/inf) = 1
+        assert ideal.readout == ReadoutModel.for_qubit(math.inf)
+        assert ideal.readout == ReadoutModel.for_qubit(plain.system.t1).idealized()
         assert ideal.readout.contrast() > plain.readout.contrast()
+        # the manifest records the measured system and the flag
+        assert ideal.resolved["system"] == {**plain.resolved["system"], "ideal_qubit": True}
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("decay-tracking", None, "protocols[0] (decay-phase)"),
+            (
+                "decay-tracking",
+                lambda raw: raw["protocols"].pop(0),
+                "protocols[0] (decay-spectroscopy)",
+            ),
+            ("sensitivity-scan", None, "analyses[0] (sensitivity)"),
+            ("magnon-counting", None, "analyses[0] (calibration)"),
+        ],
+        ids=["decay-phase", "decay-spectroscopy", "sensitivity", "calibration"],
+    )
+    def test_a_zero_magnon_linewidth_exits_2_where_it_is_divided_by(
+        self, name, edit, message, tmp_path, capsys
+    ):
+        # such a config used to validate; run then ended in a ZeroDivisionError
+        # traceback, or exited 3 after sampling every protocol
+        raw = yaml.safe_load(bundled_configs()[name].read_text(encoding="utf-8"))
+        raw["system"] = {**(raw.get("system") or {}), "kappa_m": "0 MHz"}
+        if edit is not None:
+            edit(raw)
+            raw.pop("analyses")
+        path = tmp_path / "no-linewidth.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--output", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}.system.kappa_m: must be > 0 for {message}\n"
+            )
+        assert not out.exists()
+
+    def test_a_zero_magnon_linewidth_is_allowed_where_nothing_divides_by_it(self):
+        raw = base_config(system={"kappa_m": "0 MHz"}, protocols=kind_blocks())
+        raw["protocols"] = [
+            block for block in raw["protocols"] if PROTOCOLS[block["kind"]][3] != "n0"
+        ]
+        assert parse_config(raw).system.kappa_m == 0.0
+
+    @pytest.mark.parametrize(
+        "durations, message",
+        [
+            ({"start": "0.1 us", "stop": "1 us", "count": 5}, "must start at 0 with >= 2 points"),
+            (["0 us", "0.1 us", "0.3 us", "0.4 us", "0.5 us"], "must be uniform"),
+        ],
+        ids=["offset", "non-uniform"],
+    )
+    def test_a_duration_grid_the_scan_cannot_record_on_exits_2(
+        self, durations, message, tmp_path, capsys
+    ):
+        # validate used to pass such a grid, and run to exit 3 after sampling
+        # every earlier protocol
+        raw = yaml.safe_load(bundled_configs()["parametric-scan"].read_text(encoding="utf-8"))
+        raw["protocols"].insert(0, {"kind": "relaxation"})
+        raw["protocols"][1]["durations"] = durations
+        path = tmp_path / "durations.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "--output", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}.protocols[1].durations: duration grid {message}\n"
+            )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "acquisition, message",

@@ -8,7 +8,7 @@ import pytest
 from conftest import check_binomial_counts, check_pulls, kind_blocks, traced_peak
 
 from magsense import protocols
-from magsense.analysis import magnon_dephasing_rate
+from magsense.analysis import dephasing_rate, magnon_dephasing_rate
 from magsense.config import parse_config
 from magsense.errors import EstimationError
 from magsense.fitting import FitModel, fit_curve
@@ -441,9 +441,12 @@ def test_semiclassical_phase_matches_quantum_dispersive_evolution():
     assert err <= 0.02 * np.max(np.abs(semiclassical))
 
 
-def one_dataset_of_each_kind(config: ProtocolConfig) -> list:
-    """A small dataset of every protocol kind, in ``PROTOCOLS`` order."""
-    params = SystemParams.reference()
+def one_dataset_of_each_kind(config: ProtocolConfig, params=None) -> list:
+    """A small dataset of every protocol kind on ``params``, in ``PROTOCOLS`` order.
+
+    ``params`` defaults to the reference device.
+    """
+    params = SystemParams.reference() if params is None else params
     delays = np.linspace(0.0, 0.4e-6, 3)
     freqs = params.omega_q + 2 * math.pi * np.linspace(-2e6, 2e6, 5)
     phases = np.linspace(0.0, 2 * math.pi, 4)
@@ -459,6 +462,30 @@ def one_dataset_of_each_kind(config: ProtocolConfig) -> list:
     ]
     assert [data.protocol for data in datasets] == list(PROTOCOLS)
     return datasets
+
+
+def test_every_protocol_runs_on_the_ideal_qubit():
+    # an infinite T1 takes the finite path: 1/inf = 0 and exp(-0) = 1, with
+    # no RuntimeWarning (the suite makes one an error)
+    ideal = SystemParams.reference().with_ideal_qubit()
+    config = reference_config(readout=ReadoutModel.for_qubit(ideal.t1))
+    datasets = dict(zip(PROTOCOLS, one_dataset_of_each_kind(config, ideal)))
+    for kind, data in datasets.items():
+        assert np.all(np.isfinite(data.p_e)), kind
+        assert data.warnings == (), kind
+    assert np.all(datasets["relaxation"].p_e == 1.0)
+    ramsey = datasets["ramsey"]
+    assert ramsey.meta["envelope_rate"] == dephasing_rate(ramsey.meta["n_mean"], ideal)
+
+
+@pytest.mark.parametrize("run", [run_decay_phase_sense, run_decay_spectroscopy])
+def test_a_decay_protocol_needs_a_magnon_linewidth(run):
+    # kappa_m = 0 used to end in a ZeroDivisionError
+    params = dataclasses.replace(SystemParams.reference(), kappa_m=0.0)
+    times = np.linspace(0.0, 200e-9, 3)
+    second = params.omega_q + np.linspace(-1e7, 1e7, 3)
+    with pytest.raises(ValueError, match="kappa_m > 0"):
+        run(params, 10.0, times, second, reference_config())
 
 
 @pytest.mark.parametrize("mode", ["shots", "expectation"])
